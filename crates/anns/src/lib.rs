@@ -44,8 +44,8 @@ pub use filter::FilterStrategy;
 pub use harness::{hybrid_qps, qps_at_recall, sweep_disk, sweep_memory, SweepPoint};
 pub use memory::InMemoryIndex;
 pub use serve::{
-    BatchReport, LatencySummary, MutableShardBackend, ServeConfig, ServeEngine, Shard,
-    ShardBackend, ShardQueryStats, ShardedIndex, WorkerPool,
+    BatchReport, LatencySummary, MutableShardBackend, ServeConfig, ServeEngine, ShardBackend,
+    ShardQueryStats, ShardedIndex, WorkerPool,
 };
 pub use ssd::{simulate_open_load, OpenLoadReport, SsdClock, SsdModel};
 pub use stream::{ConsolidateReport, StreamingConfig, StreamingIndex};

@@ -68,6 +68,9 @@ pub enum RejectReason {
     QuotaExceeded,
     /// Every replica of some required shard group failed the read.
     ShardUnavailable,
+    /// The request carried a predicate and some shard holds no labels to
+    /// evaluate it against.
+    NoLabels,
 }
 
 impl RejectReason {
@@ -78,6 +81,7 @@ impl RejectReason {
             RejectReason::DeadlineExceeded => "deadline_exceeded",
             RejectReason::QuotaExceeded => "quota_exceeded",
             RejectReason::ShardUnavailable => "shard_unavailable",
+            RejectReason::NoLabels => "no_labels",
         }
     }
 }

@@ -1,196 +1,58 @@
 //! Replicated, admission-controlled serving with live reconfiguration
 //! (DESIGN.md §11).
 //!
-//! [`ShardedIndex`](super::ShardedIndex) scales reads with *partitions*;
-//! this module scales
-//! them with *replicas* and makes the result service-shaped:
+//! The partition table ([`ShardedIndex`]) scales reads with *partitions*
+//! and already holds every slot as a [`ReplicaSet`]; this module adds what
+//! only a cluster needs around that table and makes the result
+//! service-shaped:
 //!
-//! - **Replication** ([`ReplicaSet`]): each shard group holds N
-//!   bit-identical replicas of one backend behind a pluggable
-//!   [`LoadBalancePolicy`]. Frozen backends are `Arc`-shared; mutable
-//!   backends are forked ([`MutableShardBackend::fork_local`]) and kept
-//!   identical by state-machine replication — every write applies to
-//!   every replica in the same order. Because replicas are bit-identical,
-//!   *any* replica choice returns the same top-k and the §7.3 exact-merge
-//!   contract survives replication unchanged.
+//! - **Replication**: each slot holds N bit-identical replicas of one
+//!   backend behind a pluggable [`LoadBalancePolicy`]. Frozen backends are
+//!   `Arc`-shared; mutable backends are forked
+//!   ([`MutableShardBackend::fork_local`]) and kept identical by
+//!   state-machine replication — every write applies to every replica in
+//!   the same order. Because replicas are bit-identical, *any* replica
+//!   choice returns the same top-k and the §7.3 exact-merge contract
+//!   survives replication unchanged. A read tries replicas in policy
+//!   order and fails over past faulted ones.
 //! - **Admission control** ([`super::AdmissionConfig`]): every request is
 //!   admitted or shed with a typed [`RejectReason`] before execution;
 //!   the queue is bounded, deadlines shed early, tenants have quotas.
 //! - **Live reconfiguration**: [`ClusterIndex::add_shard`] /
-//!   [`ClusterIndex::remove_shard`] / [`ClusterIndex::set_replicas`]
-//!   rebalance by the same `g % n_groups` round-robin rule the builders
+//!   [`ClusterIndex::remove_shard`] / [`ShardedIndex::set_replicas`]
+//!   rebalance by the same `g % n_shards` round-robin rule the builders
 //!   use, moving points through `MutableShardBackend` remove+insert.
 //!   [`ClusterEngine`] wraps the index in a `RwLock`, so every query sees
 //!   one atomic membership view — never a torn one.
 //!
 //! Time is virtual: arrivals come from an [`ArrivalSchedule`], service
 //! times from a [`CostModel`] over deterministic work counters, and queue
-//! waits from per-replica [`VirtualClock`]s. On this 1-core container
-//! that is the honest way to measure goodput and p99 under overload
-//! (DESIGN.md §11.4); it also makes every run bit-reproducible, which is
-//! what lets tests/determinism.rs pin the whole serving path across
-//! `RPQ_THREADS` settings.
+//! waits from per-replica [`VirtualClock`](crate::ssd::VirtualClock)s. On
+//! this 1-core container that is the honest way to measure goodput and p99
+//! under overload (DESIGN.md §11.4); it also makes every run
+//! bit-reproducible, which is what lets tests/determinism.rs pin the whole
+//! serving path across `RPQ_THREADS` settings.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
-use rpq_data::{Dataset, LabelPredicate, Labels};
+use parking_lot::RwLock;
+use rpq_data::{Dataset, LabelPredicate};
 use rpq_graph::{Neighbor, ProximityGraph, SearchScratch};
 use rpq_quant::VectorCompressor;
 
 use super::admission::{AdmissionConfig, AdmissionState, RejectReason};
 use super::balance::LoadBalancePolicy;
-use super::fault::{FlakyBackend, ReplicaFault};
+use super::fault::ReplicaFault;
 use super::loadgen::{ArrivalSchedule, CostModel, FilteredQuery};
 use super::metrics::LatencySummary;
-use super::{
-    assert_shardable, merge_top_k, partition_round_robin, MutableShardBackend, ShardBackend,
-    ShardQueryStats,
-};
+use super::{slot, MutableShardBackend, Replica, ReplicaSet, ShardQueryStats, ShardedIndex};
 use crate::filter::FilterStrategy;
-use crate::memory::InMemoryIndex;
-use crate::ssd::VirtualClock;
-use crate::stream::{StreamingConfig, StreamingIndex};
-
-/// One replica's backend. Three faces instead of two
-/// ([`super::Shard`]'s `ShardHandle`) because replication and fault
-/// injection each need something the plain handle can't do: frozen
-/// backends must be shareable (`Arc`) so N replicas don't cost N copies,
-/// and flaky backends must keep their fault switches reachable from the
-/// outside while installed.
-pub enum ClusterHandle {
-    /// A frozen backend, shareable across replicas.
-    Frozen(Arc<dyn ShardBackend>),
-    /// A mutable backend, exclusively owned (forked per replica).
-    Mutable(Box<dyn MutableShardBackend>),
-    /// A fault-injection wrapper (tests); shared so the test keeps a
-    /// handle to the failure switches.
-    Flaky(Arc<FlakyBackend>),
-}
-
-impl ClusterHandle {
-    /// The fallible read path: only [`ClusterHandle::Flaky`] ever fails.
-    /// A `Some(filter)` routes through the backend's filtered search
-    /// (same fault schedule — flaky backends burn one ticket per read,
-    /// filtered or not).
-    fn try_search(
-        &self,
-        query: &[f32],
-        filter: Option<FilteredQuery>,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
-        match filter {
-            None => match self {
-                ClusterHandle::Frozen(b) => Ok(b.search_local(query, ef, k, scratch)),
-                ClusterHandle::Mutable(b) => Ok(b.search_local(query, ef, k, scratch)),
-                ClusterHandle::Flaky(b) => b.try_search_local(query, ef, k, scratch),
-            },
-            Some(f) => match self {
-                ClusterHandle::Frozen(b) => {
-                    Ok(b.search_local_filtered(query, f.pred, f.strategy, ef, k, scratch))
-                }
-                ClusterHandle::Mutable(b) => {
-                    Ok(b.search_local_filtered(query, f.pred, f.strategy, ef, k, scratch))
-                }
-                ClusterHandle::Flaky(b) => {
-                    b.try_search_local_filtered(query, f.pred, f.strategy, ef, k, scratch)
-                }
-            },
-        }
-    }
-
-    fn shard_len(&self) -> usize {
-        match self {
-            ClusterHandle::Frozen(b) => b.shard_len(),
-            ClusterHandle::Mutable(b) => b.shard_len(),
-            ClusterHandle::Flaky(b) => b.shard_len(),
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        match self {
-            ClusterHandle::Frozen(b) => b.resident_bytes(),
-            ClusterHandle::Mutable(b) => b.resident_bytes(),
-            ClusterHandle::Flaky(b) => b.resident_bytes(),
-        }
-    }
-
-    fn mutable(&mut self) -> Option<&mut dyn MutableShardBackend> {
-        match self {
-            ClusterHandle::Mutable(b) => Some(&mut **b),
-            _ => None,
-        }
-    }
-
-    fn as_mutable(&self) -> Option<&dyn MutableShardBackend> {
-        match self {
-            ClusterHandle::Mutable(b) => Some(&**b),
-            _ => None,
-        }
-    }
-
-    /// A new replica of this backend: frozen/flaky backends share,
-    /// mutable backends deep-fork (bit-identical by contract).
-    fn fork(&self) -> ClusterHandle {
-        match self {
-            ClusterHandle::Frozen(b) => ClusterHandle::Frozen(Arc::clone(b)),
-            ClusterHandle::Mutable(b) => ClusterHandle::Mutable(b.fork_local()),
-            ClusterHandle::Flaky(b) => ClusterHandle::Flaky(Arc::clone(b)),
-        }
-    }
-}
-
-/// One replica: a backend plus its runtime state — a virtual device
-/// timeline, the completions outstanding on it, and an enable switch
-/// (drained replicas stay resident but take no traffic).
-pub struct Replica {
-    handle: ClusterHandle,
-    clock: VirtualClock,
-    /// Virtual completion times of requests this replica is serving.
-    outstanding: Mutex<Vec<f64>>,
-    enabled: AtomicBool,
-}
+use crate::stream::StreamingConfig;
 
 impl Replica {
-    fn new(handle: ClusterHandle) -> Self {
-        Self {
-            handle,
-            clock: VirtualClock::new(),
-            outstanding: Mutex::new(Vec::new()),
-            enabled: AtomicBool::new(true),
-        }
-    }
-
-    /// A replica over a shared frozen backend.
-    pub fn frozen(backend: Arc<dyn ShardBackend>) -> Self {
-        Self::new(ClusterHandle::Frozen(backend))
-    }
-
-    /// A replica over an exclusively-owned mutable backend.
-    pub fn mutable(backend: Box<dyn MutableShardBackend>) -> Self {
-        Self::new(ClusterHandle::Mutable(backend))
-    }
-
-    /// A replica over a fault-injection wrapper (keep the `Arc` to flip
-    /// its switches mid-run).
-    pub fn flaky(backend: Arc<FlakyBackend>) -> Self {
-        Self::new(ClusterHandle::Flaky(backend))
-    }
-
-    /// Takes the replica in or out of rotation (resident either way).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Requests admitted to this replica and not yet complete at `now_us`.
     fn outstanding_at(&self, now_us: f64) -> usize {
         let mut v = self.outstanding.lock();
@@ -198,52 +60,17 @@ impl Replica {
         v.len()
     }
 
-    fn reset_runtime(&self) {
-        self.clock.reset();
-        self.outstanding.lock().clear();
+    /// Reserves `service_us` of modeled service on this replica's timeline
+    /// for a read arriving at `now_us`; returns its virtual completion time.
+    fn reserve(&self, now_us: f64, service_us: f64) -> f64 {
+        let wait_us = self.clock.reserve_at(now_us, service_us);
+        let completion_us = now_us + wait_us + service_us;
+        self.outstanding.lock().push(completion_us);
+        completion_us
     }
-}
-
-/// N bit-identical replicas of one shard behind a balance policy.
-pub struct ReplicaSet {
-    replicas: Vec<Replica>,
-    /// Round-robin cursor (advances only when that policy runs).
-    rr: AtomicUsize,
 }
 
 impl ReplicaSet {
-    /// Wraps replicas; they must exist and agree on shard length.
-    pub fn new(replicas: Vec<Replica>) -> Self {
-        assert!(!replicas.is_empty(), "a replica set needs >= 1 replica");
-        let len = replicas[0].handle.shard_len();
-        for r in &replicas {
-            assert_eq!(r.handle.shard_len(), len, "replicas diverged in length");
-        }
-        Self {
-            replicas,
-            rr: AtomicUsize::new(0),
-        }
-    }
-
-    /// Replication factor.
-    pub fn len(&self) -> usize {
-        self.replicas.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
-    }
-
-    /// Vectors per replica (tombstones included).
-    pub fn shard_len(&self) -> usize {
-        self.replicas[0].handle.shard_len()
-    }
-
-    /// The replicas, for enable switches and inspection.
-    pub fn replicas(&self) -> &[Replica] {
-        &self.replicas
-    }
-
     /// Preference order over replicas for one read at virtual time
     /// `now_us`: the policy ranks enabled replicas (ties toward the lower
     /// index), then disabled ones trail as a last resort — a *disabled*
@@ -276,39 +103,6 @@ impl ReplicaSet {
         on
     }
 
-    /// One read at virtual time `now_us`: try replicas in policy order,
-    /// failing over past faulted ones. On success, reserves the query's
-    /// modeled service time on the chosen replica's timeline and returns
-    /// `(results, stats, virtual completion time)`. `Err` only when every
-    /// replica failed.
-    #[allow(clippy::too_many_arguments)]
-    fn search_at(
-        &self,
-        policy: LoadBalancePolicy,
-        query: &[f32],
-        filter: Option<FilteredQuery>,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-        now_us: f64,
-        cost: &CostModel,
-    ) -> Result<(Vec<Neighbor>, ShardQueryStats, f64), ReplicaFault> {
-        for idx in self.order(policy, now_us) {
-            let replica = &self.replicas[idx];
-            match replica.handle.try_search(query, filter, ef, k, scratch) {
-                Ok((res, stats)) => {
-                    let service_us = cost.service_us(&stats);
-                    let wait_us = replica.clock.reserve_at(now_us, service_us);
-                    let completion_us = now_us + wait_us + service_us;
-                    replica.outstanding.lock().push(completion_us);
-                    return Ok((res, stats, completion_us));
-                }
-                Err(ReplicaFault) => continue,
-            }
-        }
-        Err(ReplicaFault)
-    }
-
     /// Least backlog across enabled replicas (falling back to all
     /// replicas when the whole set is drained, since drained replicas
     /// still answer as a last resort) — the admission gate's estimate of
@@ -328,152 +122,47 @@ impl ReplicaSet {
             .map(|r| r.clock.backlog_us(now_us))
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Grows or shrinks to `n` replicas: new ones fork replica 0, excess
-    /// ones drop from the tail. Panics on `n == 0`.
-    fn set_replicas(&mut self, n: usize) {
-        assert!(n >= 1, "a shard group cannot have zero replicas");
-        while self.replicas.len() > n {
-            self.replicas.pop();
-        }
-        while self.replicas.len() < n {
-            let fork = self.replicas[0].handle.fork();
-            self.replicas.push(Replica::new(fork));
-        }
-    }
-
-    /// Applies one insert to **every** replica (state-machine
-    /// replication); all must agree on the assigned local id. Mask 0 =
-    /// unlabeled (matches no predicate).
-    fn insert_local_labeled(&mut self, v: &[f32], mask: u32, scratch: &mut SearchScratch) -> u32 {
-        let mut assigned = None;
-        for replica in &mut self.replicas {
-            let backend = replica
-                .handle
-                .mutable()
-                .expect("insert routed to a non-mutable replica");
-            let local = backend.insert_local_labeled(v, mask, scratch);
-            match assigned {
-                None => assigned = Some(local),
-                Some(first) => assert_eq!(local, first, "replicas diverged on insert"),
-            }
-        }
-        assigned.expect("replica set is never empty")
-    }
-
-    /// Applies one tombstone to every replica; all must agree.
-    fn remove_local(&mut self, local_id: u32) -> bool {
-        let mut agreed = None;
-        for replica in &mut self.replicas {
-            let backend = replica
-                .handle
-                .mutable()
-                .expect("remove routed to a non-mutable replica");
-            let ok = backend.remove_local(local_id);
-            match agreed {
-                None => agreed = Some(ok),
-                Some(first) => assert_eq!(ok, first, "replicas diverged on remove"),
-            }
-        }
-        agreed.expect("replica set is never empty")
-    }
-
-    /// Consolidates every replica; survivor lists must be identical
-    /// (replicas apply the same writes in the same order, so they are).
-    fn consolidate_local(&mut self, force: bool) -> Option<Vec<u32>> {
-        let mut first: Option<Option<Vec<u32>>> = None;
-        for replica in &mut self.replicas {
-            let backend = replica
-                .handle
-                .mutable()
-                .expect("consolidate routed to a non-mutable replica");
-            let survivors = backend.consolidate_local(force);
-            match &first {
-                None => first = Some(survivors),
-                Some(want) => assert_eq!(&survivors, want, "replicas diverged on consolidate"),
-            }
-        }
-        first.expect("replica set is never empty")
-    }
-
-    fn live_len(&self) -> usize {
-        self.replicas[0]
-            .handle
-            .as_mutable()
-            .map_or_else(|| self.shard_len(), |b| b.live_len())
-    }
-
-    fn is_mutable(&self) -> bool {
-        self.replicas[0].handle.as_mutable().is_some()
-    }
-}
-
-/// One shard group: a replica set plus the positional local→global id
-/// map (shared by all replicas, since they are bit-identical).
-pub struct ClusterGroup {
-    set: ReplicaSet,
-    global_ids: Vec<u32>,
-}
-
-impl ClusterGroup {
-    /// Wraps a replica set with its id map.
-    pub fn new(set: ReplicaSet, global_ids: Vec<u32>) -> Self {
-        assert_eq!(
-            set.shard_len(),
-            global_ids.len(),
-            "id map must cover the shard group"
-        );
-        Self { set, global_ids }
-    }
-
-    /// The replica set (enable switches etc.).
-    pub fn replica_set(&self) -> &ReplicaSet {
-        &self.set
-    }
-
-    /// Global ids resident in this group (tombstones included).
-    pub fn global_ids(&self) -> &[u32] {
-        &self.global_ids
-    }
 }
 
 /// A replicated, dynamically re-shardable index: the data-plane state
-/// behind a [`ClusterEngine`]. Mutating methods take `&mut self`; the
-/// engine serializes them behind its `RwLock` so reads always see an
-/// atomic membership view.
+/// behind a [`ClusterEngine`]. It *is* a [`ShardedIndex`] — the one
+/// partition table, reachable through `Deref` for everything the two
+/// views share (`len`, `live_len`, `insert`, `remove`, `consolidate`,
+/// `groups`, `resident_bytes`, …) — plus what only a cluster has: a
+/// balance policy, failover, virtual-time reservation and live
+/// reconfiguration. Mutating methods take `&mut self`; the engine
+/// serializes them behind its `RwLock` so reads always see an atomic
+/// membership view.
 pub struct ClusterIndex {
-    groups: Vec<ClusterGroup>,
-    dim: usize,
+    table: ShardedIndex,
     policy: LoadBalancePolicy,
-    /// Next global id to hand out; never reused (same contract as
-    /// [`ShardedIndex`]).
-    next_global: u32,
+}
+
+impl Deref for ClusterIndex {
+    type Target = ShardedIndex;
+
+    fn deref(&self) -> &ShardedIndex {
+        &self.table
+    }
+}
+
+impl DerefMut for ClusterIndex {
+    fn deref_mut(&mut self) -> &mut ShardedIndex {
+        &mut self.table
+    }
 }
 
 impl ClusterIndex {
-    /// Assembles a cluster from prepared groups. Panics if groups' global
-    /// ids overlap.
-    pub fn from_groups(groups: Vec<ClusterGroup>, dim: usize, policy: LoadBalancePolicy) -> Self {
-        let total: usize = groups.iter().map(|g| g.global_ids.len()).sum();
-        let mut seen = std::collections::HashSet::with_capacity(total);
-        let mut next_global = 0u32;
-        for group in &groups {
-            for &g in &group.global_ids {
-                assert!(seen.insert(g), "global id {g} appears in two shard groups");
-                next_global = next_global.max(g + 1);
-            }
-        }
-        assert!(!groups.is_empty(), "a cluster needs >= 1 shard group");
-        Self {
-            groups,
-            dim,
-            policy,
-            next_global,
-        }
+    /// Puts a partition table behind a balance policy. Any table works —
+    /// in-memory, disk or streaming shards, at whatever replication
+    /// [`ShardedIndex::with_replicas`] gave it.
+    pub fn new(table: ShardedIndex, policy: LoadBalancePolicy) -> Self {
+        assert!(table.n_shards() >= 1, "a cluster needs >= 1 shard");
+        Self { table, policy }
     }
 
     /// Round-robin partitions `data` into `n_shards` frozen in-memory
-    /// groups of `replicas` replicas each. Each group builds its backend
+    /// shards of `replicas` replicas each. Each shard builds its backend
     /// **once** and `Arc`-shares it — replication of frozen shards costs
     /// pointers, not memory.
     pub fn build_in_memory<C>(
@@ -487,70 +176,12 @@ impl ClusterIndex {
     where
         C: VectorCompressor + Clone + 'static,
     {
-        assert_shardable(data.len(), n_shards);
-        assert!(replicas >= 1, "need >= 1 replica");
-        let groups = partition_round_robin(data.len(), n_shards)
-            .into_iter()
-            .map(|ids| {
-                let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
-                let part = data.subset(&local);
-                let graph = build_graph(&part);
-                let backend: Arc<dyn ShardBackend> =
-                    Arc::new(InMemoryIndex::build(compressor.clone(), &part, graph));
-                let set = ReplicaSet::new(
-                    (0..replicas)
-                        .map(|_| Replica::frozen(Arc::clone(&backend)))
-                        .collect(),
-                );
-                ClusterGroup::new(set, ids)
-            })
-            .collect();
-        Self::from_groups(groups, data.dim(), policy)
-    }
-
-    /// [`ClusterIndex::build_in_memory`] with per-point label masks: each
-    /// group's backend carries the positional subset of `labels` its
-    /// points landed with, so [`ClusterIndex::search_filtered`] works on
-    /// every replica.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_in_memory_labeled<C>(
-        compressor: &C,
-        data: &Dataset,
-        labels: &Labels,
-        n_shards: usize,
-        replicas: usize,
-        policy: LoadBalancePolicy,
-        build_graph: impl Fn(&Dataset) -> ProximityGraph,
-    ) -> Self
-    where
-        C: VectorCompressor + Clone + 'static,
-    {
-        assert_shardable(data.len(), n_shards);
-        assert_eq!(labels.len(), data.len(), "labels/dataset size mismatch");
-        assert!(replicas >= 1, "need >= 1 replica");
-        let groups = partition_round_robin(data.len(), n_shards)
-            .into_iter()
-            .map(|ids| {
-                let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
-                let part = data.subset(&local);
-                let graph = build_graph(&part);
-                let backend: Arc<dyn ShardBackend> = Arc::new(
-                    InMemoryIndex::build(compressor.clone(), &part, graph)
-                        .with_labels(labels.subset(&local)),
-                );
-                let set = ReplicaSet::new(
-                    (0..replicas)
-                        .map(|_| Replica::frozen(Arc::clone(&backend)))
-                        .collect(),
-                );
-                ClusterGroup::new(set, ids)
-            })
-            .collect();
-        Self::from_groups(groups, data.dim(), policy)
+        let table = ShardedIndex::build_in_memory(compressor, data, n_shards, build_graph);
+        Self::new(table.with_replicas(replicas), policy)
     }
 
     /// Round-robin partitions `data` into `n_shards` **mutable** streaming
-    /// groups of `replicas` forked replicas each — the configuration live
+    /// shards of `replicas` forked replicas each — the configuration live
     /// reconfiguration needs.
     pub fn build_streaming<C>(
         compressor: &C,
@@ -563,113 +194,8 @@ impl ClusterIndex {
     where
         C: VectorCompressor + Clone + 'static,
     {
-        assert_shardable(data.len(), n_shards);
-        assert!(replicas >= 1, "need >= 1 replica");
-        let groups = partition_round_robin(data.len(), n_shards)
-            .into_iter()
-            .map(|ids| {
-                let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
-                let part = data.subset(&local);
-                let index = StreamingIndex::build(compressor.clone(), &part, cfg);
-                let mut set = ReplicaSet::new(vec![Replica::mutable(Box::new(index))]);
-                set.set_replicas(replicas);
-                ClusterGroup::new(set, ids)
-            })
-            .collect();
-        Self::from_groups(groups, data.dim(), policy)
-    }
-
-    /// [`ClusterIndex::build_streaming`] with per-point label masks; the
-    /// labels follow the lock-step streaming lifecycle on every forked
-    /// replica (insert, tombstone, consolidate).
-    pub fn build_streaming_labeled<C>(
-        compressor: &C,
-        data: &Dataset,
-        labels: &Labels,
-        n_shards: usize,
-        replicas: usize,
-        policy: LoadBalancePolicy,
-        cfg: StreamingConfig,
-    ) -> Self
-    where
-        C: VectorCompressor + Clone + 'static,
-    {
-        assert_shardable(data.len(), n_shards);
-        assert_eq!(labels.len(), data.len(), "labels/dataset size mismatch");
-        assert!(replicas >= 1, "need >= 1 replica");
-        let groups = partition_round_robin(data.len(), n_shards)
-            .into_iter()
-            .map(|ids| {
-                let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
-                let part = data.subset(&local);
-                let index = StreamingIndex::build_labeled(
-                    compressor.clone(),
-                    &part,
-                    labels.subset(&local),
-                    cfg,
-                );
-                let mut set = ReplicaSet::new(vec![Replica::mutable(Box::new(index))]);
-                set.set_replicas(replicas);
-                ClusterGroup::new(set, ids)
-            })
-            .collect();
-        Self::from_groups(groups, data.dim(), policy)
-    }
-
-    /// Shard groups.
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The groups, for enable switches and inspection.
-    pub fn groups(&self) -> &[ClusterGroup] {
-        &self.groups
-    }
-
-    /// Total resident vectors (tombstones included) across groups,
-    /// counting each point once regardless of replication.
-    pub fn len(&self) -> usize {
-        self.groups.iter().map(|g| g.global_ids.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resident minus tombstoned points.
-    pub fn live_len(&self) -> usize {
-        self.groups.iter().map(|g| g.set.live_len()).sum()
-    }
-
-    /// Query dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Largest per-replica shard size — scratch sizing.
-    pub fn max_shard_len(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| g.set.shard_len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total RAM across groups and replicas (shared frozen backends
-    /// counted once per `Arc` clone would lie, so: backends per distinct
-    /// replica + one id map per group).
-    pub fn resident_bytes(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| {
-                g.global_ids.len() * std::mem::size_of::<u32>()
-                    + g.set
-                        .replicas
-                        .iter()
-                        .map(|r| r.handle.resident_bytes())
-                        .sum::<usize>()
-            })
-            .sum()
+        let table = ShardedIndex::build_streaming(compressor, data, None, n_shards, cfg);
+        Self::new(table.with_replicas(replicas), policy)
     }
 
     /// The active balance policy.
@@ -683,55 +209,26 @@ impl ClusterIndex {
     }
 
     /// The admission gate's start-wait estimate: a query fans out to all
-    /// groups, so it starts when the *most backlogged* group's best
+    /// shards, so it starts when the *most backlogged* shard's best
     /// replica frees up.
     pub fn est_start_wait_us(&self, now_us: f64) -> f64 {
-        self.groups
+        self.table
+            .groups
             .iter()
             .map(|g| g.set.min_backlog_us(now_us))
             .fold(0.0, f64::max)
     }
 
-    /// One read at virtual time `now_us`: fan out to every group through
-    /// its policy-chosen replica, merge exactly (§7.3), return the global
-    /// top-k, fan-out stats, and the query's virtual completion time (the
-    /// slowest group's). `Err(ShardUnavailable)` if any group has no
-    /// answering replica — a partial top-k would be silent corruption.
+    /// One read at virtual time `now_us`, under `filter` when given: fan
+    /// out to every shard, each answered by the first replica in policy
+    /// order that does not fault, with the read's modeled service time
+    /// reserved on that replica's timeline; merge exactly (§7.3 — per
+    /// predicate too). Returns the global top-k, fan-out stats, and the
+    /// query's virtual completion time (the slowest shard's). `Err` if any
+    /// shard has no answering replica — a partial top-k would be silent
+    /// corruption.
+    #[allow(clippy::too_many_arguments)]
     pub fn search_at(
-        &self,
-        query: &[f32],
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-        now_us: f64,
-        cost: &CostModel,
-    ) -> Result<(Vec<Neighbor>, ShardQueryStats, f64), RejectReason> {
-        self.search_at_opt(query, None, ef, k, scratch, now_us, cost)
-    }
-
-    /// [`ClusterIndex::search_at`] under a predicate: the same fan-out,
-    /// failover, merge, and virtual-time accounting, with every group's
-    /// chosen replica running its filtered search. The §7.3 exact-merge
-    /// contract holds per predicate — at exhaustive `ef` the merged top-k
-    /// matches a single filtered index id-for-id.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_filtered_at(
-        &self,
-        query: &[f32],
-        pred: LabelPredicate,
-        strategy: FilterStrategy,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-        now_us: f64,
-        cost: &CostModel,
-    ) -> Result<(Vec<Neighbor>, ShardQueryStats, f64), RejectReason> {
-        let filter = Some(FilteredQuery { pred, strategy });
-        self.search_at_opt(query, filter, ef, k, scratch, now_us, cost)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search_at_opt(
         &self,
         query: &[f32],
         filter: Option<FilteredQuery>,
@@ -741,28 +238,26 @@ impl ClusterIndex {
         now_us: f64,
         cost: &CostModel,
     ) -> Result<(Vec<Neighbor>, ShardQueryStats, f64), RejectReason> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let mut partials = Vec::with_capacity(self.groups.len());
-        let mut total = ShardQueryStats::default();
+        assert_eq!(query.len(), self.dim(), "query dimension mismatch");
         let mut completion_us = now_us;
-        for group in &self.groups {
-            if group.global_ids.is_empty() {
-                // A freshly-joined shard before rebalance lands points;
-                // nothing to search, nothing to reserve.
-                continue;
+        let (res, total) = self.table.fan_out(k, |group| {
+            let mut fault = ReplicaFault::Unavailable;
+            for idx in group.set.order(self.policy, now_us) {
+                match group.search(idx, query, filter, ef, k, scratch) {
+                    Ok((res, stats)) => {
+                        let done = group.set.replicas[idx].reserve(now_us, cost.service_us(&stats));
+                        completion_us = completion_us.max(done);
+                        return Ok((res, stats));
+                    }
+                    Err(e) => fault = e,
+                }
             }
-            let (mut res, stats, done) = group
-                .set
-                .search_at(self.policy, query, filter, ef, k, scratch, now_us, cost)
-                .map_err(|ReplicaFault| RejectReason::ShardUnavailable)?;
-            for n in &mut res {
-                n.id = group.global_ids[n.id as usize];
-            }
-            total.merge(&stats);
-            completion_us = completion_us.max(done);
-            partials.push(res);
-        }
-        Ok((merge_top_k(&partials, k), total, completion_us))
+            Err(match fault {
+                ReplicaFault::Unavailable => RejectReason::ShardUnavailable,
+                ReplicaFault::NoLabels => RejectReason::NoLabels,
+            })
+        })?;
+        Ok((res, total, completion_us))
     }
 
     /// One read outside any schedule (virtual time 0, default costs):
@@ -774,7 +269,7 @@ impl ClusterIndex {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<(Vec<Neighbor>, ShardQueryStats), RejectReason> {
-        self.search_at(query, ef, k, scratch, 0.0, &CostModel::default())
+        self.search_at(query, None, ef, k, scratch, 0.0, &CostModel::default())
             .map(|(res, stats, _)| (res, stats))
     }
 
@@ -789,129 +284,48 @@ impl ClusterIndex {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<(Vec<Neighbor>, ShardQueryStats), RejectReason> {
-        self.search_filtered_at(
-            query,
-            pred,
-            strategy,
-            ef,
-            k,
-            scratch,
-            0.0,
-            &CostModel::default(),
-        )
-        .map(|(res, stats, _)| (res, stats))
+        let filter = Some(FilteredQuery { pred, strategy });
+        self.search_at(query, filter, ef, k, scratch, 0.0, &CostModel::default())
+            .map(|(res, stats, _)| (res, stats))
     }
 
-    /// Inserts one vector, routing by `g % n_groups` and applying it to
-    /// every replica of the target group. Returns the global id.
-    pub fn insert(&mut self, v: &[f32], scratch: &mut SearchScratch) -> u32 {
-        self.insert_labeled(v, 0, scratch)
-    }
-
-    /// [`ClusterIndex::insert`] with a label mask (0 = unlabeled, matches
-    /// no predicate), replicated like any other write.
-    pub fn insert_labeled(&mut self, v: &[f32], mask: u32, scratch: &mut SearchScratch) -> u32 {
-        assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        let g = self.next_global;
-        self.next_global += 1;
-        let n_groups = self.groups.len();
-        let group = &mut self.groups[g as usize % n_groups];
-        let local = group.set.insert_local_labeled(v, mask, scratch);
-        assert_eq!(
-            local as usize,
-            group.global_ids.len(),
-            "mutable backend broke positional id alignment"
-        );
-        group.global_ids.push(g);
-        g
-    }
-
-    /// Tombstones a global id on every replica of its group. `false` when
-    /// unknown or already dead.
-    pub fn remove(&mut self, global_id: u32) -> bool {
-        for group in &mut self.groups {
-            // Linear scan, not binary search: rebalance moves points
-            // between groups, so id maps are not sorted after a
-            // reconfiguration.
-            if let Some(local) = group.global_ids.iter().position(|&g| g == global_id) {
-                if !group.set.is_mutable() {
-                    return false;
-                }
-                return group.set.remove_local(local as u32);
-            }
-        }
-        false
-    }
-
-    /// Consolidates every mutable group (threshold-gated per group unless
-    /// `force`), remapping id maps through the survivor lists. Returns
-    /// reclaimed points.
-    pub fn consolidate(&mut self, force: bool) -> usize {
-        let mut reclaimed = 0;
-        for group in &mut self.groups {
-            if !group.set.is_mutable() {
-                continue;
-            }
-            let Some(survivors) = group.set.consolidate_local(force) else {
-                continue;
-            };
-            reclaimed += group.global_ids.len() - survivors.len();
-            group.global_ids = survivors
-                .iter()
-                .map(|&old| group.global_ids[old as usize])
-                .collect();
-        }
-        reclaimed
-    }
-
-    /// Re-homes every live point to `g % n_groups` — the invariant the
-    /// builders establish and membership changes disturb. Consolidates
-    /// first (tombstones don't deserve a move), then walks groups and
+    /// Re-homes every live point to its round-robin shard — the invariant
+    /// the builders establish and membership changes disturb. Consolidates
+    /// first (tombstones don't deserve a move), then walks shards and
     /// locals in ascending order (deterministic), tombstoning each
     /// misplaced point at its source and re-inserting its vector at its
     /// target, and finally consolidates again to compact the sources.
     fn rebalance(&mut self, scratch: &mut SearchScratch) {
         self.consolidate(true);
-        let n_groups = self.groups.len();
-        let mut moves: Vec<(u32, Vec<f32>, u32, usize)> = Vec::new();
-        for (gi, group) in self.groups.iter_mut().enumerate() {
-            for local in 0..group.global_ids.len() {
-                let g = group.global_ids[local];
-                let target = g as usize % n_groups;
-                if target == gi {
+        let mut moves: Vec<(u32, Vec<f32>, u32)> = Vec::new();
+        for gi in 0..self.table.groups.len() {
+            for local in 0..self.table.groups[gi].global_ids.len() as u32 {
+                let g = self.table.groups[gi].global_ids[local as usize];
+                if self.table.home(g) == gi {
                     continue;
                 }
-                let backend = group.set.replicas[0]
-                    .handle
-                    .as_mutable()
-                    .expect("rebalance requires mutable groups");
+                let set = &mut self.table.groups[gi].set;
+                let backend = set.primary().expect("rebalance requires mutable shards");
                 moves.push((
                     g,
-                    backend.vector_local(local as u32).to_vec(),
-                    backend.label_local(local as u32),
-                    target,
+                    backend.vector_local(local).to_vec(),
+                    backend.label_local(local),
                 ));
-                group.set.remove_local(local as u32);
+                set.replicate(|b| b.remove_local(local));
             }
         }
-        for (g, v, mask, target) in moves {
-            let group = &mut self.groups[target];
-            let local = group.set.insert_local_labeled(&v, mask, scratch);
-            assert_eq!(
-                local as usize,
-                group.global_ids.len(),
-                "mutable backend broke positional id alignment"
-            );
-            group.global_ids.push(g);
+        for (g, v, mask) in moves {
+            let home = self.table.home(g);
+            self.table.groups[home].insert(g, &v, mask, scratch);
         }
         // Compact the tombstones the moves left behind at their sources.
         self.consolidate(true);
     }
 
-    /// Adds an (empty, mutable) shard group and rebalances live points
-    /// onto it by the `g % n_groups` rule. The new group gets the same
-    /// replication factor as group 0. Returns the new group's index.
-    /// Requires every existing group to be mutable (points must move).
+    /// Adds an (empty, mutable) shard and rebalances live points onto it
+    /// by the round-robin rule. The new shard gets the same replication
+    /// factor as shard 0. Returns the new shard's index. Requires every
+    /// existing shard to be mutable (points must move).
     pub fn add_shard(
         &mut self,
         backend: Box<dyn MutableShardBackend>,
@@ -922,66 +336,47 @@ impl ClusterIndex {
             0,
             "a joining shard must start empty; its points arrive by rebalance"
         );
-        let replicas = self.groups[0].set.len();
-        let mut set = ReplicaSet::new(vec![Replica::mutable(backend)]);
-        set.set_replicas(replicas);
-        self.groups.push(ClusterGroup::new(set, Vec::new()));
+        let mut joining = slot(Replica::mutable(backend), Vec::new());
+        joining.set.set_replicas(self.table.groups[0].set.len());
+        self.table.groups.push(joining);
         self.rebalance(scratch);
-        self.groups.len() - 1
+        self.table.groups.len() - 1
     }
 
-    /// Removes shard group `gi`, redistributing its live points across
-    /// the survivors, then rebalances everyone to the new `g % n_groups`
-    /// rule. Panics when it is the last group.
+    /// Removes shard `gi`, redistributing its live points across the
+    /// survivors, then rebalances everyone to the new round-robin rule.
+    /// Panics when it is the last shard.
     pub fn remove_shard(&mut self, gi: usize, scratch: &mut SearchScratch) {
-        assert!(self.groups.len() > 1, "cannot remove the last shard group");
-        // Compact the departing group so only live points travel.
-        let mut departing = self.groups.remove(gi);
-        if departing.set.is_mutable() {
-            if let Some(survivors) = departing.set.consolidate_local(true) {
-                departing.global_ids = survivors
-                    .iter()
-                    .map(|&old| departing.global_ids[old as usize])
-                    .collect();
-            }
-        }
-        let n_groups = self.groups.len();
-        let backend = departing.set.replicas[0]
-            .handle
-            .as_mutable()
-            .expect("remove_shard requires a mutable departing group");
+        assert!(self.n_shards() > 1, "cannot remove the last shard");
+        // Compact the departing shard so only live points travel.
+        let mut departing = self.table.groups.remove(gi);
+        departing.consolidate(true);
+        let backend = departing
+            .set
+            .primary()
+            .expect("remove_shard requires a mutable departing shard");
         for (local, &g) in departing.global_ids.iter().enumerate() {
-            let v = backend.vector_local(local as u32).to_vec();
-            let mask = backend.label_local(local as u32);
-            let group = &mut self.groups[g as usize % n_groups];
-            let new_local = group.set.insert_local_labeled(&v, mask, scratch);
-            assert_eq!(
-                new_local as usize,
-                group.global_ids.len(),
-                "mutable backend broke positional id alignment"
+            let home = self.table.home(g);
+            self.table.groups[home].insert(
+                g,
+                backend.vector_local(local as u32),
+                backend.label_local(local as u32),
+                scratch,
             );
-            group.global_ids.push(g);
         }
         // Survivors' own points may now be misplaced under the new rule.
         self.rebalance(scratch);
-    }
-
-    /// Sets every group's replication factor (forking or dropping
-    /// replicas as needed).
-    pub fn set_replicas(&mut self, n: usize) {
-        for group in &mut self.groups {
-            group.set.set_replicas(n);
-        }
     }
 
     /// Clears all virtual-time runtime state (device horizons,
     /// outstanding completions, round-robin cursors) so measurement runs
     /// are independent of each other.
     pub fn reset_virtual_time(&self) {
-        for group in &self.groups {
+        for group in &self.table.groups {
             group.set.rr.store(0, Ordering::Relaxed);
             for replica in &group.set.replicas {
-                replica.reset_runtime();
+                replica.clock.reset();
+                replica.outstanding.lock().clear();
             }
         }
     }
@@ -1028,8 +423,9 @@ pub struct TenantTally {
 
 /// What one open-loop run measured. Counters satisfy
 /// `completed + shed == offered` and `admitted == completed +
-/// shed_unavailable` (an unavailable-shard rejection happens *after*
-/// admission — the request was executed but no group could answer).
+/// shed_unavailable + shed_no_labels` (those two rejections happen
+/// *after* admission — the request was executed but some shard could not
+/// answer it).
 #[derive(Clone, Debug, Default)]
 pub struct ClusterReport {
     /// Requests in the schedule.
@@ -1044,6 +440,8 @@ pub struct ClusterReport {
     pub shed_deadline: usize,
     pub shed_quota: usize,
     pub shed_unavailable: usize,
+    /// Requests carrying a predicate some shard had no labels for.
+    pub shed_no_labels: usize,
     /// Offered arrival rate over the schedule's span.
     pub offered_qps: f32,
     /// Completed requests per second of virtual time.
@@ -1108,11 +506,12 @@ impl ClusterEngine {
         f(&mut self.cluster.write())
     }
 
-    /// One interactive read (wall-clock arrival time, no admission gate
-    /// beyond shard availability).
+    /// One interactive read, under `filter` when given (wall-clock arrival
+    /// time, no admission gate beyond what the shards can answer).
     pub fn search(
         &self,
         query: &[f32],
+        filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
         scratch: &mut SearchScratch,
@@ -1120,25 +519,7 @@ impl ClusterEngine {
         let now_us = self.epoch.elapsed().as_nanos() as f64 / 1e3;
         let cluster = self.cluster.read();
         cluster
-            .search_at(query, ef, k, scratch, now_us, &self.cost)
-            .map(|(res, _, _)| res)
-    }
-
-    /// One interactive filtered read (wall-clock arrival, no admission
-    /// gate beyond shard availability).
-    pub fn search_filtered(
-        &self,
-        query: &[f32],
-        pred: LabelPredicate,
-        strategy: FilterStrategy,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> Result<Vec<Neighbor>, RejectReason> {
-        let now_us = self.epoch.elapsed().as_nanos() as f64 / 1e3;
-        let cluster = self.cluster.read();
-        cluster
-            .search_filtered_at(query, pred, strategy, ef, k, scratch, now_us, &self.cost)
+            .search_at(query, filter, ef, k, scratch, now_us, &self.cost)
             .map(|(res, _, _)| res)
     }
 
@@ -1201,7 +582,7 @@ impl ClusterEngine {
                     report.admitted += 1;
                     tally.admitted += 1;
                     let q = queries.get(request.query as usize % queries.len());
-                    match cluster.search_at_opt(
+                    match cluster.search_at(
                         q,
                         request.filter,
                         ef,
@@ -1233,6 +614,7 @@ impl ClusterEngine {
                     RejectReason::DeadlineExceeded => report.shed_deadline += 1,
                     RejectReason::QuotaExceeded => report.shed_quota += 1,
                     RejectReason::ShardUnavailable => report.shed_unavailable += 1,
+                    RejectReason::NoLabels => report.shed_no_labels += 1,
                 }
             }
             outcomes.push(outcome);
@@ -1240,7 +622,10 @@ impl ClusterEngine {
 
         report.completed = latencies_us.len();
         debug_assert_eq!(report.completed + report.shed, report.offered);
-        debug_assert_eq!(report.admitted, report.completed + report.shed_unavailable);
+        debug_assert_eq!(
+            report.admitted,
+            report.completed + report.shed_unavailable + report.shed_no_labels
+        );
         let span_s = (schedule.span_us() / 1e6).max(1e-9);
         let horizon_s = (horizon_us / 1e6).max(1e-9);
         report.offered_qps = (report.offered as f64 / span_s) as f32;
@@ -1268,10 +653,16 @@ impl ClusterEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::super::ClusterHandle;
     use super::*;
+    use crate::stream::StreamingIndex;
     use rpq_data::synth::{SynthConfig, ValueTransform};
+    use rpq_data::Labels;
     use rpq_graph::HnswConfig;
     use rpq_quant::{PqConfig, ProductQuantizer};
+    use std::sync::Arc;
+
+    use crate::disk::DiskIndexConfig;
 
     fn setup(n: usize, seed: u64) -> (Dataset, Dataset) {
         let data = SynthConfig {
@@ -1304,6 +695,87 @@ mod tests {
             },
             base,
         )
+    }
+
+    /// The backend kinds a partition table can hold — the extra input the
+    /// sharded-vs-cluster pins take.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kind {
+        Memory,
+        Streaming,
+        Disk,
+    }
+
+    const KINDS: [Kind; 3] = [Kind::Memory, Kind::Streaming, Kind::Disk];
+
+    /// A labeled two-shard partition table of `kind` over `base`; `tag`
+    /// keeps concurrent tests' disk stores apart.
+    fn table(
+        kind: Kind,
+        pq: &ProductQuantizer,
+        base: &Dataset,
+        labels: &Labels,
+        tag: &str,
+    ) -> ShardedIndex {
+        match kind {
+            Kind::Memory => {
+                ShardedIndex::build_in_memory_labeled(pq, base, labels, 2, graph_builder)
+            }
+            Kind::Streaming => {
+                let cfg = StreamingConfig {
+                    r: 16,
+                    l: 40,
+                    ..Default::default()
+                };
+                ShardedIndex::build_streaming(pq, base, Some(labels), 2, cfg)
+            }
+            Kind::Disk => {
+                let dir = std::env::temp_dir().join("rpq-cluster-test");
+                std::fs::create_dir_all(&dir).unwrap();
+                let cfg = DiskIndexConfig::new(dir.join(format!("{tag}.store")));
+                ShardedIndex::build_on_disk(pq, base, Some(labels), 2, &cfg, graph_builder).unwrap()
+            }
+        }
+    }
+
+    /// The cluster view and the plain view of two identically-built tables
+    /// must agree at a finite `ef` — neighbors bit for bit and every work
+    /// counter — unfiltered and under each predicate × strategy. Replica
+    /// choice, failover order and virtual-time bookkeeping are the only
+    /// things the cluster view adds, and none of them may show.
+    fn assert_views_agree(
+        cluster: &ClusterIndex,
+        reference: &ShardedIndex,
+        queries: &Dataset,
+        ef: usize,
+    ) {
+        // Disk shards charge queue wait off a wall-clock-driven device
+        // timeline (`SsdClock`): the one column that is not a pure
+        // function of the query.
+        let counters = |mut stats: ShardQueryStats| {
+            stats.io_queue_seconds = 0.0;
+            stats
+        };
+        let mut scratch = SearchScratch::new();
+        for (qi, q) in queries.iter().enumerate() {
+            let (got, got_stats) = cluster.search(q, ef, 10, &mut scratch).unwrap();
+            let (want, want_stats) = reference.search(q, ef, 10, &mut scratch);
+            assert_eq!(got, want, "query {qi} diverged unfiltered");
+            assert_eq!(counters(got_stats), counters(want_stats), "query {qi}");
+            for strategy in [
+                FilterStrategy::DuringTraversal,
+                FilterStrategy::PostFilter { inflation: 4 },
+            ] {
+                let pred = LabelPredicate::single(qi % 4);
+                let (got, got_stats) = cluster
+                    .search_filtered(q, pred, strategy, ef, 10, &mut scratch)
+                    .unwrap();
+                let (want, want_stats) =
+                    reference.search_filtered(q, pred, strategy, ef, 10, &mut scratch);
+                assert_eq!(got, want, "query {qi} diverged under {}", strategy.name());
+                assert_eq!(counters(got_stats), counters(want_stats), "query {qi}");
+            }
+        }
     }
 
     #[test]
@@ -1383,7 +855,7 @@ mod tests {
         let cost = CostModel::default();
         for (i, q) in queries.iter().enumerate() {
             cluster
-                .search_at(q, 40, 5, &mut scratch, i as f64, &cost)
+                .search_at(q, None, 40, 5, &mut scratch, i as f64, &cost)
                 .unwrap();
         }
         let loads: Vec<usize> = cluster.groups()[0]
@@ -1408,7 +880,7 @@ mod tests {
         };
         for q in queries.iter() {
             cluster
-                .search_at(q, 40, 5, &mut scratch, 0.0, &cost)
+                .search_at(q, None, 40, 5, &mut scratch, 0.0, &cost)
                 .unwrap();
         }
         let loads: Vec<usize> = cluster.groups()[0]
@@ -1506,43 +978,49 @@ mod tests {
     fn streaming_cluster_replicates_writes_and_matches_sharded_reference() {
         let (base, queries) = setup(180, 36);
         let (initial, reserve) = base.split_at(150);
+        let labels = Labels::from_masks(4, (0..150).map(|i| 1u32 << (i % 4)).collect());
         let pq = pq(&base);
-        let cfg = StreamingConfig {
-            r: 16,
-            l: 40,
-            ..Default::default()
-        };
-        let mut cluster = ClusterIndex::build_streaming(
-            &pq,
-            &initial,
-            2,
-            2,
-            LoadBalancePolicy::LeastOutstanding,
-            cfg,
-        );
-        let mut reference = super::super::ShardedIndex::build_streaming(&pq, &initial, 2, cfg);
-        let mut scratch = SearchScratch::new();
-        for v in reserve.iter() {
-            let g1 = cluster.insert(v, &mut scratch);
-            let g2 = reference.insert(v, &mut scratch);
-            assert_eq!(g1, g2);
-        }
-        for g in (0..180u32).step_by(9) {
-            assert_eq!(cluster.remove(g), reference.remove(g));
-        }
-        assert_eq!(cluster.live_len(), reference.live_len());
-        assert!(cluster.consolidate(true) > 0);
-        reference.consolidate(true);
-        assert_eq!(cluster.live_len(), reference.live_len());
-        // Exhaustive ef: exact top-k over identical live sets must agree.
-        let ef = 200;
-        for q in queries.iter() {
-            let (got, _) = cluster.search(q, ef, 10, &mut scratch).unwrap();
-            let (want, _) = reference.search(q, ef, 10, &mut scratch);
-            assert_eq!(
-                got.iter().map(|n| n.id).collect::<Vec<_>>(),
-                want.iter().map(|n| n.id).collect::<Vec<_>>(),
+        for kind in KINDS {
+            let mutable = kind == Kind::Streaming;
+            let mut cluster = ClusterIndex::new(
+                table(kind, &pq, &initial, &labels, "writes-cluster").with_replicas(2),
+                LoadBalancePolicy::LeastOutstanding,
             );
+            let mut reference = table(kind, &pq, &initial, &labels, "writes-reference");
+            let mut scratch = SearchScratch::new();
+            // Frozen kinds refuse every write on both views alike; the
+            // streaming kind applies each one to both replicas.
+            if mutable {
+                for v in reserve.iter() {
+                    let g1 = cluster.insert(v, &mut scratch);
+                    let g2 = reference.insert(v, &mut scratch);
+                    assert_eq!(g1, g2);
+                }
+            }
+            for g in (0..180u32).step_by(9) {
+                assert_eq!(
+                    cluster.remove(g),
+                    reference.remove(g),
+                    "{kind:?} remove({g})"
+                );
+            }
+            assert_eq!(cluster.live_len(), reference.live_len());
+            let reclaimed = cluster.consolidate(true);
+            assert_eq!(reclaimed > 0, mutable, "{kind:?} reclaimed {reclaimed}");
+            assert_eq!(reclaimed, reference.consolidate(true));
+            assert_eq!(cluster.live_len(), reference.live_len());
+            // Exhaustive ef: exact top-k over identical live sets must agree.
+            let ef = 200;
+            for q in queries.iter() {
+                let (got, _) = cluster.search(q, ef, 10, &mut scratch).unwrap();
+                let (want, _) = reference.search(q, ef, 10, &mut scratch);
+                assert_eq!(
+                    got.iter().map(|n| n.id).collect::<Vec<_>>(),
+                    want.iter().map(|n| n.id).collect::<Vec<_>>(),
+                    "{kind:?}",
+                );
+            }
+            assert_views_agree(&cluster, &reference, &queries, 40);
         }
     }
 
@@ -1597,7 +1075,7 @@ mod tests {
         cluster.groups()[0].replica_set().replicas()[0].set_enabled(false);
         for (i, q) in queries.iter().enumerate() {
             cluster
-                .search_at(q, 30, 5, &mut scratch, i as f64, &cost)
+                .search_at(q, None, 30, 5, &mut scratch, i as f64, &cost)
                 .unwrap();
         }
         let set = cluster.groups()[0].replica_set();
@@ -1607,7 +1085,7 @@ mod tests {
         cluster.reset_virtual_time();
         for (i, q) in queries.iter().enumerate() {
             cluster
-                .search_at(q, 30, 5, &mut scratch, i as f64, &cost)
+                .search_at(q, None, 30, 5, &mut scratch, i as f64, &cost)
                 .unwrap();
         }
         assert!(!set.replicas()[0].outstanding.lock().is_empty());
@@ -1649,7 +1127,7 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(gi, 2);
-        assert_eq!(cluster.n_groups(), 3);
+        assert_eq!(cluster.n_shards(), 3);
         assert_eq!(cluster.live_len(), 120);
         // Every live point now satisfies g % 3 == its group index, and the
         // new group inherited the cluster's replication factor.
@@ -1661,7 +1139,7 @@ mod tests {
             }
         }
         cluster.remove_shard(1, &mut scratch);
-        assert_eq!(cluster.n_groups(), 2);
+        assert_eq!(cluster.n_shards(), 2);
         assert_eq!(cluster.live_len(), 120);
         for (idx, group) in cluster.groups().iter().enumerate() {
             for &g in group.global_ids() {
@@ -1684,43 +1162,36 @@ mod tests {
         let (base, queries) = all.split_at(200);
         let base_labels = labels.subset(&(0..200).collect::<Vec<_>>());
         let pq = pq(&base);
-        let cluster = ClusterIndex::build_in_memory_labeled(
-            &pq,
-            &base,
-            &base_labels,
-            2,
-            2,
-            LoadBalancePolicy::QueueAware,
-            graph_builder,
-        );
-        let reference = super::super::ShardedIndex::build_in_memory_labeled(
-            &pq,
-            &base,
-            &base_labels,
-            2,
-            graph_builder,
-        );
-        let mut scratch = SearchScratch::new();
-        // Exhaustive ef: the §7.3 exact-merge contract must hold per
-        // predicate, replica choice and strategy notwithstanding.
-        for strategy in [
-            FilterStrategy::DuringTraversal,
-            FilterStrategy::PostFilter { inflation: 4 },
-        ] {
-            for (qi, q) in queries.iter().enumerate() {
-                let pred = LabelPredicate::single(qi % 4);
-                let (got, _) = cluster
-                    .search_filtered(q, pred, strategy, 200, 10, &mut scratch)
-                    .unwrap();
-                let (want, _) = reference.search_filtered(q, pred, strategy, 200, 10, &mut scratch);
-                assert_eq!(
-                    got.iter().map(|n| n.id).collect::<Vec<_>>(),
-                    want.iter().map(|n| n.id).collect::<Vec<_>>(),
-                    "query {qi} diverged under {}",
-                    strategy.name(),
-                );
-                assert!(got.iter().all(|n| base_labels.matches(n.id as usize, pred)));
+        for kind in KINDS {
+            let cluster = ClusterIndex::new(
+                table(kind, &pq, &base, &base_labels, "filtered-cluster").with_replicas(2),
+                LoadBalancePolicy::QueueAware,
+            );
+            let reference = table(kind, &pq, &base, &base_labels, "filtered-reference");
+            let mut scratch = SearchScratch::new();
+            // Exhaustive ef: the §7.3 exact-merge contract must hold per
+            // predicate, replica choice and strategy notwithstanding.
+            for strategy in [
+                FilterStrategy::DuringTraversal,
+                FilterStrategy::PostFilter { inflation: 4 },
+            ] {
+                for (qi, q) in queries.iter().enumerate() {
+                    let pred = LabelPredicate::single(qi % 4);
+                    let (got, _) = cluster
+                        .search_filtered(q, pred, strategy, 200, 10, &mut scratch)
+                        .unwrap();
+                    let (want, _) =
+                        reference.search_filtered(q, pred, strategy, 200, 10, &mut scratch);
+                    assert_eq!(
+                        got.iter().map(|n| n.id).collect::<Vec<_>>(),
+                        want.iter().map(|n| n.id).collect::<Vec<_>>(),
+                        "{kind:?} query {qi} diverged under {}",
+                        strategy.name(),
+                    );
+                    assert!(got.iter().all(|n| base_labels.matches(n.id as usize, pred)));
+                }
             }
+            assert_views_agree(&cluster, &reference, &queries, 40);
         }
     }
 
@@ -1739,15 +1210,9 @@ mod tests {
         let base_labels = labels.subset(&(0..180).collect::<Vec<_>>());
         let pq = pq(&base);
         let mk = || {
-            let cluster = ClusterIndex::build_in_memory_labeled(
-                &pq,
-                &base,
-                &base_labels,
-                2,
-                2,
-                LoadBalancePolicy::QueueAware,
-                graph_builder,
-            );
+            let table =
+                ShardedIndex::build_in_memory_labeled(&pq, &base, &base_labels, 2, graph_builder);
+            let cluster = ClusterIndex::new(table.with_replicas(2), LoadBalancePolicy::QueueAware);
             ClusterEngine::new(cluster, AdmissionConfig::default(), CostModel::default())
         };
         let filters = [
@@ -1784,6 +1249,57 @@ mod tests {
     }
 
     #[test]
+    fn predicate_on_a_label_less_cluster_is_a_counted_rejection() {
+        let (base, queries) = setup(140, 49);
+        let pq = pq(&base);
+        let cluster = ClusterIndex::build_in_memory(
+            &pq,
+            &base,
+            2,
+            2,
+            LoadBalancePolicy::QueueAware,
+            graph_builder,
+        );
+        let engine = ClusterEngine::new(cluster, AdmissionConfig::default(), CostModel::default());
+        let filter = FilteredQuery {
+            pred: LabelPredicate::single(0),
+            strategy: FilterStrategy::DuringTraversal,
+        };
+        // Every other request carries a predicate no shard can evaluate.
+        let mut schedule = ArrivalSchedule::open_loop(120, 5_000.0, queries.len(), 2, 50);
+        for request in schedule.requests.iter_mut().step_by(2) {
+            request.filter = Some(filter);
+        }
+        let (outcomes, report) = engine.serve_open_loop(&queries, &schedule, 40, 5);
+        for (outcome, request) in outcomes.iter().zip(&schedule.requests) {
+            match request.filter {
+                Some(_) => assert_eq!(
+                    outcome,
+                    &RequestOutcome::Rejected {
+                        reason: RejectReason::NoLabels
+                    }
+                ),
+                None => assert!(outcome.is_completed(), "unfiltered requests still complete"),
+            }
+        }
+        assert_eq!(report.shed_no_labels, 60);
+        assert_eq!(report.completed, 60);
+        assert_eq!(report.completed + report.shed, report.offered);
+        assert_eq!(
+            report.admitted,
+            report.completed + report.shed_unavailable + report.shed_no_labels
+        );
+        // The read lock was released normally: the engine keeps serving.
+        let mut scratch = SearchScratch::new();
+        let q = queries.get(0);
+        assert!(engine.search(q, None, 40, 5, &mut scratch).is_ok());
+        assert_eq!(
+            engine.search(q, Some(filter), 40, 5, &mut scratch),
+            Err(RejectReason::NoLabels)
+        );
+    }
+
+    #[test]
     fn labels_survive_reconfiguration_moves() {
         let cfg = SynthConfig {
             dim: 8,
@@ -1797,14 +1313,15 @@ mod tests {
         let (base, queries) = all.split_at(120);
         let base_labels = labels.subset(&(0..120).collect::<Vec<_>>());
         let pq = pq(&base);
-        let mut cluster = ClusterIndex::build_streaming_labeled(
-            &pq,
-            &base,
-            &base_labels,
-            2,
-            1,
+        let mut cluster = ClusterIndex::new(
+            ShardedIndex::build_streaming(
+                &pq,
+                &base,
+                Some(&base_labels),
+                2,
+                StreamingConfig::default(),
+            ),
             LoadBalancePolicy::RoundRobin,
-            StreamingConfig::default(),
         );
         let mut scratch = SearchScratch::new();
         // Force moves: add a third shard, then drop the middle one.
@@ -1818,10 +1335,7 @@ mod tests {
         // carried each point's mask to its new home.
         let mut census: Vec<u32> = Vec::new();
         for group in cluster.groups() {
-            let backend = group.replica_set().replicas()[0]
-                .handle
-                .as_mutable()
-                .unwrap();
+            let backend = group.replica_set().primary().unwrap();
             for (local, &g) in group.global_ids().iter().enumerate() {
                 assert_eq!(
                     backend.label_local(local as u32),
@@ -1834,13 +1348,8 @@ mod tests {
         census.sort_unstable();
         assert_eq!(census, (0..120).collect::<Vec<_>>());
         // Filtered reads still agree with a never-reconfigured reference.
-        let reference = super::super::ShardedIndex::build_in_memory_labeled(
-            &pq,
-            &base,
-            &base_labels,
-            2,
-            graph_builder,
-        );
+        let reference =
+            ShardedIndex::build_in_memory_labeled(&pq, &base, &base_labels, 2, graph_builder);
         for q in queries.iter() {
             let pred = LabelPredicate::single(0);
             let (got, _) = cluster

@@ -19,7 +19,7 @@ use rpq_graph::Neighbor;
 
 use super::metrics::{LatencyRecorder, LatencySummary};
 use super::pool::{default_workers, WorkerPool};
-use super::{merge_top_k, ShardQueryStats, ShardedIndex};
+use super::{merge_top_k, FilteredQuery, ShardQueryStats, ShardedIndex};
 use crate::filter::FilterStrategy;
 
 /// Engine sizing knobs.
@@ -132,51 +132,33 @@ impl ServeEngine {
 
     /// Answers one query: fan out to all shards, merge, record latency.
     pub fn search(&self, query: &[f32], ef: usize, k: usize) -> (Vec<Neighbor>, ShardQueryStats) {
-        assert_eq!(query.len(), self.index.dim(), "query dimension mismatch");
-        let n_shards = self.index.n_shards();
-        let query: Arc<[f32]> = query.into();
-        let (tx, rx) = mpsc::channel();
-        let t0 = Instant::now();
-        for s in 0..n_shards {
-            let index = Arc::clone(&self.index);
-            let query = Arc::clone(&query);
-            let tx = tx.clone();
-            self.pool.submit(move |scratch| {
-                let out = index.search_shard(s, &query, ef, k, scratch);
-                let _ = tx.send(out);
-            });
-        }
-        drop(tx);
-        let mut partials = Vec::with_capacity(n_shards);
-        let mut total = ShardQueryStats::default();
-        for (part, stats) in rx {
-            total.merge(&stats);
-            partials.push(part);
-        }
-        // A shard job that panicked dropped its sender without reporting;
-        // fail loudly rather than returning a top-k missing a shard.
-        assert_eq!(
-            partials.len(),
-            n_shards,
-            "{} shard search job(s) panicked",
-            n_shards - partials.len()
-        );
-        self.recorder
-            .record_us(t0.elapsed().as_secs_f32() * 1e6 + total.modeled_wait_seconds() * 1e6);
-        self.served.fetch_add(1, Ordering::Relaxed);
-        (merge_top_k(&partials, k), total)
+        self.fan_out(query, None, ef, k)
     }
 
     /// [`ServeEngine::search`] under a predicate: the same fan-out/merge,
-    /// with every shard running its filtered search. `pred` and `strategy`
-    /// are `Copy`, so each pool job carries them by value. Results match
+    /// with every shard running its filtered search. Results match
     /// [`ShardedIndex::search_filtered`] id-for-id — the sequential
-    /// reference the concurrent path is tested against.
+    /// reference the concurrent path is tested against. Panics (on the
+    /// calling thread) when a shard carries no labels.
     pub fn search_filtered(
         &self,
         query: &[f32],
         pred: LabelPredicate,
         strategy: FilterStrategy,
+        ef: usize,
+        k: usize,
+    ) -> (Vec<Neighbor>, ShardQueryStats) {
+        self.fan_out(query, Some(FilteredQuery { pred, strategy }), ef, k)
+    }
+
+    /// One job per shard on the pool; the calling thread merges. The
+    /// filter is `Copy`, so each job carries it by value, and each job
+    /// sends its shard's `Result` back — a typed fault surfaces here, on
+    /// the caller's thread, with its own message.
+    fn fan_out(
+        &self,
+        query: &[f32],
+        filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
     ) -> (Vec<Neighbor>, ShardQueryStats) {
@@ -190,17 +172,19 @@ impl ServeEngine {
             let query = Arc::clone(&query);
             let tx = tx.clone();
             self.pool.submit(move |scratch| {
-                let out = index.search_shard_filtered(s, &query, pred, strategy, ef, k, scratch);
-                let _ = tx.send(out);
+                let _ = tx.send(index.read_shard(s, &query, filter, ef, k, scratch));
             });
         }
         drop(tx);
         let mut partials = Vec::with_capacity(n_shards);
         let mut total = ShardQueryStats::default();
-        for (part, stats) in rx {
+        for out in rx {
+            let (part, stats) = out.unwrap_or_else(|fault| panic!("shard search failed: {fault}"));
             total.merge(&stats);
             partials.push(part);
         }
+        // A shard job that panicked dropped its sender without reporting;
+        // fail loudly rather than returning a top-k missing a shard.
         assert_eq!(
             partials.len(),
             n_shards,
@@ -430,6 +414,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "requires labels")]
+    fn predicate_on_label_less_shards_panics_on_the_caller_with_the_reason() {
+        let (eng, queries) = engine(120, 28, 2, ServeConfig::default());
+        let _ = eng.search_filtered(
+            queries.get(0),
+            LabelPredicate::single(0),
+            FilterStrategy::DuringTraversal,
+            20,
+            5,
+        );
+    }
+
+    #[test]
     fn single_query_matches_batch_of_one() {
         let (eng, queries) = engine(200, 22, 2, ServeConfig::default());
         let q = queries.get(0);
@@ -488,8 +485,9 @@ mod tests {
                 ssd,
                 ..DiskIndexConfig::new(dir.join(format!("{tag}.store")))
             };
-            let index =
-                Arc::new(ShardedIndex::build_on_disk(&pq, &base, 2, &cfg, graph_builder).unwrap());
+            let index = Arc::new(
+                ShardedIndex::build_on_disk(&pq, &base, None, 2, &cfg, graph_builder).unwrap(),
+            );
             ServeEngine::new(
                 index,
                 ServeConfig {

@@ -12,19 +12,28 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
-use rpq_data::LabelPredicate;
 use rpq_graph::{Neighbor, SearchScratch};
 
+use super::loadgen::FilteredQuery;
 use super::{ShardBackend, ShardQueryStats};
-use crate::filter::FilterStrategy;
 
 /// Why a replica read did not produce a result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplicaFault;
+pub enum ReplicaFault {
+    /// The replica failed the read (down, or a seeded injected failure);
+    /// another replica of the same shard may still answer.
+    Unavailable,
+    /// The request carried a predicate but the backend has no labels —
+    /// every replica of the shard answers the same, so failover can't help.
+    NoLabels,
+}
 
 impl std::fmt::Display for ReplicaFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "replica read failed")
+        f.write_str(match self {
+            ReplicaFault::Unavailable => "replica read failed",
+            ReplicaFault::NoLabels => "filtered search requires labels on every shard",
+        })
     }
 }
 
@@ -103,14 +112,18 @@ impl FlakyBackend {
     pub fn failed(&self) -> usize {
         self.failed.load(Ordering::Relaxed)
     }
+}
 
-    /// The fallible read path. On success the result is exactly the inner
-    /// backend's (never truncated or reordered — corruption is not one of
-    /// the simulated faults; DESIGN.md §11.5 says why), with any injected
-    /// stall charged to the stats' queue-wait column.
-    pub fn try_search_local(
+impl ShardBackend for FlakyBackend {
+    /// One ticket of the seeded fault schedule per read, filtered or not.
+    /// On success the result is exactly the inner backend's (never
+    /// truncated or reordered — corruption is not one of the simulated
+    /// faults; DESIGN.md §11.5 says why), with any injected stall charged
+    /// to the stats' queue-wait column.
+    fn search_local(
         &self,
         query: &[f32],
+        filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
         scratch: &mut SearchScratch,
@@ -118,7 +131,7 @@ impl FlakyBackend {
         let ticket = self.reads.fetch_add(1, Ordering::Relaxed);
         if self.down.load(Ordering::Relaxed) {
             self.failed.fetch_add(1, Ordering::Relaxed);
-            return Err(ReplicaFault);
+            return Err(ReplicaFault::Unavailable);
         }
         let rate = f32::from_bits(self.fail_rate_bits.load(Ordering::Relaxed));
         if rate > 0.0 {
@@ -126,79 +139,15 @@ impl FlakyBackend {
             let u = (splitmix64(self.seed ^ ticket as u64) >> 11) as f64 / (1u64 << 53) as f64;
             if (u as f32) < rate {
                 self.failed.fetch_add(1, Ordering::Relaxed);
-                return Err(ReplicaFault);
+                return Err(ReplicaFault::Unavailable);
             }
         }
-        let (res, mut stats) = self.inner.search_local(query, ef, k, scratch);
+        let (res, mut stats) = self.inner.search_local(query, filter, ef, k, scratch)?;
         let stall_us = f32::from_bits(self.stall_us_bits.load(Ordering::Relaxed));
         if stall_us > 0.0 {
             stats.io_queue_seconds += stall_us / 1e6;
         }
         Ok((res, stats))
-    }
-
-    /// The fallible filtered read path: the same seeded fault schedule as
-    /// [`FlakyBackend::try_search_local`] (one ticket per read, filtered or
-    /// not), forwarding to the inner backend's filtered search on success.
-    pub fn try_search_local_filtered(
-        &self,
-        query: &[f32],
-        pred: LabelPredicate,
-        strategy: FilterStrategy,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
-        let ticket = self.reads.fetch_add(1, Ordering::Relaxed);
-        if self.down.load(Ordering::Relaxed) {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            return Err(ReplicaFault);
-        }
-        let rate = f32::from_bits(self.fail_rate_bits.load(Ordering::Relaxed));
-        if rate > 0.0 {
-            let u = (splitmix64(self.seed ^ ticket as u64) >> 11) as f64 / (1u64 << 53) as f64;
-            if (u as f32) < rate {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                return Err(ReplicaFault);
-            }
-        }
-        let (res, mut stats) = self
-            .inner
-            .search_local_filtered(query, pred, strategy, ef, k, scratch);
-        let stall_us = f32::from_bits(self.stall_us_bits.load(Ordering::Relaxed));
-        if stall_us > 0.0 {
-            stats.io_queue_seconds += stall_us / 1e6;
-        }
-        Ok((res, stats))
-    }
-}
-
-impl ShardBackend for FlakyBackend {
-    /// The infallible [`ShardBackend`] face panics on an injected fault —
-    /// callers that can degrade must use
-    /// [`FlakyBackend::try_search_local`]; the cluster does.
-    fn search_local(
-        &self,
-        query: &[f32],
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats) {
-        self.try_search_local(query, ef, k, scratch)
-            .expect("injected fault on a path with no failover")
-    }
-
-    fn search_local_filtered(
-        &self,
-        query: &[f32],
-        pred: LabelPredicate,
-        strategy: FilterStrategy,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats) {
-        self.try_search_local_filtered(query, pred, strategy, ef, k, scratch)
-            .expect("injected fault on a path with no failover")
     }
 
     fn shard_len(&self) -> usize {
@@ -219,28 +168,18 @@ mod tests {
         fn search_local(
             &self,
             _query: &[f32],
+            _filter: Option<FilteredQuery>,
             _ef: usize,
             k: usize,
             _scratch: &mut SearchScratch,
-        ) -> (Vec<Neighbor>, ShardQueryStats) {
+        ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
             let res = (0..k as u32)
                 .map(|id| Neighbor {
                     id,
                     dist: id as f32,
                 })
                 .collect();
-            (res, ShardQueryStats::default())
-        }
-        fn search_local_filtered(
-            &self,
-            query: &[f32],
-            _pred: LabelPredicate,
-            _strategy: FilterStrategy,
-            ef: usize,
-            k: usize,
-            scratch: &mut SearchScratch,
-        ) -> (Vec<Neighbor>, ShardQueryStats) {
-            self.search_local(query, ef, k, scratch)
+            Ok((res, ShardQueryStats::default()))
         }
         fn shard_len(&self) -> usize {
             8
@@ -254,12 +193,12 @@ mod tests {
     fn down_switch_fails_everything_and_recovers() {
         let flaky = FlakyBackend::new(Box::new(Stub), 1);
         let mut scratch = SearchScratch::new();
-        assert!(flaky.try_search_local(&[], 4, 2, &mut scratch).is_ok());
+        assert!(flaky.search_local(&[], None, 4, 2, &mut scratch).is_ok());
         flaky.set_down(true);
         assert!(flaky.is_down());
-        assert!(flaky.try_search_local(&[], 4, 2, &mut scratch).is_err());
+        assert!(flaky.search_local(&[], None, 4, 2, &mut scratch).is_err());
         flaky.set_down(false);
-        assert!(flaky.try_search_local(&[], 4, 2, &mut scratch).is_ok());
+        assert!(flaky.search_local(&[], None, 4, 2, &mut scratch).is_ok());
         assert_eq!(flaky.reads(), 3);
         assert_eq!(flaky.failed(), 1);
     }
@@ -271,7 +210,7 @@ mod tests {
             flaky.set_fail_rate(0.3);
             let mut scratch = SearchScratch::new();
             (0..500)
-                .map(|_| flaky.try_search_local(&[], 4, 2, &mut scratch).is_err())
+                .map(|_| flaky.search_local(&[], None, 4, 2, &mut scratch).is_err())
                 .collect()
         };
         let a = schedule(42);
@@ -288,9 +227,9 @@ mod tests {
     fn stall_charges_queue_seconds_without_touching_results() {
         let flaky = FlakyBackend::new(Box::new(Stub), 1);
         let mut scratch = SearchScratch::new();
-        let (clean, base) = flaky.try_search_local(&[], 4, 3, &mut scratch).unwrap();
+        let (clean, base) = flaky.search_local(&[], None, 4, 3, &mut scratch).unwrap();
         flaky.set_stall_us(2_000.0);
-        let (stalled, stats) = flaky.try_search_local(&[], 4, 3, &mut scratch).unwrap();
+        let (stalled, stats) = flaky.search_local(&[], None, 4, 3, &mut scratch).unwrap();
         assert_eq!(clean, stalled, "stall must not change results");
         assert!((stats.io_queue_seconds - base.io_queue_seconds - 2e-3).abs() < 1e-6);
     }

@@ -1,13 +1,19 @@
-//! Sharded concurrent serving layer (DESIGN.md §7).
+//! Sharded concurrent serving layer (DESIGN.md §7, §11).
 //!
 //! The offline [`crate::harness`] answers "how good is one index"; this
-//! module answers "how do we serve it": the base set is partitioned across
-//! `N` independent shards (each a full [`InMemoryIndex`] or
-//! [`DiskIndex`] over its partition), every query fans out to all shards
-//! through a persistent [`WorkerPool`] whose workers each reuse one
-//! [`rpq_graph::SearchScratch`], and the per-shard top-k lists are merged
-//! into a global top-k. [`ServeEngine`] adds request batching and a
-//! latency/QPS collector reporting p50/p95/p99 tails.
+//! module answers "how do we serve it". There is **one data plane**: a
+//! partition table ([`ShardedIndex`]) whose slots are replica sets of one
+//! or more bit-identical backends ([`InMemoryIndex`], [`DiskIndex`] or
+//! [`StreamingIndex`] over the slot's partition), each slot carrying the
+//! map from its local ids back to global ids. Every query fans out to all
+//! slots and the per-slot top-k lists are merged into a global top-k.
+//!
+//! Two views read that table. [`ShardedIndex`] itself is the plain view:
+//! replica 0 of every slot, no runtime state — what [`ServeEngine`] drives
+//! through a persistent [`WorkerPool`] with request batching and a
+//! latency/QPS collector. [`ClusterIndex`] wraps the same table with a
+//! load-balance policy, failover and virtual-time accounting, and
+//! [`ClusterEngine`] adds admission control and live reconfiguration.
 //!
 //! Sharding preserves the result contract: all shards share one trained
 //! compressor, so a vector's ADC distance is identical wherever it lives,
@@ -27,10 +33,7 @@ pub mod pool;
 
 pub use admission::{AdmissionConfig, RejectReason, TokenBucketConfig};
 pub use balance::LoadBalancePolicy;
-pub use cluster::{
-    ClusterEngine, ClusterGroup, ClusterHandle, ClusterIndex, ClusterReport, Replica, ReplicaSet,
-    RequestOutcome, TenantTally,
-};
+pub use cluster::{ClusterEngine, ClusterIndex, ClusterReport, RequestOutcome, TenantTally};
 pub use engine::{BatchReport, ServeConfig, ServeEngine};
 pub use fault::{FlakyBackend, ReplicaFault};
 pub use loadgen::{ArrivalSchedule, CostModel, FilteredQuery, Request};
@@ -38,15 +41,18 @@ pub use metrics::{LatencyRecorder, LatencySummary};
 pub use pool::{default_workers, WorkerPool};
 
 use std::io;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use rpq_data::{Dataset, LabelPredicate, Labels};
-use rpq_graph::{Neighbor, ProximityGraph, SearchScratch};
+use rpq_graph::{Neighbor, ProximityGraph, SearchScratch, SearchStats};
 use rpq_quant::VectorCompressor;
 
-use crate::disk::{DiskIndex, DiskIndexConfig};
+use crate::disk::{DiskIndex, DiskIndexConfig, DiskSearchStats};
 use crate::filter::FilterStrategy;
 use crate::memory::InMemoryIndex;
+use crate::ssd::{SsdClock, VirtualClock};
 use crate::stream::{StreamingConfig, StreamingIndex};
 
 /// Per-shard, per-query cost counters (superset of the in-memory and
@@ -95,34 +101,57 @@ impl ShardQueryStats {
     }
 }
 
+impl From<SearchStats> for ShardQueryStats {
+    fn from(stats: SearchStats) -> Self {
+        Self {
+            hops: stats.hops,
+            dist_comps: stats.dist_comps,
+            ..Default::default()
+        }
+    }
+}
+
+impl From<DiskSearchStats> for ShardQueryStats {
+    fn from(stats: DiskSearchStats) -> Self {
+        Self {
+            hops: stats.hops,
+            dist_comps: stats.dist_comps,
+            io_reads: stats.io_reads,
+            coalesced_ios: stats.coalesced_ios,
+            cache_hits: stats.cache_hits,
+            cache_misses: stats.cache_misses,
+            io_seconds: stats.io_seconds,
+            io_stall_seconds: stats.io_stall_seconds,
+            io_queue_seconds: stats.io_queue_seconds,
+        }
+    }
+}
+
 /// One searchable partition: anything that can answer a top-k query over
-/// its local id space. Implemented by both deployment scenarios' indexes
-/// so a [`ShardedIndex`] can mix them.
+/// its local id space. Implemented by every deployment scenario's index so
+/// a [`ShardedIndex`] can mix them.
 pub trait ShardBackend: Send + Sync {
-    /// Top-`k` under beam width `ef`, ids local to this shard. Both
-    /// scenarios route with `scratch` (visited epochs, staging buffers and
-    /// the disk engine's exact-distance memo all live there).
+    /// Top-`k` under beam width `ef`, ids local to this shard; with
+    /// `Some(filter)`, top-`k` among the local vectors satisfying its
+    /// predicate (DESIGN.md §12). All scenarios route with `scratch`
+    /// (visited epochs, staging buffers and the disk engine's
+    /// exact-distance memo all live there). The filter is a concrete
+    /// `Copy` type so this trait stays object-safe (the serving layers
+    /// hold shards as `dyn ShardBackend`).
+    ///
+    /// The one read method is fallible: a predicate sent to a backend that
+    /// carries no labels is [`ReplicaFault::NoLabels`], and a wrapper such
+    /// as [`FlakyBackend`] may report [`ReplicaFault::Unavailable`]. The
+    /// caller decides what a fault means — the cluster fails over, the
+    /// plain sharded read panics.
     fn search_local(
         &self,
         query: &[f32],
+        filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
         scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats);
-
-    /// Top-`k` among local vectors satisfying `pred` (DESIGN.md §12). The
-    /// predicate and strategy are concrete `Copy` types so this trait stays
-    /// object-safe (the serving layers hold shards as `dyn ShardBackend`).
-    /// Panics when the backend carries no labels.
-    fn search_local_filtered(
-        &self,
-        query: &[f32],
-        pred: LabelPredicate,
-        strategy: FilterStrategy,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats);
+    ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault>;
 
     /// Vectors indexed by this shard.
     fn shard_len(&self) -> usize;
@@ -142,13 +171,10 @@ pub trait ShardBackend: Send + Sync {
 /// that positional stability is what keeps the sharded layer's local→global
 /// id maps an index-aligned `Vec<u32>`.
 pub trait MutableShardBackend: ShardBackend {
-    /// Inserts one vector; returns its local id (== `shard_len` before the
-    /// call).
-    fn insert_local(&mut self, v: &[f32], scratch: &mut SearchScratch) -> u32;
-
-    /// [`MutableShardBackend::insert_local`] with a label bitmask (mask 0 =
-    /// unlabeled), so streamed points stay searchable under predicates.
-    fn insert_local_labeled(&mut self, v: &[f32], mask: u32, scratch: &mut SearchScratch) -> u32;
+    /// Inserts one vector with its label bitmask (mask 0 = unlabeled, so
+    /// streamed points stay searchable under predicates); returns its local
+    /// id (== `shard_len` before the call).
+    fn insert_local(&mut self, v: &[f32], mask: u32, scratch: &mut SearchScratch) -> u32;
 
     /// Tombstones a local id. False when out of range or already dead.
     fn remove_local(&mut self, local_id: u32) -> bool;
@@ -186,23 +212,12 @@ impl<T: ShardBackend + ?Sized> ShardBackend for Arc<T> {
     fn search_local(
         &self,
         query: &[f32],
+        filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
         scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats) {
-        (**self).search_local(query, ef, k, scratch)
-    }
-
-    fn search_local_filtered(
-        &self,
-        query: &[f32],
-        pred: LabelPredicate,
-        strategy: FilterStrategy,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats) {
-        (**self).search_local_filtered(query, pred, strategy, ef, k, scratch)
+    ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
+        (**self).search_local(query, filter, ef, k, scratch)
     }
 
     fn shard_len(&self) -> usize {
@@ -215,42 +230,21 @@ impl<T: ShardBackend + ?Sized> ShardBackend for Arc<T> {
 }
 
 impl<C: VectorCompressor> ShardBackend for StreamingIndex<C> {
+    /// Never faults: a streaming index always carries a label store
+    /// (all-zero masks unless built or fed labeled points).
     fn search_local(
         &self,
         query: &[f32],
+        filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
         scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats) {
-        let (res, stats) = self.search(query, ef, k, scratch);
-        (
-            res,
-            ShardQueryStats {
-                hops: stats.hops,
-                dist_comps: stats.dist_comps,
-                ..Default::default()
-            },
-        )
-    }
-
-    fn search_local_filtered(
-        &self,
-        query: &[f32],
-        pred: LabelPredicate,
-        strategy: FilterStrategy,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats) {
-        let (res, stats) = self.search_filtered(query, pred, strategy, ef, k, scratch);
-        (
-            res,
-            ShardQueryStats {
-                hops: stats.hops,
-                dist_comps: stats.dist_comps,
-                ..Default::default()
-            },
-        )
+    ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
+        let (res, stats) = match filter {
+            None => self.search(query, ef, k, scratch),
+            Some(f) => self.search_filtered(query, f.pred, f.strategy, ef, k, scratch),
+        };
+        Ok((res, stats.into()))
     }
 
     fn shard_len(&self) -> usize {
@@ -263,11 +257,7 @@ impl<C: VectorCompressor> ShardBackend for StreamingIndex<C> {
 }
 
 impl<C: VectorCompressor + Clone + 'static> MutableShardBackend for StreamingIndex<C> {
-    fn insert_local(&mut self, v: &[f32], scratch: &mut SearchScratch) -> u32 {
-        self.insert(v, scratch)
-    }
-
-    fn insert_local_labeled(&mut self, v: &[f32], mask: u32, scratch: &mut SearchScratch) -> u32 {
+    fn insert_local(&mut self, v: &[f32], mask: u32, scratch: &mut SearchScratch) -> u32 {
         self.insert_labeled(v, mask, scratch)
     }
 
@@ -304,39 +294,17 @@ impl<C: VectorCompressor> ShardBackend for InMemoryIndex<C> {
     fn search_local(
         &self,
         query: &[f32],
+        filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
         scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats) {
-        let (res, stats) = self.search(query, ef, k, scratch);
-        (
-            res,
-            ShardQueryStats {
-                hops: stats.hops,
-                dist_comps: stats.dist_comps,
-                ..Default::default()
-            },
-        )
-    }
-
-    fn search_local_filtered(
-        &self,
-        query: &[f32],
-        pred: LabelPredicate,
-        strategy: FilterStrategy,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats) {
-        let (res, stats) = self.search_filtered(query, pred, strategy, ef, k, scratch);
-        (
-            res,
-            ShardQueryStats {
-                hops: stats.hops,
-                dist_comps: stats.dist_comps,
-                ..Default::default()
-            },
-        )
+    ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
+        let (res, stats) = match filter {
+            None => self.search(query, ef, k, scratch),
+            Some(_) if self.labels().is_none() => return Err(ReplicaFault::NoLabels),
+            Some(f) => self.search_filtered(query, f.pred, f.strategy, ef, k, scratch),
+        };
+        Ok((res, stats.into()))
     }
 
     fn shard_len(&self) -> usize {
@@ -352,25 +320,17 @@ impl<C: VectorCompressor> ShardBackend for DiskIndex<C> {
     fn search_local(
         &self,
         query: &[f32],
+        filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
         scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats) {
-        let (res, stats) = self.search_with_scratch(query, ef, k, scratch);
-        (res, disk_stats_to_shard(&stats))
-    }
-
-    fn search_local_filtered(
-        &self,
-        query: &[f32],
-        pred: LabelPredicate,
-        strategy: FilterStrategy,
-        ef: usize,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, ShardQueryStats) {
-        let (res, stats) = self.search_filtered(query, pred, strategy, ef, k, scratch);
-        (res, disk_stats_to_shard(&stats))
+    ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
+        let (res, stats) = match filter {
+            None => self.search_with_scratch(query, ef, k, scratch),
+            Some(_) if self.labels().is_none() => return Err(ReplicaFault::NoLabels),
+            Some(f) => self.search_filtered(query, f.pred, f.strategy, ef, k, scratch),
+        };
+        Ok((res, stats.into()))
     }
 
     fn shard_len(&self) -> usize {
@@ -382,88 +342,256 @@ impl<C: VectorCompressor> ShardBackend for DiskIndex<C> {
     }
 }
 
-fn disk_stats_to_shard(stats: &crate::disk::DiskSearchStats) -> ShardQueryStats {
-    ShardQueryStats {
-        hops: stats.hops,
-        dist_comps: stats.dist_comps,
-        io_reads: stats.io_reads,
-        coalesced_ios: stats.coalesced_ios,
-        cache_hits: stats.cache_hits,
-        cache_misses: stats.cache_misses,
-        io_seconds: stats.io_seconds,
-        io_stall_seconds: stats.io_stall_seconds,
-        io_queue_seconds: stats.io_queue_seconds,
-    }
-}
-
-/// Either face of a shard's backend: frozen (read path only) or mutable.
-enum ShardHandle {
-    Frozen(Box<dyn ShardBackend>),
+/// One replica's backend. Frozen backends are shareable (`Arc`) so N
+/// replicas of a built index cost pointers, not copies — and so a test can
+/// keep a clone of a [`FlakyBackend`] it installed and flip its fault
+/// switches mid-run. Mutable backends are exclusively owned and forked per
+/// replica.
+enum ClusterHandle {
+    /// A frozen backend, shareable across replicas.
+    Frozen(Arc<dyn ShardBackend>),
+    /// A mutable backend, exclusively owned (forked per replica).
     Mutable(Box<dyn MutableShardBackend>),
 }
 
-impl ShardHandle {
-    /// The read path every shard has.
+impl ClusterHandle {
+    /// The read path every replica has.
     fn read(&self) -> &dyn ShardBackend {
         match self {
-            ShardHandle::Frozen(b) => &**b,
-            ShardHandle::Mutable(b) => &**b,
+            ClusterHandle::Frozen(b) => &**b,
+            ClusterHandle::Mutable(b) => &**b,
         }
     }
 
-    /// The write path, when this shard has one.
+    /// The write path, when this replica has one.
     fn mutable(&mut self) -> Option<&mut dyn MutableShardBackend> {
         match self {
-            ShardHandle::Frozen(_) => None,
-            ShardHandle::Mutable(b) => Some(&mut **b),
+            ClusterHandle::Frozen(_) => None,
+            ClusterHandle::Mutable(b) => Some(&mut **b),
+        }
+    }
+
+    fn as_mutable(&self) -> Option<&dyn MutableShardBackend> {
+        match self {
+            ClusterHandle::Frozen(_) => None,
+            ClusterHandle::Mutable(b) => Some(&**b),
+        }
+    }
+
+    /// A new replica of this backend: frozen backends share, mutable
+    /// backends deep-fork (bit-identical by contract).
+    fn fork(&self) -> ClusterHandle {
+        match self {
+            ClusterHandle::Frozen(b) => ClusterHandle::Frozen(Arc::clone(b)),
+            ClusterHandle::Mutable(b) => ClusterHandle::Mutable(b.fork_local()),
         }
     }
 }
 
-/// One shard: a backend plus the map from its local ids back to global
-/// dataset ids (positionally aligned: local id `i` is `global_ids[i]`,
-/// tombstoned slots included).
-pub struct Shard {
-    backend: ShardHandle,
+/// One replica: a backend plus the runtime state the cluster view keeps
+/// per replica — a virtual device timeline, the completions outstanding on
+/// it, and an enable switch (drained replicas stay resident but take no
+/// traffic). The plain [`ShardedIndex`] reads never touch that state, and
+/// none of it counts toward [`ShardedIndex::resident_bytes`].
+pub struct Replica {
+    handle: ClusterHandle,
+    clock: VirtualClock,
+    /// Virtual completion times of requests this replica is serving.
+    outstanding: Mutex<Vec<f64>>,
+    enabled: AtomicBool,
+}
+
+impl Replica {
+    fn new(handle: ClusterHandle) -> Self {
+        Self {
+            handle,
+            clock: VirtualClock::new(),
+            outstanding: Mutex::new(Vec::new()),
+            enabled: AtomicBool::new(true),
+        }
+    }
+
+    /// A replica over a shared frozen backend.
+    pub fn frozen(backend: Arc<dyn ShardBackend>) -> Self {
+        Self::new(ClusterHandle::Frozen(backend))
+    }
+
+    /// A replica over an exclusively-owned mutable backend.
+    pub fn mutable(backend: Box<dyn MutableShardBackend>) -> Self {
+        Self::new(ClusterHandle::Mutable(backend))
+    }
+
+    /// Takes the replica in or out of rotation (resident either way).
+    pub fn set_enabled(&self, on: bool) {
+        self.enabled.store(on, Ordering::Relaxed);
+    }
+
+    pub fn is_enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+}
+
+/// N ≥ 1 bit-identical replicas of one shard. Frozen replicas `Arc`-share
+/// one backend; mutable replicas are forks kept identical by state-machine
+/// replication — every write applies to every replica in the same order.
+pub struct ReplicaSet {
+    replicas: Vec<Replica>,
+    /// Round-robin cursor (advances only when that policy runs).
+    rr: AtomicUsize,
+}
+
+impl ReplicaSet {
+    /// Wraps replicas; they must exist and agree on shard length.
+    pub fn new(replicas: Vec<Replica>) -> Self {
+        assert!(!replicas.is_empty(), "a replica set needs >= 1 replica");
+        let len = replicas[0].handle.read().shard_len();
+        for r in &replicas {
+            assert_eq!(
+                r.handle.read().shard_len(),
+                len,
+                "replicas diverged in length"
+            );
+        }
+        Self {
+            replicas,
+            rr: AtomicUsize::new(0),
+        }
+    }
+
+    /// Replication factor.
+    pub fn len(&self) -> usize {
+        self.replicas.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.replicas.is_empty()
+    }
+
+    /// Vectors per replica (tombstones included).
+    pub fn shard_len(&self) -> usize {
+        self.replicas[0].handle.read().shard_len()
+    }
+
+    /// The replicas, for enable switches and inspection.
+    pub fn replicas(&self) -> &[Replica] {
+        &self.replicas
+    }
+
+    /// Grows or shrinks to `n` replicas: new ones fork replica 0, excess
+    /// ones drop from the tail. Panics on `n == 0`.
+    fn set_replicas(&mut self, n: usize) {
+        assert!(n >= 1, "a shard cannot have zero replicas");
+        self.replicas.truncate(n);
+        while self.replicas.len() < n {
+            let fork = self.replicas[0].handle.fork();
+            self.replicas.push(Replica::new(fork));
+        }
+    }
+
+    /// Replica 0's write face (`None` for a frozen shard) — what reads of
+    /// replicated state (`live_len`, stored vectors, masks) go through,
+    /// since replicas are bit-identical.
+    fn primary(&self) -> Option<&dyn MutableShardBackend> {
+        self.replicas[0].handle.as_mutable()
+    }
+
+    /// State-machine replication: applies one write to **every** replica;
+    /// all must agree on its outcome. Panics on a frozen shard.
+    fn replicate<R: PartialEq + std::fmt::Debug>(
+        &mut self,
+        mut write: impl FnMut(&mut dyn MutableShardBackend) -> R,
+    ) -> R {
+        let mut outcomes = self.replicas.iter_mut().map(|replica| {
+            write(
+                replica
+                    .handle
+                    .mutable()
+                    .expect("write routed to a frozen shard; build with build_streaming"),
+            )
+        });
+        let first = outcomes.next().expect("replica set is never empty");
+        for other in outcomes {
+            assert_eq!(other, first, "replicas diverged on a write");
+        }
+        first
+    }
+}
+
+/// One slot of the partition table: a replica set plus the positional
+/// local→global id map shared by all its replicas (local id `i` is
+/// `global_ids[i]`, tombstoned slots included).
+pub struct ClusterGroup {
+    set: ReplicaSet,
     global_ids: Vec<u32>,
 }
 
-impl Shard {
-    /// Wraps a frozen backend with its local→global id map.
-    pub fn new(backend: Box<dyn ShardBackend>, global_ids: Vec<u32>) -> Self {
+impl ClusterGroup {
+    /// Wraps a replica set with its id map.
+    pub fn new(set: ReplicaSet, global_ids: Vec<u32>) -> Self {
         assert_eq!(
-            backend.shard_len(),
+            set.shard_len(),
             global_ids.len(),
             "id map must cover the shard"
         );
-        Self {
-            backend: ShardHandle::Frozen(backend),
-            global_ids,
-        }
+        Self { set, global_ids }
     }
 
-    /// Wraps a mutable backend, enabling the [`ShardedIndex`] write paths
-    /// on this shard.
-    pub fn new_mutable(backend: Box<dyn MutableShardBackend>, global_ids: Vec<u32>) -> Self {
+    /// The replica set (enable switches etc.).
+    pub fn replica_set(&self) -> &ReplicaSet {
+        &self.set
+    }
+
+    /// Global ids resident in this slot (tombstones included).
+    pub fn global_ids(&self) -> &[u32] {
+        &self.global_ids
+    }
+
+    /// The per-slot read both views share: one replica answers, ids come
+    /// back global.
+    fn search(
+        &self,
+        replica: usize,
+        query: &[f32],
+        filter: Option<FilteredQuery>,
+        ef: usize,
+        k: usize,
+        scratch: &mut SearchScratch,
+    ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
+        let backend = self.set.replicas[replica].handle.read();
+        let (mut res, stats) = backend.search_local(query, filter, ef, k, scratch)?;
+        for n in &mut res {
+            n.id = self.global_ids[n.id as usize];
+        }
+        Ok((res, stats))
+    }
+
+    /// Inserts `v` as global id `g` on every replica.
+    fn insert(&mut self, g: u32, v: &[f32], mask: u32, scratch: &mut SearchScratch) {
+        let local = self.set.replicate(|b| b.insert_local(v, mask, scratch));
         assert_eq!(
-            backend.shard_len(),
-            global_ids.len(),
-            "id map must cover the shard"
+            local as usize,
+            self.global_ids.len(),
+            "mutable backend broke positional id alignment"
         );
-        Self {
-            backend: ShardHandle::Mutable(backend),
-            global_ids,
+        self.global_ids.push(g);
+    }
+
+    /// Consolidates every replica (threshold-gated unless `force`) and
+    /// remaps the id map through the survivor list. Returns reclaimed
+    /// points; 0 for a frozen slot or when no pass ran.
+    fn consolidate(&mut self, force: bool) -> usize {
+        if self.set.primary().is_none() {
+            return 0;
         }
-    }
-
-    /// Vectors in this shard (tombstoned ones included until consolidated).
-    pub fn len(&self) -> usize {
-        self.global_ids.len()
-    }
-
-    /// True when the shard indexes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.global_ids.is_empty()
+        let Some(survivors) = self.set.replicate(|b| b.consolidate_local(force)) else {
+            return 0;
+        };
+        let reclaimed = self.global_ids.len() - survivors.len();
+        self.global_ids = survivors
+            .iter()
+            .map(|&old| self.global_ids[old as usize])
+            .collect();
+        reclaimed
     }
 }
 
@@ -479,13 +607,34 @@ pub fn partition_round_robin(n: usize, n_shards: usize) -> Vec<Vec<u32>> {
     parts
 }
 
-/// Guards the shard builders against empty partitions, with the error at
-/// the misuse site instead of deep inside a graph constructor.
-fn assert_shardable(n: usize, n_shards: usize) {
+/// The partition step every builder shares: round-robin ids, the matching
+/// vector subset, and — when the corpus is labeled — the label subset
+/// under the same positional discipline. Rejects empty partitions here, at
+/// the misuse site, instead of deep inside a graph constructor.
+fn partition_parts<'a>(
+    data: &'a Dataset,
+    labels: Option<&'a Labels>,
+    n_shards: usize,
+) -> impl Iterator<Item = (Vec<u32>, Dataset, Option<Labels>)> + 'a {
     assert!(
-        n_shards >= 1 && n_shards <= n,
-        "cannot split {n} vectors into {n_shards} non-empty shards"
+        n_shards >= 1 && n_shards <= data.len(),
+        "cannot split {} vectors into {n_shards} non-empty shards",
+        data.len()
     );
+    if let Some(labels) = labels {
+        assert_eq!(labels.len(), data.len(), "labels/dataset size mismatch");
+    }
+    partition_round_robin(data.len(), n_shards)
+        .into_iter()
+        .map(move |ids| {
+            let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
+            (ids, data.subset(&local), labels.map(|l| l.subset(&local)))
+        })
+}
+
+/// A fresh single-replica slot.
+fn slot(replica: Replica, global_ids: Vec<u32>) -> ClusterGroup {
+    ClusterGroup::new(ReplicaSet::new(vec![replica]), global_ids)
 }
 
 /// Merges per-shard top-k lists (already in global ids, each sorted or
@@ -500,11 +649,20 @@ pub fn merge_top_k(partials: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
 
 /// A dataset partitioned across independent single-machine indexes.
 ///
+/// This is the serving stack's one partition table: every slot is a
+/// replica set of ≥ 1 bit-identical backends plus its local→global id
+/// map, and everything that depends on the partition — the disjointness
+/// check, write routing, remove-by-global-id, consolidate-and-remap,
+/// fan-out + merge — lives here once. Reads through this type are the
+/// plain view (replica 0, no failover, no runtime state); [`ClusterIndex`]
+/// wraps the same table with a balance policy and virtual-time accounting.
+///
 /// Build one with [`ShardedIndex::build_in_memory`] /
-/// [`ShardedIndex::build_on_disk`] (round-robin partition, shared
-/// compressor, one graph per shard) or assemble arbitrary backends with
-/// [`ShardedIndex::from_shards`]. Query it directly with
-/// [`ShardedIndex::search`], or concurrently through a [`ServeEngine`].
+/// [`ShardedIndex::build_on_disk`] / [`ShardedIndex::build_streaming`]
+/// (round-robin partition, shared compressor, one graph per shard) or
+/// assemble arbitrary backends with [`ShardedIndex::from_groups`]. Query it
+/// directly with [`ShardedIndex::search`], or concurrently through a
+/// [`ServeEngine`].
 ///
 /// # Example
 ///
@@ -543,9 +701,8 @@ pub fn merge_top_k(partials: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
 /// assert!(report.latency.p50_us <= report.latency.p99_us);
 /// ```
 pub struct ShardedIndex {
-    shards: Vec<Shard>,
+    groups: Vec<ClusterGroup>,
     dim: usize,
-    len: usize,
     /// Next global id to hand out on insert. Global ids are never reused —
     /// a consolidated-away id stays dead forever, so callers can cache ids
     /// across consolidations.
@@ -553,22 +710,21 @@ pub struct ShardedIndex {
 }
 
 impl ShardedIndex {
-    /// Assembles an index from prepared shards. Panics if shards' global
-    /// ids overlap.
-    pub fn from_shards(shards: Vec<Shard>, dim: usize) -> Self {
-        let len = shards.iter().map(Shard::len).sum();
-        let mut seen = std::collections::HashSet::with_capacity(len);
+    /// Assembles a partition table from prepared slots. Panics if their
+    /// global ids overlap.
+    pub fn from_groups(groups: Vec<ClusterGroup>, dim: usize) -> Self {
+        let total = groups.iter().map(|g| g.global_ids.len()).sum();
+        let mut seen = std::collections::HashSet::with_capacity(total);
         let mut next_global = 0u32;
-        for shard in &shards {
-            for &g in &shard.global_ids {
+        for group in &groups {
+            for &g in &group.global_ids {
                 assert!(seen.insert(g), "global id {g} appears in two shards");
                 next_global = next_global.max(g + 1);
             }
         }
         Self {
-            shards,
+            groups,
             dim,
-            len,
             next_global,
         }
     }
@@ -587,18 +743,7 @@ impl ShardedIndex {
     where
         C: VectorCompressor + Clone + 'static,
     {
-        assert_shardable(data.len(), n_shards);
-        let shards = partition_round_robin(data.len(), n_shards)
-            .into_iter()
-            .map(|ids| {
-                let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
-                let part = data.subset(&local);
-                let graph = build_graph(&part);
-                let index = InMemoryIndex::build(compressor.clone(), &part, graph);
-                Shard::new(Box::new(index), ids)
-            })
-            .collect();
-        Self::from_shards(shards, data.dim())
+        Self::in_memory(compressor, data, None, n_shards, build_graph)
     }
 
     /// [`ShardedIndex::build_in_memory`] with per-vector labels: each shard
@@ -615,31 +760,44 @@ impl ShardedIndex {
     where
         C: VectorCompressor + Clone + 'static,
     {
-        assert_shardable(data.len(), n_shards);
-        assert_eq!(labels.len(), data.len(), "labels/dataset size mismatch");
-        let shards = partition_round_robin(data.len(), n_shards)
-            .into_iter()
-            .map(|ids| {
-                let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
-                let part = data.subset(&local);
-                let graph = build_graph(&part);
-                let index = InMemoryIndex::build(compressor.clone(), &part, graph)
-                    .with_labels(labels.subset(&local));
-                Shard::new(Box::new(index), ids)
-            })
-            .collect();
-        Self::from_shards(shards, data.dim())
+        Self::in_memory(compressor, data, Some(labels), n_shards, build_graph)
     }
 
-    /// Partitions `data` round-robin into `n_shards` hybrid (disk) shards.
-    /// Each shard's store file is `cfg.path` with `.shard<i>` appended.
-    /// All shards share **one** [`crate::ssd::SsdClock`] — they model one
-    /// physical device, so concurrent queries contend for its timeline and
-    /// serve-level p99 shows saturation when offered load exceeds the
-    /// modelled throughput. Panics if `n_shards` exceeds the dataset size.
+    fn in_memory<C>(
+        compressor: &C,
+        data: &Dataset,
+        labels: Option<&Labels>,
+        n_shards: usize,
+        build_graph: impl Fn(&Dataset) -> ProximityGraph,
+    ) -> Self
+    where
+        C: VectorCompressor + Clone + 'static,
+    {
+        let groups = partition_parts(data, labels, n_shards)
+            .map(|(ids, part, labels)| {
+                let graph = build_graph(&part);
+                let mut index = InMemoryIndex::build(compressor.clone(), &part, graph);
+                if let Some(labels) = labels {
+                    index = index.with_labels(labels);
+                }
+                slot(Replica::frozen(Arc::new(index)), ids)
+            })
+            .collect();
+        Self::from_groups(groups, data.dim())
+    }
+
+    /// Partitions `data` round-robin into `n_shards` hybrid (disk) shards,
+    /// each carrying its partition's subset of `labels` (in RAM, next to
+    /// the codes) when given. Each shard's store file is `cfg.path` with
+    /// `.shard<i>` appended. All shards share **one** [`SsdClock`] — they
+    /// model one physical device, so concurrent queries contend for its
+    /// timeline and serve-level p99 shows saturation when offered load
+    /// exceeds the modelled throughput. Panics if `n_shards` exceeds the
+    /// dataset size.
     pub fn build_on_disk<C>(
         compressor: &C,
         data: &Dataset,
+        labels: Option<&Labels>,
         n_shards: usize,
         cfg: &DiskIndexConfig,
         build_graph: impl Fn(&Dataset) -> ProximityGraph,
@@ -647,167 +805,110 @@ impl ShardedIndex {
     where
         C: VectorCompressor + Clone + 'static,
     {
-        assert_shardable(data.len(), n_shards);
-        let clock = std::sync::Arc::new(crate::ssd::SsdClock::new());
-        let mut shards = Vec::new();
-        for (i, ids) in partition_round_robin(data.len(), n_shards)
-            .into_iter()
+        let clock = Arc::new(SsdClock::new());
+        let groups = partition_parts(data, labels, n_shards)
             .enumerate()
-        {
-            let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
-            let part = data.subset(&local);
-            let graph = build_graph(&part);
-            let mut shard_cfg = cfg.clone();
-            let mut os = shard_cfg.path.into_os_string();
-            os.push(format!(".shard{i}"));
-            shard_cfg.path = os.into();
-            let mut index = DiskIndex::build(compressor.clone(), &part, &graph, shard_cfg)?;
-            index.attach_clock(std::sync::Arc::clone(&clock));
-            shards.push(Shard::new(Box::new(index), ids));
-        }
-        Ok(Self::from_shards(shards, data.dim()))
-    }
-
-    /// [`ShardedIndex::build_on_disk`] with per-vector labels partitioned
-    /// alongside the vectors (labels stay in RAM next to each shard's
-    /// codes).
-    pub fn build_on_disk_labeled<C>(
-        compressor: &C,
-        data: &Dataset,
-        labels: &Labels,
-        n_shards: usize,
-        cfg: &DiskIndexConfig,
-        build_graph: impl Fn(&Dataset) -> ProximityGraph,
-    ) -> io::Result<Self>
-    where
-        C: VectorCompressor + Clone + 'static,
-    {
-        assert_shardable(data.len(), n_shards);
-        assert_eq!(labels.len(), data.len(), "labels/dataset size mismatch");
-        let clock = std::sync::Arc::new(crate::ssd::SsdClock::new());
-        let mut shards = Vec::new();
-        for (i, ids) in partition_round_robin(data.len(), n_shards)
-            .into_iter()
-            .enumerate()
-        {
-            let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
-            let part = data.subset(&local);
-            let graph = build_graph(&part);
-            let mut shard_cfg = cfg.clone();
-            let mut os = shard_cfg.path.into_os_string();
-            os.push(format!(".shard{i}"));
-            shard_cfg.path = os.into();
-            let mut index = DiskIndex::build(compressor.clone(), &part, &graph, shard_cfg)?;
-            index.attach_clock(std::sync::Arc::clone(&clock));
-            index.set_labels(labels.subset(&local));
-            shards.push(Shard::new(Box::new(index), ids));
-        }
-        Ok(Self::from_shards(shards, data.dim()))
+            .map(|(i, (ids, part, labels))| {
+                let graph = build_graph(&part);
+                let mut shard_cfg = cfg.clone();
+                let mut os = shard_cfg.path.into_os_string();
+                os.push(format!(".shard{i}"));
+                shard_cfg.path = os.into();
+                let mut index = DiskIndex::build(compressor.clone(), &part, &graph, shard_cfg)?;
+                index.attach_clock(Arc::clone(&clock));
+                if let Some(labels) = labels {
+                    index.set_labels(labels);
+                }
+                Ok(slot(Replica::frozen(Arc::new(index)), ids))
+            })
+            .collect::<io::Result<_>>()?;
+        Ok(Self::from_groups(groups, data.dim()))
     }
 
     /// Partitions `data` round-robin into `n_shards` *mutable* streaming
     /// shards (DESIGN.md §8.4): each shard is a [`StreamingIndex`] over its
-    /// partition, sharing the one trained `compressor`, so the §7.3
-    /// exact-merge contract holds under churn exactly as it does frozen —
-    /// tombstones are excluded from every shard's top-k before the merge.
-    /// Inserts and deletes route through [`ShardedIndex::insert`] /
-    /// [`ShardedIndex::remove`].
+    /// partition (and its subset of `labels`, when given), sharing the one
+    /// trained `compressor`, so the §7.3 exact-merge contract holds under
+    /// churn exactly as it does frozen — tombstones are excluded from every
+    /// shard's top-k before the merge. Inserts and deletes route through
+    /// [`ShardedIndex::insert`] / [`ShardedIndex::remove`]; streamed
+    /// inserts carry their mask through [`ShardedIndex::insert_labeled`]
+    /// and consolidation compacts each shard's labels in lock-step.
     pub fn build_streaming<C>(
         compressor: &C,
         data: &Dataset,
+        labels: Option<&Labels>,
         n_shards: usize,
         cfg: StreamingConfig,
     ) -> Self
     where
         C: VectorCompressor + Clone + 'static,
     {
-        assert_shardable(data.len(), n_shards);
-        let shards = partition_round_robin(data.len(), n_shards)
-            .into_iter()
-            .map(|ids| {
-                let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
-                let part = data.subset(&local);
-                let index = StreamingIndex::build(compressor.clone(), &part, cfg);
-                Shard::new_mutable(Box::new(index), ids)
+        let groups = partition_parts(data, labels, n_shards)
+            .map(|(ids, part, labels)| {
+                let index = match labels {
+                    Some(labels) => {
+                        StreamingIndex::build_labeled(compressor.clone(), &part, labels, cfg)
+                    }
+                    None => StreamingIndex::build(compressor.clone(), &part, cfg),
+                };
+                slot(Replica::mutable(Box::new(index)), ids)
             })
             .collect();
-        Self::from_shards(shards, data.dim())
+        Self::from_groups(groups, data.dim())
     }
 
-    /// [`ShardedIndex::build_streaming`] with per-vector labels; streamed
-    /// inserts carry their mask through [`ShardedIndex::insert_labeled`]
-    /// and consolidation compacts each shard's labels in lock-step.
-    pub fn build_streaming_labeled<C>(
-        compressor: &C,
-        data: &Dataset,
-        labels: &Labels,
-        n_shards: usize,
-        cfg: StreamingConfig,
-    ) -> Self
-    where
-        C: VectorCompressor + Clone + 'static,
-    {
-        assert_shardable(data.len(), n_shards);
-        assert_eq!(labels.len(), data.len(), "labels/dataset size mismatch");
-        let shards = partition_round_robin(data.len(), n_shards)
-            .into_iter()
-            .map(|ids| {
-                let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
-                let part = data.subset(&local);
-                let index = StreamingIndex::build_labeled(
-                    compressor.clone(),
-                    &part,
-                    labels.subset(&local),
-                    cfg,
-                );
-                Shard::new_mutable(Box::new(index), ids)
-            })
-            .collect();
-        Self::from_shards(shards, data.dim())
+    /// Sets every slot's replication factor: new replicas fork replica 0
+    /// (frozen backends `Arc`-share, mutable ones deep-copy), excess ones
+    /// drop from the tail. Replication changes who *can* answer, never the
+    /// answer.
+    pub fn set_replicas(&mut self, n: usize) {
+        for group in &mut self.groups {
+            group.set.set_replicas(n);
+        }
+    }
+
+    /// [`ShardedIndex::set_replicas`], by value — for builder chains.
+    pub fn with_replicas(mut self, n: usize) -> Self {
+        self.set_replicas(n);
+        self
+    }
+
+    /// The shard the round-robin rule assigns global id `g` to — the rule
+    /// [`partition_round_robin`] applied at build time, inserts continue,
+    /// and live reconfiguration restores.
+    fn home(&self, g: u32) -> usize {
+        g as usize % self.groups.len()
     }
 
     /// Inserts one vector, routing by round-robin on the fresh global id
-    /// (`g % n_shards` — the same rule [`partition_round_robin`] applied at
-    /// build time). Returns the global id. Panics if the chosen shard is
-    /// not mutable.
+    /// and applying it to every replica of the target shard. Returns the
+    /// global id. Panics if the chosen shard is not mutable.
     pub fn insert(&mut self, v: &[f32], scratch: &mut SearchScratch) -> u32 {
         self.insert_labeled(v, 0, scratch)
     }
 
-    /// [`ShardedIndex::insert`] with a label bitmask (mask 0 = unlabeled).
+    /// [`ShardedIndex::insert`] with a label bitmask (mask 0 = unlabeled,
+    /// matches no predicate).
     pub fn insert_labeled(&mut self, v: &[f32], mask: u32, scratch: &mut SearchScratch) -> u32 {
         assert_eq!(v.len(), self.dim, "vector dimension mismatch");
         let g = self.next_global;
         self.next_global += 1;
-        let n_shards = self.shards.len();
-        let shard = &mut self.shards[g as usize % n_shards];
-        let backend = shard
-            .backend
-            .mutable()
-            .expect("insert routed to a frozen shard; build with build_streaming");
-        let local = backend.insert_local_labeled(v, mask, scratch);
-        assert_eq!(
-            local as usize,
-            shard.global_ids.len(),
-            "mutable backend broke positional id alignment"
-        );
-        shard.global_ids.push(g);
-        self.len += 1;
+        let home = self.home(g);
+        self.groups[home].insert(g, v, mask, scratch);
         g
     }
 
-    /// Tombstones a global id. Returns `false` when the id is unknown (or
-    /// already consolidated away), already tombstoned, or lives in a
-    /// frozen shard.
+    /// Tombstones a global id on every replica of its shard. Returns
+    /// `false` when the id is unknown (or already consolidated away),
+    /// already tombstoned, or lives in a frozen shard.
     pub fn remove(&mut self, global_id: u32) -> bool {
-        for shard in &mut self.shards {
-            // global_ids stay sorted ascending: built that way, appended
-            // monotonically, and compaction preserves order.
-            if let Ok(local) = shard.global_ids.binary_search(&global_id) {
-                return match shard.backend.mutable() {
-                    Some(backend) => backend.remove_local(local as u32),
-                    None => false,
-                };
+        for group in &mut self.groups {
+            // Linear scan, not binary search: live reconfiguration moves
+            // points between shards, so id maps are not sorted after one.
+            if let Some(local) = group.global_ids.iter().position(|&g| g == global_id) {
+                return group.set.primary().is_some()
+                    && group.set.replicate(|b| b.remove_local(local as u32));
             }
         }
         false
@@ -818,49 +919,37 @@ impl ShardedIndex {
     /// each shard's survivor list. Returns the total number of reclaimed
     /// points.
     pub fn consolidate(&mut self, force: bool) -> usize {
-        let mut reclaimed = 0;
-        for shard in &mut self.shards {
-            let Some(backend) = shard.backend.mutable() else {
-                continue;
-            };
-            let Some(survivors) = backend.consolidate_local(force) else {
-                continue;
-            };
-            reclaimed += shard.global_ids.len() - survivors.len();
-            shard.global_ids = survivors
-                .iter()
-                .map(|&old| shard.global_ids[old as usize])
-                .collect();
-        }
-        self.len -= reclaimed;
-        reclaimed
+        self.groups.iter_mut().map(|g| g.consolidate(force)).sum()
     }
 
     /// Points that are resident and not tombstoned, across all shards
     /// (frozen shards are all-live by definition).
     pub fn live_len(&self) -> usize {
-        self.shards
+        self.groups
             .iter()
-            .map(|s| match &s.backend {
-                ShardHandle::Frozen(b) => b.shard_len(),
-                ShardHandle::Mutable(b) => b.live_len(),
-            })
+            .map(|g| g.set.primary().map_or(g.global_ids.len(), |b| b.live_len()))
             .sum()
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.groups.len()
     }
 
-    /// Total vectors across all shards.
+    /// The shard slots, for replica switches and inspection.
+    pub fn groups(&self) -> &[ClusterGroup] {
+        &self.groups
+    }
+
+    /// Total resident vectors (tombstones included) across shards, counting
+    /// each point once regardless of replication.
     pub fn len(&self) -> usize {
-        self.len
+        self.groups.iter().map(|g| g.global_ids.len()).sum()
     }
 
     /// True when no shard indexes anything.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Query dimensionality.
@@ -870,17 +959,61 @@ impl ShardedIndex {
 
     /// Largest shard size — what serving workers size their scratch to.
     pub fn max_shard_len(&self) -> usize {
-        self.shards.iter().map(Shard::len).max().unwrap_or(0)
+        self.groups
+            .iter()
+            .map(|g| g.global_ids.len())
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Total RAM held across shards (backends + id maps).
+    /// Total RAM held across shards: one id map per shard plus every
+    /// replica's backend (replica runtime state is not index memory).
     pub fn resident_bytes(&self) -> usize {
-        self.shards
+        self.groups
             .iter()
-            .map(|s| {
-                s.backend.read().resident_bytes() + s.global_ids.len() * std::mem::size_of::<u32>()
+            .map(|g| {
+                g.global_ids.len() * std::mem::size_of::<u32>()
+                    + g.set
+                        .replicas
+                        .iter()
+                        .map(|r| r.handle.read().resident_bytes())
+                        .sum::<usize>()
             })
             .sum()
+    }
+
+    /// The fan-out both views share: `read` answers one slot (ids already
+    /// global), the partials merge exactly (§7.3). A slot with no points —
+    /// a freshly-joined shard before rebalance lands any — is skipped:
+    /// nothing to search, nothing to reserve.
+    fn fan_out<E>(
+        &self,
+        k: usize,
+        mut read: impl FnMut(&ClusterGroup) -> Result<(Vec<Neighbor>, ShardQueryStats), E>,
+    ) -> Result<(Vec<Neighbor>, ShardQueryStats), E> {
+        let mut partials = Vec::with_capacity(self.groups.len());
+        let mut total = ShardQueryStats::default();
+        for group in self.groups.iter().filter(|g| !g.global_ids.is_empty()) {
+            let (part, stats) = read(group)?;
+            total.merge(&stats);
+            partials.push(part);
+        }
+        Ok((merge_top_k(&partials, k), total))
+    }
+
+    /// The plain read of one shard (replica 0, no runtime state); returned
+    /// ids are global. What [`ServeEngine`]'s workers run, so a fault
+    /// travels back to the caller as a value.
+    fn read_shard(
+        &self,
+        shard: usize,
+        query: &[f32],
+        filter: Option<FilteredQuery>,
+        ef: usize,
+        k: usize,
+        scratch: &mut SearchScratch,
+    ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
+        self.groups[shard].search(0, query, filter, ef, k, scratch)
     }
 
     /// Searches one shard; returned ids are global.
@@ -892,35 +1025,23 @@ impl ShardedIndex {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, ShardQueryStats) {
-        let s = &self.shards[shard];
-        let (mut res, stats) = s.backend.read().search_local(query, ef, k, scratch);
-        for n in &mut res {
-            n.id = s.global_ids[n.id as usize];
-        }
-        (res, stats)
+        self.read_shard(shard, query, None, ef, k, scratch)
+            .unwrap_or_else(|fault| panic!("shard {shard}: {fault}"))
     }
 
-    /// Filtered search of one shard; returned ids are global.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_shard_filtered(
+    /// Sequential fan-out + merge on the calling thread, with no failover:
+    /// a faulting shard panics.
+    fn read(
         &self,
-        shard: usize,
         query: &[f32],
-        pred: LabelPredicate,
-        strategy: FilterStrategy,
+        filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, ShardQueryStats) {
-        let s = &self.shards[shard];
-        let (mut res, stats) = s
-            .backend
-            .read()
-            .search_local_filtered(query, pred, strategy, ef, k, scratch);
-        for n in &mut res {
-            n.id = s.global_ids[n.id as usize];
-        }
-        (res, stats)
+        assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        self.fan_out(k, |group| group.search(0, query, filter, ef, k, scratch))
+            .unwrap_or_else(|fault| panic!("sharded search: {fault}"))
     }
 
     /// Fans one query out to every shard **sequentially** on the calling
@@ -933,15 +1054,7 @@ impl ShardedIndex {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, ShardQueryStats) {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let mut partials = Vec::with_capacity(self.shards.len());
-        let mut total = ShardQueryStats::default();
-        for s in 0..self.shards.len() {
-            let (part, stats) = self.search_shard(s, query, ef, k, scratch);
-            total.merge(&stats);
-            partials.push(part);
-        }
-        (merge_top_k(&partials, k), total)
+        self.read(query, None, ef, k, scratch)
     }
 
     /// Filtered fan-out + merge, sequential on the calling thread — the
@@ -949,7 +1062,7 @@ impl ShardedIndex {
     /// exact-merge argument carries over per predicate: the matching set is
     /// partitioned exactly like the base set, so merging per-shard filtered
     /// top-k lists at exhaustive `ef` equals the single-index filtered
-    /// top-k.
+    /// top-k. Panics when a shard carries no labels.
     pub fn search_filtered(
         &self,
         query: &[f32],
@@ -959,16 +1072,13 @@ impl ShardedIndex {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, ShardQueryStats) {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let mut partials = Vec::with_capacity(self.shards.len());
-        let mut total = ShardQueryStats::default();
-        for s in 0..self.shards.len() {
-            let (part, stats) =
-                self.search_shard_filtered(s, query, pred, strategy, ef, k, scratch);
-            total.merge(&stats);
-            partials.push(part);
-        }
-        (merge_top_k(&partials, k), total)
+        self.read(
+            query,
+            Some(FilteredQuery { pred, strategy }),
+            ef,
+            k,
+            scratch,
+        )
     }
 }
 
@@ -1076,7 +1186,8 @@ mod tests {
         let dir = std::env::temp_dir().join("rpq-serve-test");
         std::fs::create_dir_all(&dir).unwrap();
         let cfg = DiskIndexConfig::new(dir.join("sharded.store"));
-        let sharded = ShardedIndex::build_on_disk(&pq, &base, 2, &cfg, graph_builder).unwrap();
+        let sharded =
+            ShardedIndex::build_on_disk(&pq, &base, None, 2, &cfg, graph_builder).unwrap();
         let gt = brute_force_knn(&base, &queries, 5);
         let mut scratch = SearchScratch::new();
         let mut results = Vec::new();
@@ -1120,14 +1231,14 @@ mod tests {
             let local: Vec<usize> = ids.iter().map(|&g| g as usize).collect();
             let part = base.subset(&local);
             let graph = graph_builder(&part);
-            Shard::new(
-                Box::new(InMemoryIndex::build(pq.clone(), &part, graph)),
+            slot(
+                Replica::frozen(Arc::new(InMemoryIndex::build(pq.clone(), &part, graph))),
                 ids,
             )
         };
         let a = mk((0..30).collect());
         let b = mk((25..40).collect());
-        let _ = ShardedIndex::from_shards(vec![a, b], base.dim());
+        let _ = ShardedIndex::from_groups(vec![a, b], base.dim());
     }
 
     #[test]
@@ -1145,6 +1256,7 @@ mod tests {
         let mut index = ShardedIndex::build_streaming(
             &pq,
             &initial,
+            None,
             3,
             crate::stream::StreamingConfig::default(),
         );
@@ -1211,7 +1323,7 @@ mod tests {
             l: 40,
             ..Default::default()
         };
-        let mut sharded = ShardedIndex::build_streaming(&pq, &base, 2, cfg);
+        let mut sharded = ShardedIndex::build_streaming(&pq, &base, None, 2, cfg);
         let mut single = crate::stream::StreamingIndex::build(pq.clone(), &base, cfg);
         let mut scratch = SearchScratch::new();
         for id in (0..120u32).step_by(7) {

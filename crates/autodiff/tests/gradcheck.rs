@@ -389,21 +389,33 @@ fn pairwise_sq_dist_matches_direct() {
 
 #[test]
 fn gumbel_softmax_rows_sum_to_one() {
-    let mut r = rng();
-    let mut t = Tape::new();
-    let logits = t.param(Matrix::random_uniform(6, 8, 2.0, &mut r));
-    let y = t.gumbel_softmax(logits, 0.5, &mut r);
-    let v = t.value(y);
-    for i in 0..v.rows {
-        let s: f32 = v.row(i).iter().sum();
-        assert!((s - 1.0).abs() < 1e-4, "row {i} sums to {s}");
-        assert!(v.row(i).iter().all(|&p| p >= 0.0));
+    /// The top of the uniform stream: the draw that used to round to
+    /// `u = 1.0` and turn the Gumbel noise into `+inf`.
+    struct Max;
+    impl rand::RngCore for Max {
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
     }
-    // And the whole thing is differentiable end to end.
-    let sq = t.square(y);
-    let loss = t.sum_all(sq);
-    let grads = t.backward(loss);
-    assert!(grads.get(logits).is_some());
+    let mut r = rng();
+    let init = Matrix::random_uniform(6, 8, 2.0, &mut r);
+    let noise_sources: [&mut dyn rand::RngCore; 2] = [&mut r, &mut Max];
+    for noise in noise_sources {
+        let mut t = Tape::new();
+        let logits = t.param(init.clone());
+        let y = t.gumbel_softmax(logits, 0.5, noise);
+        let v = t.value(y);
+        for i in 0..v.rows {
+            let s: f32 = v.row(i).iter().sum();
+            assert!((s - 1.0).abs() < 1e-4, "row {i} sums to {s}");
+            assert!(v.row(i).iter().all(|&p| p >= 0.0));
+        }
+        // And the whole thing is differentiable end to end.
+        let sq = t.square(y);
+        let loss = t.sum_all(sq);
+        let grads = t.backward(loss);
+        assert!(grads.get(logits).is_some());
+    }
 }
 
 #[test]

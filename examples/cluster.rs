@@ -86,7 +86,7 @@ fn main() {
     }
 
     // 3. Live reconfiguration on a mutable cluster: a third shard joins
-    //    and points rebalance to the g % n_groups rule — while answer
+    //    and points rebalance to the g % n_shards rule — while answer
     //    *quality* never moves. At exhaustive beam width both sides are
     //    the exact ADC top-k over the same live set, so the per-rank
     //    distance profile is bit-identical; ids are only free to permute
@@ -103,7 +103,7 @@ fn main() {
         (0..queries.len())
             .map(|qi| {
                 engine
-                    .search(queries.get(qi), ef, 10, scratch)
+                    .search(queries.get(qi), None, ef, 10, scratch)
                     .expect("healthy cluster")
                     .iter()
                     .map(|n| n.dist.to_bits())
@@ -116,11 +116,11 @@ fn main() {
         let mut scratch = SearchScratch::new();
         c.add_shard(Box::new(StreamingIndex::new(pq.clone(), cfg)), &mut scratch);
     });
-    let (n_groups, live) = engine.with_read(|c| (c.n_groups(), c.live_len()));
+    let (n_shards, live) = engine.with_read(|c| (c.n_shards(), c.live_len()));
     let after = profile(&engine, &mut scratch);
     let unchanged = before.iter().zip(&after).filter(|(b, a)| b == a).count();
     println!(
-        "\nlive reconfig: 2 -> {n_groups} shards, {live} live points, \
+        "\nlive reconfig: 2 -> {n_shards} shards, {live} live points, \
          {unchanged}/{} exact distance profiles unchanged",
         queries.len()
     );

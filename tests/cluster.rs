@@ -115,13 +115,13 @@ fn flaky_cluster(
                     ))
                 })
                 .collect();
-            let set = ReplicaSet::new(row.iter().map(|f| Replica::flaky(Arc::clone(f))).collect());
+            let set = ReplicaSet::new(row.iter().map(|f| Replica::frozen(f.clone())).collect());
             switches.push(row);
             ClusterGroup::new(set, ids.clone())
         })
         .collect();
     (
-        ClusterIndex::from_groups(groups, fx.base.dim(), policy),
+        ClusterIndex::new(ShardedIndex::from_groups(groups, fx.base.dim()), policy),
         switches,
     )
 }
@@ -141,7 +141,7 @@ fn frozen_cluster(replicas: usize, policy: LoadBalancePolicy) -> ClusterIndex {
             ClusterGroup::new(set, ids.clone())
         })
         .collect();
-    ClusterIndex::from_groups(groups, fx.base.dim(), policy)
+    ClusterIndex::new(ShardedIndex::from_groups(groups, fx.base.dim()), policy)
 }
 
 /// Exhaustive-beam reference: the single-index exact ADC top-k every
@@ -362,7 +362,7 @@ fn add_shard_churn_remove_shard_is_invisible_to_results() {
     };
     let mut cluster =
         ClusterIndex::build_streaming(&pq, &initial, 2, 2, LoadBalancePolicy::RoundRobin, cfg);
-    let mut reference = ShardedIndex::build_streaming(&pq, &initial, 2, cfg);
+    let mut reference = ShardedIndex::build_streaming(&pq, &initial, None, 2, cfg);
     let mut scratch = SearchScratch::new();
 
     // Membership change mid-life: a third (empty) shard joins.
@@ -384,7 +384,7 @@ fn add_shard_churn_remove_shard_is_invisible_to_results() {
 
     // The joined shard leaves again, points redistribute.
     cluster.remove_shard(1, &mut scratch);
-    assert_eq!(cluster.n_groups(), 2);
+    assert_eq!(cluster.n_shards(), 2);
     assert_eq!(cluster.live_len(), reference.live_len());
 
     // Every surviving point sits where g % n_groups says it should — no
@@ -442,7 +442,7 @@ fn concurrent_readers_never_observe_a_torn_membership_view() {
                 for i in 0..40 {
                     let q = queries.get((t * 13 + i) % queries.len());
                     let res = engine
-                        .search(q, 60, K, &mut scratch)
+                        .search(q, None, 60, K, &mut scratch)
                         .expect("no fault injected, reads must succeed");
                     assert_eq!(res.len(), K, "torn view returned a short top-k");
                     let mut ids: Vec<u32> = res.iter().map(|n| n.id).collect();
@@ -476,7 +476,7 @@ fn concurrent_readers_never_observe_a_torn_membership_view() {
         assert_eq!(c.live_len(), base.len());
         for (idx, group) in c.groups().iter().enumerate() {
             for &g in group.global_ids() {
-                assert_eq!(g as usize % c.n_groups(), idx);
+                assert_eq!(g as usize % c.n_shards(), idx);
             }
         }
     });

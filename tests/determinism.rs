@@ -296,6 +296,7 @@ fn cluster_serving_with_rebalance_is_thread_invariant() {
                         RejectReason::DeadlineExceeded => 1,
                         RejectReason::QuotaExceeded => 2,
                         RejectReason::ShardUnavailable => 3,
+                        RejectReason::NoLabels => 4,
                     },
                     Vec::new(),
                     0,
@@ -455,22 +456,15 @@ fn zipf_filtered_cluster_serving_is_thread_invariant() {
             },
             &base,
         );
-        let cluster = ClusterIndex::build_in_memory_labeled(
-            &pq,
-            &base,
-            &labels,
-            2,
-            2,
-            LoadBalancePolicy::QueueAware,
-            |part| {
-                HnswConfig {
-                    m: 8,
-                    ef_construction: 40,
-                    seed: 0,
-                }
-                .build(part)
-            },
-        );
+        let table = ShardedIndex::build_in_memory_labeled(&pq, &base, &labels, 2, |part| {
+            HnswConfig {
+                m: 8,
+                ef_construction: 40,
+                seed: 0,
+            }
+            .build(part)
+        });
+        let cluster = ClusterIndex::new(table.with_replicas(2), LoadBalancePolicy::QueueAware);
         let engine = ClusterEngine::new(
             cluster,
             AdmissionConfig {

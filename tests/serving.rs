@@ -95,7 +95,7 @@ fn disk_backed_shards_serve_with_io_accounting() {
     std::fs::create_dir_all(&dir).unwrap();
     let cfg = DiskIndexConfig::new(dir.join("serving.store"));
     let index = Arc::new(
-        ShardedIndex::build_on_disk(&pq, &base, 2, &cfg, |part| {
+        ShardedIndex::build_on_disk(&pq, &base, None, 2, &cfg, |part| {
             VamanaConfig {
                 r: 16,
                 l: 40,
@@ -174,7 +174,7 @@ fn tombstoned_points_never_appear_in_sharded_results() {
     // is removed, no query may return it — not while it sits tombstoned in
     // its shard, and not after consolidation compacts it away.
     let (base, queries, pq) = ci_bench(12, 31);
-    let mut index = ShardedIndex::build_streaming(&pq, &base, 3, StreamingConfig::default());
+    let mut index = ShardedIndex::build_streaming(&pq, &base, None, 3, StreamingConfig::default());
     let mut scratch = SearchScratch::new();
 
     let removed: Vec<u32> = (0..base.len() as u32).step_by(9).collect();
