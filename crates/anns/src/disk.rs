@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rpq_data::{Dataset, LabelPredicate, Labels};
-use rpq_graph::{Frontier, Neighbor, ProximityGraph, SearchScratch};
+use rpq_graph::{Neighbor, ProximityGraph, SearchScratch};
 use rpq_linalg::distance::sq_l2;
 use rpq_quant::{CompactCodes, SoaCodes, VectorCompressor};
 
@@ -115,8 +115,8 @@ pub struct DiskSearchStats {
     pub io_queue_seconds: f32,
 }
 
-/// Max-heap entry for the bounded result pool (distance then id, matching
-/// the deterministic tie-break everywhere else).
+/// Heap entry of [`DiskIndex::search_serial`], the frozen oracle (distance
+/// then id, matching the deterministic tie-break everywhere else).
 #[derive(PartialEq)]
 struct Pooled(f32, u32);
 impl Eq for Pooled {}
@@ -533,9 +533,9 @@ impl<C: VectorCompressor> DiskIndex<C> {
 
     /// DiskANN beam search restricted to vectors satisfying `pred`
     /// (DESIGN.md §12). [`FilterStrategy::DuringTraversal`] mirrors the
-    /// in-memory dual-heap kernel: the unfiltered pool still drives
+    /// in-memory two-pool kernel: the unfiltered pool still drives
     /// admission and termination (routing survives low selectivity) while
-    /// a second bounded heap collects matches, which then rerank as usual.
+    /// a second pool collects matches, which then rerank as usual.
     /// [`FilterStrategy::PostFilter`] searches unfiltered at an inflated
     /// `ef` and filters the reranked results. Panics unless labels were
     /// attached with [`DiskIndex::set_labels`].
@@ -576,8 +576,6 @@ impl<C: VectorCompressor> DiskIndex<C> {
         mut trace: Option<&mut Vec<u64>>,
         accept: Option<&dyn Fn(u32) -> bool>,
     ) -> (Vec<Neighbor>, DiskSearchStats) {
-        use std::collections::BinaryHeap;
-
         let ef = ef.max(k).max(1);
         let io_width = self.cfg.io_width.max(1);
         let ssd = &self.cfg.ssd;
@@ -593,21 +591,21 @@ impl<C: VectorCompressor> DiskIndex<C> {
         let d0 = est.distance(entry);
         stats.dist_comps += 1;
 
-        let mut frontier = Frontier::new();
-        let mut pool: BinaryHeap<Pooled> = BinaryHeap::with_capacity(ef + 1);
-        frontier.push(d0, entry);
-        pool.push(Pooled(d0, entry));
-        // Filtered traversal keeps a second bounded heap of matches — the
-        // disk-engine twin of `beam_search_filtered`'s accepted heap. The
+        let (mut pool, mut accepted) = scratch.take_pools();
+        pool.reset(ef);
+        pool.offer(d0, entry);
+        // Filtered traversal keeps a second pool of matches — the
+        // disk-engine twin of `beam_search_filtered`'s accepted set. The
         // unfiltered pool is untouched, so routing (and the unfiltered
         // path's bit-identity to the serial oracle) is unaffected.
-        let mut accepted: BinaryHeap<Pooled> = BinaryHeap::new();
         if let Some(acc) = accept {
+            accepted.reset(ef);
             if acc(entry) {
-                accepted.push(Pooled(d0, entry));
+                accepted.offer(d0, entry);
             }
         }
 
+        let mut stage: Vec<(f32, u32)> = Vec::new();
         let mut batch = BatchRead::default();
         let mut miss_ids: Vec<u32> = Vec::new();
         // Stage nodes with their cache lookups resolved at pop time (one
@@ -619,14 +617,8 @@ impl<C: VectorCompressor> DiskIndex<C> {
         let mut prev_compute = 0.0f32;
 
         loop {
-            let bound = if pool.len() == ef {
-                pool.peek().map(|s| s.0).unwrap_or(f32::INFINITY)
-            } else {
-                f32::INFINITY
-            };
-            let stage = scratch.pop_frontier_batch(&mut frontier, io_width, bound);
+            pool.pop_batch(io_width, &mut stage);
             if stage.is_empty() {
-                scratch.recycle_stage(stage);
                 break;
             }
             stats.hops += stage.len();
@@ -692,23 +684,10 @@ impl<C: VectorCompressor> DiskIndex<C> {
                 est.distance_batch(&unvisited, &mut dists);
                 stats.dist_comps += unvisited.len();
                 for (&u, &du) in unvisited.iter().zip(dists.iter()) {
-                    let worst = pool.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
-                    if pool.len() < ef || du < worst {
-                        frontier.push(du, u);
-                        pool.push(Pooled(du, u));
-                        if pool.len() > ef {
-                            pool.pop();
-                        }
-                    }
+                    pool.offer(du, u);
                     if let Some(acc) = accept {
                         if acc(u) {
-                            let worst_a = accepted.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
-                            if accepted.len() < ef || du < worst_a {
-                                accepted.push(Pooled(du, u));
-                                if accepted.len() > ef {
-                                    accepted.pop();
-                                }
-                            }
+                            accepted.offer(du, u);
                         }
                     }
                 }
@@ -725,20 +704,17 @@ impl<C: VectorCompressor> DiskIndex<C> {
             };
             stats.io_stall_seconds += stall_us * 1e-6;
             prev_compute = stage_compute;
-            scratch.recycle_stage(stage);
         }
         scratch.put_gather(unvisited, dists);
 
         // Final rerank: top candidates by ADC get exact distances; those
         // not fetched during routing cost extra (batched, coalesced,
         // separately counted) reads. Filtered traversal reranks the
-        // accepted heap instead — matches that routed past without
+        // accepted set instead — matches that routed past without
         // expansion get fetched here.
-        let result_pool = if accept.is_some() { accepted } else { pool };
-        let mut candidates: Vec<(f32, u32)> =
-            result_pool.into_iter().map(|Pooled(d, v)| (d, v)).collect();
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        candidates.truncate(self.cfg.rerank.max(k));
+        let best = if accept.is_some() { &accepted } else { &pool }.best();
+        let candidates = best[..best.len().min(self.cfg.rerank.max(k))].to_vec();
+        scratch.put_pools(pool, accepted);
         miss_ids.clear();
         for &(_, v) in &candidates {
             if scratch.memo_get(v).is_some() {

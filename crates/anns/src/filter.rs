@@ -3,11 +3,11 @@
 //! Two ways to push a predicate into graph search, both from the
 //! filtered-ANN literature:
 //!
-//! * **Filter during traversal** (Filtered-DiskANN style): the dual-heap
+//! * **Filter during traversal** (Filtered-DiskANN style): the two-pool
 //!   `beam_search_filtered` keeps traversing non-matching vertices (so the
-//!   routing path survives) while only admitting matches to the result
-//!   heap. One pass, no wasted candidates; at very low selectivity the
-//!   accepted heap fills slowly and the traversal runs longer.
+//!   routing path survives) while only admitting matches to the accepted
+//!   pool. One pass, no wasted candidates; at very low selectivity the
+//!   accepted pool fills slowly and the traversal runs longer.
 //! * **Post-filter with ef inflation** (ACORN style): run the *unfiltered*
 //!   search with the beam widened by an inflation factor, then drop
 //!   non-matching results and truncate to `k`. Simple and
@@ -17,7 +17,7 @@
 /// How a [`rpq_data::LabelPredicate`] is pushed into beam search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FilterStrategy {
-    /// Evaluate the predicate inside the traversal (dual-heap
+    /// Evaluate the predicate inside the traversal (two-pool
     /// `beam_search_filtered`): non-matching vertices route but are never
     /// returned.
     DuringTraversal,

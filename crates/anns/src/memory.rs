@@ -111,7 +111,7 @@ impl<C: VectorCompressor> InMemoryIndex<C> {
     ///
     /// `strategy` selects how the predicate is pushed into the search:
     /// [`FilterStrategy::DuringTraversal`] routes through non-matching
-    /// vertices but only admits matches to the result heap;
+    /// vertices but only admits matches to the accepted pool;
     /// [`FilterStrategy::PostFilter`] searches unfiltered at an inflated
     /// `ef` and filters the returned candidates. Panics unless labels were
     /// attached with [`InMemoryIndex::with_labels`].

@@ -13,7 +13,7 @@
 //! than the ADC quantization floor):
 //!
 //! - **in-traversal** (Filtered-DiskANN-style): the beam routes through
-//!   non-matching vertices but only admits matches to the result heap.
+//!   non-matching vertices but only admits matches to the accepted pool.
 //! - **post-filter** (ACORN-style): an unfiltered search at
 //!   `ef × inflation`, filtered and truncated afterwards.
 //!

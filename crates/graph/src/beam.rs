@@ -7,13 +7,11 @@
 //! * routing-feature extraction (the [`beam_search_recording`] variant
 //!   mirrors paper Alg. 2 and captures each ranked candidate set `bᵢ`).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
 use crate::pg::{GraphView, ProximityGraph};
+use crate::pool::CandidatePool;
 
 /// A distance oracle from an implicit query to any graph vertex. One value
 /// per `(query, index)` pair — implementations capture the query on
@@ -94,6 +92,29 @@ impl<T: DistanceEstimator + ?Sized> DistanceEstimator for Box<T> {
 pub trait VertexPredicate {
     /// Whether vertex `v` may be returned as a result.
     fn accept(&self, v: u32) -> bool;
+
+    /// True when the predicate cannot reject anything: the search then
+    /// keeps no accepted set beside its candidate pool and never calls
+    /// [`VertexPredicate::accept`].
+    #[inline]
+    fn is_all(&self) -> bool {
+        false
+    }
+}
+
+/// The predicate of the unfiltered path: accepts every vertex, by type.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AcceptAll;
+
+impl VertexPredicate for AcceptAll {
+    #[inline]
+    fn accept(&self, _v: u32) -> bool {
+        true
+    }
+    #[inline]
+    fn is_all(&self) -> bool {
+        true
+    }
 }
 
 impl<F: Fn(u32) -> bool> VertexPredicate for F {
@@ -174,6 +195,10 @@ impl VertexPredicate for VertexFilter<'_> {
             None => true,
         }
     }
+    #[inline]
+    fn is_all(&self) -> bool {
+        VertexFilter::is_all(self)
+    }
 }
 
 /// A scored vertex.
@@ -191,20 +216,22 @@ pub struct SearchStats {
     pub dist_comps: usize,
 }
 
-/// Reusable per-thread search state: a visited map with O(touched) reset so
-/// repeated queries allocate nothing (perf-book: reuse workhorse
-/// collections).
+/// Reusable per-thread search state: a visited map with O(touched) reset and
+/// the candidate pools, so a warmed scratch makes a query allocate nothing
+/// but its result `Vec` (perf-book: reuse workhorse collections).
 #[derive(Default)]
 pub struct SearchScratch {
     visited: Vec<bool>,
     touched: Vec<u32>,
+    /// The routing state of the running search (DESIGN.md §9.5).
+    pub(crate) pool: CandidatePool,
+    /// The best accepted vertices of a filtered search.
+    accepted: CandidatePool,
     /// Unvisited neighbors of the current expansion, gathered so the
     /// estimator can score them as one batch.
     frontier: Vec<u32>,
     /// Their batch-scored distances (parallel to `frontier`).
     dists: Vec<f32>,
-    /// Reusable pipeline-stage buffer for [`SearchScratch::pop_frontier_batch`].
-    stage: Vec<(f32, u32)>,
     /// Flat per-vertex f32 slot map with the same epoch-reset discipline as
     /// `visited` — external engines memoise exact distances here instead of
     /// in a per-query `HashMap`.
@@ -228,10 +255,7 @@ impl SearchScratch {
             touched: Vec::with_capacity(256),
             frontier: Vec::with_capacity(64),
             dists: Vec::with_capacity(64),
-            stage: Vec::new(),
-            memo_vals: Vec::new(),
-            memo_marked: Vec::new(),
-            memo_touched: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -242,7 +266,8 @@ impl SearchScratch {
             + self.touched.capacity() * std::mem::size_of::<u32>()
             + self.frontier.capacity() * std::mem::size_of::<u32>()
             + self.dists.capacity() * std::mem::size_of::<f32>()
-            + self.stage.capacity() * std::mem::size_of::<(f32, u32)>()
+            + self.pool.memory_bytes()
+            + self.accepted.memory_bytes()
             + self.memo_vals.capacity() * std::mem::size_of::<f32>()
             + self.memo_marked.capacity() * std::mem::size_of::<bool>()
             + self.memo_touched.capacity() * std::mem::size_of::<u32>()
@@ -278,8 +303,11 @@ impl SearchScratch {
     /// long-lived worker calls after its index consolidated away tombstones,
     /// so scratch memory tracks the live index instead of the all-time peak.
     /// Marks beyond the new length are dropped with the slots they pointed
-    /// at; the rest stay clearable by [`SearchScratch::reset`].
+    /// at; the rest stay clearable by [`SearchScratch::reset`]. The pools
+    /// are emptied: their entries may name vertices that no longer exist.
     pub fn shrink_to(&mut self, n: usize) {
+        self.pool.reset(0);
+        self.accepted.reset(0);
         self.visited.truncate(n);
         self.visited.shrink_to_fit();
         self.touched.retain(|&t| (t as usize) < n);
@@ -290,30 +318,11 @@ impl SearchScratch {
         self.memo_touched.retain(|&t| (t as usize) < n);
     }
 
-    fn prepare(&mut self, n: usize) {
+    pub(crate) fn prepare(&mut self, n: usize) {
         if self.visited.len() < n {
             self.visited.resize(n, false);
         }
         self.reset();
-    }
-
-    /// The raw visited/touched pair, for crate-internal search routines
-    /// (graph construction and incremental insertion) that share this
-    /// scratch with [`beam_search`].
-    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<bool>, &mut Vec<u32>) {
-        (&mut self.visited, &mut self.touched)
-    }
-
-    #[inline]
-    fn mark(&mut self, v: u32) -> bool {
-        let slot = &mut self.visited[v as usize];
-        if *slot {
-            false
-        } else {
-            *slot = true;
-            self.touched.push(v);
-            true
-        }
     }
 
     /// Prepares the scratch for an externally-driven search over `n`
@@ -335,7 +344,7 @@ impl SearchScratch {
     /// valid between [`SearchScratch::begin`] and the next reset.
     #[inline]
     pub fn visit(&mut self, v: u32) -> bool {
-        self.mark(v)
+        mark(&mut self.visited, &mut self.touched, v)
     }
 
     /// Memoises a per-vertex f32 (the disk engine's exact distances) in the
@@ -361,35 +370,21 @@ impl SearchScratch {
         }
     }
 
-    /// Pops up to `width` candidates off `frontier` into a reusable stage
-    /// buffer, stopping early at the first candidate whose distance
-    /// exceeds `bound` (the serial termination test, applied per pop — at
-    /// `width = 1` this is exactly one iteration of the serial loop).
-    /// An empty result means the search is done: the bound can only
-    /// tighten, so a candidate rejected now stays rejected. Return the
-    /// buffer with [`SearchScratch::recycle_stage`] after processing.
-    pub fn pop_frontier_batch(
-        &mut self,
-        frontier: &mut Frontier,
-        width: usize,
-        bound: f32,
-    ) -> Vec<(f32, u32)> {
-        let mut stage = std::mem::take(&mut self.stage);
-        stage.clear();
-        while stage.len() < width.max(1) {
-            match frontier.peek() {
-                Some((d, _)) if d.partial_cmp(&bound) == Some(std::cmp::Ordering::Greater) => break,
-                Some(_) => stage.push(frontier.pop().expect("peeked")),
-                None => break,
-            }
-        }
-        stage
+    /// Takes the candidate pools (routing state, accepted set) for an
+    /// external engine's traversal; return them with
+    /// [`SearchScratch::put_pools`]. The same pools [`beam_search`] routes
+    /// with, so a scratch shared across backends keeps one allocation.
+    pub fn take_pools(&mut self) -> (CandidatePool, CandidatePool) {
+        (
+            std::mem::take(&mut self.pool),
+            std::mem::take(&mut self.accepted),
+        )
     }
 
-    /// Hands a drained stage buffer back for reuse by the next
-    /// [`SearchScratch::pop_frontier_batch`].
-    pub fn recycle_stage(&mut self, stage: Vec<(f32, u32)>) {
-        self.stage = stage;
+    /// Returns pools taken by [`SearchScratch::take_pools`].
+    pub fn put_pools(&mut self, pool: CandidatePool, accepted: CandidatePool) {
+        self.pool = pool;
+        self.accepted = accepted;
     }
 
     /// Takes the neighbor-gather buffers (ids, distances) for an external
@@ -411,64 +406,16 @@ impl SearchScratch {
     }
 }
 
-/// A min-heap of `(estimated distance, vertex)` candidates with the same
-/// deterministic `(distance, id)` ordering as [`beam_search`]'s internal
-/// candidate heap — for engines that drive their own traversal and want
-/// batched pops ([`SearchScratch::pop_frontier_batch`]), e.g. the disk
-/// engine's pipelined beam (DiskANN's beam width `W`).
-#[derive(Default)]
-pub struct Frontier {
-    heap: BinaryHeap<Reverse<Scored>>,
-}
-
-impl Frontier {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts a scored vertex.
-    #[inline]
-    pub fn push(&mut self, dist: f32, id: u32) {
-        self.heap.push(Reverse(Scored(dist, id)));
-    }
-
-    /// Removes and returns the closest candidate.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(f32, u32)> {
-        self.heap.pop().map(|Reverse(Scored(d, v))| (d, v))
-    }
-
-    /// The closest candidate without removing it.
-    #[inline]
-    pub fn peek(&self) -> Option<(f32, u32)> {
-        self.heap.peek().map(|Reverse(Scored(d, v))| (*d, *v))
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-/// Ordered f32 wrapper for heaps.
-#[derive(PartialEq)]
-struct Scored(f32, u32);
-impl Eq for Scored {}
-impl PartialOrd for Scored {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scored {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+/// Marks `v` in a visited map; `true` on first sight.
+#[inline]
+fn mark(visited: &mut [bool], touched: &mut Vec<u32>, v: u32) -> bool {
+    let slot = &mut visited[v as usize];
+    if *slot {
+        false
+    } else {
+        *slot = true;
+        touched.push(v);
+        true
     }
 }
 
@@ -482,7 +429,7 @@ pub fn beam_search<G: GraphView>(
     k: usize,
     scratch: &mut SearchScratch,
 ) -> (Vec<Neighbor>, SearchStats) {
-    beam_search_filtered(graph, est, ef, k, scratch, |_| true)
+    beam_search_filtered(graph, est, ef, k, scratch, AcceptAll)
 }
 
 /// [`beam_search`] with a result filter: vertices failing `accept` are
@@ -493,13 +440,14 @@ pub fn beam_search<G: GraphView>(
 /// until a consolidation pass re-links their neighborhoods.
 ///
 /// With an all-accepting filter the result is bit-identical to
-/// [`beam_search`]: the accepted set then contains exactly the working
-/// beam's vertices (a vertex rejected by a full beam at visit time can never
-/// re-enter, since the beam's worst distance only decreases).
+/// [`beam_search`]: the accepted set then contains exactly the candidate
+/// pool's best `ef` (a vertex rejected by a full pool at visit time can never
+/// re-enter, since the pool's bound only decreases) — so a predicate whose
+/// [`VertexPredicate::is_all`] says so gets no accepted set at all.
 ///
 /// `accept` is any [`VertexPredicate`]: a plain closure, or the composable
 /// [`VertexFilter`] (tombstones + user predicate) the index layers share.
-/// This dual-heap variant is the *filter-during-traversal* strategy of
+/// This two-pool variant is the *filter-during-traversal* strategy of
 /// DESIGN.md §12; the post-filter-with-ef-inflation alternative is built
 /// on [`beam_search`] at the index layer.
 pub fn beam_search_filtered<G: GraphView>(
@@ -517,78 +465,66 @@ pub fn beam_search_filtered<G: GraphView>(
     }
     scratch.prepare(graph.len());
 
+    // `pool` is the global candidate set of Alg. 2, regardless of filter: it
+    // drives admission and termination. `accepted` holds the best `ef`
+    // accepted vertices — what the caller gets — and exists only when the
+    // predicate can reject something.
+    let filtering = !accept.is_all();
+    let SearchScratch {
+        visited,
+        touched,
+        frontier,
+        dists,
+        pool,
+        accepted,
+        ..
+    } = scratch;
+
     let entry = graph.entry();
-    scratch.mark(entry);
+    mark(visited, touched, entry);
     let d0 = est.distance(entry);
     stats.dist_comps += 1;
-
-    // `candidates`: min-heap of frontier vertices; `working`: bounded
-    // max-heap of the best `ef` seen regardless of filter (the global
-    // candidate set of Alg. 2 — it drives admission and termination);
-    // `accepted`: bounded max-heap of the best `ef` accepted vertices,
-    // which is what the caller gets.
-    let mut candidates: BinaryHeap<Reverse<Scored>> = BinaryHeap::new();
-    let mut working: BinaryHeap<Scored> = BinaryHeap::with_capacity(ef + 1);
-    let mut accepted: BinaryHeap<Scored> = BinaryHeap::with_capacity(ef + 1);
-    candidates.push(Reverse(Scored(d0, entry)));
-    working.push(Scored(d0, entry));
-    if accept.accept(entry) {
-        accepted.push(Scored(d0, entry));
+    pool.reset(ef);
+    pool.offer(d0, entry);
+    if filtering {
+        accepted.reset(ef);
+        if accept.accept(entry) {
+            accepted.offer(d0, entry);
+        }
     }
 
     // The expansion's unvisited neighbors are gathered first and scored as
     // one `distance_batch` call (the SoA ADC kernels turn this into a
     // block-processed table pass, DESIGN.md §9). Distances never depend on
-    // heap state, and admission below runs in the same neighbor order with
+    // pool state, and admission below runs in the same neighbor order with
     // the same (bit-identical, per the estimator contract) values — so this
     // restructure cannot change any result, only the memory access pattern.
-    let mut frontier = std::mem::take(&mut scratch.frontier);
-    let mut dists = std::mem::take(&mut scratch.dists);
-    while let Some(Reverse(Scored(d, v))) = candidates.pop() {
-        let worst = working.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
-        if working.len() == ef && d > worst {
-            break;
-        }
+    while let Some((_, v)) = pool.pop_closest() {
         stats.hops += 1;
         frontier.clear();
         for &u in graph.neighbors(v) {
-            if scratch.mark(u) {
+            if mark(visited, touched, u) {
                 frontier.push(u);
             }
         }
         dists.clear();
         dists.resize(frontier.len(), 0.0);
-        est.distance_batch(&frontier, &mut dists);
+        est.distance_batch(frontier, dists);
         stats.dist_comps += frontier.len();
         for (&u, &du) in frontier.iter().zip(dists.iter()) {
-            let worst = working.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
-            if working.len() < ef || du < worst {
-                candidates.push(Reverse(Scored(du, u)));
-                working.push(Scored(du, u));
-                if working.len() > ef {
-                    working.pop();
-                }
-            }
-            if accept.accept(u) {
-                let worst_a = accepted.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
-                if accepted.len() < ef || du < worst_a {
-                    accepted.push(Scored(du, u));
-                    if accepted.len() > ef {
-                        accepted.pop();
-                    }
-                }
+            pool.offer(du, u);
+            if filtering && accept.accept(u) {
+                accepted.offer(du, u);
             }
         }
     }
-    scratch.frontier = frontier;
-    scratch.dists = dists;
 
-    let mut out: Vec<Neighbor> = accepted
-        .into_iter()
-        .map(|Scored(d, id)| Neighbor { id, dist: d })
+    let best = if filtering { accepted } else { pool }.best();
+    let out = best
+        .iter()
+        .take(k)
+        .map(|&(dist, id)| Neighbor { id, dist })
         .collect();
-    out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-    out.truncate(k);
     (out, stats)
 }
 
@@ -625,7 +561,7 @@ pub fn beam_search_recording(
         id: entry,
         dist: est.distance(entry),
     }];
-    scratch.mark(entry);
+    scratch.visit(entry);
     let mut expanded: Vec<u32> = Vec::new();
     let mut decisions = Vec::new();
 
@@ -638,7 +574,7 @@ pub fn beam_search_recording(
         });
         expanded.push(vstar);
         for &u in graph.neighbors(vstar) {
-            if !scratch.mark(u) {
+            if !scratch.visit(u) {
                 continue;
             }
             b.push(Neighbor {
@@ -959,45 +895,287 @@ mod tests {
         assert_eq!(res[0].id, 1, "search cannot leave the entry component");
     }
 
-    #[test]
-    fn frontier_pops_in_distance_then_id_order() {
-        let mut f = Frontier::new();
-        f.push(2.0, 7);
-        f.push(1.0, 9);
-        f.push(1.0, 3);
-        f.push(0.5, 1);
-        assert_eq!(f.len(), 4);
-        assert_eq!(f.peek(), Some((0.5, 1)));
-        assert_eq!(f.pop(), Some((0.5, 1)));
-        // Ties break ascending by id, matching beam_search's heap.
-        assert_eq!(f.pop(), Some((1.0, 3)));
-        assert_eq!(f.pop(), Some((1.0, 9)));
-        assert_eq!(f.pop(), Some((2.0, 7)));
-        assert!(f.pop().is_none() && f.is_empty());
+    /// The three-heap kernel this crate shipped before the candidate pool,
+    /// verbatim: frontier min-heap, bounded max-heap, accepted max-heap. The
+    /// pool-driven [`beam_search_filtered`] must equal it for every input.
+    mod heap_oracle {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        use super::super::*;
+
+        /// Ordered f32 wrapper for heaps.
+        #[derive(PartialEq)]
+        struct Scored(f32, u32);
+        impl Eq for Scored {}
+        impl PartialOrd for Scored {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Scored {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+            }
+        }
+
+        pub fn beam_search_filtered<G: GraphView>(
+            graph: &G,
+            est: &impl DistanceEstimator,
+            ef: usize,
+            k: usize,
+            scratch: &mut SearchScratch,
+            accept: impl VertexPredicate,
+        ) -> (Vec<Neighbor>, SearchStats) {
+            let ef = ef.max(k).max(1);
+            let mut stats = SearchStats::default();
+            if graph.is_empty() {
+                return (Vec::new(), stats);
+            }
+            scratch.prepare(graph.len());
+
+            let entry = graph.entry();
+            scratch.visit(entry);
+            let d0 = est.distance(entry);
+            stats.dist_comps += 1;
+
+            // `candidates`: min-heap of frontier vertices; `working`: bounded
+            // max-heap of the best `ef` seen regardless of filter (the global
+            // candidate set of Alg. 2 — it drives admission and termination);
+            // `accepted`: bounded max-heap of the best `ef` accepted vertices,
+            // which is what the caller gets.
+            let mut candidates: BinaryHeap<Reverse<Scored>> = BinaryHeap::new();
+            let mut working: BinaryHeap<Scored> = BinaryHeap::with_capacity(ef + 1);
+            let mut accepted: BinaryHeap<Scored> = BinaryHeap::with_capacity(ef + 1);
+            candidates.push(Reverse(Scored(d0, entry)));
+            working.push(Scored(d0, entry));
+            if accept.accept(entry) {
+                accepted.push(Scored(d0, entry));
+            }
+
+            // The expansion's unvisited neighbors are gathered first and scored as
+            // one `distance_batch` call (the SoA ADC kernels turn this into a
+            // block-processed table pass, DESIGN.md §9). Distances never depend on
+            // heap state, and admission below runs in the same neighbor order with
+            // the same (bit-identical, per the estimator contract) values — so this
+            // restructure cannot change any result, only the memory access pattern.
+            let mut frontier = std::mem::take(&mut scratch.frontier);
+            let mut dists = std::mem::take(&mut scratch.dists);
+            while let Some(Reverse(Scored(d, v))) = candidates.pop() {
+                let worst = working.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
+                if working.len() == ef && d > worst {
+                    break;
+                }
+                stats.hops += 1;
+                frontier.clear();
+                for &u in graph.neighbors(v) {
+                    if scratch.visit(u) {
+                        frontier.push(u);
+                    }
+                }
+                dists.clear();
+                dists.resize(frontier.len(), 0.0);
+                est.distance_batch(&frontier, &mut dists);
+                stats.dist_comps += frontier.len();
+                for (&u, &du) in frontier.iter().zip(dists.iter()) {
+                    let worst = working.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
+                    if working.len() < ef || du < worst {
+                        candidates.push(Reverse(Scored(du, u)));
+                        working.push(Scored(du, u));
+                        if working.len() > ef {
+                            working.pop();
+                        }
+                    }
+                    if accept.accept(u) {
+                        let worst_a = accepted.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
+                        if accepted.len() < ef || du < worst_a {
+                            accepted.push(Scored(du, u));
+                            if accepted.len() > ef {
+                                accepted.pop();
+                            }
+                        }
+                    }
+                }
+            }
+            scratch.frontier = frontier;
+            scratch.dists = dists;
+
+            let mut out: Vec<Neighbor> = accepted
+                .into_iter()
+                .map(|Scored(d, id)| Neighbor { id, dist: d })
+                .collect();
+            out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            out.truncate(k);
+            (out, stats)
+        }
+    }
+
+    /// Distances looked up from a table, so tests choose them exactly.
+    struct TableEstimator(Vec<f32>);
+
+    impl DistanceEstimator for TableEstimator {
+        fn distance(&self, node: u32) -> f32 {
+            self.0[node as usize]
+        }
+    }
+
+    fn bits(res: &[Neighbor]) -> Vec<(u32, u32)> {
+        res.iter().map(|n| (n.id, n.dist.to_bits())).collect()
     }
 
     #[test]
-    fn pop_frontier_batch_respects_width_and_bound() {
+    fn evicted_tie_that_is_the_only_route_is_still_expanded() {
+        // ef = 2. Expanding entry 0 admits 9, then 1 (both at distance 3,
+        // pushing 0 out), then 2 (distance 2), which pushes (3, 9) out of
+        // the best two — but 9 *ties* the bound, the search stops only at a
+        // candidate strictly farther than it, and 9 is the only way to 5.
+        let adj = vec![
+            vec![9, 1, 2],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![5],
+        ];
+        let g = ProximityGraph::from_adjacency(adj, 0);
+        let mut table = vec![100.0f32; 10];
+        table[0] = 5.0;
+        table[9] = 3.0;
+        table[1] = 3.0;
+        table[2] = 2.0;
+        table[5] = 1.0;
+        let est = TableEstimator(table);
         let mut scratch = SearchScratch::new();
-        let mut f = Frontier::new();
-        for (d, v) in [(0.1f32, 1u32), (0.2, 2), (0.3, 3), (5.0, 4)] {
-            f.push(d, v);
+        let (res, stats) = beam_search(&g, &est, 2, 2, &mut scratch);
+        assert_eq!(
+            res.iter().map(|n| n.id).collect::<Vec<_>>(),
+            vec![5, 2],
+            "a pool truncated at ef drops (3, 9) and never reaches 5"
+        );
+        assert_eq!(stats.hops, 5);
+        let (want, want_stats) =
+            heap_oracle::beam_search_filtered(&g, &est, 2, 2, &mut scratch, |_| true);
+        assert_eq!(bits(&res), bits(&want));
+        assert_eq!(stats, want_stats);
+    }
+
+    mod pool_equals_heaps {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A random directed graph over 2..=20 vertices (no connectivity
+        /// promise), a random entry, and distances drawn from five integer
+        /// values so that ties at the pool boundary are the common case.
+        fn world() -> impl Strategy<Value = (ProximityGraph, TableEstimator)> {
+            (2usize..=20).prop_flat_map(|n| {
+                (
+                    proptest::collection::vec(proptest::collection::vec(0u32..n as u32, 0..6), n),
+                    proptest::collection::vec(0u32..5, n),
+                    0u32..n as u32,
+                )
+                    .prop_map(|(mut adj, dists, entry)| {
+                        for (v, list) in adj.iter_mut().enumerate() {
+                            list.retain(|&u| u as usize != v);
+                        }
+                        (
+                            ProximityGraph::from_adjacency(adj, entry),
+                            TableEstimator(dists.into_iter().map(|d| d as f32).collect()),
+                        )
+                    })
+            })
         }
-        // Width caps the batch.
-        let stage = scratch.pop_frontier_batch(&mut f, 2, f32::INFINITY);
-        assert_eq!(stage, vec![(0.1, 1), (0.2, 2)]);
-        scratch.recycle_stage(stage);
-        // The bound stops mid-batch and leaves the rejected candidate in
-        // place.
-        let stage = scratch.pop_frontier_batch(&mut f, 8, 1.0);
-        assert_eq!(stage, vec![(0.3, 3)]);
-        assert_eq!(f.len(), 1);
-        scratch.recycle_stage(stage);
-        // A tighter bound yields an empty stage — the terminate signal.
-        let stage = scratch.pop_frontier_batch(&mut f, 8, 1.0);
-        assert!(stage.is_empty());
-        scratch.recycle_stage(stage);
-        assert_eq!(f.pop(), Some((5.0, 4)));
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn on_tie_heavy_inputs(
+                (graph, est) in world(),
+                ef in 1usize..=12,
+                k in 1usize..=12,
+                // 0: accept all, 1: reject all, else: a random subset.
+                mode in 0u32..6,
+                mask in proptest::collection::vec(0u32..2, 20),
+            ) {
+                let k = k.min(ef);
+                let accept = |v: u32| match mode {
+                    0 => true,
+                    1 => false,
+                    _ => mask[v as usize] == 1,
+                };
+                let mut scratch = SearchScratch::new();
+                let mut oracle_scratch = SearchScratch::new();
+
+                let (got, got_stats) =
+                    beam_search_filtered(&graph, &est, ef, k, &mut scratch, accept);
+                let (want, want_stats) = heap_oracle::beam_search_filtered(
+                    &graph, &est, ef, k, &mut oracle_scratch, accept,
+                );
+                prop_assert_eq!(bits(&got), bits(&want));
+                prop_assert_eq!(got_stats, want_stats);
+
+                // The unfiltered fast path (no accepted pool) against the
+                // oracle's all-accepting filter, on the same warm scratch.
+                let (got, got_stats) = beam_search(&graph, &est, ef, k, &mut scratch);
+                let (want, want_stats) = heap_oracle::beam_search_filtered(
+                    &graph, &est, ef, k, &mut oracle_scratch, |_| true,
+                );
+                prop_assert_eq!(bits(&got), bits(&want));
+                prop_assert_eq!(got_stats, want_stats);
+            }
+        }
+    }
+
+    #[test]
+    fn one_scratch_across_beam_widths_and_graphs_matches_fresh_ones() {
+        let (big_ds, big_g) = line_world(300);
+        let (small_ds, small_g) = line_world(40);
+        let odd = |v: u32| v % 2 == 1;
+        let mut reused = SearchScratch::new();
+        for (ds, g, target) in [(&big_ds, &big_g, 211.3f32), (&small_ds, &small_g, 17.8)] {
+            let q = [target];
+            let est = ExactEstimator::new(ds, &q);
+            for ef in [80usize, 10, 200, 10] {
+                let (a, st_a) = beam_search(g, &est, ef, 10, &mut reused);
+                let (b, st_b) = beam_search(g, &est, ef, 10, &mut SearchScratch::new());
+                assert_eq!(bits(&a), bits(&b), "unfiltered, ef {ef}");
+                assert_eq!(st_a, st_b);
+                let (a, st_a) = beam_search_filtered(g, &est, ef, 10, &mut reused, odd);
+                let (b, st_b) =
+                    beam_search_filtered(g, &est, ef, 10, &mut SearchScratch::new(), odd);
+                assert_eq!(bits(&a), bits(&b), "filtered, ef {ef}");
+                assert_eq!(st_a, st_b);
+            }
+        }
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_pools_and_shrink_to_empties_them() {
+        let (ds, g) = line_world(120);
+        let q = [90.0f32];
+        let est = ExactEstimator::new(&ds, &q);
+        let mut scratch = SearchScratch::new();
+        beam_search_filtered(&g, &est, 64, 5, &mut scratch, |v: u32| v.is_multiple_of(3));
+        let with_pools = scratch.memory_bytes();
+        let (pool, accepted) = scratch.take_pools();
+        assert!(pool.memory_bytes() >= 64 * 9 && accepted.memory_bytes() > 0);
+        assert_eq!(
+            with_pools - scratch.memory_bytes(),
+            pool.memory_bytes() + accepted.memory_bytes()
+        );
+        assert!(!pool.best().is_empty() && !accepted.best().is_empty());
+        scratch.put_pools(pool, accepted);
+
+        // Ids up to 119 are in the pools; after a shrink to 10 vertices
+        // none of them may survive.
+        scratch.shrink_to(10);
+        assert!(scratch.pool.best().is_empty());
+        assert!(scratch.accepted.best().is_empty());
+        assert_eq!(scratch.pool.pop_closest(), None);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
+use crate::beam::SearchScratch;
+
 /// A `(distance, id)` pair ascending-ordered by distance.
 pub(crate) type Scored = (f32, u32);
 
@@ -18,71 +20,24 @@ pub(crate) fn search_adj(
     query: &[f32],
     entry: u32,
     l: usize,
-    visited: &mut Vec<bool>,
-    touched: &mut Vec<u32>,
+    scratch: &mut SearchScratch,
 ) -> (Vec<Scored>, Vec<Scored>) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let l = l.max(1);
-    if visited.len() < adj.len() {
-        visited.resize(adj.len(), false);
-    }
-    for &t in touched.iter() {
-        visited[t as usize] = false;
-    }
-    touched.clear();
-
-    #[derive(PartialEq)]
-    struct S(f32, u32);
-    impl Eq for S {}
-    impl PartialOrd for S {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    impl Ord for S {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&o.0).then(self.1.cmp(&o.1))
-        }
-    }
-
+    scratch.prepare(adj.len());
+    scratch.pool.reset(l);
+    scratch.visit(entry);
     let d0 = sq_l2(query, data.get(entry as usize));
-    visited[entry as usize] = true;
-    touched.push(entry);
-    let mut frontier: BinaryHeap<Reverse<S>> = BinaryHeap::new();
-    let mut pool: BinaryHeap<S> = BinaryHeap::with_capacity(l + 1);
-    frontier.push(Reverse(S(d0, entry)));
-    pool.push(S(d0, entry));
+    scratch.pool.offer(d0, entry);
     let mut expanded: Vec<Scored> = Vec::new();
 
-    while let Some(Reverse(S(d, v))) = frontier.pop() {
-        let worst = pool.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
-        if pool.len() == l && d > worst {
-            break;
-        }
+    while let Some((d, v)) = scratch.pool.pop_closest() {
         expanded.push((d, v));
         for &u in &adj[v as usize] {
-            if visited[u as usize] {
-                continue;
-            }
-            visited[u as usize] = true;
-            touched.push(u);
-            let du = sq_l2(query, data.get(u as usize));
-            let worst = pool.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
-            if pool.len() < l || du < worst {
-                frontier.push(Reverse(S(du, u)));
-                pool.push(S(du, u));
-                if pool.len() > l {
-                    pool.pop();
-                }
+            if scratch.visit(u) {
+                scratch.pool.offer(sq_l2(query, data.get(u as usize)), u);
             }
         }
     }
-
-    let mut results: Vec<Scored> = pool.into_iter().map(|S(d, v)| (d, v)).collect();
-    results.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    (results, expanded)
+    (scratch.pool.best().to_vec(), expanded)
 }
 
 /// Index of the vector closest to the dataset mean (the medoid both Vamana
@@ -275,9 +230,8 @@ mod tests {
                 v
             })
             .collect();
-        let mut visited = Vec::new();
-        let mut touched = Vec::new();
-        let (res, expanded) = search_adj(&adj, &d, &[13.2], 0, 4, &mut visited, &mut touched);
+        let mut scratch = SearchScratch::new();
+        let (res, expanded) = search_adj(&adj, &d, &[13.2], 0, 4, &mut scratch);
         assert_eq!(res[0].1, 13);
         assert!(expanded.len() >= 13);
     }

@@ -13,6 +13,7 @@ use rand::{Rng, SeedableRng};
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
+use crate::beam::SearchScratch;
 use crate::construction::{search_adj, Scored};
 use crate::pg::ProximityGraph;
 
@@ -54,8 +55,7 @@ impl HnswConfig {
         let mut entry: u32 = 0;
         let mut top_level: usize = 0;
 
-        let mut visited = Vec::new();
-        let mut touched = Vec::new();
+        let mut scratch = SearchScratch::new();
 
         for i in 0..n as u32 {
             let u: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -79,15 +79,8 @@ impl HnswConfig {
             }
             // Insert into each layer from min(level, top) down to 0.
             for l in (0..=level.min(top_level)).rev() {
-                let (results, _) = search_adj(
-                    &layers[l],
-                    data,
-                    q,
-                    ep,
-                    self.ef_construction,
-                    &mut visited,
-                    &mut touched,
-                );
+                let (results, _) =
+                    search_adj(&layers[l], data, q, ep, self.ef_construction, &mut scratch);
                 let cap = if l == 0 { m0 } else { m };
                 let selected = select_heuristic(&results, data, m);
                 for &s in &selected {

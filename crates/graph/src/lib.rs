@@ -9,6 +9,8 @@
 //! * [`beam::beam_search`] — the routing procedure (paper §3.1 / Alg. 2's
 //!   outer loop) generic over a [`beam::DistanceEstimator`], so the same
 //!   code routes with exact distances, PQ/ADC distances, or anything else,
+//! * [`pool::CandidatePool`] — the sorted candidate set `b` of Alg. 2 that
+//!   every beam loop (search, construction, the disk engine) routes with,
 //! * [`beam::beam_search_recording`] — the instrumented variant that captures
 //!   the ranked candidate set at every next-hop decision, which is exactly
 //!   the paper's *routing features* (Def. 6),
@@ -28,15 +30,17 @@ pub mod hnsw;
 pub mod knn;
 pub mod nsg;
 pub mod pg;
+pub mod pool;
 pub mod vamana;
 
 pub use beam::{
     beam_search, beam_search_filtered, beam_search_recording, DistanceEstimator, ExactEstimator,
-    Frontier, Neighbor, SearchScratch, SearchStats, VertexFilter, VertexPredicate,
+    Neighbor, SearchScratch, SearchStats, VertexFilter, VertexPredicate,
 };
 pub use dynamic::DynamicGraph;
 pub use hnsw::HnswConfig;
 pub use knn::{brute_force_knn_graph, knn_graph_recall, nn_descent, NnDescentConfig};
 pub use nsg::NsgConfig;
 pub use pg::{GraphView, ProximityGraph};
+pub use pool::CandidatePool;
 pub use vamana::VamanaConfig;

@@ -7,6 +7,7 @@ use rayon::prelude::*;
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
+use crate::beam::SearchScratch;
 use crate::construction::{medoid, repair_connectivity, search_adj};
 use crate::knn::{brute_force_knn_graph, nn_descent, NnDescentConfig};
 use crate::pg::ProximityGraph;
@@ -73,12 +74,9 @@ impl NsgConfig {
         // vector on the kNN graph, plus its kNN list; then MRNG selection.
         let adj: Vec<Vec<u32>> = (0..n as u32)
             .into_par_iter()
-            .map(|v| {
-                let mut visited = Vec::new();
-                let mut touched = Vec::new();
+            .map_init(SearchScratch::new, |scratch, v| {
                 let q = data.get(v as usize);
-                let (results, expanded) =
-                    search_adj(knn, data, q, entry, self.l, &mut visited, &mut touched);
+                let (results, expanded) = search_adj(knn, data, q, entry, self.l, scratch);
                 let mut pool: Vec<(f32, u32)> =
                     Vec::with_capacity(results.len() + expanded.len() + knn[v as usize].len());
                 pool.extend(results);

@@ -83,18 +83,10 @@ impl VamanaConfig {
                 // Parallel search phase against the current snapshot.
                 let searched: Vec<(u32, Vec<Scored>)> = chunk
                     .par_iter()
-                    .map(|&p| {
-                        let mut visited = Vec::new();
-                        let mut touched = Vec::new();
-                        let (_, expanded) = search_adj(
-                            &adj,
-                            data,
-                            data.get(p as usize),
-                            entry,
-                            self.l.max(r),
-                            &mut visited,
-                            &mut touched,
-                        );
+                    .map_init(SearchScratch::new, |scratch, &p| {
+                        let q = data.get(p as usize);
+                        let (_, expanded) =
+                            search_adj(&adj, data, q, entry, self.l.max(r), scratch);
                         (p, expanded)
                     })
                     .collect();
@@ -157,15 +149,13 @@ impl VamanaConfig {
         }
         let r = self.r.max(1);
         let alpha = self.alpha.max(1.0);
-        let (visited, touched) = scratch.parts_mut();
         let (_, expanded) = search_adj(
             graph.adj(),
             data,
             data.get(p as usize),
             graph.entry(),
             self.l.max(r),
-            visited,
-            touched,
+            scratch,
         );
         let selected = robust_prune(p, expanded, data, alpha, r);
         let id = graph.push_vertex(selected.clone());

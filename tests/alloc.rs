@@ -1,0 +1,69 @@
+//! Allocation budget of the search hot path (DESIGN.md §9.5): with a warmed
+//! [`SearchScratch`], a query allocates its result `Vec` and nothing else —
+//! the visited map, the gather buffers and both candidate pools are reused.
+//!
+//! The binary installs a counting `#[global_allocator]`; the count is kept
+//! per thread so the test harness's own threads cannot disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rpq_data::synth::DatasetKind;
+use rpq_graph::{beam_search, ExactEstimator, HnswConfig, SearchScratch};
+
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a thread-local counter bump, which does not allocate (const-initialised
+// `Cell<usize>`, no destructor).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn warmed_beam_search_allocates_only_its_result() {
+    let (base, queries) = DatasetKind::Sift
+        .config()
+        .generate(2_050, 5)
+        .split_at(2_000);
+    let graph = HnswConfig {
+        m: 12,
+        ef_construction: 60,
+        seed: 5,
+    }
+    .build(&base);
+    let mut scratch = SearchScratch::new();
+    // Warm-up: sizes the visited map, the gather buffers and the pool.
+    for q in queries.iter() {
+        let est = ExactEstimator::new(&base, q);
+        beam_search(&graph, &est, 80, 10, &mut scratch);
+    }
+    for q in queries.iter() {
+        let est = ExactEstimator::new(&base, q);
+        let before = ALLOCS.with(Cell::get);
+        let (res, _) = beam_search(&graph, &est, 80, 10, &mut scratch);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(res.len(), 10);
+        assert_eq!(
+            allocs, 1,
+            "a warmed query must allocate its result Vec only"
+        );
+    }
+}

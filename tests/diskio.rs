@@ -7,12 +7,12 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use rpq_anns::{DiskIndex, DiskIndexConfig, SsdModel};
+use rpq_anns::{DiskIndex, DiskIndexConfig, FilterStrategy, SsdModel};
 use rpq_bench::setup::{make_bench, Bench, Method};
 use rpq_bench::Scale;
 use rpq_data::synth::DatasetKind;
-use rpq_data::Dataset;
-use rpq_graph::{DistanceEstimator, ProximityGraph, VamanaConfig};
+use rpq_data::{Dataset, LabelPredicate, Labels};
+use rpq_graph::{DistanceEstimator, ProximityGraph, SearchScratch, VamanaConfig};
 use rpq_quant::{
     CompactCodes, Packed4AdcEstimator, PackedCodes4, PqConfig, ProductQuantizer, QuantizedLut,
     SoaCodes, VectorCompressor,
@@ -106,37 +106,97 @@ impl VectorCompressor for Packed4Pq {
     }
 }
 
+/// Label 0 on every vector, label 1 on every third: `single(0)` is a
+/// filter that rejects nothing, `single(1)` one that rejects most.
+fn every_and_every_third(n: usize) -> Labels {
+    Labels::from_masks(
+        2,
+        (0..n)
+            .map(|i| 1 | u32::from(i.is_multiple_of(3)) << 1)
+            .collect(),
+    )
+}
+
 /// Runs every query through both engines at `io_width = 1` and demands
-/// bit-identical results and identical routing work.
+/// bit-identical results and identical routing work. Since the pipelined
+/// engine moved to the candidate pool and `search_serial` kept its heaps,
+/// this is a cross-implementation check: sorted array + cursor + tie tail
+/// against frontier min-heap + bounded max-heap (DESIGN.md §9.5).
+///
+/// The filtered engine has no serial twin, so it is pinned through what the
+/// filter must not touch: under a predicate every vector satisfies, the
+/// accepted pool has to reproduce the serial answer bit for bit; under a
+/// selective one, routing (hops, distance computations) has to stay the
+/// serial engine's and every answer has to match.
 fn assert_width1_matches_serial<C: VectorCompressor>(
     index: &DiskIndex<C>,
     bench: &Bench,
     ef: usize,
 ) {
+    let labels = index.labels().expect("labels attached");
+    let mut scratch = SearchScratch::new();
     for (qi, q) in bench.queries.iter().enumerate() {
         let (serial, s_stats) = index.search_serial(q, ef, 10);
         let (piped, p_stats) = index.search(q, ef, 10);
-        assert_eq!(serial.len(), piped.len(), "query {qi}: result count");
-        for (a, b) in serial.iter().zip(piped.iter()) {
-            assert_eq!(a.id, b.id, "query {qi}: ids diverge");
+        let (all, a_stats) = index.search_filtered(
+            q,
+            LabelPredicate::single(0),
+            FilterStrategy::DuringTraversal,
+            ef,
+            10,
+            &mut scratch,
+        );
+        for (tag, res, stats) in [
+            ("pipelined", &piped, &p_stats),
+            ("match-all", &all, &a_stats),
+        ] {
+            assert_eq!(serial.len(), res.len(), "query {qi} {tag}: result count");
+            for (a, b) in serial.iter().zip(res.iter()) {
+                assert_eq!(a.id, b.id, "query {qi} {tag}: ids diverge");
+                assert_eq!(
+                    a.dist.to_bits(),
+                    b.dist.to_bits(),
+                    "query {qi} {tag}: distance bits diverge"
+                );
+            }
+            assert_eq!(s_stats.hops, stats.hops, "query {qi} {tag}: hops");
             assert_eq!(
-                a.dist.to_bits(),
-                b.dist.to_bits(),
-                "query {qi}: distance bits diverge"
+                s_stats.io_reads, stats.io_reads,
+                "query {qi} {tag}: io reads"
+            );
+            assert_eq!(
+                s_stats.dist_comps, stats.dist_comps,
+                "query {qi} {tag}: distance computations"
             );
         }
-        assert_eq!(s_stats.hops, p_stats.hops, "query {qi}: hops");
-        assert_eq!(s_stats.io_reads, p_stats.io_reads, "query {qi}: io reads");
-        assert_eq!(
-            s_stats.dist_comps, p_stats.dist_comps,
-            "query {qi}: distance computations"
+
+        let third = LabelPredicate::single(1);
+        let (some, f_stats) = index.search_filtered(
+            q,
+            third,
+            FilterStrategy::DuringTraversal,
+            ef,
+            10,
+            &mut scratch,
         );
+        assert_eq!(s_stats.hops, f_stats.hops, "query {qi} filtered: hops");
+        assert_eq!(
+            s_stats.dist_comps, f_stats.dist_comps,
+            "query {qi} filtered: distance computations"
+        );
+        assert!(!some.is_empty(), "query {qi} filtered: no answer");
+        assert!(some.iter().all(|n| labels.matches(n.id as usize, third)));
+        assert!(some
+            .windows(2)
+            .all(|w| (w[0].dist, w[0].id) < (w[1].dist, w[1].id)));
     }
 }
 
 /// Width-1 bit-equality must hold for every estimator family the engine
 /// can route with — the exact f32 ADC paths (PQ, OPQ) and the 4-bit
-/// quantized-LUT path, whose scalar/batched kernels are integer-exact.
+/// quantized-LUT path, whose scalar/batched kernels are integer-exact —
+/// and for a deliberately coarse PQ (M=4, K=16: at most 65 536 distinct
+/// codes, so equal ADC distances at the pool boundary are routine).
 #[test]
 fn width1_is_bit_identical_for_pq_opq_and_4bit_estimators() {
     let scale = Scale::ci();
@@ -147,15 +207,28 @@ fn width1_is_bit_identical_for_pq_opq_and_4bit_estimators() {
         ("pq", Method::Pq.build(&bench.base, &arc, &scale)),
         ("opq", Method::Opq.build(&bench.base, &arc, &scale)),
         ("pq4", Box::new(Packed4Pq::train(&bench.base, scale.m, 31))),
+        (
+            "pq-m4k16",
+            Box::new(ProductQuantizer::train(
+                &PqConfig {
+                    m: 4,
+                    k: 16,
+                    seed: 31,
+                    ..Default::default()
+                },
+                &bench.base,
+            )),
+        ),
     ];
     for (tag, c) in compressors {
-        let index = DiskIndex::build(
+        let mut index = DiskIndex::build(
             c,
             &bench.base,
             &arc,
             DiskIndexConfig::new(tmp_store(&format!("bitexact-{tag}"))),
         )
         .expect("disk index build failed");
+        index.set_labels(every_and_every_third(bench.base.len()));
         for ef in [10, 40] {
             assert_width1_matches_serial(&index, &bench, ef);
         }
