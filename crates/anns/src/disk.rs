@@ -38,7 +38,7 @@ use std::time::Instant;
 use rpq_data::{Dataset, LabelPredicate, Labels};
 use rpq_graph::{Neighbor, ProximityGraph, SearchScratch};
 use rpq_linalg::distance::sq_l2;
-use rpq_quant::{CompactCodes, SoaCodes, VectorCompressor};
+use rpq_quant::{CompactCodes, VectorCompressor};
 
 use crate::cache::{CacheStats, NodeCache};
 use crate::filter::FilterStrategy;
@@ -354,10 +354,6 @@ pub struct DiskIndex<C: VectorCompressor> {
     store: SectorStore,
     compressor: C,
     codes: CompactCodes,
-    /// Chunk-major mirror of `codes` for the batched ADC kernels
-    /// (DESIGN.md §9); routing scores each fetched block's neighbors as one
-    /// batch.
-    soa: SoaCodes,
     entry: u32,
     cache: Option<NodeCache>,
     /// Shared device timeline for concurrent serving (queue wait).
@@ -381,13 +377,11 @@ impl<C: VectorCompressor> DiskIndex<C> {
         assert_eq!(compressor.dim(), data.dim(), "compressor dim mismatch");
         let store = SectorStore::build(&cfg.path, data, graph, cfg.sector_bytes.max(512))?;
         let codes = compressor.encode_dataset(data);
-        let soa = SoaCodes::from_compact(&codes);
         let cache = (cfg.cache_nodes > 0).then(|| NodeCache::warm(graph, data, cfg.cache_nodes));
         Ok(Self {
             store,
             compressor,
             codes,
-            soa,
             entry: graph.entry(),
             cache,
             clock: None,
@@ -418,11 +412,10 @@ impl<C: VectorCompressor> DiskIndex<C> {
         self.len() == 0
     }
 
-    /// Resident (RAM) bytes: compact codes (both layouts) + model + node
-    /// cache. The graph and vectors are on disk.
+    /// Resident (RAM) bytes: compact codes + model + node cache + labels.
+    /// The graph and vectors are on disk.
     pub fn resident_bytes(&self) -> usize {
         self.codes.memory_bytes()
-            + self.soa.memory_bytes()
             + self.compressor.model_bytes()
             + self
                 .cache
@@ -580,10 +573,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
         let io_width = self.cfg.io_width.max(1);
         let ssd = &self.cfg.ssd;
         let mut stats = DiskSearchStats::default();
-        let est = self
-            .compressor
-            .batch_estimator(&self.soa, query)
-            .unwrap_or_else(|| self.compressor.estimator(&self.codes, query));
+        let est = self.compressor.estimator(&self.codes, query);
 
         scratch.begin(self.store.n);
         let entry = self.entry;
@@ -782,10 +772,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
 
         let ef = ef.max(k).max(1);
         let mut stats = DiskSearchStats::default();
-        let est = self
-            .compressor
-            .batch_estimator(&self.soa, query)
-            .unwrap_or_else(|| self.compressor.estimator(&self.codes, query));
+        let est = self.compressor.estimator(&self.codes, query);
         let mut visited: HashMap<u32, ()> = HashMap::new();
         let mut exact: HashMap<u32, f32> = HashMap::new();
         let mut block = Vec::new();

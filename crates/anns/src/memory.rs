@@ -7,7 +7,7 @@ use rpq_graph::{
     beam_search, beam_search_filtered, Neighbor, ProximityGraph, SearchScratch, SearchStats,
     VertexFilter,
 };
-use rpq_quant::{CompactCodes, SoaCodes, VectorCompressor};
+use rpq_quant::{CompactCodes, VectorCompressor};
 
 use crate::filter::FilterStrategy;
 
@@ -46,10 +46,6 @@ use crate::filter::FilterStrategy;
 pub struct InMemoryIndex<C: VectorCompressor> {
     graph: ProximityGraph,
     codes: CompactCodes,
-    /// Chunk-major mirror of `codes`, built once at index time so searches
-    /// can use the batched ADC kernels (DESIGN.md §9) when the compressor
-    /// provides them.
-    soa: SoaCodes,
     compressor: C,
     /// Per-vector label sets for filtered search (DESIGN.md §12); absent
     /// unless attached via [`InMemoryIndex::with_labels`].
@@ -64,11 +60,9 @@ impl<C: VectorCompressor> InMemoryIndex<C> {
         assert_eq!(graph.len(), data.len(), "graph/dataset size mismatch");
         assert_eq!(compressor.dim(), data.dim(), "compressor dim mismatch");
         let codes = compressor.encode_dataset(data);
-        let soa = SoaCodes::from_compact(&codes);
         Self {
             graph,
             codes,
-            soa,
             compressor,
             labels: None,
         }
@@ -88,11 +82,6 @@ impl<C: VectorCompressor> InMemoryIndex<C> {
 
     /// Beam search with ADC-only distances; returns top-`k` ids with their
     /// estimated distances.
-    ///
-    /// When the compressor exposes a batched SoA estimator it is used —
-    /// bit-identical to the scalar path by contract
-    /// ([`VectorCompressor::batch_estimator`]), so results and stats do not
-    /// depend on which path ran.
     pub fn search(
         &self,
         query: &[f32],
@@ -100,9 +89,6 @@ impl<C: VectorCompressor> InMemoryIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, SearchStats) {
-        if let Some(est) = self.compressor.batch_estimator(&self.soa, query) {
-            return beam_search(&self.graph, &est, ef, k, scratch);
-        }
         let est = self.compressor.estimator(&self.codes, query);
         beam_search(&self.graph, &est, ef, k, scratch)
     }
@@ -132,9 +118,6 @@ impl<C: VectorCompressor> InMemoryIndex<C> {
             FilterStrategy::DuringTraversal => {
                 let accept = labels.accept_fn(pred);
                 let filter = VertexFilter::predicate(&accept);
-                if let Some(est) = self.compressor.batch_estimator(&self.soa, query) {
-                    return beam_search_filtered(&self.graph, &est, ef, k, scratch, filter);
-                }
                 let est = self.compressor.estimator(&self.codes, query);
                 beam_search_filtered(&self.graph, &est, ef, k, scratch, filter)
             }
@@ -173,14 +156,12 @@ impl<C: VectorCompressor> InMemoryIndex<C> {
         self.len() == 0
     }
 
-    /// Total resident bytes: graph + codes (both layouts) + model — the
-    /// quantity the paper's in-memory scenario budgets (memory constraint
-    /// `f`·dataset). The SoA mirror doubles the code bytes, which stay tiny
-    /// next to the graph and the raw vectors they replace.
+    /// Total resident bytes: graph + codes (`M` bytes per vector) + model —
+    /// the quantity the paper's in-memory scenario budgets (memory
+    /// constraint `f`·dataset).
     pub fn memory_bytes(&self) -> usize {
         self.graph.memory_bytes()
             + self.codes.memory_bytes()
-            + self.soa.memory_bytes()
             + self.compressor.model_bytes()
             + self.labels.as_ref().map_or(0, |l| l.memory_bytes())
     }

@@ -28,10 +28,14 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Reduces raw microsecond samples (nearest-rank percentiles).
     pub fn from_samples(samples: &[f32]) -> Self {
-        if samples.is_empty() {
+        Self::reduce(samples.to_vec())
+    }
+
+    /// Sorts the owned samples in place and reduces them.
+    fn reduce(mut sorted: Vec<f32>) -> Self {
+        if sorted.is_empty() {
             return Self::default();
         }
-        let mut sorted = samples.to_vec();
         sorted.sort_by(f32::total_cmp);
         let pct = |p: f32| -> f32 {
             let rank = ((p / 100.0) * sorted.len() as f32).ceil() as usize;
@@ -117,9 +121,12 @@ impl LatencyRecorder {
         self.inner.lock().total as usize
     }
 
-    /// Percentile summary over the current window.
+    /// Percentile summary over the current window. The lock is held only
+    /// for the copy: the `O(w log w)` sort runs after the guard is dropped,
+    /// so concurrent [`LatencyRecorder::record_us`] calls never wait on it.
     pub fn snapshot(&self) -> LatencySummary {
-        LatencySummary::from_samples(&self.inner.lock().samples_us)
+        let window = self.inner.lock().samples_us.clone();
+        LatencySummary::reduce(window)
     }
 }
 

@@ -22,7 +22,7 @@ use rpq_graph::{
     beam_search_filtered, DynamicGraph, Neighbor, SearchScratch, SearchStats, VamanaConfig,
     VertexFilter,
 };
-use rpq_quant::{CompactCodes, SoaCodes, VectorCompressor};
+use rpq_quant::{CompactCodes, VectorCompressor};
 
 use crate::filter::FilterStrategy;
 
@@ -120,13 +120,8 @@ pub struct StreamingIndex<C: VectorCompressor> {
     graph: DynamicGraph,
     vectors: Dataset,
     codes: CompactCodes,
-    /// Chunk-major mirror of `codes`, kept in lock-step by
-    /// [`StreamingIndex::insert`] and [`StreamingIndex::consolidate`] so
-    /// queries can use the batched ADC kernels (DESIGN.md §9). Per-chunk
-    /// rows make appends O(M) amortized — mutability costs nothing here.
-    soa: SoaCodes,
     tombstones: Vec<bool>,
-    /// Per-point label sets, kept in lock-step with the code stores through
+    /// Per-point label sets, kept in lock-step with the code store through
     /// insert and consolidation (DESIGN.md §12). Unlabeled points carry
     /// mask 0 and match no predicate.
     labels: Labels,
@@ -142,11 +137,9 @@ impl<C: VectorCompressor> StreamingIndex<C> {
         // compressor's chunk count — the one thing the trait doesn't expose
         // directly.
         let codes = compressor.encode_dataset(&Dataset::new(compressor.dim()));
-        let soa = SoaCodes::empty(codes.m());
         Self {
             vectors: Dataset::new(compressor.dim()),
             codes,
-            soa,
             tombstones: Vec::new(),
             labels: Labels::new(MAX_VOCAB),
             live: 0,
@@ -176,13 +169,11 @@ impl<C: VectorCompressor> StreamingIndex<C> {
         assert_eq!(compressor.dim(), data.dim(), "compressor dim mismatch");
         assert_eq!(labels.len(), data.len(), "labels/dataset size mismatch");
         let codes = compressor.encode_dataset(data);
-        let soa = SoaCodes::from_compact(&codes);
         let mut graph = DynamicGraph::from_graph(&cfg.vamana().build(data));
         cfg.vamana().repair_reachability(&mut graph, data);
         Self {
             vectors: data.clone(),
             codes,
-            soa,
             tombstones: vec![false; data.len()],
             labels,
             live: data.len(),
@@ -200,15 +191,14 @@ impl<C: VectorCompressor> StreamingIndex<C> {
     }
 
     /// [`StreamingIndex::insert`] with a label bitmask; the labels store
-    /// appends in lock-step with the vectors, codes, SoA mirror, and
-    /// tombstone bitmap. Mask 0 means unlabeled (matches no predicate).
+    /// appends in lock-step with the vectors, codes, and tombstone bitmap.
+    /// Mask 0 means unlabeled (matches no predicate).
     pub fn insert_labeled(&mut self, v: &[f32], mask: u32, scratch: &mut SearchScratch) -> u32 {
         let p = self.vectors.len() as u32;
         self.vectors.push(v);
         let mut code = vec![0u8; self.codes.m()];
         self.compressor.encode_one(v, &mut code);
         self.codes.push(&code);
-        self.soa.push(&code);
         self.tombstones.push(false);
         self.labels.push(mask);
         self.cfg
@@ -288,12 +278,6 @@ impl<C: VectorCompressor> StreamingIndex<C> {
         scratch: &mut SearchScratch,
         filter: VertexFilter<'_>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        // Batched SoA estimator when available — bit-identical to the
-        // scalar path by contract, so the vertex filter and every returned
-        // distance are unaffected by which path ran.
-        if let Some(est) = self.compressor.batch_estimator(&self.soa, query) {
-            return beam_search_filtered(&self.graph, &est, ef, k, scratch, filter);
-        }
         let est = self.compressor.estimator(&self.codes, query);
         beam_search_filtered(&self.graph, &est, ef, k, scratch, filter)
     }
@@ -316,7 +300,6 @@ impl<C: VectorCompressor> StreamingIndex<C> {
         let idx: Vec<usize> = survivors.iter().map(|&v| v as usize).collect();
         self.vectors = self.vectors.subset(&idx);
         self.codes = self.codes.compact(&survivors);
-        self.soa = self.soa.compact(&survivors);
         self.labels = self.labels.compact(&survivors);
         self.tombstones = vec![false; survivors.len()];
         debug_assert_eq!(self.live, survivors.len());
@@ -390,7 +373,6 @@ impl<C: VectorCompressor> StreamingIndex<C> {
     pub fn memory_bytes(&self) -> usize {
         self.graph.memory_bytes()
             + self.codes.memory_bytes()
-            + self.soa.memory_bytes()
             + self.compressor.model_bytes()
             + self.vectors.memory_bytes()
             + self.labels.memory_bytes()

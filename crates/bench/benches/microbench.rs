@@ -3,9 +3,8 @@
 //! Mapping to the evaluation (see DESIGN.md §5):
 //! * `adc_lookup` — the per-distance cost dominating in-memory QPS
 //!   (Figures 6, 7, 10, 12),
-//! * `adc_batched` / `adc_packed4` — the batched SoA and 4-bit packed
-//!   kernels over the same codes (DESIGN.md §9; the `hotpath` experiment
-//!   is the full sweep),
+//! * `adc_batched` — the batched SoA scan kernel over the same codes
+//!   (DESIGN.md §9; no index routes through it),
 //! * `sdc_vs_adc` — the ranking-term ablation's two comparators (Table 2),
 //! * `beam_search_memory` — one in-memory query (Figures 6–7),
 //! * `disk_search` — one hybrid query incl. store reads (Figures 5, 11),
@@ -66,31 +65,6 @@ fn bench_all(c: &mut Criterion) {
     c.bench_function("adc_batched_1k", |b| {
         use rpq_graph::DistanceEstimator;
         let est = rpq_quant::BatchAdcEstimator::new(pq.lookup_table(&q), &soa);
-        let mut out = vec![0.0f32; ids.len()];
-        b.iter(|| {
-            est.distance_batch(&ids, &mut out);
-            std::hint::black_box(out[0])
-        })
-    });
-
-    // adc_packed4: the 4-bit kernel needs nibble codes, so it gets its own
-    // K=16 quantizer over the same corpus.
-    let pq4 = ProductQuantizer::train(
-        &PqConfig {
-            m: 8,
-            k: 16,
-            ..Default::default()
-        },
-        &base,
-    );
-    let codes4 = pq4.encode_dataset(&base);
-    let packed4 = rpq_quant::PackedCodes4::from_compact(&codes4);
-    c.bench_function("adc_packed4_1k", |b| {
-        use rpq_graph::DistanceEstimator;
-        let est = rpq_quant::Packed4AdcEstimator::new(
-            rpq_quant::QuantizedLut::new(&pq4.lookup_table(&q)),
-            &packed4,
-        );
         let mut out = vec![0.0f32; ids.len()];
         b.iter(|| {
             est.distance_batch(&ids, &mut out);

@@ -12,8 +12,7 @@
 use std::time::Instant;
 
 use rpq_bench::experiments::{
-    ablation, artifacts, cluster, curves, diskio, filtered, hotpath, sensitivity, serve, streaming,
-    threads,
+    ablation, artifacts, cluster, curves, diskio, filtered, sensitivity, serve, streaming, threads,
 };
 use rpq_bench::Scale;
 
@@ -35,7 +34,6 @@ const ALL: &[&str] = &[
     "serve",
     "streaming",
     "threads",
-    "hotpath",
     "diskio",
     "cluster",
     "filtered",
@@ -95,7 +93,6 @@ fn main() {
             "serve" => serve::serve(&scale).print(),
             "streaming" => streaming::streaming(&scale).print(),
             "threads" => threads::threads(&scale).print(),
-            "hotpath" => hotpath::hotpath(&scale).print(),
             "diskio" => diskio::diskio(&scale).print(),
             "cluster" => cluster::cluster(&scale).print(),
             "filtered" => filtered::filtered(&scale).print(),

@@ -6,7 +6,6 @@ pub mod cluster;
 pub mod curves;
 pub mod diskio;
 pub mod filtered;
-pub mod hotpath;
 pub mod sensitivity;
 pub mod serve;
 pub mod streaming;

@@ -23,9 +23,10 @@ pub trait DistanceEstimator {
     /// Scores a batch of vertices into `out` (same length as `nodes`).
     ///
     /// [`beam_search`] routes every expansion's unvisited neighbors through
-    /// this method, so estimators with a block kernel (e.g. the SoA ADC
-    /// kernels in `rpq-quant`) get register-friendly batches without any
-    /// caller changes. The default loops over [`DistanceEstimator::distance`].
+    /// this method. The default loops over [`DistanceEstimator::distance`],
+    /// and that loop is what every index's ADC estimator runs; an estimator
+    /// with a block kernel (the SoA scan kernel in `rpq-quant`, which no
+    /// index routes through) may override it.
     ///
     /// Contract: implementations must return **bit-identical** values to
     /// per-node `distance` calls — batching is a layout/throughput

@@ -272,7 +272,7 @@ impl LookupTable {
     }
 
     /// The flat `m × k` table, row-major by chunk — what the batched SoA
-    /// kernels ([`crate::soa`]) and the u8 LUT quantizer read.
+    /// kernel ([`crate::soa`]) reads.
     pub fn values(&self) -> &[f32] {
         &self.table
     }

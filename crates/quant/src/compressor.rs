@@ -58,10 +58,12 @@ pub trait VectorCompressor: Send + Sync {
     ) -> Box<dyn DistanceEstimator + 'a>;
 
     /// Builds the batched per-query estimator over chunk-major (SoA) codes
-    /// — the hot-path variant beam search drives through
-    /// [`DistanceEstimator::distance_batch`] (DESIGN.md §9). `None` (the
-    /// default) means this compressor has no table-driven batched kernel
-    /// and callers fall back to [`VectorCompressor::estimator`].
+    /// — a scan kernel behind [`DistanceEstimator::distance_batch`]
+    /// (DESIGN.md §9). No index routes through it: they hold one AoS code
+    /// store and call [`VectorCompressor::estimator`]; `rpq-perf` calls
+    /// this to report the scan and gather rates beside the scalar one.
+    /// `None` (the default) means this compressor has no table-driven
+    /// batched kernel.
     ///
     /// Contract: when `Some`, every distance must be **bit-identical** to
     /// the scalar estimator's over the equivalent AoS codes.

@@ -175,7 +175,7 @@ impl VectorCompressor for LinkAndCode {
 
     // `batch_estimator` stays at the default `None`: L&C's estimator refines
     // reconstructions from graph neighborhoods per distance, so it has no
-    // table-driven batched kernel — search falls back to this scalar path.
+    // table-driven batched kernel.
     fn estimator<'a>(
         &'a self,
         codes: &'a CompactCodes,

@@ -19,8 +19,9 @@
 //! * [`compressor`] — the [`VectorCompressor`] trait the ANNS engines
 //!   consume: every quantizer (including RPQ in `rpq-core`) exposes compact
 //!   codes plus a per-query [`rpq_graph::DistanceEstimator`],
-//! * [`soa`] — chunk-major (SoA) code layout and the batched / 4-bit ADC
-//!   kernels behind the hot search loop (DESIGN.md §9).
+//! * [`soa`] — chunk-major (SoA) code layout and the batched ADC scan
+//!   kernel, bit-identical to scalar ADC; no index routes through it
+//!   (DESIGN.md §9).
 
 pub mod catalyst;
 pub mod codebook;
@@ -38,6 +39,4 @@ pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use opq::{OpqConfig, OptimizedProductQuantizer};
 pub use persist::{read_codebook, read_rotated_pq, write_codebook, write_rotated_pq};
 pub use pq::{PqConfig, ProductQuantizer};
-pub use soa::{
-    BatchAdcEstimator, Packed4AdcEstimator, PackedCodes4, QuantizedLut, SoaCodes, ADC_BLOCK,
-};
+pub use soa::{BatchAdcEstimator, SoaCodes, ADC_BLOCK};

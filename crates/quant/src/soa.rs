@@ -1,11 +1,13 @@
-//! SoA (chunk-major) code layout and batched ADC kernels (DESIGN.md §9).
+//! SoA (chunk-major) code layout and the batched ADC scan kernel
+//! (DESIGN.md §9).
 //!
 //! [`crate::codebook::CompactCodes`] stores codes AoS — one `M`-byte row per
-//! vector — which is the natural layout for encode, persistence, and
-//! compaction. The inner loop of every search, however, is *distance*:
-//! `M` lookup-table reads per visited vertex, repeated for each candidate
-//! the beam expands. The types here restructure that loop the way FAISS's
-//! `IndexPQFastScan` and ScaNN's register-blocked kernels do:
+//! vector — and that is the layout every index holds and searches: a beam
+//! hop gathers at most one graph degree of random ids, and a row-major code
+//! costs one cache line per candidate where a chunk-major one costs `M`.
+//! The types here are the kernel for the *other* access pattern, a
+//! contiguous scan, the way FAISS's `IndexPQFastScan` and ScaNN's
+//! register-blocked kernels do it:
 //!
 //! * [`SoaCodes`] — chunk-major code storage (`chunks[j][i]` = chunk `j` of
 //!   vector `i`), losslessly convertible to/from [`CompactCodes`];
@@ -13,20 +15,15 @@
 //!   [`ADC_BLOCK`] codes per lookup-table row pass, keeping each `k`-entry
 //!   LUT row hot while it serves the whole block; the accumulation order is
 //!   pinned to [`LookupTable::distance`]'s so batched f32 distances are
-//!   **bit-identical** to the scalar path;
-//! * [`PackedCodes4`] + [`QuantizedLut`] + [`Packed4AdcEstimator`] — the
-//!   4-bit mode: for `K ≤ 16`, two codes per byte and a u8-quantized LUT
-//!   whose whole table is `16·M` bytes, small enough to live in L1 (or
-//!   registers under a `std::simd`-style shuffle). This path is *not*
-//!   bit-exact; its contract is the proven error bound
-//!   [`QuantizedLut::error_bound`] (≤ `M·Δ/2`, Δ = the u8 quantization
-//!   step) plus the recall floor pinned by `tests/hotpath.rs`.
+//!   **bit-identical** to the scalar path.
 //!
-//! The kernels are written as plain indexed loops over contiguous rows so
-//! the autovectorizer can chew on them; the table gathers themselves are the
-//! scalar residue that real `vpshufb`/`vgatherdps` kernels would lift, which
-//! is where a vendored `std::simd` shim would slot in without changing any
-//! contract here.
+//! No index routes through this module; `rpq-perf` (`benchmark/`) builds
+//! its own [`SoaCodes`] to report the scan and gather rates next to the
+//! scalar one (`quant.adc_{scan,gather,scalar}_mcps`).
+//!
+//! The kernel is written as plain indexed loops over contiguous rows so
+//! the autovectorizer can chew on it; the table gathers themselves are the
+//! scalar residue that real `vpshufb`/`vgatherdps` kernels would lift.
 
 use rpq_graph::DistanceEstimator;
 
@@ -37,10 +34,6 @@ use crate::codebook::{CompactCodes, LookupTable};
 pub const ADC_BLOCK: usize = 32;
 
 /// Chunk-major (SoA) compact codes: row `j` holds chunk `j` of every vector.
-///
-/// Append-friendly by construction — each of the `m` rows grows
-/// independently — so the streaming index (DESIGN.md §8) can maintain the
-/// SoA mirror in O(M) per insert.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SoaCodes {
     n: usize,
@@ -48,15 +41,6 @@ pub struct SoaCodes {
 }
 
 impl SoaCodes {
-    /// An empty chunk-major store for `m`-chunk codes.
-    pub fn empty(m: usize) -> Self {
-        assert!(m > 0, "chunk count must be positive");
-        Self {
-            n: 0,
-            chunks: vec![Vec::new(); m],
-        }
-    }
-
     /// Transposes an AoS code store into chunk-major rows. Lossless:
     /// [`SoaCodes::to_compact`] returns an equal [`CompactCodes`].
     pub fn from_compact(codes: &CompactCodes) -> Self {
@@ -83,30 +67,6 @@ impl SoaCodes {
         CompactCodes::new(self.n, m, codes)
     }
 
-    /// Appends one code (AoS order); its id is the previous
-    /// [`SoaCodes::len`]. Mirrors [`CompactCodes::push`].
-    pub fn push(&mut self, code: &[u8]) {
-        assert_eq!(code.len(), self.m(), "code length mismatch");
-        for (row, &c) in self.chunks.iter_mut().zip(code) {
-            row.push(c);
-        }
-        self.n += 1;
-    }
-
-    /// Gathers the codes of `survivors` (in order) into a fresh store — the
-    /// SoA half of a consolidation pass, mirroring [`CompactCodes::compact`].
-    pub fn compact(&self, survivors: &[u32]) -> SoaCodes {
-        let chunks = self
-            .chunks
-            .iter()
-            .map(|row| survivors.iter().map(|&i| row[i as usize]).collect())
-            .collect();
-        Self {
-            n: survivors.len(),
-            chunks,
-        }
-    }
-
     /// Number of stored codes.
     #[inline]
     pub fn len(&self) -> usize {
@@ -131,7 +91,7 @@ impl SoaCodes {
         &self.chunks[j]
     }
 
-    /// In-memory footprint in bytes (same as the AoS store it mirrors,
+    /// In-memory footprint in bytes (same as the AoS store it transposes,
     /// modulo per-row allocation slack).
     pub fn memory_bytes(&self) -> usize {
         self.chunks.iter().map(|r| r.capacity()).sum()
@@ -237,204 +197,6 @@ impl DistanceEstimator for BatchAdcEstimator<'_> {
     }
 }
 
-/// 4-bit packed chunk-major codes: two codes per byte per chunk row
-/// (vector `i`'s chunk sits in the low nibble of byte `i/2` when `i` is
-/// even, the high nibble when odd). Requires `K ≤ 16`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PackedCodes4 {
-    n: usize,
-    chunks: Vec<Vec<u8>>,
-}
-
-impl PackedCodes4 {
-    /// Packs an AoS code store. Panics if any code id needs more than four
-    /// bits (train with `K ≤ 16` to use this mode).
-    pub fn from_compact(codes: &CompactCodes) -> Self {
-        let (n, m) = (codes.len(), codes.m());
-        let mut chunks = vec![vec![0u8; n.div_ceil(2)]; m];
-        for i in 0..n {
-            let code = codes.code(i);
-            for (row, &c) in chunks.iter_mut().zip(code) {
-                assert!(
-                    c < 16,
-                    "code id {c} does not fit in 4 bits (K must be <= 16)"
-                );
-                row[i / 2] |= c << ((i & 1) * 4);
-            }
-        }
-        Self { n, chunks }
-    }
-
-    /// The 4-bit code of vector `i` in chunk `j`.
-    #[inline]
-    pub fn nibble(&self, j: usize, i: usize) -> u8 {
-        debug_assert!(i < self.n);
-        (self.chunks[j][i / 2] >> ((i & 1) * 4)) & 0x0F
-    }
-
-    /// Number of stored codes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when nothing is stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of chunks M.
-    #[inline]
-    pub fn m(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// In-memory footprint: half the 8-bit store.
-    pub fn memory_bytes(&self) -> usize {
-        self.chunks.iter().map(|r| r.capacity()).sum()
-    }
-}
-
-/// A u8-quantized ADC lookup table (the FastScan trick): per-chunk bias
-/// `b_j = min_k table[j][k]`, one global step `Δ = max_{j,k}(table[j][k] −
-/// b_j) / 255`, entries `round((v − b_j)/Δ)` clamped to `[0, 255]`.
-///
-/// Dequantization is `Δ·Σ_j q_j + Σ_j b_j` with the integer sum exact in
-/// u32, so the only error is per-entry rounding: each entry is within
-/// `Δ/2` of its f32 value (the clamp never cuts, since `Δ` is sized so the
-/// largest shifted entry maps to exactly 255), giving
-/// `|approx − exact| ≤ M·Δ/2` = [`QuantizedLut::error_bound`].
-#[derive(Clone, Debug)]
-pub struct QuantizedLut {
-    m: usize,
-    k: usize,
-    table: Vec<u8>,
-    /// The quantization step Δ (0 when every row is constant).
-    scale: f32,
-    /// Σ_j b_j, restored after the integer accumulation.
-    bias: f32,
-}
-
-impl QuantizedLut {
-    /// Quantizes an f32 lookup table.
-    pub fn new(lut: &LookupTable) -> Self {
-        let (m, k) = (lut.m(), lut.k());
-        let values = lut.values();
-        let mins: Vec<f32> = (0..m)
-            .map(|j| {
-                values[j * k..(j + 1) * k]
-                    .iter()
-                    .fold(f32::INFINITY, |a, &v| a.min(v))
-            })
-            .collect();
-        let bias: f32 = mins.iter().sum();
-        let max_shift = (0..m)
-            .flat_map(|j| {
-                let b = mins[j];
-                values[j * k..(j + 1) * k].iter().map(move |&v| v - b)
-            })
-            .fold(0.0f32, f32::max);
-        let scale = max_shift / 255.0;
-        let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
-        let table = (0..m)
-            .flat_map(|j| {
-                let b = mins[j];
-                values[j * k..(j + 1) * k]
-                    .iter()
-                    .map(move |&v| ((v - b) * inv).round().clamp(0.0, 255.0) as u8)
-            })
-            .collect();
-        Self {
-            m,
-            k,
-            table,
-            scale,
-            bias,
-        }
-    }
-
-    /// The proven worst-case absolute error vs the f32 table: `M·Δ/2`.
-    pub fn error_bound(&self) -> f32 {
-        self.m as f32 * self.scale * 0.5
-    }
-
-    /// Number of chunks M.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Table bytes — `M·K`, vs `4·M·K` for the f32 table.
-    pub fn memory_bytes(&self) -> usize {
-        self.table.len()
-    }
-}
-
-/// ADC estimator in the 4-bit mode: u8 LUT reads accumulated exactly in
-/// u32, dequantized once per distance. Batched and scalar paths produce
-/// bit-identical f32 values (the integer sum is order-independent); both
-/// are within [`QuantizedLut::error_bound`] of the exact f32 ADC distance.
-pub struct Packed4AdcEstimator<'a> {
-    lut: QuantizedLut,
-    codes: &'a PackedCodes4,
-}
-
-impl<'a> Packed4AdcEstimator<'a> {
-    pub fn new(lut: QuantizedLut, codes: &'a PackedCodes4) -> Self {
-        assert_eq!(lut.m, codes.m(), "lookup table / codes chunk mismatch");
-        assert!(lut.k <= 16, "4-bit codes need K <= 16, got {}", lut.k);
-        Self { lut, codes }
-    }
-
-    /// The quantization contract of this estimator's table.
-    pub fn error_bound(&self) -> f32 {
-        self.lut.error_bound()
-    }
-
-    fn score_block(&self, nodes: &[u32], out: &mut [f32]) {
-        debug_assert!(nodes.len() <= ADC_BLOCK);
-        let k = self.lut.k;
-        let mut acc = [0u32; ADC_BLOCK];
-        for (j, row) in self.codes.chunks.iter().enumerate() {
-            let t = &self.lut.table[j * k..(j + 1) * k];
-            for (slot, &node) in acc.iter_mut().zip(nodes) {
-                let i = node as usize;
-                let c = (row[i / 2] >> ((i & 1) * 4)) & 0x0F;
-                *slot += t[c as usize] as u32;
-            }
-        }
-        for (o, &sum) in out.iter_mut().zip(&acc[..nodes.len()]) {
-            *o = sum as f32 * self.lut.scale + self.lut.bias;
-        }
-    }
-}
-
-impl DistanceEstimator for Packed4AdcEstimator<'_> {
-    #[inline]
-    fn distance(&self, node: u32) -> f32 {
-        debug_assert!(
-            (node as usize) < self.codes.len(),
-            "ADC estimator queried for node {node} but the code store holds {} codes",
-            self.codes.len()
-        );
-        let i = node as usize;
-        let k = self.lut.k;
-        let mut sum = 0u32;
-        for (j, row) in self.codes.chunks.iter().enumerate() {
-            let c = (row[i / 2] >> ((i & 1) * 4)) & 0x0F;
-            sum += self.lut.table[j * k + c as usize] as u32;
-        }
-        sum as f32 * self.lut.scale + self.lut.bias
-    }
-
-    fn distance_batch(&self, nodes: &[u32], out: &mut [f32]) {
-        assert_eq!(nodes.len(), out.len(), "nodes/out length mismatch");
-        for (nb, ob) in nodes.chunks(ADC_BLOCK).zip(out.chunks_mut(ADC_BLOCK)) {
-            self.score_block(nb, ob);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,24 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_push_matches_from_compact() {
-        let (_, codes, _) = random_world(5, 16, 23, 3);
-        let mut grown = SoaCodes::empty(5);
-        for i in 0..codes.len() {
-            grown.push(codes.code(i));
-        }
-        assert_eq!(grown, SoaCodes::from_compact(&codes));
-    }
-
-    #[test]
-    fn soa_compact_matches_aos_compact() {
-        let (_, codes, _) = random_world(3, 16, 40, 4);
-        let survivors: Vec<u32> = vec![0, 7, 13, 39, 2];
-        let soa = SoaCodes::from_compact(&codes).compact(&survivors);
-        assert_eq!(soa.to_compact(), codes.compact(&survivors));
-    }
-
-    #[test]
     fn batched_distances_bit_equal_scalar() {
         // Odd n exercises the block remainder; m covers tail-only (1),
         // exact groups (4, 8, 16), and group+tail (6).
@@ -521,86 +265,5 @@ mod tests {
                 assert_eq!(scalar.to_bits(), est.distance(i as u32).to_bits());
             }
         }
-    }
-
-    #[test]
-    fn packed4_roundtrips_nibbles() {
-        let (_, codes, _) = random_world(4, 16, 31, 11);
-        let packed = PackedCodes4::from_compact(&codes);
-        assert_eq!(packed.len(), 31);
-        assert!(packed.memory_bytes() <= codes.memory_bytes() / 2 + 4);
-        for i in 0..31 {
-            for (j, &c) in codes.code(i).iter().enumerate() {
-                assert_eq!(packed.nibble(j, i), c);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit in 4 bits")]
-    fn packed4_rejects_wide_codes() {
-        let codes = CompactCodes::new(1, 2, vec![3, 17]);
-        let _ = PackedCodes4::from_compact(&codes);
-    }
-
-    #[test]
-    fn quantized_lut_respects_error_bound() {
-        for seed in [1u64, 2, 3] {
-            let (cb, codes, query) = random_world(8, 16, 50, seed);
-            let lut = cb.lookup_table(&query);
-            let qlut = QuantizedLut::new(&lut);
-            let bound = qlut.error_bound();
-            assert!(bound > 0.0);
-            let packed = PackedCodes4::from_compact(&codes);
-            let est = Packed4AdcEstimator::new(qlut, &packed);
-            for i in 0..codes.len() {
-                let exact = lut.distance(codes.code(i));
-                let approx = est.distance(i as u32);
-                let err = (approx - exact).abs();
-                // Tiny slack for the two f32 roundings in dequantization.
-                assert!(
-                    err <= bound * 1.0001 + 1e-5,
-                    "seed={seed} i={i}: err {err} > bound {bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed4_batch_bit_equal_its_scalar() {
-        let (cb, codes, query) = random_world(8, 16, 45, 21);
-        let packed = PackedCodes4::from_compact(&codes);
-        let est = Packed4AdcEstimator::new(QuantizedLut::new(&cb.lookup_table(&query)), &packed);
-        let ids: Vec<u32> = (0..45).collect();
-        let mut out = vec![0.0f32; 45];
-        est.distance_batch(&ids, &mut out);
-        for (i, &d) in out.iter().enumerate() {
-            assert_eq!(d.to_bits(), est.distance(i as u32).to_bits());
-        }
-    }
-
-    #[test]
-    fn constant_table_quantizes_exactly() {
-        // All codewords identical => every LUT row is constant => Δ = 0 and
-        // the 4-bit distance must equal the exact one.
-        let cb = Codebook::new(2, 4, 1, vec![2.0; 8]);
-        let lut = cb.lookup_table(&[1.0, 3.0]);
-        let qlut = QuantizedLut::new(&lut);
-        assert_eq!(qlut.error_bound(), 0.0);
-        let codes = CompactCodes::new(3, 2, vec![0, 1, 2, 3, 1, 0]);
-        let packed = PackedCodes4::from_compact(&codes);
-        let est = Packed4AdcEstimator::new(qlut, &packed);
-        for i in 0..3u32 {
-            assert_eq!(est.distance(i), lut.distance(codes.code(i as usize)));
-        }
-    }
-
-    #[test]
-    fn quantized_lut_is_quarter_size() {
-        let (cb, _, query) = random_world(8, 16, 4, 5);
-        let lut = cb.lookup_table(&query);
-        let qlut = QuantizedLut::new(&lut);
-        assert_eq!(qlut.memory_bytes() * 4, lut.memory_bytes());
-        assert_eq!(qlut.m(), 8);
     }
 }

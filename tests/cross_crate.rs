@@ -119,6 +119,85 @@ fn feature_extraction_works_on_all_graphs() {
     }
 }
 
+/// Every index holds its codes once: the code term of each index's memory
+/// accounting is exactly `n·M`, through build and through the streaming
+/// write path (insert → remove → consolidate).
+#[test]
+fn every_index_accounts_its_codes_exactly_once() {
+    use rpq_anns::{
+        DiskIndex, DiskIndexConfig, InMemoryIndex, NodeCache, StreamingConfig, StreamingIndex,
+    };
+    use rpq_data::Labels;
+    use rpq_graph::SearchScratch;
+    use rpq_quant::{PqConfig, ProductQuantizer};
+
+    const M: usize = 8;
+    let bench = make_bench(DatasetKind::Sift, 400, 50, 5, 25);
+    let n = bench.base.len();
+    let pq = ProductQuantizer::train(
+        &PqConfig {
+            m: M,
+            k: 64,
+            ..Default::default()
+        },
+        &bench.base,
+    );
+    let model = pq.model_bytes();
+    let labels = Labels::from_masks(2, (0..n).map(|i| 1 << (i % 2)).collect());
+    let graph = build_graph(GraphKind::Vamana, &bench.base, 0);
+
+    let memory =
+        InMemoryIndex::build(pq.clone(), &bench.base, graph.clone()).with_labels(labels.clone());
+    assert_eq!(memory.codes().memory_bytes(), n * M);
+    assert_eq!(
+        memory.memory_bytes(),
+        graph.memory_bytes() + n * M + model + labels.memory_bytes()
+    );
+
+    let store =
+        std::env::temp_dir().join(format!("rpq-it-accounting-{}.store", std::process::id()));
+    let mut disk = DiskIndex::build(
+        pq.clone(),
+        &bench.base,
+        &graph,
+        DiskIndexConfig {
+            cache_nodes: 32,
+            ..DiskIndexConfig::new(&store)
+        },
+    )
+    .expect("disk index build failed");
+    disk.set_labels(labels.clone());
+    let cache = NodeCache::warm(&graph, &bench.base, 32).memory_bytes();
+    assert!(cache > 0);
+    assert_eq!(
+        disk.resident_bytes(),
+        n * M + model + cache + labels.memory_bytes()
+    );
+    let _ = std::fs::remove_file(&store);
+
+    let mut stream = StreamingIndex::build(pq, &bench.base, StreamingConfig::default());
+    let mut scratch = SearchScratch::new();
+    for q in bench.queries.iter() {
+        stream.insert(q, &mut scratch);
+    }
+    for id in (0..stream.len() as u32).step_by(3) {
+        assert!(stream.remove(id));
+    }
+    stream.consolidate(true).expect("tombstones to reclaim");
+    let len = stream.len();
+    assert_eq!(len, stream.live_len());
+    // After a consolidation the tombstone bitmap is exactly one byte per
+    // resident point.
+    let code_term = stream.memory_bytes()
+        - stream.graph().memory_bytes()
+        - stream.vectors().memory_bytes()
+        - stream.labels().memory_bytes()
+        - len
+        - model;
+    assert_eq!(code_term, stream.codes().memory_bytes());
+    assert_eq!(code_term, len * M);
+}
+
 /// The experiment harness interpolation used by Tables 6-7 / Figures 8-11.
 #[test]
 fn qps_at_recall_used_by_experiments_is_monotone_safe() {

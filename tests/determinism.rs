@@ -144,11 +144,12 @@ fn memory_sweep_is_thread_invariant() {
     assert_eq!(sweep.len(), 2);
 }
 
-/// The batched SoA path (DESIGN.md §9): thread-invariant like everything
-/// else, *and* bit-identical to the scalar estimator walk — the whole
-/// reason the batched kernel is allowed on the hot path.
+/// The index's own search (DESIGN.md §9): thread-invariant like everything
+/// else, *and* bit-identical to `beam_search` driven by an explicit
+/// `estimator(index.codes(), q)` — the index adds nothing between its one
+/// code store and the beam kernel.
 #[test]
-fn batched_beam_search_is_thread_invariant_and_equals_scalar() {
+fn index_beam_search_is_thread_invariant_and_equals_explicit_estimator() {
     use rpq_graph::beam_search;
 
     let data = ci_data(540, 17);
@@ -169,9 +170,8 @@ fn batched_beam_search_is_thread_invariant_and_equals_scalar() {
     );
     let index = InMemoryIndex::build(pq, &base, graph);
 
-    // Batched searches across pool widths (the index routes through
-    // `batch_estimator` for PQ): bit-identical ids and distances.
-    let batched = assert_thread_invariant("batched per-query results", || {
+    // Index searches across pool widths: bit-identical ids and distances.
+    let indexed = assert_thread_invariant("index per-query results", || {
         use rayon::prelude::*;
         (0..queries.len())
             .into_par_iter()
@@ -185,16 +185,16 @@ fn batched_beam_search_is_thread_invariant_and_equals_scalar() {
     });
 
     // The same queries through the explicit scalar estimator over the same
-    // graph and codes: the batched results must match bit for bit.
+    // graph and codes: the index results must match bit for bit.
     let mut scratch = SearchScratch::new();
-    for (qi, batched_res) in batched.iter().enumerate() {
+    for (qi, indexed_res) in indexed.iter().enumerate() {
         let q = queries.get(qi);
         let est = index.compressor().estimator(index.codes(), q);
         let (res, _) = beam_search(index.graph(), &est, 40, 10, &mut scratch);
         let scalar: Vec<(u32, u32)> = res.iter().map(|n| (n.id, n.dist.to_bits())).collect();
         assert_eq!(
-            *batched_res, scalar,
-            "query {qi}: batched top-k diverged from the scalar estimator"
+            *indexed_res, scalar,
+            "query {qi}: index top-k diverged from the explicit scalar estimator"
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Cross-crate contracts of the pipelined disk engine (DESIGN.md §10):
 //! width-1 bit-equality against the serial oracle for every estimator
-//! family (PQ, OPQ, and the 4-bit FastScan mode), the recall envelope at
+//! family (PQ, OPQ, and a tie-dense coarse PQ), the recall envelope at
 //! wide `io_width`, and trace-driven cache admission beating the BFS
 //! warm-up on a skewed workload.
 
@@ -11,12 +11,9 @@ use rpq_anns::{DiskIndex, DiskIndexConfig, FilterStrategy, SsdModel};
 use rpq_bench::setup::{make_bench, Bench, Method};
 use rpq_bench::Scale;
 use rpq_data::synth::DatasetKind;
-use rpq_data::{Dataset, LabelPredicate, Labels};
-use rpq_graph::{DistanceEstimator, ProximityGraph, SearchScratch, VamanaConfig};
-use rpq_quant::{
-    CompactCodes, Packed4AdcEstimator, PackedCodes4, PqConfig, ProductQuantizer, QuantizedLut,
-    SoaCodes, VectorCompressor,
-};
+use rpq_data::{LabelPredicate, Labels};
+use rpq_graph::{ProximityGraph, SearchScratch, VamanaConfig};
+use rpq_quant::{PqConfig, ProductQuantizer, VectorCompressor};
 
 fn tmp_store(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rpq-it-diskio-{}-{tag}.store", std::process::id()))
@@ -31,79 +28,6 @@ fn prepare(n_base: usize, n_query: usize, seed: u64) -> (Bench, ProximityGraph) 
     }
     .build(&bench.base);
     (bench, graph)
-}
-
-/// A PQ compressor that routes **only** through the 4-bit FastScan path:
-/// it owns the packed nibble codes and both estimator entry points return
-/// [`Packed4AdcEstimator`] over them, ignoring the engine-provided code
-/// stores. `DiskIndex` has no native 4-bit layout, so this wrapper is how
-/// the quantized-LUT estimator is driven through the disk engines — the
-/// scalar (serial oracle) and batched (pipelined) paths must still agree
-/// bit-for-bit.
-struct Packed4Pq {
-    pq: ProductQuantizer,
-    packed: PackedCodes4,
-}
-
-impl Packed4Pq {
-    fn train(data: &Dataset, m: usize, seed: u64) -> Self {
-        let pq = ProductQuantizer::train(
-            &PqConfig {
-                m,
-                k: 16, // nibble codes: K must fit in 4 bits
-                seed,
-                ..Default::default()
-            },
-            data,
-        );
-        let packed = PackedCodes4::from_compact(&pq.encode_dataset(data));
-        Self { pq, packed }
-    }
-
-    fn estimator_4bit<'a>(&'a self, query: &[f32]) -> Packed4AdcEstimator<'a> {
-        Packed4AdcEstimator::new(
-            QuantizedLut::new(&self.pq.lookup_table(query)),
-            &self.packed,
-        )
-    }
-}
-
-impl VectorCompressor for Packed4Pq {
-    fn name(&self) -> String {
-        "PQ-4bit".to_string()
-    }
-    fn dim(&self) -> usize {
-        self.pq.dim()
-    }
-    fn code_dim(&self) -> usize {
-        self.pq.code_dim()
-    }
-    fn model_bytes(&self) -> usize {
-        self.pq.model_bytes() + self.packed.memory_bytes()
-    }
-    fn train_seconds(&self) -> f32 {
-        self.pq.train_seconds()
-    }
-    fn encode_dataset(&self, data: &Dataset) -> CompactCodes {
-        self.pq.encode_dataset(data)
-    }
-    fn decode_into(&self, code: &[u8], out: &mut [f32]) {
-        self.pq.decode_into(code, out)
-    }
-    fn estimator<'a>(
-        &'a self,
-        _codes: &'a CompactCodes,
-        query: &'a [f32],
-    ) -> Box<dyn DistanceEstimator + 'a> {
-        Box::new(self.estimator_4bit(query))
-    }
-    fn batch_estimator<'a>(
-        &'a self,
-        _codes: &'a SoaCodes,
-        query: &'a [f32],
-    ) -> Option<Box<dyn DistanceEstimator + 'a>> {
-        Some(Box::new(self.estimator_4bit(query)))
-    }
 }
 
 /// Label 0 on every vector, label 1 on every third: `single(0)` is a
@@ -192,13 +116,13 @@ fn assert_width1_matches_serial<C: VectorCompressor>(
     }
 }
 
-/// Width-1 bit-equality must hold for every estimator family the engine
-/// can route with — the exact f32 ADC paths (PQ, OPQ) and the 4-bit
-/// quantized-LUT path, whose scalar/batched kernels are integer-exact —
-/// and for a deliberately coarse PQ (M=4, K=16: at most 65 536 distinct
-/// codes, so equal ADC distances at the pool boundary are routine).
+/// Width-1 bit-equality — candidate pool against the serial engine's heaps
+/// (DESIGN.md §9.5) — must hold for every estimator family the engine
+/// routes with (PQ, OPQ) and for a deliberately coarse PQ (M=4, K=16: at
+/// most 65 536 distinct codes, so equal ADC distances at the pool boundary
+/// are routine).
 #[test]
-fn width1_is_bit_identical_for_pq_opq_and_4bit_estimators() {
+fn width1_is_bit_identical_for_pq_opq_and_tie_dense_estimators() {
     let scale = Scale::ci();
     let (bench, graph) = prepare(700, 12, 31);
     let arc = Arc::new(graph);
@@ -206,7 +130,6 @@ fn width1_is_bit_identical_for_pq_opq_and_4bit_estimators() {
     let compressors: Vec<(&str, Box<dyn VectorCompressor>)> = vec![
         ("pq", Method::Pq.build(&bench.base, &arc, &scale)),
         ("opq", Method::Opq.build(&bench.base, &arc, &scale)),
-        ("pq4", Box::new(Packed4Pq::train(&bench.base, scale.m, 31))),
         (
             "pq-m4k16",
             Box::new(ProductQuantizer::train(

@@ -1,21 +1,20 @@
-//! Exactness harness for the batched ADC hot path (DESIGN.md §9).
+//! Exactness harness for the ADC hot path (DESIGN.md §9).
 //!
-//! The batched SoA kernel is only allowed to exist because it is
+//! The batched SoA scan kernel is only allowed to exist because it is
 //! **bit-identical** to the scalar LUT walk — these tests pin that
 //! contract end to end with *trained* quantizers (the in-crate unit tests
 //! cover synthetic tables): odd candidate counts that straddle block
-//! boundaries, every PQ shape the repo runs, the 4-bit kernel's proven
-//! error bound, its recall floor against the 8-bit path, and the
-//! streaming lifecycle (tombstones + consolidation) on the batched path.
+//! boundaries and every PQ shape the repo runs. The streaming test pins
+//! the index side: the one code store stays in step with the graph through
+//! remove → consolidate → insert (no tombstone returned, every distance
+//! the scalar LUT's bits).
 
 use rpq_anns::stream::{StreamingConfig, StreamingIndex};
-use rpq_anns::InMemoryIndex;
 use rpq_data::synth::{SynthConfig, ValueTransform};
-use rpq_data::{brute_force_knn, Dataset};
-use rpq_graph::{beam_search, DistanceEstimator, HnswConfig, SearchScratch};
+use rpq_data::Dataset;
+use rpq_graph::{DistanceEstimator, SearchScratch};
 use rpq_quant::{
-    BatchAdcEstimator, Packed4AdcEstimator, PackedCodes4, PqConfig, ProductQuantizer, QuantizedLut,
-    SoaCodes, VectorCompressor, ADC_BLOCK,
+    BatchAdcEstimator, PqConfig, ProductQuantizer, SoaCodes, VectorCompressor, ADC_BLOCK,
 };
 
 fn world(n: usize, dim: usize, seed: u64) -> Dataset {
@@ -93,80 +92,11 @@ fn soa_roundtrip_lossless_on_trained_codes() {
     }
 }
 
-/// The 4-bit kernel's observed error stays within its proven `M·Δ/2`
-/// bound on trained codebooks and real queries.
+/// The streaming lifecycle: tombstoned points are never returned, every
+/// returned distance is bit-identical to the scalar LUT's over the index's
+/// own code store, and inserts after a consolidation keep both properties.
 #[test]
-fn packed4_error_within_proven_bound() {
-    let data = world(400, 16, 5);
-    let (base, queries) = data.split_at(380);
-    let pq = train(&base, 8, 16);
-    let codes = pq.encode_dataset(&base);
-    let packed = PackedCodes4::from_compact(&codes);
-    for qi in 0..queries.len() {
-        let q = queries.get(qi);
-        let lut = pq.lookup_table(q);
-        let qlut = QuantizedLut::new(&lut);
-        let bound = qlut.error_bound();
-        let est = Packed4AdcEstimator::new(qlut, &packed);
-        for i in 0..codes.len() as u32 {
-            let exact = lut.distance(codes.code(i as usize));
-            let approx = est.distance(i);
-            assert!(
-                (approx - exact).abs() <= bound * 1.0001 + 1e-5,
-                "query {qi} code {i}: |{approx} - {exact}| > bound {bound}"
-            );
-        }
-    }
-}
-
-/// End-to-end recall: beam search driven by the 4-bit kernel must land
-/// within a small margin of the 8-bit batched path (and above an absolute
-/// floor) — the quantized LUT trades a provably bounded distance error
-/// for 4× smaller tables, not search quality.
-#[test]
-fn packed4_recall_within_floor_of_8bit() {
-    let data = world(640, 16, 9);
-    let (base, queries) = data.split_at(600);
-    let gt = brute_force_knn(&base, &queries, 10);
-    let graph = HnswConfig {
-        m: 8,
-        ef_construction: 40,
-        seed: 0,
-    }
-    .build(&base);
-    let pq = train(&base, 8, 16);
-    let codes = pq.encode_dataset(&base);
-    let packed = PackedCodes4::from_compact(&codes);
-    let index = InMemoryIndex::build(pq, &base, graph);
-    let mut scratch = SearchScratch::new();
-
-    let mut results8 = Vec::new();
-    let mut results4 = Vec::new();
-    for qi in 0..queries.len() {
-        let q = queries.get(qi);
-        let (res, _) = index.search(q, 80, 10, &mut scratch);
-        results8.push(res.iter().map(|n| n.id).collect::<Vec<_>>());
-        let est = Packed4AdcEstimator::new(
-            QuantizedLut::new(&index.compressor().lookup_table(q)),
-            &packed,
-        );
-        let (res, _) = beam_search(index.graph(), &est, 80, 10, &mut scratch);
-        results4.push(res.iter().map(|n| n.id).collect::<Vec<_>>());
-    }
-    let recall8 = gt.recall(&results8);
-    let recall4 = gt.recall(&results4);
-    assert!(
-        recall4 >= recall8 - 0.05,
-        "4-bit recall {recall4} fell more than 0.05 below 8-bit {recall8}"
-    );
-    assert!(recall4 >= 0.55, "4-bit recall floor violated: {recall4}");
-}
-
-/// The streaming lifecycle on the batched path: tombstoned points are
-/// never returned, every returned distance is bit-identical to the scalar
-/// LUT's, and inserts after a consolidation keep both properties.
-#[test]
-fn streaming_batched_path_respects_tombstones_and_scalar_bits() {
+fn streaming_search_respects_tombstones_and_scalar_bits() {
     let data = world(300, 16, 13);
     let (base, rest) = data.split_at(240);
     let (inserts, queries) = rest.split_at(40);
@@ -201,7 +131,7 @@ fn streaming_batched_path_respects_tombstones_and_scalar_bits() {
                 assert_eq!(
                     n.dist.to_bits(),
                     scalar.to_bits(),
-                    "batched streaming distance for id {} diverged from scalar",
+                    "streaming distance for id {} diverged from scalar",
                     n.id
                 );
             }
@@ -209,8 +139,8 @@ fn streaming_batched_path_respects_tombstones_and_scalar_bits() {
     };
     check(&index, &mut scratch);
 
-    // Consolidate (compacts the SoA mirror too), then keep inserting — the
-    // mirror must stay in lock-step through both mutations.
+    // Consolidate (compacts the code store), then keep inserting — the
+    // store must stay in step with the graph through both mutations.
     index.consolidate(true).expect("tombstones above threshold");
     for i in 0..inserts.len() {
         index.insert(inserts.get(i), &mut scratch);
