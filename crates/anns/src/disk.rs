@@ -18,8 +18,7 @@
 //! [`DiskSearchStats::io_stall_seconds`]). At `io_width = 1` the traversal
 //! is bit-identical to the serial engine ([`DiskIndex::search_serial`], the
 //! frozen pre-pipeline reference); wider widths trade extra speculative
-//! reads for stage-level overlap, an explicit sweep axis of the `diskio`
-//! experiment.
+//! reads for stage-level overlap.
 //!
 //! Substitution (DESIGN.md §4.2, §10): instead of a datacenter SSD we use a
 //! real file plus the queue-depth-aware [`SsdModel`]; reported "disk I/O
@@ -440,8 +439,8 @@ impl<C: VectorCompressor> DiskIndex<C> {
     }
 
     /// Re-points the engine at a different I/O policy (beam width `W` and
-    /// device model) without rebuilding the store — how the `diskio`
-    /// experiment sweeps `io_width × queue depth` over one index.
+    /// device model) without rebuilding the store, so one index can be
+    /// swept over `io_width × queue depth`.
     pub fn set_io_policy(&mut self, io_width: usize, ssd: SsdModel) {
         self.cfg.io_width = io_width.max(1);
         self.cfg.ssd = ssd;
@@ -758,9 +757,8 @@ impl<C: VectorCompressor> DiskIndex<C> {
     /// The frozen pre-pipeline engine: one blocking read per expansion,
     /// per-query hash maps, serial rerank reads. Kept verbatim as the
     /// bit-equality oracle for [`DiskIndex::search_with_scratch`] at
-    /// `io_width = 1` and as the `diskio` experiment's honest serial
-    /// baseline. I/O time is the same [`SsdModel`] with no batching and no
-    /// overlap.
+    /// `io_width = 1`. I/O time is the same [`SsdModel`] with no batching
+    /// and no overlap.
     pub fn search_serial(
         &self,
         query: &[f32],

@@ -12,7 +12,7 @@
 //!   search with the beam widened by an inflation factor, then drop
 //!   non-matching results and truncate to `k`. Simple and
 //!   predicate-agnostic, but pays for every non-matching candidate it
-//!   routes — the nodes-expanded gap the `filtered` experiment measures.
+//!   routes — the nodes-expanded gap `tests/filtered.rs` pins.
 
 /// How a [`rpq_data::LabelPredicate`] is pushed into beam search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -481,20 +481,6 @@ impl ClusterEngine {
         self.admission
     }
 
-    /// Swaps the admission gate (next run picks it up).
-    pub fn set_admission(&mut self, admission: AdmissionConfig) {
-        self.admission = admission;
-    }
-
-    /// The service-cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
-    }
-
     /// Runs `f` under the read lock — a consistent membership snapshot.
     pub fn with_read<R>(&self, f: impl FnOnce(&ClusterIndex) -> R) -> R {
         f(&self.cluster.read())

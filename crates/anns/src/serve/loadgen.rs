@@ -8,9 +8,9 @@
 //! system keeps up — which is the honest way to measure goodput, shed
 //! fraction, and p99 past saturation. On this 1-core container the
 //! schedule drives a deterministic virtual-time simulation (arrivals in
-//! µs from t=0, service times from [`CostModel`]), so the cluster
-//! experiment's curves are bit-reproducible; wall-clock concurrency
-//! stays the closed-loop engine's job.
+//! µs from t=0, service times from [`CostModel`]), so goodput and shed
+//! curves are bit-reproducible; wall-clock concurrency stays the
+//! closed-loop engine's job.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

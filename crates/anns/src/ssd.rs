@@ -16,20 +16,15 @@
 //!   services concurrently. Queue depth beyond `c` waits.
 //!
 //! Service time of one I/O of `b` sectors: `s(b) = service_us +
-//! b · transfer_us_per_sector`. Per-I/O latency with `qd` outstanding
-//! commands uses an M/D/c-style linear interference term,
-//! `s · (1 + (qd − 1) / c)` — exactly `s` at `qd = 1` (the legacy fixed
-//! model), degrading linearly once depth exceeds the device's parallelism.
-//! A batch issued together completes in `max(maxᵢ sᵢ, Σ sᵢ / min(qd, c))`:
-//! bounded below by its largest member and by total work over effective
-//! parallelism.
+//! b · transfer_us_per_sector`. A batch issued together at queue depth
+//! `qd` completes in `max(maxᵢ sᵢ, Σ sᵢ / min(qd, c))`: bounded below by
+//! its largest member and by total work over effective parallelism.
 //!
 //! [`SsdModel::fixed`] reproduces the old constant-latency model bit for
 //! bit (zero service cost, one channel), so legacy configurations and the
-//! pinned accounting tests are unchanged. [`simulate_open_load`] is a
-//! deterministic open-loop event simulation over the model — arrivals at a
-//! fixed rate, `c` servers — used to show tail-latency saturation without
-//! depending on wall-clock noise.
+//! pinned accounting tests are unchanged. Queue wait under concurrent load
+//! comes from reservations on a shared timeline ([`SsdClock`] over
+//! [`VirtualClock`]), not from a closed-form queueing formula.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -59,9 +54,8 @@ impl SsdModel {
     }
 
     /// An NVMe-class device: 80 µs command overhead, 8 µs per 4 KiB
-    /// sector, 8 concurrent channels. The `diskio` experiment's default —
-    /// command overhead dominates single-sector reads, so coalescing and
-    /// depth both pay off visibly.
+    /// sector, 8 concurrent channels — command overhead dominates
+    /// single-sector reads, so coalescing and depth both pay off visibly.
     pub fn nvme() -> Self {
         Self {
             service_us: 80.0,
@@ -73,15 +67,6 @@ impl SsdModel {
     /// Service time of one I/O of `sectors` sectors, µs (no queueing).
     pub fn service_time_us(&self, sectors: usize) -> f32 {
         self.service_us + sectors as f32 * self.transfer_us_per_sector
-    }
-
-    /// Latency of one I/O when `qd` commands are outstanding:
-    /// `s · (1 + (qd − 1) / c)`. Equals [`SsdModel::service_time_us`] at
-    /// `qd = 1` and grows monotonically with depth.
-    pub fn io_latency_us(&self, sectors: usize, qd: usize) -> f32 {
-        let s = self.service_time_us(sectors);
-        let c = self.channels.max(1) as f32;
-        s * (1.0 + (qd.max(1) - 1) as f32 / c)
     }
 
     /// Completion time of a batch of I/Os issued together at queue depth
@@ -103,87 +88,6 @@ impl SsdModel {
         }
         let p = qd.max(1).min(self.channels.max(1)).min(count) as f32;
         smax.max(work / p)
-    }
-
-    /// Sustained throughput ceiling in I/Os per second at `sectors`
-    /// sectors each: `c / s`.
-    pub fn max_iops(&self, sectors: usize) -> f32 {
-        self.channels.max(1) as f32 * 1e6 / self.service_time_us(sectors).max(1e-9)
-    }
-
-    /// Closed-form mean queue wait (µs) at an offered load of
-    /// `offered_iops` I/Os per second of `sectors` sectors each —
-    /// Sakasegawa's M/M/c approximation halved for deterministic service
-    /// (M/D/c). Exact for `c = 1` (Pollaczek–Khinchine:
-    /// `ρ·s / (2(1 − ρ))`), infinite at or past saturation.
-    pub fn mean_wait_us(&self, offered_iops: f32, sectors: usize) -> f32 {
-        let s = self.service_time_us(sectors);
-        let c = self.channels.max(1) as f32;
-        let rho = offered_iops * s / (c * 1e6);
-        if rho >= 1.0 {
-            return f32::INFINITY;
-        }
-        if rho <= 0.0 {
-            return 0.0;
-        }
-        let exponent = (2.0 * (c + 1.0)).sqrt() - 1.0;
-        0.5 * (s / c) * rho.powf(exponent) / (1.0 - rho)
-    }
-}
-
-/// Latency distribution of a [`simulate_open_load`] run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OpenLoadReport {
-    /// Mean end-to-end latency (queue wait + service), µs.
-    pub mean_us: f32,
-    /// Median latency, µs.
-    pub p50_us: f32,
-    /// 99th-percentile latency, µs.
-    pub p99_us: f32,
-    /// Fraction of channel-time busy over the simulated horizon.
-    pub utilization: f32,
-}
-
-/// Deterministic open-loop simulation: requests with the given per-request
-/// device occupancies (µs each, e.g. one query's [`SsdModel::batch_us`]
-/// total) arrive at a fixed `qps`, and the model's `channels` serve them
-/// FIFO. Latency of request `i` is completion minus arrival. No clock and
-/// no randomness — the saturation tests stay exact on any machine.
-pub fn simulate_open_load(model: &SsdModel, per_request_us: &[f32], qps: f32) -> OpenLoadReport {
-    if per_request_us.is_empty() || qps <= 0.0 {
-        return OpenLoadReport::default();
-    }
-    let c = model.channels.max(1);
-    let gap_us = 1e6 / qps;
-    let mut next_free = vec![0.0f64; c];
-    let mut latencies: Vec<f64> = Vec::with_capacity(per_request_us.len());
-    let mut busy = 0.0f64;
-    let mut horizon = 0.0f64;
-    for (i, &s) in per_request_us.iter().enumerate() {
-        let arrival = i as f64 * gap_us as f64;
-        // FIFO onto the earliest-free channel.
-        let (slot, _) = next_free
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("channels >= 1");
-        let start = next_free[slot].max(arrival);
-        let done = start + s as f64;
-        next_free[slot] = done;
-        latencies.push(done - arrival);
-        busy += s as f64;
-        horizon = horizon.max(done);
-    }
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f32 {
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx] as f32
-    };
-    OpenLoadReport {
-        mean_us: (latencies.iter().sum::<f64>() / latencies.len() as f64) as f32,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        utilization: (busy / (c as f64 * horizon.max(1e-9))) as f32,
     }
 }
 
@@ -250,8 +154,8 @@ impl VirtualClock {
 /// A shared virtual device timeline for concurrent serving: every disk
 /// shard of a [`crate::serve::ShardedIndex`] reserves its batch occupancy
 /// on one clock, so queries arriving while the device is busy observe
-/// queue wait — the mechanism behind p99 saturation under offered load
-/// beyond [`SsdModel::max_iops`].
+/// queue wait — the mechanism behind p99 saturation once offered load
+/// exceeds what the device's `channels` can serve.
 ///
 /// The timeline is a [`VirtualClock`] driven by a real monotonic clock:
 /// arrival times come from `Instant` (concurrency decides interleaving),
@@ -293,30 +197,12 @@ mod tests {
         // exactly b × latency — the pre-queueing model.
         let m = SsdModel::fixed(100.0);
         for sectors in [1usize, 2, 7] {
-            assert_eq!(m.io_latency_us(sectors, 1), sectors as f32 * 100.0);
             assert_eq!(m.service_time_us(sectors), sectors as f32 * 100.0);
         }
         // A batch at QD=1 serialises: the sum of its members, i.e. the
         // legacy bill of `total sectors × latency`.
         let batch = m.batch_us([1usize, 1, 3], 1);
         assert_eq!(batch, 5.0 * 100.0);
-        assert_eq!(m.mean_wait_us(0.0, 1), 0.0);
-    }
-
-    #[test]
-    fn per_io_latency_is_monotone_in_queue_depth() {
-        let m = SsdModel::nvme();
-        let mut prev = 0.0;
-        for qd in 1..=32 {
-            let lat = m.io_latency_us(1, qd);
-            assert!(
-                lat >= prev,
-                "latency must not drop with depth: qd={qd} {lat} < {prev}"
-            );
-            prev = lat;
-        }
-        // And strictly grows once depth exceeds a single command.
-        assert!(m.io_latency_us(1, 16) > m.io_latency_us(1, 1));
     }
 
     #[test]
@@ -344,84 +230,6 @@ mod tests {
         let four = m.batch_us([1usize; 4], 1);
         assert!(one < four, "{one} vs {four}");
         assert_eq!(four - one, 3.0 * m.service_us);
-    }
-
-    #[test]
-    fn mean_wait_is_monotone_and_diverges_at_saturation() {
-        let m = SsdModel::nvme();
-        let cap = m.max_iops(1);
-        let mut prev = 0.0;
-        for frac in [0.1f32, 0.3, 0.5, 0.7, 0.9, 0.99] {
-            let w = m.mean_wait_us(cap * frac, 1);
-            assert!(w.is_finite());
-            assert!(w >= prev, "wait must grow with load: {w} < {prev}");
-            prev = w;
-        }
-        assert!(prev > 0.0);
-        assert_eq!(m.mean_wait_us(cap, 1), f32::INFINITY);
-        assert_eq!(m.mean_wait_us(cap * 1.5, 1), f32::INFINITY);
-    }
-
-    #[test]
-    fn mean_wait_single_channel_matches_pollaczek_khinchine() {
-        // c = 1, deterministic service: Wq = ρ·s / (2(1 − ρ)) exactly.
-        let m = SsdModel {
-            service_us: 0.0,
-            transfer_us_per_sector: 100.0,
-            channels: 1,
-        };
-        let s = m.service_time_us(1); // 100 µs → capacity 10k IOPS
-        for rho in [0.2f32, 0.5, 0.8] {
-            let offered = rho * 1e6 / s;
-            let want = rho * s / (2.0 * (1.0 - rho));
-            let got = m.mean_wait_us(offered, 1);
-            assert!(
-                (got - want).abs() < 1e-2,
-                "rho={rho}: got {got}, want {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn open_load_p99_grows_past_saturation() {
-        // With deterministic arrivals and service there is no queueing
-        // below capacity (D/D/c): p99 sits at the bare service time. Once
-        // the arrival rate exceeds max_iops the queue grows without bound
-        // and p99 must grow strictly with every extra bit of load.
-        let m = SsdModel::nvme();
-        let per_request = vec![m.service_time_us(1); 4000];
-        let cap_qps = m.max_iops(1);
-        for frac in [0.5f32, 0.9] {
-            let rep = simulate_open_load(&m, &per_request, cap_qps * frac);
-            assert_eq!(rep.p99_us, m.service_time_us(1), "waitless below cap");
-        }
-        let mut prev = m.service_time_us(1);
-        for frac in [1.1f32, 1.3, 1.5] {
-            let rep = simulate_open_load(&m, &per_request, cap_qps * frac);
-            assert!(
-                rep.p99_us > prev,
-                "p99 must grow past saturation: {} at {frac}x <= {prev}",
-                rep.p99_us
-            );
-            assert!(rep.p50_us <= rep.p99_us);
-            prev = rep.p99_us;
-        }
-        // Past saturation the queue is unbounded: p99 is dominated by
-        // wait, far above the bare service time.
-        assert!(prev > 50.0 * m.service_time_us(1));
-        // Under-load sanity: almost no waiting.
-        let light = simulate_open_load(&m, &per_request, cap_qps * 0.1);
-        assert!(light.p99_us < 2.0 * m.service_time_us(1));
-        assert!(light.utilization < 0.5);
-    }
-
-    #[test]
-    fn open_load_handles_empty_and_zero_rate() {
-        let m = SsdModel::nvme();
-        let rep = simulate_open_load(&m, &[], 1000.0);
-        assert_eq!(rep.p99_us, 0.0);
-        let rep = simulate_open_load(&m, &[100.0], 0.0);
-        assert_eq!(rep.p99_us, 0.0);
     }
 
     #[test]

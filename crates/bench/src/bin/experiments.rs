@@ -4,39 +4,18 @@
 //! cargo run -p rpq-bench --release --bin experiments -- all
 //! cargo run -p rpq-bench --release --bin experiments -- fig5 table6
 //! RPQ_SCALE=ci cargo run -p rpq-bench --release --bin experiments -- table2
-//! cargo run -p rpq-bench --release --bin experiments -- serve
 //! ```
 //!
 //! Results print as markdown and persist to `bench_results/<id>.json`.
 
 use std::time::Instant;
 
-use rpq_bench::experiments::{
-    ablation, artifacts, cluster, curves, diskio, filtered, sensitivity, serve, streaming, threads,
-};
+use rpq_bench::experiments::{ablation, artifacts, curves, sensitivity};
 use rpq_bench::Scale;
 
 const ALL: &[&str] = &[
-    "table2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "serve",
-    "streaming",
-    "threads",
-    "diskio",
-    "cluster",
-    "filtered",
+    "table2", "fig4", "fig5", "fig6", "fig7", "table4", "table5", "table6", "table7", "fig8",
+    "fig9", "fig10", "fig11", "fig12",
 ];
 
 fn main() {
@@ -47,7 +26,10 @@ fn main() {
         eprintln!("scale via RPQ_SCALE=ci|small|full (default small)");
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!("# RPQ experiment run ({})", scale.label());
 
     let mut wanted: Vec<&str> = if args.iter().any(|a| a == "all") {
@@ -90,12 +72,6 @@ fn main() {
             }
             "fig11" => sensitivity::fig11(&scale).print(),
             "fig12" => sensitivity::fig12(&scale).print(),
-            "serve" => serve::serve(&scale).print(),
-            "streaming" => streaming::streaming(&scale).print(),
-            "threads" => threads::threads(&scale).print(),
-            "diskio" => diskio::diskio(&scale).print(),
-            "cluster" => cluster::cluster(&scale).print(),
-            "filtered" => filtered::filtered(&scale).print(),
             _ => unreachable!(),
         }
         eprintln!("[{id}] done in {:.1}s", start.elapsed().as_secs_f32());

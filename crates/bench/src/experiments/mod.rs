@@ -2,14 +2,8 @@
 
 pub mod ablation;
 pub mod artifacts;
-pub mod cluster;
 pub mod curves;
-pub mod diskio;
-pub mod filtered;
 pub mod sensitivity;
-pub mod serve;
-pub mod streaming;
-pub mod threads;
 
 use std::sync::Arc;
 

@@ -9,11 +9,10 @@
 //! 3. prints a paper-style table and writes `bench_results/<id>.json`.
 //!
 //! Run them with `cargo run -p rpq-bench --release --bin experiments -- all`
-//! (or a specific id: `table2`, `fig4` … `fig12`, `serve`). The mapping
-//! from paper artifact to experiment id is DESIGN.md §5; measured-vs-paper
-//! numbers are recorded in EXPERIMENTS.md. The `serve` id has no paper
-//! counterpart: it measures the repo's own sharded serving layer
-//! (QPS and p50/p95/p99 latency vs shard count, DESIGN.md §7.5).
+//! (or a specific id: `table2`, `fig4` … `fig12`). The mapping from paper
+//! artifact to experiment id is DESIGN.md §5. The repo's own subsystems
+//! (disk, streaming, serving, filtering) are measured by `rpq-perf`
+//! (`benchmark/README.md`), not here.
 
 pub mod experiments;
 pub mod report;

@@ -1,5 +1,5 @@
-//! Result reporting: JSON persistence (so EXPERIMENTS.md numbers are
-//! regenerable) and paper-style markdown tables on stdout.
+//! Result reporting: JSON persistence (`bench_results/<id>.json`) and
+//! paper-style markdown tables on stdout.
 
 use std::fs;
 use std::path::PathBuf;

@@ -2,8 +2,7 @@
 //!
 //! The paper evaluates at 1M–1B vectors on a 2×Xeon server; the reproduction
 //! runs the same pipelines at a proportional laptop scale (DESIGN.md §4).
-//! `RPQ_SCALE=ci|small|full` selects a preset; `small` is the default used
-//! by EXPERIMENTS.md.
+//! `RPQ_SCALE=ci|small|full` selects a preset; `small` is the default.
 
 /// Sizing knobs shared by all experiments.
 #[derive(Clone, Debug)]
@@ -23,37 +22,6 @@ pub struct Scale {
     /// Dataset sizes for the scalability experiments (stand-in for the
     /// paper's 1M→1B axis).
     pub scalability_sizes: Vec<usize>,
-    /// Shard counts swept by the `serve` experiment (DESIGN.md §7).
-    pub shard_counts: Vec<usize>,
-    /// Insert/delete/query rounds of the `streaming` experiment
-    /// (DESIGN.md §8.4).
-    pub streaming_rounds: usize,
-    /// Per-round recall@k floor the `streaming` experiment asserts; pinned
-    /// below observed values with margin for the ADC quantization ceiling
-    /// at each preset's K.
-    pub streaming_recall_floor: f32,
-    /// Replica counts swept by the `cluster` experiment (DESIGN.md §11).
-    pub cluster_replicas: Vec<usize>,
-    /// Offered load as fractions of single-replica capacity; must span
-    /// under- and over-load so the shed curve has both tails.
-    pub cluster_load_fracs: Vec<f32>,
-    /// Requests per open-loop run of the `cluster` experiment.
-    pub cluster_requests: usize,
-    /// Admission queue bound of the `cluster` experiment.
-    pub cluster_queue_cap: usize,
-    /// Label vocabulary of the `filtered` experiment's labeled corpus
-    /// (DESIGN.md §12; labels are correlated with cluster geometry).
-    pub label_vocab: usize,
-    /// Labels swept by the `filtered` experiment. The geometric
-    /// cluster→label map makes label `j` cover ~`2^-(j+1)` of the corpus,
-    /// so this is a selectivity ladder (0 ≈ 50%, 2 ≈ 12.5%, 5 ≈ 1.6%).
-    pub filter_labels: Vec<usize>,
-    /// `ef` inflation factor of the post-filter strategy.
-    pub filter_inflation: u32,
-    /// Zipf exponent for the skewed-traffic rows of the `serve` and
-    /// `cluster` experiments (0 = uniform rows only would be pointless,
-    /// so presets pick a realistic head-heavy skew).
-    pub zipf_s: f64,
     /// RPQ training epochs / steps per epoch for experiment runs.
     pub rpq_epochs: usize,
     pub rpq_steps: usize,
@@ -72,17 +40,6 @@ impl Scale {
             kk: 32,
             m: 8,
             scalability_sizes: vec![400, 800, 1600],
-            shard_counts: vec![1, 2],
-            streaming_rounds: 4,
-            streaming_recall_floor: 0.5,
-            cluster_replicas: vec![1, 2],
-            cluster_load_fracs: vec![0.6, 1.2, 2.5],
-            cluster_requests: 1200,
-            cluster_queue_cap: 32,
-            label_vocab: 8,
-            filter_labels: vec![0, 2, 5],
-            filter_inflation: 4,
-            zipf_s: 1.1,
             rpq_epochs: 2,
             rpq_steps: 8,
             seed: 42,
@@ -105,17 +62,6 @@ impl Scale {
             kk: 64,
             m: 8,
             scalability_sizes: vec![1000, 4000, 12000, 30000],
-            shard_counts: vec![1, 2, 4],
-            streaming_rounds: 6,
-            streaming_recall_floor: 0.5,
-            cluster_replicas: vec![1, 2, 4],
-            cluster_load_fracs: vec![0.5, 1.0, 2.0, 4.0],
-            cluster_requests: 4000,
-            cluster_queue_cap: 64,
-            label_vocab: 8,
-            filter_labels: vec![0, 2, 5],
-            filter_inflation: 4,
-            zipf_s: 1.1,
             rpq_epochs: 3,
             rpq_steps: 15,
             seed: 42,
@@ -132,29 +78,31 @@ impl Scale {
             kk: 256,
             m: 8,
             scalability_sizes: vec![5000, 20_000, 80_000, 200_000],
-            shard_counts: vec![1, 2, 4, 8],
-            streaming_rounds: 8,
-            streaming_recall_floor: 0.55,
-            cluster_replicas: vec![1, 2, 4],
-            cluster_load_fracs: vec![0.5, 1.0, 2.0, 4.0],
-            cluster_requests: 12_000,
-            cluster_queue_cap: 128,
-            label_vocab: 8,
-            filter_labels: vec![0, 2, 5],
-            filter_inflation: 4,
-            zipf_s: 1.1,
             rpq_epochs: 4,
             rpq_steps: 25,
             seed: 42,
         }
     }
 
-    /// Reads `RPQ_SCALE` (defaults to `small`).
-    pub fn from_env() -> Self {
-        match std::env::var("RPQ_SCALE").as_deref() {
-            Ok("ci") => Self::ci(),
-            Ok("full") => Self::full(),
-            _ => Self::small(),
+    /// Reads `RPQ_SCALE`: unset is `small`; a set value must name a preset,
+    /// otherwise the error lists the accepted values (a typo must not run
+    /// the minutes-long default silently).
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("RPQ_SCALE") {
+            Ok(name) => Self::from_name(&name),
+            Err(std::env::VarError::NotPresent) => Ok(Self::small()),
+            Err(e) => Err(format!("RPQ_SCALE: {e}")),
+        }
+    }
+
+    fn from_name(name: &str) -> Result<Self, String> {
+        match name {
+            "ci" => Ok(Self::ci()),
+            "small" => Ok(Self::small()),
+            "full" => Ok(Self::full()),
+            _ => Err(format!(
+                "unknown RPQ_SCALE value: {name:?} (accepted: ci, small, full)"
+            )),
         }
     }
 
@@ -180,6 +128,15 @@ mod tests {
     #[test]
     fn env_fallback_is_small() {
         std::env::remove_var("RPQ_SCALE");
-        assert_eq!(Scale::from_env().n_base, Scale::small().n_base);
+        assert_eq!(Scale::from_env().unwrap().n_base, Scale::small().n_base);
+    }
+
+    #[test]
+    fn unknown_scale_names_are_rejected_not_defaulted() {
+        assert_eq!(Scale::from_name("ci").unwrap().n_base, Scale::ci().n_base);
+        for typo in ["CI", "smal", ""] {
+            let err = Scale::from_name(typo).unwrap_err();
+            assert!(err.contains("ci, small, full"), "{err}");
+        }
     }
 }

@@ -48,40 +48,3 @@ fn ci_scale_setup_path_works() {
     assert!(path.exists());
     std::fs::remove_file(path).ok();
 }
-
-#[test]
-fn ci_scale_serve_experiment_reports_all_operating_points() {
-    let scale = Scale::ci();
-    let report = rpq_bench::experiments::serve::serve(&scale);
-    assert_eq!(report.id, "serve");
-    // One row per (shard count, beam width); ≥ 2 shard counts so the
-    // QPS-vs-shards readout exists.
-    assert!(scale.shard_counts.len() >= 2);
-    assert_eq!(report.rows.len() % scale.shard_counts.len(), 0);
-    assert!(!report.rows.is_empty());
-    let col = |name: &str| {
-        report
-            .columns
-            .iter()
-            .position(|c| c == name)
-            .unwrap_or_else(|| panic!("serve report lost its {name} column"))
-    };
-    let (recall_col, qps_col) = (col("Recall@10"), col("QPS"));
-    for row in &report.rows {
-        assert_eq!(row.len(), report.columns.len());
-        let recall: f32 = row[recall_col].parse().expect("recall cell parses");
-        assert!(
-            (0.0..=1.0).contains(&recall),
-            "recall out of range: {recall}"
-        );
-        let qps: f32 = row[qps_col].parse().expect("qps cell parses");
-        assert!(qps > 0.0);
-    }
-    // The experiment persists its JSON artifact.
-    let json = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .unwrap()
-        .join("bench_results/serve.json");
-    assert!(json.exists(), "serve.json not written at {json:?}");
-}

@@ -164,8 +164,7 @@ impl SynthConfig {
     /// geometric: label `j` covers ~`2^-(j+1)` of the clusters
     /// (`j = trailing_zeros(c + 1)`, clamped to the vocabulary), giving
     /// single-label selectivities of ~0.5, 0.25, …, down to ~`2^-vocab` —
-    /// the selectivity axis the filtered experiment sweeps without needing
-    /// per-selectivity corpora.
+    /// a selectivity axis to sweep without needing per-selectivity corpora.
     pub fn generate_labeled(&self, n: usize, seed: u64, vocab: usize) -> (Dataset, Labels) {
         let mut labels = Labels::new(vocab);
         let data = self.generate_impl(n, seed, |c| {

@@ -15,7 +15,7 @@ use rpq_data::synth::DatasetKind;
 use rpq_graph::ProximityGraph;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().expect("RPQ_SCALE");
     let bench = make_bench(DatasetKind::Sift, scale.n_base, scale.n_query, scale.k, 3);
     println!(
         "SIFT-like, {} base / {} queries — in-memory over HNSW\n",

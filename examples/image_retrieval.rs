@@ -21,7 +21,7 @@ use rpq_graph::VamanaConfig;
 use rpq_quant::{PqConfig, ProductQuantizer, VectorCompressor};
 
 fn main() {
-    let scale = rpq_bench::Scale::from_env();
+    let scale = rpq_bench::Scale::from_env().expect("RPQ_SCALE");
     let (base, queries) = DatasetKind::BigAnn.generate(scale.n_base, scale.n_query, 7);
     let gt = brute_force_knn(&base, &queries, 10);
     println!(

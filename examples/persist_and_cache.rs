@@ -19,7 +19,7 @@ use rpq_graph::VamanaConfig;
 use rpq_quant::{read_rotated_pq, write_rotated_pq, VectorCompressor};
 
 fn main() {
-    let scale = rpq_bench::Scale::from_env();
+    let scale = rpq_bench::Scale::from_env().expect("RPQ_SCALE");
     let (base, queries) = DatasetKind::Sift.generate(scale.n_base.min(4000), 20, 99);
     let graph = Arc::new(VamanaConfig::default().build(&base));
 

@@ -19,7 +19,7 @@ use rpq_graph::{HnswConfig, ProximityGraph};
 use rpq_quant::{PqConfig, ProductQuantizer, VectorCompressor};
 
 fn main() {
-    let scale = rpq_bench::Scale::from_env();
+    let scale = rpq_bench::Scale::from_env().expect("RPQ_SCALE");
     // Deep-like: normalised CNN/encoder embeddings — the shape of text
     // embedding stores.
     let (base, queries) = DatasetKind::Deep.generate(scale.n_base, scale.n_query, 11);

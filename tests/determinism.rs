@@ -267,8 +267,8 @@ fn cluster_serving_with_rebalance_is_thread_invariant() {
     // The whole serving control plane on the virtual clock — replicated
     // reads, admission (queue + deadline + quota), and a live rebalance
     // between two open-loop runs — must be bit-identical at every pool
-    // width. This is what licenses the cluster experiment's goodput and
-    // p99 numbers on any machine.
+    // width. This is what licenses reading the cluster's goodput and p99
+    // numbers on any machine.
     let data = ci_data(360, 23);
     let (base, queries) = data.split_at(320);
     let cfg = StreamingConfig {
@@ -437,8 +437,7 @@ fn zipf_filtered_cluster_serving_is_thread_invariant() {
     // Zipf-skewed query selection plus predicate-carrying requests through
     // the replicated cluster on the virtual clock: outcomes (top-k ids,
     // distance bits, latencies, reject reasons) must be bit-identical at
-    // every pool width — the guarantee that licenses the skew rows in the
-    // cluster experiment's JSON.
+    // every pool width, skewed and filtered traffic included.
     use rpq_anns::serve::FilteredQuery;
     use rpq_anns::FilterStrategy;
     use rpq_data::{LabelPredicate, Labels};

@@ -160,7 +160,10 @@ fn width1_is_bit_identical_for_pq_opq_and_tie_dense_estimators() {
 
 /// Wider frontiers read speculatively but may only *grow* the explored
 /// region: recall at `io_width ∈ {4, 8}` stays within 0.02 of the serial
-/// engine at the same ef.
+/// engine at the same ef. What the width buys is modeled device time:
+/// under the NVMe model width 8 bills less `io_seconds` than width 1 for
+/// the same queries, and that bill depends only on reads and coalesced
+/// spans — never on a clock — so it repeats bit for bit.
 #[test]
 fn wide_io_widths_stay_inside_the_recall_envelope() {
     let scale = Scale::ci();
@@ -174,26 +177,45 @@ fn wide_io_widths_stay_inside_the_recall_envelope() {
     )
     .expect("disk index build failed");
 
-    let recall_at = |index: &DiskIndex<_>, ef: usize| {
+    // Recall and summed modeled device seconds of one pass over the queries.
+    let pass = |index: &DiskIndex<_>, ef: usize| {
+        let mut io_seconds = 0.0f64;
         let ids: Vec<Vec<u32>> = bench
             .queries
             .iter()
-            .map(|q| index.search(q, ef, 10).0.iter().map(|n| n.id).collect())
+            .map(|q| {
+                let (res, stats) = index.search(q, ef, 10);
+                io_seconds += f64::from(stats.io_seconds);
+                res.iter().map(|n| n.id).collect()
+            })
             .collect();
-        bench.gt.recall(&ids)
+        (bench.gt.recall(&ids), io_seconds)
     };
 
     for ef in [10, 30] {
-        let serial = recall_at(&index, ef);
-        for width in [4, 8] {
+        let (serial, _) = pass(&index, ef);
+        let mut nvme_io = Vec::new();
+        for width in [1, 4, 8] {
             index.set_io_policy(width, SsdModel::nvme());
-            let wide = recall_at(&index, ef);
+            let (wide, io) = pass(&index, ef);
+            let (_, io_again) = pass(&index, ef);
             index.set_io_policy(1, SsdModel::fixed(100.0));
             assert!(
                 wide >= serial - 0.02,
                 "ef {ef} width {width}: recall {wide} fell more than 0.02 below serial {serial}"
             );
+            assert_eq!(
+                io.to_bits(),
+                io_again.to_bits(),
+                "ef {ef} width {width}: modeled io_seconds differs between two passes"
+            );
+            nvme_io.push(io);
         }
+        let (width1_io, width8_io) = (nvme_io[0], nvme_io[2]);
+        assert!(
+            width8_io < width1_io,
+            "ef {ef}: width 8 bills {width8_io} s of modeled I/O, width 1 {width1_io} s"
+        );
     }
 }
 

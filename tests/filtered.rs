@@ -90,6 +90,8 @@ const LADDER: [usize; 3] = [0, 2, 5];
 /// selectivities. In-traversal keeps admitting matches at unchanged
 /// routing cost, so a generous beam must clear a recall floor even for
 /// the ~2% predicate — and every returned id must satisfy the predicate.
+/// "Unchanged routing cost" is pinned too: in-traversal never expands
+/// more vertices than post-filter's inflated beam at the same `ef`.
 #[test]
 fn filtered_recall_tracks_exact_filtered_ground_truth_across_selectivities() {
     let f = fixture();
@@ -102,17 +104,20 @@ fn filtered_recall_tracks_exact_filtered_ground_truth_across_selectivities() {
             "label {label} matches fewer points than k at this scale"
         );
         let gt = brute_force_knn_filtered(&f.base, &f.queries, 10, &f.labels, pred);
+        let mut hops = Vec::new();
         for strategy in [
             FilterStrategy::DuringTraversal,
             FilterStrategy::PostFilter { inflation: 4 },
         ] {
+            let mut strategy_hops = 0;
             let ids: Vec<Vec<u32>> = f
                 .queries
                 .iter()
                 .map(|q| {
-                    let (res, _) =
+                    let (res, stats) =
                         f.index
                             .search_filtered(q, pred, strategy, 120, 10, &mut scratch);
+                    strategy_hops += stats.hops;
                     for n in &res {
                         assert!(
                             f.labels.matches(n.id as usize, pred),
@@ -124,6 +129,7 @@ fn filtered_recall_tracks_exact_filtered_ground_truth_across_selectivities() {
                     res.iter().map(|n| n.id).collect()
                 })
                 .collect();
+            hops.push(strategy_hops);
             let recall = gt.recall(&ids);
             // In-traversal holds a floor at every rung; post-filter is only
             // gated where the inflated beam still covers the matches.
@@ -142,6 +148,12 @@ fn filtered_recall_tracks_exact_filtered_ground_truth_across_selectivities() {
                 strategy.name()
             );
         }
+        let (in_traversal, post_filter) = (hops[0], hops[1]);
+        assert!(
+            in_traversal <= post_filter,
+            "in-traversal expanded {in_traversal} vertices, post-filter {post_filter} \
+             at selectivity {sel:.3}"
+        );
     }
 }
 

@@ -1,10 +1,10 @@
 //! Integration tests for the streaming mutable index (DESIGN.md §8).
 //!
-//! The load-bearing test is the sequential baseline: after a scripted wave
-//! of interleaved inserts and deletes plus a consolidation pass, the
-//! streamed index's recall on seeded CI data must stay within a pinned
-//! floor of a from-scratch rebuild over the same surviving points — churn
-//! may cost a little graph quality, but never an epoch's worth.
+//! The load-bearing test is the sequential baseline: after every cycle of
+//! a scripted wave of interleaved inserts and deletes plus a consolidation
+//! pass, the streamed index's recall on seeded CI data must stay within a
+//! pinned floor of a from-scratch rebuild over the same surviving points —
+//! churn may cost a little graph quality, but never an epoch's worth.
 
 use rpq_anns::stream::{StreamingConfig, StreamingIndex};
 use rpq_bench::Scale;
@@ -55,43 +55,51 @@ fn churned_index_tracks_from_scratch_rebuild() {
         ..Default::default()
     };
 
-    // Scripted churn: stream in the whole reserve, tombstoning a
-    // deterministic spread of earlier points along the way.
+    // Scripted churn in four cycles: each streams in a quarter of the
+    // reserve, tombstoning a deterministic spread of earlier points along
+    // the way, then consolidates. After every cycle the streamed index is
+    // held against the baseline: a from-scratch batch build over exactly
+    // the surviving points, in the streamed index's own local-id order,
+    // with the same compressor. Ground-truth ids are then local ids for
+    // both indexes.
     let mut index = StreamingIndex::build(pq.clone(), &seed_set, cfg);
     let mut scratch = SearchScratch::new();
     let mut source: Vec<usize> = (0..initial).collect();
-    for i in 0..pool {
-        index.insert(base.get(initial + i), &mut scratch);
-        source.push(initial + i);
-        if i % 3 == 0 {
-            let victim = (i * 11) % index.len();
-            index.remove(victim as u32);
+    let cycles = 4;
+    let mut reclaimed = 0;
+    let mut streamed = 0.0;
+    for cycle in 0..cycles {
+        for i in cycle * pool / cycles..(cycle + 1) * pool / cycles {
+            index.insert(base.get(initial + i), &mut scratch);
+            source.push(initial + i);
+            if i % 3 == 0 {
+                let victim = (i * 11) % index.len();
+                index.remove(victim as u32);
+            }
         }
+        let report = index.consolidate(true).expect("churn left tombstones");
+        reclaimed += report.reclaimed;
+        source = report
+            .survivors
+            .iter()
+            .map(|&old| source[old as usize])
+            .collect();
+        assert_eq!(index.live_len(), source.len());
+
+        let survivors = base.subset(&source);
+        let rebuilt = StreamingIndex::build(pq.clone(), &survivors, cfg);
+        let gt = brute_force_knn(&survivors, &queries, 10);
+
+        let ef = 90;
+        streamed = recall_at_10(&index, &queries, &gt, ef);
+        let fresh = recall_at_10(&rebuilt, &queries, &gt, ef);
+        assert!(
+            streamed >= fresh - 0.1,
+            "cycle {cycle}: churned index fell more than the pinned floor below \
+             a rebuild: streamed {streamed} vs rebuilt {fresh}"
+        );
     }
-    let report = index.consolidate(true).expect("churn left tombstones");
-    assert!(report.reclaimed > 50, "script tombstoned over 100 points");
-    source = report
-        .survivors
-        .iter()
-        .map(|&old| source[old as usize])
-        .collect();
-    assert_eq!(index.live_len(), source.len());
-
-    // The baseline: a from-scratch batch build over exactly the surviving
-    // points, in the streamed index's own local-id order, with the same
-    // compressor. Ground-truth ids are then local ids for both indexes.
-    let survivors = base.subset(&source);
-    let rebuilt = StreamingIndex::build(pq, &survivors, cfg);
-    let gt = brute_force_knn(&survivors, &queries, 10);
-
-    let ef = 90;
-    let streamed = recall_at_10(&index, &queries, &gt, ef);
-    let fresh = recall_at_10(&rebuilt, &queries, &gt, ef);
-    assert!(
-        streamed >= fresh - 0.1,
-        "churned index fell more than the pinned floor below a rebuild: \
-         streamed {streamed} vs rebuilt {fresh}"
-    );
+    assert!(reclaimed > 50, "script tombstoned over 100 points");
     assert!(
         streamed >= 0.55,
         "churned index lost absolute recall: {streamed}"
