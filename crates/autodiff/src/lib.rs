@@ -32,9 +32,5 @@ mod ops;
 mod optim;
 mod tape;
 
-pub use optim::{Adam, AdamConfig, LrSchedule, OneCycleLr, Sgd};
+pub use optim::{Adam, AdamConfig, OneCycleLr};
 pub use tape::{Gradients, Tape, Var};
-
-/// Numerically-safe epsilon used inside `ln` and division-like backward
-/// passes.
-pub(crate) const SAFE_EPS: f32 = 1e-12;

@@ -7,10 +7,9 @@
 //!   output, e.g. softmax) and a sink that accumulates per-input gradients.
 
 use rand::Rng;
-use rpq_linalg::{cayley, cayley_vjp, expm, expm_vjp, Matrix};
+use rpq_linalg::{expm, expm_vjp, Matrix};
 
 use crate::tape::{Tape, Var};
-use crate::SAFE_EPS;
 
 #[allow(dead_code)] // scalar payloads kept for tape debugging/introspection
 pub(crate) enum Op {
@@ -24,10 +23,8 @@ pub(crate) enum Op {
     MatMul(Var, Var),
     Transpose(Var),
     Exp(Var),
-    Ln(Var),
     Relu(Var),
     Square(Var),
-    Softplus(Var),
     RowSoftmax(Var),
     RowLogSumExp(Var),
     SumCols(Var),
@@ -38,12 +35,10 @@ pub(crate) enum Op {
     SliceCols(Var, usize, usize),
     SliceRows(Var, usize, usize),
     ConcatCols(Vec<Var>),
-    ConcatRows(Vec<Var>),
     Reshape(Var),
     GatherRows(Var, Vec<usize>),
     SelectPerRow(Var, Vec<usize>),
     MatrixExp(Var),
-    CayleyMap(Var),
 }
 
 impl Op {
@@ -80,10 +75,6 @@ impl Op {
             }
             Op::Transpose(a) => sink(*a, g.transpose()),
             Op::Exp(a) => sink(*a, g.hadamard(&tape.nodes[idx].value)),
-            Op::Ln(a) => {
-                let x = tape.value(*a);
-                sink(*a, g.hadamard(&x.map(|v| 1.0 / (v + SAFE_EPS))));
-            }
             Op::Relu(a) => {
                 let x = tape.value(*a);
                 sink(*a, g.hadamard(&x.map(|v| if v > 0.0 { 1.0 } else { 0.0 })));
@@ -91,10 +82,6 @@ impl Op {
             Op::Square(a) => {
                 let x = tape.value(*a);
                 sink(*a, g.hadamard(&x.scale(2.0)));
-            }
-            Op::Softplus(a) => {
-                let x = tape.value(*a);
-                sink(*a, g.hadamard(&x.map(sigmoid)));
             }
             Op::RowSoftmax(a) => {
                 // y = softmax(x) rowwise; x̄ = y ⊙ (ḡ − rowsum(ḡ ⊙ y))
@@ -187,14 +174,6 @@ impl Op {
                     off += w;
                 }
             }
-            Op::ConcatRows(parts) => {
-                let mut off = 0;
-                for p in parts {
-                    let h = tape.value(*p).rows;
-                    sink(*p, g.slice_rows(off, off + h));
-                    off += h;
-                }
-            }
             Op::Reshape(a) => {
                 let x = tape.value(*a);
                 sink(*a, Matrix::from_vec(x.rows, x.cols, g.data.clone()));
@@ -220,19 +199,7 @@ impl Op {
             Op::MatrixExp(a) => {
                 sink(*a, expm_vjp(tape.value(*a), g));
             }
-            Op::CayleyMap(a) => {
-                sink(*a, cayley_vjp(tape.value(*a), g));
-            }
         }
-    }
-}
-
-fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 
@@ -316,13 +283,6 @@ impl Tape {
         self.push(v, Op::Exp(a), ng)
     }
 
-    /// Element-wise natural log of `x + ε` (safe for zero inputs).
-    pub fn ln(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| (x + SAFE_EPS).ln());
-        let ng = self.needs(a);
-        self.push(v, Op::Ln(a), ng)
-    }
-
     /// Element-wise `max(0, x)`.
     pub fn relu(&mut self, a: Var) -> Var {
         let v = self.value(a).map(|x| x.max(0.0));
@@ -335,16 +295,6 @@ impl Tape {
         let v = self.value(a).map(|x| x * x);
         let ng = self.needs(a);
         self.push(v, Op::Square(a), ng)
-    }
-
-    /// Element-wise `softplus(x) = ln(1 + eˣ)`, the positive
-    /// reparameterisation used for the learnable loss coefficient α.
-    pub fn softplus(&mut self, a: Var) -> Var {
-        let v = self
-            .value(a)
-            .map(|x| if x > 20.0 { x } else { (1.0 + x.exp()).ln() });
-        let ng = self.needs(a);
-        self.push(v, Op::Softplus(a), ng)
     }
 
     /// Row-wise softmax (numerically stabilised).
@@ -462,14 +412,6 @@ impl Tape {
         self.push(v, Op::ConcatCols(parts.to_vec()), ng)
     }
 
-    /// Vertical concatenation.
-    pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        let values: Vec<&Matrix> = parts.iter().map(|p| self.value(*p)).collect();
-        let v = Matrix::vstack(&values);
-        let ng = parts.iter().any(|p| self.needs(*p));
-        self.push(v, Op::ConcatRows(parts.to_vec()), ng)
-    }
-
     /// Reshapes to `rows×cols` (element count must match; row-major order
     /// preserved).
     pub fn reshape(&mut self, a: Var, rows: usize, cols: usize) -> Var {
@@ -515,16 +457,6 @@ impl Tape {
         let v = expm(self.value(a));
         let ng = self.needs(a);
         self.push(v, Op::MatrixExp(a), ng)
-    }
-
-    /// Cayley transform `(I − A)⁻¹(I + A)` of a square (skew-symmetric)
-    /// matrix — the cheaper alternative rotation parameterisation
-    /// (DESIGN.md ablation; valid vjp only on the skew tangent space, which
-    /// is where RPQ evaluates it).
-    pub fn cayley_map(&mut self, a: Var) -> Var {
-        let v = cayley(self.value(a));
-        let ng = self.needs(a);
-        self.push(v, Op::CayleyMap(a), ng)
     }
 
     // ---- composites -------------------------------------------------------

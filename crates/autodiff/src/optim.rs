@@ -14,7 +14,6 @@ pub struct AdamConfig {
     pub beta1: f32,
     pub beta2: f32,
     pub eps: f32,
-    pub weight_decay: f32,
 }
 
 impl Default for AdamConfig {
@@ -24,7 +23,6 @@ impl Default for AdamConfig {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
         }
     }
 }
@@ -64,11 +62,6 @@ impl Adam {
         adam
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.cfg.lr
-    }
-
     /// Overrides the learning rate (used by schedules).
     pub fn set_lr(&mut self, lr: f32) {
         self.cfg.lr = lr;
@@ -102,10 +95,7 @@ impl Adam {
                 "Adam: state size mismatch in slot {slot}"
             );
             for i in 0..param.data.len() {
-                let mut g = grad.data[i];
-                if self.cfg.weight_decay > 0.0 {
-                    g += self.cfg.weight_decay * param.data[i];
-                }
+                let g = grad.data[i];
                 m[i] = self.cfg.beta1 * m[i] + (1.0 - self.cfg.beta1) * g;
                 v[i] = self.cfg.beta2 * v[i] + (1.0 - self.cfg.beta2) * g * g;
                 let mhat = m[i] / b1t;
@@ -114,29 +104,6 @@ impl Adam {
             }
         }
     }
-}
-
-/// Plain SGD, mainly as a baseline and for tests.
-pub struct Sgd {
-    pub lr: f32,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    pub fn step(&self, updates: &mut [(&mut Matrix, Option<&Matrix>)]) {
-        for (param, grad) in updates.iter_mut() {
-            let Some(grad) = grad else { continue };
-            param.add_scaled_inplace(grad, -self.lr);
-        }
-    }
-}
-
-/// A learning-rate schedule mapping step index → learning rate.
-pub trait LrSchedule {
-    fn lr_at(&self, step: usize) -> f32;
 }
 
 /// One-cycle learning rate (Smith 2018): linear warm-up to `max_lr` for the
@@ -165,10 +132,9 @@ impl OneCycleLr {
             final_decay: 0.2,
         }
     }
-}
 
-impl LrSchedule for OneCycleLr {
-    fn lr_at(&self, step: usize) -> f32 {
+    /// The learning rate at `step` (clamped to the last step).
+    pub fn lr_at(&self, step: usize) -> f32 {
         let total = self.total_steps.max(1);
         let step = step.min(total - 1);
         let warm = ((total as f32) * self.pct_start).max(1.0);
@@ -207,20 +173,6 @@ mod tests {
         }
         for (a, b) in x.data.iter().zip(&target.data) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn sgd_minimises_quadratic() {
-        let target = Matrix::from_rows(&[&[1.0, 1.0]]);
-        let mut x = Matrix::zeros(1, 2);
-        let sgd = Sgd::new(0.1);
-        for _ in 0..200 {
-            let grad = x.sub(&target).scale(2.0);
-            sgd.step(&mut [(&mut x, Some(&grad))]);
-        }
-        for (a, b) in x.data.iter().zip(&target.data) {
-            assert!((a - b).abs() < 1e-3);
         }
     }
 

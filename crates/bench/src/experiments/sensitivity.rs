@@ -7,7 +7,6 @@ use serde::Serialize;
 
 use rpq_core::{train_rpq, TrainingMode};
 use rpq_data::synth::DatasetKind;
-use rpq_quant::VectorCompressor;
 
 use crate::experiments::{common_target, hybrid_sweep, memory_sweep};
 use crate::report::{fmt, write_json, Report};
@@ -53,21 +52,14 @@ pub fn fig910(scale: &Scale) -> (Report, Report) {
             for &m in &ms {
                 let cfg = rpq_config(TrainingMode::Full, &grid_scale, m, kk);
                 let (rpq, _) = train_rpq(&cfg, &bench.base, &vamana);
-                let inner = rpq.inner();
-                let clone_box: Box<dyn VectorCompressor> =
-                    Box::new(rpq_quant::OptimizedProductQuantizer::from_parts(
-                        inner.rotation().clone(),
-                        inner.pq().clone(),
-                        inner.train_seconds(),
-                    ));
                 let hyb = hybrid_sweep(
                     &bench,
                     &vamana,
-                    Box::new(rpq) as Box<dyn VectorCompressor>,
+                    Box::new(rpq.clone()),
                     scale,
                     &format!("fig9-{}-{kk}-{m}", kind.name()),
                 );
-                let mem = memory_sweep(&bench, &hnsw, clone_box, scale);
+                let mem = memory_sweep(&bench, &hnsw, Box::new(rpq), scale);
                 cells.push((kk, m, hyb, mem));
             }
         }

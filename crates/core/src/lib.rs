@@ -38,6 +38,5 @@ pub use features::{
     sample_routing_features, sample_triplets, RoutingFeature, RoutingSamplerConfig, Triplet,
     TripletSamplerConfig,
 };
-pub use loss::LossWeighting;
-pub use quantizer::{DiffQuantizer, DiffQuantizerConfig, RotationParam};
+pub use quantizer::{DiffQuantizer, DiffQuantizerConfig};
 pub use trainer::{train_rpq, RpqCompressor, RpqTrainerConfig, TrainStats, TrainingMode};

@@ -7,10 +7,10 @@
 //!   every recorded decision, maximise the probability (softmax over the
 //!   candidate set, ADC distances, temperature τ) of selecting the truly
 //!   closest candidate.
-//! * [`LossWeighting`] — Eq. 11's combination. A raw learnable positive
+//! * [`combine`] — Eq. 11's combination. A raw learnable positive
 //!   multiplier on a non-negative loss collapses to zero, so "learnable α"
-//!   is realised as homoscedastic uncertainty weighting (Kendall & Gal);
-//!   a fixed coefficient is also available (DESIGN.md §4).
+//!   is realised as homoscedastic uncertainty weighting (Kendall & Gal;
+//!   DESIGN.md §4).
 
 use rand::Rng;
 use rpq_autodiff::{Tape, Var};
@@ -19,16 +19,6 @@ use rpq_linalg::Matrix;
 
 use crate::features::{RoutingFeature, Triplet};
 use crate::quantizer::{DiffQuantizer, QuantizerVars};
-
-/// How the two feature-aware losses combine into Eq. 11.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LossWeighting {
-    /// `L = L_routing + α · L_neighborhood` with fixed α.
-    Fixed(f32),
-    /// Learnable homoscedastic weighting:
-    /// `L = e^{−s₁} L_routing + s₁ + e^{−s₂} L_neighborhood + s₂`.
-    Uncertainty,
-}
 
 /// Builds the neighborhood triplet loss (Eq. 8) for a batch of triplets.
 /// Quantizes `[anchors; positives; negatives]` in one pass and returns the
@@ -178,40 +168,32 @@ pub fn reconstruction_loss<R: Rng + ?Sized>(
     t.mean_all(normed)
 }
 
-/// Combines the two losses per [`LossWeighting`]. For `Uncertainty`, `s1`
-/// and `s2` must be registered 1×1 parameters.
+/// Combines the two losses into Eq. 11 with learnable homoscedastic
+/// weighting, `L = e^{−s₁} L_routing + s₁ + e^{−s₂} L_neighborhood + s₂`;
+/// a lone loss passes through. `s1` and `s2` are registered 1×1 parameters.
 pub fn combine(
     t: &mut Tape,
-    weighting: LossWeighting,
     l_routing: Option<Var>,
     l_neighborhood: Option<Var>,
-    s1: Option<Var>,
-    s2: Option<Var>,
+    s1: Var,
+    s2: Var,
 ) -> Var {
     match (l_routing, l_neighborhood) {
-        (Some(lr), Some(ln)) => match weighting {
-            LossWeighting::Fixed(alpha) => {
-                let scaled = t.scale(ln, alpha);
-                t.add(lr, scaled)
-            }
-            LossWeighting::Uncertainty => {
-                let s1 = s1.expect("uncertainty weighting requires s1");
-                let s2 = s2.expect("uncertainty weighting requires s2");
-                let w1 = {
-                    let n = t.neg(s1);
-                    t.exp(n)
-                };
-                let w2 = {
-                    let n = t.neg(s2);
-                    t.exp(n)
-                };
-                let t1 = t.mul(w1, lr);
-                let t2 = t.mul(w2, ln);
-                let a = t.add(t1, s1);
-                let bsum = t.add(t2, s2);
-                t.add(a, bsum)
-            }
-        },
+        (Some(lr), Some(ln)) => {
+            let w1 = {
+                let n = t.neg(s1);
+                t.exp(n)
+            };
+            let w2 = {
+                let n = t.neg(s2);
+                t.exp(n)
+            };
+            let t1 = t.mul(w1, lr);
+            let t2 = t.mul(w2, ln);
+            let a = t.add(t1, s1);
+            let bsum = t.add(t2, s2);
+            t.add(a, bsum)
+        }
         (Some(lr), None) => lr,
         (None, Some(ln)) => ln,
         (None, None) => panic!("combine called with no losses"),
@@ -239,15 +221,16 @@ mod tests {
     }
 
     fn small_dq(data: &Dataset) -> DiffQuantizer {
-        DiffQuantizer::init(
+        let mut dq = crate::quantizer::tests::warm_start(
             DiffQuantizerConfig {
                 m: 2,
                 k: 8,
-                w_init_scale: 0.05,
                 ..Default::default()
             },
             data,
-        )
+        );
+        dq.w = Matrix::random_uniform(8, 8, 0.05, &mut SmallRng::seed_from_u64(0));
+        dq
     }
 
     #[test]
@@ -336,36 +319,13 @@ mod tests {
     }
 
     #[test]
-    fn combine_fixed_adds_scaled() {
-        let mut t = Tape::new();
-        let a = t.constant(Matrix::from_vec(1, 1, vec![2.0]));
-        let b = t.constant(Matrix::from_vec(1, 1, vec![3.0]));
-        let c = combine(
-            &mut t,
-            LossWeighting::Fixed(0.5),
-            Some(a),
-            Some(b),
-            None,
-            None,
-        );
-        assert!((t.value(c)[(0, 0)] - 3.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn combine_uncertainty_is_differentiable_in_s() {
         let mut t = Tape::new();
         let a = t.constant(Matrix::from_vec(1, 1, vec![2.0]));
         let b = t.constant(Matrix::from_vec(1, 1, vec![3.0]));
         let s1 = t.param(Matrix::zeros(1, 1));
         let s2 = t.param(Matrix::zeros(1, 1));
-        let c = combine(
-            &mut t,
-            LossWeighting::Uncertainty,
-            Some(a),
-            Some(b),
-            Some(s1),
-            Some(s2),
-        );
+        let c = combine(&mut t, Some(a), Some(b), s1, s2);
         // e^0·2 + 0 + e^0·3 + 0 = 5
         assert!((t.value(c)[(0, 0)] - 5.0).abs() < 1e-5);
         let grads = t.backward(c);
@@ -377,7 +337,8 @@ mod tests {
     fn combine_single_loss_passthrough() {
         let mut t = Tape::new();
         let a = t.constant(Matrix::from_vec(1, 1, vec![7.0]));
-        let c = combine(&mut t, LossWeighting::Fixed(1.0), Some(a), None, None, None);
+        let s = t.param(Matrix::zeros(1, 1));
+        let c = combine(&mut t, Some(a), None, s, s);
         assert_eq!(t.value(c)[(0, 0)], 7.0);
     }
 
@@ -385,6 +346,7 @@ mod tests {
     #[should_panic(expected = "no losses")]
     fn combine_nothing_panics() {
         let mut t = Tape::new();
-        let _ = combine(&mut t, LossWeighting::Fixed(1.0), None, None, None, None);
+        let s = t.param(Matrix::zeros(1, 1));
+        let _ = combine(&mut t, None, None, s, s);
     }
 }

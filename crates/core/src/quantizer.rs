@@ -17,25 +17,10 @@
 //! At inference the quantizer is exported as a hard rotation + codebook
 //! ([`DiffQuantizer::export_pq`]) served identically to OPQ.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rpq_autodiff::{Tape, Var};
-use rpq_data::Dataset;
-use rpq_linalg::{cayley, expm, Matrix};
-use rpq_quant::{Codebook, OptimizedProductQuantizer, PqConfig, ProductQuantizer};
-
-/// How the orthonormal rotation is parameterised from the skew matrix
-/// `A = W − Wᵀ`. The paper uses the matrix exponential; the Cayley
-/// transform is the classical cheaper alternative kept for the DESIGN.md
-/// ablation (`bench_rotation`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RotationParam {
-    /// `R = exp(A)` (paper §4), exact vjp via the Fréchet adjoint.
-    #[default]
-    Expm,
-    /// `R = (I − A)⁻¹(I + A)`.
-    Cayley,
-}
+use rpq_linalg::{expm, Matrix};
+use rpq_quant::{Codebook, OptimizedProductQuantizer, ProductQuantizer};
 
 /// Mean of a matrix's entries, floored away from zero — the stop-gradient
 /// normaliser that makes the temperatures scale-free.
@@ -54,12 +39,8 @@ pub struct DiffQuantizerConfig {
     /// Assignment-probability temperature τ_a (Eq. 6), applied to
     /// batch-mean-normalised distances (scale-free).
     pub tau_assign: f32,
-    /// Scale of the random initialisation of `W` (0 starts at `R = I`).
-    pub w_init_scale: f32,
     /// Training vectors used for the k-means codebook initialisation.
     pub init_train_size: usize,
-    /// Rotation parameterisation (paper: matrix exponential).
-    pub rotation: RotationParam,
     pub seed: u64,
 }
 
@@ -69,9 +50,7 @@ impl Default for DiffQuantizerConfig {
             m: 8,
             k: 256,
             tau_assign: 0.1,
-            w_init_scale: 0.0,
             init_train_size: 20_000,
-            rotation: RotationParam::default(),
             seed: 0,
         }
     }
@@ -119,47 +98,6 @@ impl DiffQuantizer {
         }
     }
 
-    /// Initialises with `R ≈ I` (or a small random skew) and codebooks from
-    /// a plain PQ fit — the same warm start the paper's end-to-end learning
-    /// refines.
-    pub fn init(cfg: DiffQuantizerConfig, data: &Dataset) -> Self {
-        let d = data.dim();
-        assert!(
-            cfg.m > 0 && d.is_multiple_of(cfg.m),
-            "M = {} must divide the dimension {d}",
-            cfg.m
-        );
-        let dsub = d / cfg.m;
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let w = if cfg.w_init_scale > 0.0 {
-            Matrix::random_uniform(d, d, cfg.w_init_scale, &mut rng)
-        } else {
-            Matrix::zeros(d, d)
-        };
-        let pq = ProductQuantizer::train(
-            &PqConfig {
-                m: cfg.m,
-                k: cfg.k,
-                train_size: cfg.init_train_size,
-                seed: cfg.seed,
-                ..Default::default()
-            },
-            data,
-        );
-        let cb = pq.codebook();
-        let k_eff = cb.k();
-        let codebooks = (0..cfg.m)
-            .map(|j| Matrix::from_vec(k_eff, dsub, cb.sub_codebook(j).to_vec()))
-            .collect();
-        Self {
-            cfg,
-            w,
-            codebooks,
-            dim: d,
-            dsub,
-        }
-    }
-
     /// Input dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
@@ -180,10 +118,7 @@ impl DiffQuantizer {
         let w = t.param(self.w.clone());
         let wt = t.transpose(w);
         let a = t.sub(w, wt);
-        let r = match self.cfg.rotation {
-            RotationParam::Expm => t.matrix_exp(a),
-            RotationParam::Cayley => t.cayley_map(a),
-        };
+        let r = t.matrix_exp(a);
         let rot_t = t.transpose(r);
         let codebooks = self.codebooks.iter().map(|c| t.param(c.clone())).collect();
         QuantizerVars {
@@ -241,14 +176,9 @@ impl DiffQuantizer {
         self.quantize_rotated(t, vars, xr, tau_gumbel, rng)
     }
 
-    /// The current hard rotation of `A = W − Wᵀ` under the configured
-    /// parameterisation.
+    /// The current hard rotation `exp(W − Wᵀ)`.
     pub fn rotation(&self) -> Matrix {
-        let a = self.w.sub(&self.w.transpose());
-        match self.cfg.rotation {
-            RotationParam::Expm => expm(&a),
-            RotationParam::Cayley => cayley(&a),
-        }
+        expm(&self.w.sub(&self.w.transpose()))
     }
 
     /// Freezes the learned codebooks into a serving [`Codebook`].
@@ -263,22 +193,16 @@ impl DiffQuantizer {
 
     /// Exports the learned quantizer for serving: a rotation + hard-argmin
     /// codebook, packaged in the same machinery OPQ uses (right-multiplying
-    /// rows by `Rᵀ` realises the paper's `R x`).
-    pub fn export_pq(&self, train_seconds: f32) -> OptimizedProductQuantizer {
-        self.export_pq_scaled(train_seconds, 1.0)
-    }
-
-    /// Like [`DiffQuantizer::export_pq`] but multiplies every codeword by
-    /// `scale` — the trainer optimises in a unit-scale normalised space (so
-    /// Adam's step size is meaningful for codebooks regardless of the
-    /// dataset's value range) and rescales at export.
-    pub fn export_pq_scaled(&self, train_seconds: f32, scale: f32) -> OptimizedProductQuantizer {
+    /// rows by `Rᵀ` realises the paper's `R x`). Every codeword is
+    /// multiplied by `scale`: the trainer optimises in a unit-scale
+    /// normalised space (so Adam's step size is meaningful for codebooks
+    /// regardless of the dataset's value range) and rescales at export;
+    /// `1.0` exports the space as it is.
+    pub fn export_pq(&self, train_seconds: f32, scale: f32) -> OptimizedProductQuantizer {
         let mut cb = self.to_codebook();
-        if scale != 1.0 {
-            for j in 0..cb.m() {
-                for v in cb.sub_codebook_mut(j) {
-                    *v *= scale;
-                }
+        for j in 0..cb.m() {
+            for v in cb.sub_codebook_mut(j) {
+                *v *= scale;
             }
         }
         let pq = ProductQuantizer::from_codebook(cb, train_seconds);
@@ -293,11 +217,21 @@ impl DiffQuantizer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
     use rpq_data::synth::{SynthConfig, ValueTransform};
+    use rpq_data::Dataset;
     use rpq_linalg::is_orthonormal;
-    use rpq_quant::VectorCompressor;
+    use rpq_quant::{PqConfig, VectorCompressor};
+
+    /// The trainer's warm start without the OPQ rotation: PQ codebooks, `W = 0`.
+    pub(crate) fn warm_start(cfg: DiffQuantizerConfig, data: &Dataset) -> DiffQuantizer {
+        let mut pq = PqConfig::default();
+        (pq.m, pq.k, pq.seed) = (cfg.m, cfg.k, cfg.seed);
+        DiffQuantizer::from_codebook(cfg, ProductQuantizer::train(&pq, data).codebook())
+    }
 
     fn toy(n: usize, dim: usize, seed: u64) -> Dataset {
         SynthConfig {
@@ -312,7 +246,7 @@ mod tests {
     }
 
     fn small_quantizer(data: &Dataset) -> DiffQuantizer {
-        DiffQuantizer::init(
+        warm_start(
             DiffQuantizerConfig {
                 m: 4,
                 k: 16,
@@ -340,7 +274,7 @@ mod tests {
     #[test]
     fn soft_quantization_approaches_hard_at_low_temperature() {
         let data = toy(300, 16, 2);
-        let q = DiffQuantizer::init(
+        let q = warm_start(
             // Sharp assignment distribution so sampled Gumbel argmax ==
             // argmin distance with high probability.
             DiffQuantizerConfig {
@@ -361,7 +295,7 @@ mod tests {
         let soft = t.value(xq).clone();
 
         // Hard reference: encode + decode via the exported quantizer.
-        let exported = q.export_pq(0.0);
+        let exported = q.export_pq(0.0, 1.0);
         let codes = exported.encode_dataset(&Dataset::from_matrix(&batch));
         let mut hard = vec![0.0f32; 16];
         let mut matches = 0;
@@ -379,16 +313,16 @@ mod tests {
     #[test]
     fn quantize_is_differentiable_wrt_all_params() {
         let data = toy(200, 8, 3);
-        let q = DiffQuantizer::init(
+        let mut q = warm_start(
             DiffQuantizerConfig {
                 m: 2,
                 k: 8,
-                w_init_scale: 0.1,
                 ..Default::default()
             },
             &data,
         );
         let mut rng = SmallRng::seed_from_u64(4);
+        q.w = Matrix::random_uniform(8, 8, 0.1, &mut rng);
         let mut t = Tape::new();
         let vars = q.begin(&mut t);
         let x = t.constant(data.to_matrix(0, 16));
@@ -411,7 +345,7 @@ mod tests {
     fn export_distances_match_decoded_distances() {
         let data = toy(300, 16, 5);
         let q = small_quantizer(&data);
-        let exported = q.export_pq(0.0);
+        let exported = q.export_pq(0.0, 1.0);
         let codes = exported.encode_dataset(&data);
         let query = data.get(9);
         let lut = exported.lookup_table(query);
@@ -432,7 +366,7 @@ mod tests {
     #[should_panic(expected = "must divide the dimension")]
     fn bad_m_rejected() {
         let data = toy(50, 10, 7);
-        let _ = DiffQuantizer::init(
+        let _ = warm_start(
             DiffQuantizerConfig {
                 m: 3,
                 ..Default::default()

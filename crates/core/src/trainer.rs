@@ -12,18 +12,16 @@ use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rpq_autodiff::{Adam, AdamConfig, LrSchedule, OneCycleLr, Tape};
+use rpq_autodiff::{Adam, AdamConfig, OneCycleLr, Tape};
 use rpq_data::Dataset;
 use rpq_graph::{DistanceEstimator, ExactEstimator, ProximityGraph};
 use rpq_linalg::Matrix;
-use rpq_quant::{
-    CompactCodes, LookupTable, OpqConfig, OptimizedProductQuantizer, PqConfig, VectorCompressor,
-};
+use rpq_quant::{OpqConfig, OptimizedProductQuantizer, PqConfig, VectorCompressor};
 
 use crate::features::{
     sample_routing_features, sample_triplets, RoutingSamplerConfig, TripletSamplerConfig,
 };
-use crate::loss::{combine, neighborhood_loss, reconstruction_loss, routing_loss, LossWeighting};
+use crate::loss::{combine, neighborhood_loss, reconstruction_loss, routing_loss};
 use crate::quantizer::{DiffQuantizer, DiffQuantizerConfig};
 
 /// Which features supervise training — the paper's ablation axes
@@ -69,7 +67,6 @@ impl TrainingMode {
 pub struct RpqTrainerConfig {
     pub quantizer: DiffQuantizerConfig,
     pub mode: TrainingMode,
-    pub weighting: LossWeighting,
     pub epochs: usize,
     pub steps_per_epoch: usize,
     pub triplet_batch: usize,
@@ -81,7 +78,9 @@ pub struct RpqTrainerConfig {
     /// Routing softmax temperature τ (Eq. 9), applied to batch-mean-
     /// normalised distances.
     pub tau_route: f32,
-    /// Gumbel temperature annealed from start to end across training.
+    /// Gumbel temperature, constant within an epoch: epoch `e` of `E` runs
+    /// at `start + (e / E) · (end − start)`, so the first epoch runs at
+    /// `start` and the last one stops one step short of `end`.
     pub tau_gumbel_start: f32,
     pub tau_gumbel_end: f32,
     /// Peak learning rate (paper: 1e-3).
@@ -91,12 +90,6 @@ pub struct RpqTrainerConfig {
     pub w_lr_scale: f32,
     /// Weight of the reconstruction anchor (Eq. 2 fidelity term).
     pub lambda_recon: f32,
-    /// Warm-start the decomposition from OPQ's Procrustes rotation and
-    /// codebooks, then learn `exp(A)` composed on top. Gradient steps alone
-    /// cannot reach the Procrustes optimum within the training budget, so
-    /// this is what makes RPQ a strict refinement of the strongest
-    /// rotation baseline.
-    pub opq_init: bool,
     pub seed: u64,
 }
 
@@ -105,7 +98,6 @@ impl Default for RpqTrainerConfig {
         Self {
             quantizer: DiffQuantizerConfig::default(),
             mode: TrainingMode::Full,
-            weighting: LossWeighting::Uncertainty,
             epochs: 4,
             steps_per_epoch: 25,
             triplet_batch: 48,
@@ -119,7 +111,6 @@ impl Default for RpqTrainerConfig {
             lr: 1e-3,
             w_lr_scale: 0.1,
             lambda_recon: 3.0,
-            opq_init: true,
             seed: 0,
         }
     }
@@ -134,71 +125,9 @@ pub struct TrainStats {
     pub decisions_sampled: usize,
 }
 
-/// A trained RPQ served through the same rotation + codebook machinery as
-/// OPQ, labelled by its training mode.
-pub struct RpqCompressor {
-    inner: OptimizedProductQuantizer,
-    label: String,
-    model_bytes: usize,
-}
-
-impl RpqCompressor {
-    /// The learned rotation/codebook serving machinery.
-    pub fn inner(&self) -> &OptimizedProductQuantizer {
-        &self.inner
-    }
-
-    /// Builds the ADC lookup table for a raw query.
-    pub fn lookup_table(&self, query: &[f32]) -> LookupTable {
-        self.inner.lookup_table(query)
-    }
-}
-
-impl VectorCompressor for RpqCompressor {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn code_dim(&self) -> usize {
-        self.inner.code_dim()
-    }
-
-    fn model_bytes(&self) -> usize {
-        self.model_bytes
-    }
-
-    fn train_seconds(&self) -> f32 {
-        self.inner.train_seconds()
-    }
-
-    fn encode_dataset(&self, data: &Dataset) -> CompactCodes {
-        self.inner.encode_dataset(data)
-    }
-
-    fn decode_into(&self, code: &[u8], out: &mut [f32]) {
-        self.inner.decode_into(code, out);
-    }
-
-    fn estimator<'a>(
-        &'a self,
-        codes: &'a CompactCodes,
-        query: &'a [f32],
-    ) -> Box<dyn DistanceEstimator + 'a> {
-        self.inner.estimator(codes, query)
-    }
-
-    fn batch_estimator<'a>(
-        &'a self,
-        codes: &'a rpq_quant::SoaCodes,
-        query: &'a [f32],
-    ) -> Option<Box<dyn DistanceEstimator + 'a>> {
-        self.inner.batch_estimator(codes, query)
-    }
-}
+/// A trained RPQ: served through the same rotation + codebook machinery as
+/// OPQ, named by its training mode.
+pub type RpqCompressor = OptimizedProductQuantizer;
 
 /// Trains RPQ end to end on `data` over the proximity graph `graph`.
 pub fn train_rpq(
@@ -215,41 +144,32 @@ pub fn train_rpq(
     // and the export rescales the codebooks back.
     let value_scale = data_rms(data);
     let normalised = scale_dataset(data, 1.0 / value_scale);
-    // Optional OPQ warm start: pre-rotate the data by the Procrustes
-    // rotation R0 and learn exp(A) on top; the export composes
+    // OPQ warm start: pre-rotate the data by the Procrustes rotation R0 and
+    // learn exp(A) on top — gradient steps alone cannot reach the Procrustes
+    // optimum within the training budget, so this is what makes RPQ a strict
+    // refinement of the strongest rotation baseline. The export composes
     // rot = R0 · exp(A)ᵀ so serving sees one rotation.
-    let (base_rotation, data, mut dq) = if cfg.opq_init {
-        let opq = OptimizedProductQuantizer::train(
-            &OpqConfig {
-                pq: PqConfig {
-                    m: cfg.quantizer.m,
-                    k: cfg.quantizer.k,
-                    train_size: cfg.quantizer.init_train_size,
-                    seed: cfg.quantizer.seed,
-                    ..Default::default()
-                },
-                iters: 6,
+    let opq = OptimizedProductQuantizer::train(
+        &OpqConfig {
+            pq: PqConfig {
+                m: cfg.quantizer.m,
+                k: cfg.quantizer.k,
+                train_size: cfg.quantizer.init_train_size,
+                seed: cfg.quantizer.seed,
+                ..Default::default()
             },
-            &normalised,
-        );
-        let rotated = opq.rotate_dataset(&normalised);
-        let dq = DiffQuantizer::from_codebook(cfg.quantizer, opq.pq().codebook());
-        (Some(opq.rotation().clone()), rotated, dq)
-    } else {
-        let dq = DiffQuantizer::init(cfg.quantizer, &normalised);
-        (None, normalised, dq)
-    };
-    let data = &data;
+            iters: 6,
+        },
+        &normalised,
+    );
+    let data = &opq.rotate_dataset(&normalised);
+    let mut dq = DiffQuantizer::from_codebook(cfg.quantizer, opq.pq().codebook());
     let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(0x5EED));
 
-    // Optimizer over [W, codebooks..., (s1, s2)].
+    // Optimizer over [W, codebooks..., s1, s2].
     let mut sizes: Vec<usize> = vec![dq.w.data.len()];
     sizes.extend(dq.codebooks.iter().map(|c| c.data.len()));
-    let uncertainty = cfg.weighting == LossWeighting::Uncertainty;
-    if uncertainty {
-        sizes.push(1);
-        sizes.push(1);
-    }
+    sizes.extend([1, 1]);
     let mut lr_scales = vec![1.0f32; sizes.len()];
     lr_scales[0] = cfg.w_lr_scale;
     let mut adam = Adam::with_lr_scales(
@@ -287,7 +207,7 @@ pub fn train_rpq(
                     &rcfg,
                 )
             } else {
-                let exported = dq.export_pq(0.0);
+                let exported = dq.export_pq(0.0, 1.0);
                 let codes = exported.encode_dataset(data);
                 let feats =
                     sample_routing_features(graph, data, &|q| exported.estimator(&codes, q), &rcfg);
@@ -339,8 +259,8 @@ pub fn train_rpq(
 
             let mut t = Tape::new();
             let vars = dq.begin(&mut t);
-            let vs1 = uncertainty.then(|| t.param(s1.clone()));
-            let vs2 = uncertainty.then(|| t.param(s2.clone()));
+            let vs1 = t.param(s1.clone());
+            let vs2 = t.param(s2.clone());
             let l_n = (!trip_batch.is_empty()).then(|| {
                 neighborhood_loss(
                     &mut t, &dq, &vars, data, trip_batch, cfg.sigma, tau_g, &mut rng,
@@ -358,7 +278,7 @@ pub fn train_rpq(
                     &mut rng,
                 )
             });
-            let mut loss = combine(&mut t, cfg.weighting, l_r, l_n, vs1, vs2);
+            let mut loss = combine(&mut t, l_r, l_n, vs1, vs2);
             if cfg.lambda_recon > 0.0 {
                 let ids: Vec<u32> = (0..32)
                     .map(|_| rng.gen_range(0..data.len()) as u32)
@@ -380,17 +300,15 @@ pub fn train_rpq(
                 .iter()
                 .map(|&c| grads.get(c).cloned())
                 .collect();
-            let gs1 = vs1.and_then(|v| grads.get(v).cloned());
-            let gs2 = vs2.and_then(|v| grads.get(v).cloned());
+            let gs1 = grads.get(vs1).cloned();
+            let gs2 = grads.get(vs2).cloned();
             let mut updates: Vec<(&mut Matrix, Option<&Matrix>)> = Vec::with_capacity(sizes.len());
             updates.push((&mut dq.w, gw.as_ref()));
             for (cb, g) in dq.codebooks.iter_mut().zip(gcb.iter()) {
                 updates.push((cb, g.as_ref()));
             }
-            if uncertainty {
-                updates.push((&mut s1, gs1.as_ref()));
-                updates.push((&mut s2, gs2.as_ref()));
-            }
+            updates.push((&mut s1, gs1.as_ref()));
+            updates.push((&mut s2, gs2.as_ref()));
             adam.step(&mut updates);
         }
         epoch_losses.push(if counted > 0 {
@@ -401,23 +319,14 @@ pub fn train_rpq(
     }
 
     let seconds = start.elapsed().as_secs_f32();
-    let model_bytes = dq.model_bytes();
-    let inner = {
-        let learned = dq.export_pq_scaled(seconds, value_scale);
-        match &base_rotation {
-            Some(r0) => OptimizedProductQuantizer::from_parts(
-                r0.matmul(learned.rotation()),
-                learned.pq().clone(),
-                seconds,
-            ),
-            None => learned,
-        }
-    };
-    let compressor = RpqCompressor {
-        inner,
-        label: cfg.mode.label().to_string(),
-        model_bytes,
-    };
+    let learned = dq.export_pq(seconds, value_scale);
+    let compressor = OptimizedProductQuantizer::from_parts(
+        opq.rotation().matmul(learned.rotation()),
+        learned.pq().clone(),
+        seconds,
+    )
+    .with_label(cfg.mode.label());
+    debug_assert_eq!(compressor.model_bytes(), dq.model_bytes());
     let stats = TrainStats {
         seconds,
         epoch_losses,
@@ -536,7 +445,7 @@ mod tests {
         let (data, graph) = setup(400, 3);
         let cfg = fast_cfg(TrainingMode::Full);
         let (rpq, _) = train_rpq(&cfg, &data, &graph);
-        let rot = rpq.inner().rotation();
+        let rot = rpq.rotation();
         let mut moved = 0.0f32;
         for i in 0..16 {
             for j in 0..16 {
@@ -552,25 +461,24 @@ mod tests {
     }
 
     #[test]
-    fn fixed_weighting_works() {
-        let (data, graph) = setup(250, 4);
-        let cfg = RpqTrainerConfig {
-            weighting: LossWeighting::Fixed(0.5),
-            ..fast_cfg(TrainingMode::Full)
-        };
-        let (rpq, stats) = train_rpq(&cfg, &data, &graph);
-        assert!(stats.epoch_losses.iter().all(|l| l.is_finite()));
-        assert!(rpq.model_bytes() > 0);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let (data, graph) = setup(250, 5);
-        let cfg = fast_cfg(TrainingMode::Full);
-        let (a, _) = train_rpq(&cfg, &data, &graph);
-        let (b, _) = train_rpq(&cfg, &data, &graph);
-        let ca = a.encode_dataset(&data);
-        let cb = b.encode_dataset(&data);
-        assert_eq!(ca, cb, "training must be reproducible");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for mode in [TrainingMode::Full, TrainingMode::RoutingOnly] {
+            let cfg = fast_cfg(mode);
+            let (a, sa) = train_rpq(&cfg, &data, &graph);
+            let (b, sb) = train_rpq(&cfg, &data, &graph);
+            assert_eq!(
+                a.encode_dataset(&data),
+                b.encode_dataset(&data),
+                "{mode:?}: training must be reproducible"
+            );
+            assert_eq!(bits(&sa.epoch_losses), bits(&sb.epoch_losses), "{mode:?}");
+            assert_eq!(
+                bits(&a.rotation().data),
+                bits(&b.rotation().data),
+                "{mode:?}"
+            );
+        }
     }
 }

@@ -36,9 +36,10 @@ fn overlap(res: &[u32], truth: &[u32]) -> usize {
 
 /// Computes exact top-`k` neighbors of every query by parallel brute force.
 ///
-/// Panics if `base` is empty or the dimensions disagree; `k` is clamped to
-/// the base size.
+/// Panics if `base` is empty, `k` is zero or the dimensions disagree; `k` is
+/// clamped to the base size.
 pub fn brute_force_knn(base: &Dataset, queries: &Dataset, k: usize) -> GroundTruth {
+    assert!(k > 0, "k must be positive");
     assert!(!base.is_empty(), "ground truth needs a non-empty base set");
     assert_eq!(base.dim(), queries.dim(), "dimension mismatch");
     let k = k.min(base.len());
@@ -52,7 +53,8 @@ pub fn brute_force_knn(base: &Dataset, queries: &Dataset, k: usize) -> GroundTru
 /// Exact top-`k` neighbors **among base vectors satisfying `pred`** — the
 /// filtered-search ground truth (DESIGN.md §12). Ids are global (base
 /// positions), so filtered index results compare directly. `k` is clamped
-/// to the predicate's matching count; panics when nothing matches.
+/// to the predicate's matching count; panics when `k` is zero or nothing
+/// matches.
 pub fn brute_force_knn_filtered(
     base: &Dataset,
     queries: &Dataset,
@@ -60,6 +62,7 @@ pub fn brute_force_knn_filtered(
     labels: &Labels,
     pred: LabelPredicate,
 ) -> GroundTruth {
+    assert!(k > 0, "k must be positive");
     assert!(!base.is_empty(), "ground truth needs a non-empty base set");
     assert_eq!(base.dim(), queries.dim(), "dimension mismatch");
     assert_eq!(labels.len(), base.len(), "labels must cover the base set");
@@ -77,8 +80,8 @@ pub fn brute_force_knn_filtered(
     GroundTruth { k, neighbors }
 }
 
-/// Exact top-`k` ids among base vectors accepted by `accept` (ascending
-/// distance), via the same bounded max-heap scan as [`top_k_ids`].
+/// Exact top-`k` ids among base vectors accepted by `accept`, ascending by
+/// `(distance, id)`, via a bounded max-heap scan.
 pub fn top_k_ids_filtered(
     base: &Dataset,
     query: &[f32],
@@ -120,41 +123,9 @@ pub fn top_k_ids_filtered(
     sorted.into_iter().map(|e| e.1).collect()
 }
 
-/// Exact top-`k` ids for one query vector (ascending distance), via a
-/// bounded max-heap scan.
+/// Exact top-`k` ids for one query vector, ascending by `(distance, id)`.
 pub fn top_k_ids(base: &Dataset, query: &[f32], k: usize) -> Vec<u32> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Entry(f32, u32);
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-
-    let k = k.min(base.len()).max(1);
-    let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(k + 1);
-    for (i, v) in base.iter().enumerate() {
-        let d = sq_l2(query, v);
-        if heap.len() < k {
-            heap.push(Entry(d, i as u32));
-        } else if d < heap.peek().unwrap().0 {
-            heap.pop();
-            heap.push(Entry(d, i as u32));
-        }
-    }
-    let mut sorted: Vec<Entry> = heap.into_vec();
-    sorted.sort_by_key(|e| Reverse(std::cmp::Reverse(e.1)));
-    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    sorted.into_iter().map(|e| e.1).collect()
+    top_k_ids_filtered(base, query, k.min(base.len()), |_| true)
 }
 
 /// Convenience: recall@k between a single result list and a single truth
@@ -237,6 +208,13 @@ mod tests {
         let base = Dataset::new(1);
         let queries = line_dataset(1);
         let _ = brute_force_knn(&base, &queries, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be positive")]
+    fn zero_k_is_rejected_not_divided_by() {
+        let base = line_dataset(3);
+        let _ = brute_force_knn(&base, &base, 0);
     }
 
     #[test]

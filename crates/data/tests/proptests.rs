@@ -2,7 +2,7 @@
 //! arbitrary payloads, recall bounds, dataset algebra.
 
 use proptest::prelude::*;
-use rpq_data::ground_truth::{recall_at_k, top_k_ids};
+use rpq_data::ground_truth::{recall_at_k, top_k_ids, top_k_ids_filtered};
 use rpq_data::io::{parse_fvecs_bytes, write_fvecs};
 use rpq_data::{brute_force_knn, Dataset};
 
@@ -84,6 +84,23 @@ proptest! {
             let dg = rpq_linalg::distance::sq_l2(&q, ds.get(*got as usize));
             prop_assert!((dg - expect.0).abs() <= 1e-3 * expect.0.max(1.0));
         }
+    }
+
+    #[test]
+    fn top_k_on_ties_is_the_dist_then_id_order_of_the_accept_all_scan(
+        vals in proptest::collection::vec(0u8..4, 1..25),
+        k in 1usize..8,
+    ) {
+        let ds = Dataset::from_flat(1, vals.iter().map(|&v| v as f32).collect());
+        let q = [1.0f32];
+        let mut all: Vec<(f32, u32)> = (0..ds.len())
+            .map(|i| (rpq_linalg::distance::sq_l2(&q, ds.get(i)), i as u32))
+            .collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let kk = k.min(ds.len());
+        let expect: Vec<u32> = all.iter().take(kk).map(|e| e.1).collect();
+        prop_assert_eq!(&top_k_ids(&ds, &q, k), &expect);
+        prop_assert_eq!(&top_k_ids_filtered(&ds, &q, kk, |_| true), &expect);
     }
 
     #[test]

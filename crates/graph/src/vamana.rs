@@ -97,21 +97,7 @@ impl VamanaConfig {
                     }
                     let selected = robust_prune(p, cands, data, pass_alpha, r);
                     adj[p as usize] = selected.clone();
-                    for j in selected {
-                        let list = &mut adj[j as usize];
-                        if !list.contains(&p) {
-                            list.push(p);
-                            if list.len() > r {
-                                let jc: Vec<Scored> = list
-                                    .iter()
-                                    .map(|&u| {
-                                        (sq_l2(data.get(j as usize), data.get(u as usize)), u)
-                                    })
-                                    .collect();
-                                adj[j as usize] = robust_prune(j, jc, data, pass_alpha, r);
-                            }
-                        }
-                    }
+                    link_back(&mut adj, data, p, &selected, pass_alpha, r);
                 }
             }
         }
@@ -160,65 +146,7 @@ impl VamanaConfig {
         let selected = robust_prune(p, expanded, data, alpha, r);
         let id = graph.push_vertex(selected.clone());
         debug_assert_eq!(id, p);
-        let adj = graph.adj_mut();
-        for j in selected {
-            if adj[j as usize].contains(&p) {
-                continue;
-            }
-            adj[j as usize].push(p);
-            if adj[j as usize].len() > r {
-                let jc: Vec<Scored> = adj[j as usize]
-                    .iter()
-                    .map(|&u| (sq_l2(data.get(j as usize), data.get(u as usize)), u))
-                    .collect();
-                adj[j as usize] = robust_prune(j, jc, data, alpha, r);
-            }
-        }
-    }
-
-    /// Eagerly unlinks `p` from a live graph: every in-neighbor `u` is
-    /// re-pruned over `(N(u) ∪ N(p)) \ {p}` — the FreshDiskANN delete rule,
-    /// which preserves the paths that used to route through `p`. The vertex
-    /// itself stays as an isolated hole (ids are positional); the streaming
-    /// index instead tombstones deletes and batches this work into
-    /// [`VamanaConfig::consolidate`], so this hook is for callers that want
-    /// the graph clean immediately.
-    ///
-    /// If `p` was the entry, the entry moves to its nearest out-neighbor
-    /// (or the smallest live id when `p` had none).
-    pub fn remove_point(&self, graph: &mut DynamicGraph, data: &Dataset, p: u32) {
-        let n = graph.len();
-        assert!((p as usize) < n, "remove of unknown vertex {p}");
-        let r = self.r.max(1);
-        let alpha = self.alpha.max(1.0);
-        let p_out: Vec<u32> = graph.neighbors(p).to_vec();
-        for u in 0..n as u32 {
-            if u == p || !graph.neighbors(u).contains(&p) {
-                continue;
-            }
-            let uv = data.get(u as usize);
-            let cands: Vec<Scored> = graph
-                .neighbors(u)
-                .iter()
-                .chain(p_out.iter())
-                .filter(|&&x| x != p && x != u)
-                .map(|&x| (sq_l2(uv, data.get(x as usize)), x))
-                .collect();
-            graph.set_neighbors(u, robust_prune(u, cands, data, alpha, r));
-        }
-        graph.adj_mut()[p as usize].clear();
-        if graph.entry() == p && n > 1 {
-            let new_entry = p_out
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    let da = sq_l2(data.get(p as usize), data.get(a as usize));
-                    let db = sq_l2(data.get(p as usize), data.get(b as usize));
-                    da.total_cmp(&db).then(a.cmp(&b))
-                })
-                .unwrap_or(if p == 0 { 1 } else { 0 });
-            graph.set_entry(new_entry);
-        }
+        link_back(graph.adj_mut(), data, p, &selected, alpha, r);
     }
 
     /// Batch tombstone reclamation (DESIGN.md §8.3): re-links every live
@@ -308,6 +236,27 @@ impl VamanaConfig {
         let knn: Vec<Vec<u32>> = graph.adj().to_vec();
         let entry = graph.entry();
         repair_connectivity(graph.adj_mut(), data, &knn, entry, self.r.max(1));
+    }
+}
+
+/// Patches the back-edges of `p`'s freshly selected out-neighbors: pushes `p`
+/// into `N(j)` for every `j` in `selected` that lacks it, and re-prunes any
+/// `j` the push takes over the degree bound `r`.
+fn link_back(adj: &mut [Vec<u32>], data: &Dataset, p: u32, selected: &[u32], alpha: f32, r: usize) {
+    for &j in selected {
+        let list = &mut adj[j as usize];
+        if list.contains(&p) {
+            continue;
+        }
+        list.push(p);
+        if list.len() > r {
+            let jv = data.get(j as usize);
+            let jc: Vec<Scored> = list
+                .iter()
+                .map(|&u| (sq_l2(jv, data.get(u as usize)), u))
+                .collect();
+            adj[j as usize] = robust_prune(j, jc, data, alpha, r);
+        }
     }
 }
 
@@ -422,27 +371,6 @@ mod tests {
         }
         let recall = hits as f32 / data.len() as f32;
         assert!(recall > 0.9, "self-recall after pure inserts: {recall}");
-    }
-
-    #[test]
-    fn remove_point_unlinks_and_patches() {
-        let data = toy(120, 12);
-        let cfg = VamanaConfig {
-            r: 10,
-            l: 24,
-            ..Default::default()
-        };
-        let mut g = crate::DynamicGraph::from_graph(&cfg.build(&data));
-        let victim = 17u32;
-        cfg.remove_point(&mut g, &data, victim);
-        assert!(g.neighbors(victim).is_empty(), "victim keeps out-edges");
-        for v in 0..g.len() as u32 {
-            assert!(
-                !g.neighbors(v).contains(&victim),
-                "{v} still points at removed {victim}"
-            );
-        }
-        assert_ne!(g.entry(), victim);
     }
 
     #[test]

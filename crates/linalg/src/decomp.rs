@@ -1,21 +1,12 @@
-//! Matrix decompositions: Householder QR, cyclic Jacobi symmetric
-//! eigendecomposition, one-sided Jacobi SVD, and the orthogonal-Procrustes
+//! Matrix decompositions: one-sided Jacobi SVD and the orthogonal-Procrustes
 //! solver OPQ's alternating optimisation needs (Ge et al., CVPR'13).
 //!
-//! All routines accumulate in `f64` internally; the matrices involved are
-//! at most a few hundred on a side (rotation matrices), so `O(n³)` Jacobi
-//! sweeps are more than fast enough and far easier to verify than
+//! Both accumulate in `f64` internally; the matrices involved are at most a
+//! few hundred on a side (rotation matrices), so `O(n³)` Jacobi sweeps are
+//! more than fast enough and far easier to verify than
 //! bidiagonalisation-based LAPACK ports.
 
 use crate::matrix::Matrix;
-
-/// Result of a symmetric eigendecomposition `A = V diag(λ) Vᵀ`.
-pub struct Eigh {
-    /// Eigenvalues in descending order.
-    pub values: Vec<f32>,
-    /// Eigenvectors as columns, matching `values`.
-    pub vectors: Matrix,
-}
 
 /// Result of a singular value decomposition `A = U diag(σ) Vᵀ`.
 pub struct Svd {
@@ -25,156 +16,6 @@ pub struct Svd {
     pub sigma: Vec<f32>,
     /// Right singular vectors (columns), i.e. `V`, not `Vᵀ`.
     pub v: Matrix,
-}
-
-/// Householder QR of an `m×n` matrix with `m ≥ n`: returns `(Q, R)` with `Q`
-/// `m×n` having orthonormal columns and `R` `n×n` upper-triangular.
-pub fn qr(a: &Matrix) -> (Matrix, Matrix) {
-    let (m, n) = (a.rows, a.cols);
-    assert!(m >= n, "qr requires rows >= cols, got {m}x{n}");
-    // Work in f64.
-    let mut r: Vec<f64> = a.data.iter().map(|&v| v as f64).collect();
-    // Accumulate Q as product of Householder reflectors applied to I (m×m,
-    // but we only need the first n columns at the end).
-    let mut q: Vec<f64> = vec![0.0; m * m];
-    for i in 0..m {
-        q[i * m + i] = 1.0;
-    }
-    let mut v = vec![0.0f64; m];
-    for k in 0..n {
-        // Build the reflector for column k below the diagonal.
-        let mut norm2 = 0.0;
-        for i in k..m {
-            let x = r[i * n + k];
-            norm2 += x * x;
-        }
-        let norm = norm2.sqrt();
-        if norm < 1e-30 {
-            continue;
-        }
-        let alpha = if r[k * n + k] >= 0.0 { -norm } else { norm };
-        for i in 0..m {
-            v[i] = if i < k { 0.0 } else { r[i * n + k] };
-        }
-        v[k] -= alpha;
-        let vnorm2: f64 = v[k..].iter().map(|x| x * x).sum();
-        if vnorm2 < 1e-30 {
-            continue;
-        }
-        let beta = 2.0 / vnorm2;
-        // R <- (I - beta v vᵀ) R
-        for j in k..n {
-            let mut s = 0.0;
-            for i in k..m {
-                s += v[i] * r[i * n + j];
-            }
-            let s = s * beta;
-            for i in k..m {
-                r[i * n + j] -= s * v[i];
-            }
-        }
-        // Q <- Q (I - beta v vᵀ)
-        for i in 0..m {
-            let mut s = 0.0;
-            for l in k..m {
-                s += q[i * m + l] * v[l];
-            }
-            let s = s * beta;
-            for l in k..m {
-                q[i * m + l] -= s * v[l];
-            }
-        }
-    }
-    let q_out = Matrix {
-        rows: m,
-        cols: n,
-        data: (0..m)
-            .flat_map(|i| (0..n).map(move |j| (i, j)))
-            .map(|(i, j)| q[i * m + j] as f32)
-            .collect(),
-    };
-    let mut r_out = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in i..n {
-            r_out[(i, j)] = r[i * n + j] as f32;
-        }
-    }
-    (q_out, r_out)
-}
-
-/// Cyclic Jacobi eigendecomposition of a symmetric matrix.
-///
-/// The input is symmetrised as `(A + Aᵀ)/2` before iterating, so mild
-/// asymmetry from floating-point accumulation is tolerated.
-pub fn eigh(a: &Matrix) -> Eigh {
-    assert_eq!(a.rows, a.cols, "eigh requires a square matrix");
-    let n = a.rows;
-    let mut m: Vec<f64> = vec![0.0; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            m[i * n + j] = 0.5 * (a[(i, j)] as f64 + a[(j, i)] as f64);
-        }
-    }
-    let mut v: Vec<f64> = vec![0.0; n * n];
-    for i in 0..n {
-        v[i * n + i] = 1.0;
-    }
-    let max_sweeps = 60;
-    for _ in 0..max_sweeps {
-        let mut off = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += m[i * n + j] * m[i * n + j];
-            }
-        }
-        if off.sqrt() < 1e-12 {
-            break;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[p * n + q];
-                if apq.abs() < 1e-300 {
-                    continue;
-                }
-                let app = m[p * n + p];
-                let aqq = m[q * n + q];
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-                // Rotate rows/cols p and q of m.
-                for k in 0..n {
-                    let mkp = m[k * n + p];
-                    let mkq = m[k * n + q];
-                    m[k * n + p] = c * mkp - s * mkq;
-                    m[k * n + q] = s * mkp + c * mkq;
-                }
-                for k in 0..n {
-                    let mpk = m[p * n + k];
-                    let mqk = m[q * n + k];
-                    m[p * n + k] = c * mpk - s * mqk;
-                    m[q * n + k] = s * mpk + c * mqk;
-                }
-                for k in 0..n {
-                    let vkp = v[k * n + p];
-                    let vkq = v[k * n + q];
-                    v[k * n + p] = c * vkp - s * vkq;
-                    v[k * n + q] = s * vkp + c * vkq;
-                }
-            }
-        }
-    }
-    // Sort by descending eigenvalue.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| m[j * n + j].partial_cmp(&m[i * n + i]).unwrap());
-    let values: Vec<f32> = order.iter().map(|&i| m[i * n + i] as f32).collect();
-    let mut vectors = Matrix::zeros(n, n);
-    for (dst, &src) in order.iter().enumerate() {
-        for i in 0..n {
-            vectors[(i, dst)] = v[i * n + src] as f32;
-        }
-    }
-    Eigh { values, vectors }
 }
 
 /// One-sided Jacobi SVD `A = U diag(σ) Vᵀ` for an `m×n` matrix with `m ≥ n`.
@@ -283,69 +124,14 @@ pub fn procrustes(g: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::is_orthonormal;
+    use crate::{expm, is_orthonormal};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn qr_reconstructs() {
-        let mut rng = SmallRng::seed_from_u64(10);
-        let a = Matrix::random_uniform(6, 4, 1.0, &mut rng);
-        let (q, r) = qr(&a);
-        let qa = q.matmul(&r);
-        for (x, y) in qa.data.iter().zip(&a.data) {
-            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
-        }
-        // Q columns orthonormal: QᵀQ = I.
-        let qtq = q.transpose().matmul(&q);
-        for i in 0..4 {
-            for j in 0..4 {
-                let e = if i == j { 1.0 } else { 0.0 };
-                assert!((qtq[(i, j)] - e).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn qr_square_gives_orthonormal_q() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let a = Matrix::random_uniform(5, 5, 1.0, &mut rng);
-        let (q, _) = qr(&a);
-        assert!(is_orthonormal(&q, 1e-4));
-    }
-
-    #[test]
-    fn eigh_diagonal() {
-        let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 1.0]]);
-        let e = eigh(&a);
-        assert!((e.values[0] - 3.0).abs() < 1e-5);
-        assert!((e.values[1] - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn eigh_reconstructs() {
-        let mut rng = SmallRng::seed_from_u64(12);
-        let b = Matrix::random_uniform(6, 6, 1.0, &mut rng);
-        let a = b.matmul(&b.transpose()); // symmetric PSD
-        let e = eigh(&a);
-        let lam = Matrix::from_vec(
-            6,
-            6,
-            (0..36)
-                .map(|idx| {
-                    let (i, j) = (idx / 6, idx % 6);
-                    if i == j {
-                        e.values[i]
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-        );
-        let rec = e.vectors.matmul(&lam).matmul(&e.vectors.transpose());
-        for (x, y) in rec.data.iter().zip(&a.data) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
+    /// A random orthonormal matrix: `exp` of a random skew.
+    fn random_rotation(n: usize, rng: &mut SmallRng) -> Matrix {
+        let w = Matrix::random_uniform(n, n, 1.0, rng);
+        expm(&w.sub(&w.transpose()))
     }
 
     #[test]
@@ -370,7 +156,7 @@ mod tests {
     #[test]
     fn svd_of_orthonormal_has_unit_sigma() {
         let mut rng = SmallRng::seed_from_u64(14);
-        let (q, _) = qr(&Matrix::random_uniform(6, 6, 1.0, &mut rng));
+        let q = random_rotation(6, &mut rng);
         let s = svd(&q);
         for sv in &s.sigma {
             assert!((sv - 1.0).abs() < 1e-4, "{sv}");
@@ -382,7 +168,7 @@ mod tests {
         // If Y = X R0 for orthonormal R0, procrustes(XᵀY) should recover R0.
         let mut rng = SmallRng::seed_from_u64(15);
         let x = Matrix::random_uniform(50, 6, 1.0, &mut rng);
-        let (r0, _) = qr(&Matrix::random_uniform(6, 6, 1.0, &mut rng));
+        let r0 = random_rotation(6, &mut rng);
         let y = x.matmul(&r0);
         let g = x.transpose().matmul(&y);
         let r = procrustes(&g);

@@ -9,22 +9,19 @@
 //! * a dense [`Matrix`] type with fast multiplication ([`matrix`]),
 //! * the matrix exponential and its *Fréchet derivative adjoint* so the
 //!   rotation can participate in reverse-mode autodiff ([`mod@expm`]),
-//! * QR / SVD / symmetric eigendecomposition for OPQ's Procrustes step and
-//!   orthonormal initialisation ([`decomp`]),
+//! * the SVD behind OPQ's Procrustes step ([`decomp`]),
 //! * tight squared-Euclidean distance kernels — the inner loop of every
 //!   ANNS component ([`distance`]).
 //!
 //! Everything is `f32` at the API surface (matching vector datasets); the
 //! numerically delicate routines (expm, LU solves) run in `f64` internally.
 
-pub mod cayley;
 pub mod decomp;
 pub mod distance;
 pub mod expm;
 pub mod matrix;
 
-pub use cayley::{cayley, cayley_vjp};
-pub use decomp::{eigh, procrustes, qr, svd, Eigh, Svd};
+pub use decomp::{procrustes, svd, Svd};
 pub use expm::{expm, expm_frechet, expm_vjp};
 pub use matrix::Matrix;
 

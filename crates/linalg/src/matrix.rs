@@ -371,13 +371,6 @@ impl Matrix {
         }
         out
     }
-
-    /// The skew-symmetric part `(self − selfᵀ) / 2` (square matrices only).
-    pub fn skew_part(&self) -> Matrix {
-        assert_eq!(self.rows, self.cols, "skew_part requires a square matrix");
-        let t = self.transpose();
-        self.sub(&t).scale(0.5)
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -496,15 +489,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0]]);
         let g = a.gather_rows(&[2, 0, 2]);
         assert_eq!(g.data, vec![2.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn skew_part_is_antisymmetric() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let a = Matrix::random_uniform(5, 5, 1.0, &mut rng);
-        let s = a.skew_part();
-        let st = s.transpose();
-        assert!(approx_eq(&st, &s.scale(-1.0), 1e-6));
     }
 
     #[test]

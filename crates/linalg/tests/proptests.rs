@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use proptest::prelude::*;
-use rpq_linalg::{cayley, distance, expm, is_orthonormal, qr, svd, Matrix};
+use rpq_linalg::{distance, expm, is_orthonormal, svd, Matrix};
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-2.0f32..2.0, rows * cols)
@@ -15,13 +15,6 @@ proptest! {
     fn expm_of_skew_is_always_orthonormal(w in small_matrix(6, 6)) {
         let a = w.sub(&w.transpose());
         let r = expm(&a);
-        prop_assert!(is_orthonormal(&r, 5e-3));
-    }
-
-    #[test]
-    fn cayley_of_skew_is_always_orthonormal(w in small_matrix(6, 6)) {
-        let a = w.sub(&w.transpose());
-        let r = cayley(&a);
         prop_assert!(is_orthonormal(&r, 5e-3));
     }
 
@@ -59,24 +52,6 @@ proptest! {
         let rhs = b.transpose().matmul(&a.transpose());
         for (x, y) in lhs.data.iter().zip(&rhs.data) {
             prop_assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn qr_q_has_orthonormal_columns(a in small_matrix(7, 4)) {
-        let (q, r) = qr(&a);
-        let qtq = q.transpose().matmul(&q);
-        for i in 0..4 {
-            for j in 0..4 {
-                let e = if i == j { 1.0 } else { 0.0 };
-                prop_assert!((qtq[(i, j)] - e).abs() < 1e-3);
-            }
-        }
-        // R upper-triangular.
-        for i in 1..4 {
-            for j in 0..i {
-                prop_assert!(r[(i, j)].abs() < 1e-4);
-            }
         }
     }
 

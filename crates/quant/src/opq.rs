@@ -33,10 +33,14 @@ impl Default for OpqConfig {
 
 /// A trained OPQ: orthonormal rotation (applied as `x_row · R`) plus PQ in
 /// the rotated space.
+#[derive(Clone)]
 pub struct OptimizedProductQuantizer {
     rotation: Matrix,
     pq: ProductQuantizer,
     train_seconds: f32,
+    /// What [`VectorCompressor::name`] reports: the method that learned the
+    /// parts.
+    label: &'static str,
 }
 
 impl OptimizedProductQuantizer {
@@ -69,11 +73,7 @@ impl OptimizedProductQuantizer {
         // Final codebook fit against the final rotation.
         let xr = x.matmul(&rotation);
         let pq = ProductQuantizer::train(&cfg.pq, &Dataset::from_matrix(&xr));
-        Self {
-            rotation,
-            pq,
-            train_seconds: start.elapsed().as_secs_f32(),
-        }
+        Self::from_parts(rotation, pq, start.elapsed().as_secs_f32())
     }
 
     /// Builds an OPQ-style compressor from externally learned parts (RPQ's
@@ -85,7 +85,14 @@ impl OptimizedProductQuantizer {
             rotation,
             pq,
             train_seconds,
+            label: "OPQ",
         }
+    }
+
+    /// Names the method that learned the parts (RPQ's training mode).
+    pub fn with_label(mut self, label: &'static str) -> Self {
+        self.label = label;
+        self
     }
 
     /// The learned rotation (applied as `x_row · R`).
@@ -117,7 +124,7 @@ impl OptimizedProductQuantizer {
 
 impl VectorCompressor for OptimizedProductQuantizer {
     fn name(&self) -> String {
-        "OPQ".to_string()
+        self.label.to_string()
     }
 
     fn dim(&self) -> usize {

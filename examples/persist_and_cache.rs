@@ -29,7 +29,7 @@ fn main() {
     let model_path = std::env::temp_dir().join("rpq-example-model.bin");
     {
         let mut f = std::fs::File::create(&model_path).expect("create model file");
-        write_rotated_pq(&mut f, rpq.inner()).expect("persist model");
+        write_rotated_pq(&mut f, &rpq).expect("persist model");
     }
     let size = std::fs::metadata(&model_path).unwrap().len();
     println!(

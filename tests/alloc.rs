@@ -1,6 +1,8 @@
 //! Allocation budget of the search hot path (DESIGN.md §9.5): with a warmed
 //! [`SearchScratch`], a query allocates its result `Vec` and nothing else —
 //! the visited map, the gather buffers and both candidate pools are reused.
+//! The PQ index path adds the per-query lookup table and its boxed estimator
+//! on top (ROADMAP item 3's baseline).
 //!
 //! The binary installs a counting `#[global_allocator]`; the count is kept
 //! per thread so the test harness's own threads cannot disturb it.
@@ -8,8 +10,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rpq_anns::InMemoryIndex;
 use rpq_data::synth::DatasetKind;
-use rpq_graph::{beam_search, ExactEstimator, HnswConfig, SearchScratch};
+use rpq_data::Dataset;
+use rpq_graph::{beam_search, ExactEstimator, HnswConfig, ProximityGraph, SearchScratch};
+use rpq_quant::{PqConfig, ProductQuantizer};
 
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
@@ -37,8 +42,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn warmed_beam_search_allocates_only_its_result() {
+fn fixture() -> (Dataset, Dataset, ProximityGraph) {
     let (base, queries) = DatasetKind::Sift
         .config()
         .generate(2_050, 5)
@@ -49,6 +53,12 @@ fn warmed_beam_search_allocates_only_its_result() {
         seed: 5,
     }
     .build(&base);
+    (base, queries, graph)
+}
+
+#[test]
+fn warmed_beam_search_allocates_only_its_result() {
+    let (base, queries, graph) = fixture();
     let mut scratch = SearchScratch::new();
     // Warm-up: sizes the visited map, the gather buffers and the pool.
     for q in queries.iter() {
@@ -64,6 +74,34 @@ fn warmed_beam_search_allocates_only_its_result() {
         assert_eq!(
             allocs, 1,
             "a warmed query must allocate its result Vec only"
+        );
+    }
+}
+
+#[test]
+fn warmed_pq_index_search_allocation_count_is_pinned() {
+    let (base, queries, graph) = fixture();
+    let pq = ProductQuantizer::train(
+        &PqConfig {
+            m: 4,
+            k: 16,
+            ..Default::default()
+        },
+        &base,
+    );
+    let index = InMemoryIndex::build(pq, &base, graph);
+    let mut scratch = SearchScratch::new();
+    for q in queries.iter() {
+        index.search(q, 80, 10, &mut scratch);
+    }
+    for q in queries.iter() {
+        let before = ALLOCS.with(Cell::get);
+        let (res, _) = index.search(q, 80, 10, &mut scratch);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(res.len(), 10);
+        assert_eq!(
+            allocs, 3,
+            "a warmed PQ query allocates its m·k table, the boxed estimator and its result Vec"
         );
     }
 }
