@@ -35,13 +35,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rpq_data::{Dataset, LabelPredicate, Labels};
-use rpq_graph::{Neighbor, ProximityGraph, SearchScratch};
+use rpq_graph::{Neighbor, ProximityGraph, SearchScratch, SearchStats, VertexFilter};
 use rpq_linalg::distance::sq_l2;
 use rpq_quant::{CompactCodes, VectorCompressor};
 
 use crate::cache::{CacheStats, NodeCache};
 use crate::filter::FilterStrategy;
-use crate::ssd::{SsdClock, SsdModel};
+use crate::ssd::{SsdModel, VirtualClock};
 
 #[cfg(unix)]
 use std::os::unix::fs::FileExt;
@@ -109,9 +109,42 @@ pub struct DiskSearchStats {
     /// stage pipeline — what the query actually waits for. Equals
     /// `io_seconds` at `io_width = 1` (no overlap in the serial engine).
     pub io_stall_seconds: f32,
-    /// Queue wait observed on a shared [`SsdClock`] under concurrent
+    /// Queue wait observed on a shared [`VirtualClock`] under concurrent
     /// serving (0 when no clock is attached).
     pub io_queue_seconds: f32,
+}
+
+impl DiskSearchStats {
+    /// Accumulates another shard's counters (fan-out totals per query).
+    pub fn merge(&mut self, other: &DiskSearchStats) {
+        self.hops += other.hops;
+        self.dist_comps += other.dist_comps;
+        self.io_reads += other.io_reads;
+        self.coalesced_ios += other.coalesced_ios;
+        self.rerank_reads += other.rerank_reads;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.io_seconds += other.io_seconds;
+        self.io_stall_seconds += other.io_stall_seconds;
+        self.io_queue_seconds += other.io_queue_seconds;
+    }
+
+    /// Modelled seconds a query actually waits on the device: unhidden
+    /// service time plus queueing behind other queries' commands.
+    pub fn modeled_wait_seconds(&self) -> f32 {
+        self.io_stall_seconds + self.io_queue_seconds
+    }
+}
+
+/// An in-memory search's stats: the I/O columns stay zero.
+impl From<SearchStats> for DiskSearchStats {
+    fn from(stats: SearchStats) -> Self {
+        Self {
+            hops: stats.hops,
+            dist_comps: stats.dist_comps,
+            ..Default::default()
+        }
+    }
 }
 
 /// Heap entry of [`DiskIndex::search_serial`], the frozen oracle (distance
@@ -243,28 +276,18 @@ impl SectorStore {
         }
     }
 
-    /// Reads node `i`'s block: returns (neighbors, vector). Counts I/O.
-    /// The serial engine's primitive; the pipelined path uses
+    /// Reads and parses node `i`'s block into `out`. Counts I/O. The
+    /// serial engine's primitive; the pipelined path uses
     /// [`SectorStore::read_batch`].
-    fn read_node(&self, i: u32, buf: &mut Vec<u8>, vec_out: &mut [f32]) -> io::Result<Vec<u32>> {
+    fn read_node(&self, i: u32, buf: &mut Vec<u8>, out: &mut NodeBlock) -> io::Result<()> {
         assert!((i as usize) < self.n, "node {i} out of range");
         buf.resize(self.block_bytes, 0);
         let off = (i as u64) * (self.block_bytes as u64);
         self.read_exact_at_off(buf, off)?;
         self.reads
             .fetch_add(self.sectors_per_block as u64, Ordering::Relaxed);
-        let deg = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        let mut nbrs = Vec::with_capacity(deg);
-        for s in 0..deg.min(self.max_degree) {
-            nbrs.push(u32::from_le_bytes(
-                buf[4 + s * 4..8 + s * 4].try_into().unwrap(),
-            ));
-        }
-        let voff = 4 + 4 * self.max_degree;
-        for (s, v) in vec_out.iter_mut().enumerate().take(self.dim) {
-            *v = f32::from_le_bytes(buf[voff + s * 4..voff + s * 4 + 4].try_into().unwrap());
-        }
-        Ok(nbrs)
+        self.parse_block(buf, out);
+        Ok(())
     }
 
     /// Reads the blocks of `ids` (ascending, unique) as a batch, coalescing
@@ -356,7 +379,7 @@ pub struct DiskIndex<C: VectorCompressor> {
     entry: u32,
     cache: Option<NodeCache>,
     /// Shared device timeline for concurrent serving (queue wait).
-    clock: Option<Arc<SsdClock>>,
+    clock: Option<Arc<VirtualClock>>,
     /// Per-vector label sets for filtered search (DESIGN.md §12); labels
     /// live in RAM next to the codes — one u32 per vector.
     labels: Option<Labels>,
@@ -451,7 +474,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
     /// ([`DiskSearchStats::io_queue_seconds`]). Sharded serving attaches
     /// one clock to all disk shards so concurrent queries contend for one
     /// modeled device.
-    pub fn attach_clock(&mut self, clock: Arc<SsdClock>) {
+    pub fn attach_clock(&mut self, clock: Arc<VirtualClock>) {
         self.clock = Some(clock);
     }
 
@@ -470,7 +493,14 @@ impl<C: VectorCompressor> DiskIndex<C> {
         let mut scratch = SearchScratch::with_capacity(self.store.n);
         let k = ef.clamp(1, 10);
         for q in queries.iter() {
-            let _ = self.search_impl(q, ef, k, &mut scratch, Some(&mut counts), None);
+            let _ = self.search_impl(
+                q,
+                ef,
+                k,
+                &mut scratch,
+                Some(&mut counts),
+                VertexFilter::all(),
+            );
         }
         let mut ranked: Vec<(u64, u32)> = counts
             .iter()
@@ -520,14 +550,15 @@ impl<C: VectorCompressor> DiskIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, DiskSearchStats) {
-        self.search_impl(query, ef, k, scratch, None, None)
+        self.search_impl(query, ef, k, scratch, None, VertexFilter::all())
     }
 
     /// DiskANN beam search restricted to vectors satisfying `pred`
-    /// (DESIGN.md §12). [`FilterStrategy::DuringTraversal`] mirrors the
-    /// in-memory two-pool kernel: the unfiltered pool still drives
-    /// admission and termination (routing survives low selectivity) while
-    /// a second pool collects matches, which then rerank as usual.
+    /// (DESIGN.md §12). [`FilterStrategy::DuringTraversal`] runs the
+    /// in-memory kernel's expansion step ([`SearchScratch::expand`]): the
+    /// unfiltered pool still drives admission and termination (routing
+    /// survives low selectivity) while a second pool collects matches,
+    /// which then rerank as usual.
     /// [`FilterStrategy::PostFilter`] searches unfiltered at an inflated
     /// `ef` and filters the reranked results. Panics unless labels were
     /// attached with [`DiskIndex::set_labels`].
@@ -547,15 +578,12 @@ impl<C: VectorCompressor> DiskIndex<C> {
         match strategy {
             FilterStrategy::DuringTraversal => {
                 let accept = labels.accept_fn(pred);
-                self.search_impl(query, ef, k, scratch, None, Some(&accept))
+                let filter = VertexFilter::predicate(&accept);
+                self.search_impl(query, ef, k, scratch, None, filter)
             }
-            FilterStrategy::PostFilter { .. } => {
-                let big_ef = strategy.inflated_ef(ef);
-                let (mut res, stats) = self.search_impl(query, big_ef, big_ef, scratch, None, None);
-                res.retain(|n| labels.matches(n.id as usize, pred));
-                res.truncate(k);
-                (res, stats)
-            }
+            FilterStrategy::PostFilter { .. } => strategy.post_filter(labels, pred, ef, k, |ef| {
+                self.search_with_scratch(query, ef, ef, scratch)
+            }),
         }
     }
 
@@ -566,7 +594,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
         mut trace: Option<&mut Vec<u64>>,
-        accept: Option<&dyn Fn(u32) -> bool>,
+        filter: VertexFilter<'_>,
     ) -> (Vec<Neighbor>, DiskSearchStats) {
         let ef = ef.max(k).max(1);
         let io_width = self.cfg.io_width.max(1);
@@ -574,25 +602,9 @@ impl<C: VectorCompressor> DiskIndex<C> {
         let mut stats = DiskSearchStats::default();
         let est = self.compressor.estimator(&self.codes, query);
 
-        scratch.begin(self.store.n);
-        let entry = self.entry;
-        scratch.visit(entry);
-        let d0 = est.distance(entry);
+        let d0 = est.distance(self.entry);
+        scratch.start(self.store.n, ef, self.entry, d0, &filter);
         stats.dist_comps += 1;
-
-        let (mut pool, mut accepted) = scratch.take_pools();
-        pool.reset(ef);
-        pool.offer(d0, entry);
-        // Filtered traversal keeps a second pool of matches — the
-        // disk-engine twin of `beam_search_filtered`'s accepted set. The
-        // unfiltered pool is untouched, so routing (and the unfiltered
-        // path's bit-identity to the serial oracle) is unaffected.
-        if let Some(acc) = accept {
-            accepted.reset(ef);
-            if acc(entry) {
-                accepted.offer(d0, entry);
-            }
-        }
 
         let mut stage: Vec<(f32, u32)> = Vec::new();
         let mut batch = BatchRead::default();
@@ -600,13 +612,12 @@ impl<C: VectorCompressor> DiskIndex<C> {
         // Stage nodes with their cache lookups resolved at pop time (one
         // counted cache probe per expansion, hit or miss).
         let mut plan: Vec<StagedNode> = Vec::new();
-        let (mut unvisited, mut dists) = scratch.take_gather();
         // Compute seconds of the previous stage — the budget this stage's
         // modeled I/O can hide behind (max(io, compute) pipeline model).
         let mut prev_compute = 0.0f32;
 
         loop {
-            pool.pop_batch(io_width, &mut stage);
+            scratch.pop_batch(io_width, &mut stage);
             if stage.is_empty() {
                 break;
             }
@@ -645,13 +656,14 @@ impl<C: VectorCompressor> DiskIndex<C> {
             };
             if stage_io_us > 0.0 {
                 if let Some(clock) = &self.clock {
-                    stats.io_queue_seconds += clock.reserve(stage_io_us) * 1e-6;
+                    stats.io_queue_seconds += clock.reserve_now(stage_io_us as f64) as f32 * 1e-6;
                 }
             }
             stats.io_seconds += stage_io_us * 1e-6;
 
-            // Score and admit, in popped (distance) order — identical to
-            // the serial loop at io_width = 1.
+            // Score and admit through the shared expansion step, in popped
+            // (distance) order — identical to the serial loop at
+            // io_width = 1.
             let t0 = Instant::now();
             for &(v, cached) in &plan {
                 let (nbrs, vector): (&[u32], &[f32]) = match cached {
@@ -662,24 +674,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
                     }
                 };
                 scratch.memo_insert(v, sq_l2(query, vector));
-                unvisited.clear();
-                for &u in nbrs {
-                    if scratch.visit(u) {
-                        unvisited.push(u);
-                    }
-                }
-                dists.clear();
-                dists.resize(unvisited.len(), 0.0);
-                est.distance_batch(&unvisited, &mut dists);
-                stats.dist_comps += unvisited.len();
-                for (&u, &du) in unvisited.iter().zip(dists.iter()) {
-                    pool.offer(du, u);
-                    if let Some(acc) = accept {
-                        if acc(u) {
-                            accepted.offer(du, u);
-                        }
-                    }
-                }
+                stats.dist_comps += scratch.expand(nbrs, &est, &filter);
             }
             let stage_compute = t0.elapsed().as_secs_f32();
 
@@ -694,16 +689,14 @@ impl<C: VectorCompressor> DiskIndex<C> {
             stats.io_stall_seconds += stall_us * 1e-6;
             prev_compute = stage_compute;
         }
-        scratch.put_gather(unvisited, dists);
 
         // Final rerank: top candidates by ADC get exact distances; those
         // not fetched during routing cost extra (batched, coalesced,
         // separately counted) reads. Filtered traversal reranks the
         // accepted set instead — matches that routed past without
         // expansion get fetched here.
-        let best = if accept.is_some() { &accepted } else { &pool }.best();
+        let best = scratch.best(!filter.is_all());
         let candidates = best[..best.len().min(self.cfg.rerank.max(k))].to_vec();
-        scratch.put_pools(pool, accepted);
         miss_ids.clear();
         for &(_, v) in &candidates {
             if scratch.memo_get(v).is_some() {
@@ -733,7 +726,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
             stats.coalesced_ios += batch.spans.len();
             let io_us = ssd.batch_us(batch.spans.iter().copied(), io_width);
             if let Some(clock) = &self.clock {
-                stats.io_queue_seconds += clock.reserve(io_us) * 1e-6;
+                stats.io_queue_seconds += clock.reserve_now(io_us as f64) as f32 * 1e-6;
             }
             stats.io_seconds += io_us * 1e-6;
             // Nothing overlaps the tail rerank: charge it in full.
@@ -774,7 +767,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
         let mut visited: HashMap<u32, ()> = HashMap::new();
         let mut exact: HashMap<u32, f32> = HashMap::new();
         let mut block = Vec::new();
-        let mut vec_buf = vec![0.0f32; self.store.dim];
+        let mut node = NodeBlock::default();
         let mut unvisited: Vec<u32> = Vec::new();
         let mut dists: Vec<f32> = Vec::new();
         let per_read_us = self.cfg.ssd.service_time_us(self.store.sectors_per_block);
@@ -803,14 +796,13 @@ impl<C: VectorCompressor> DiskIndex<C> {
                 }
                 None => {
                     stats.cache_misses += 1;
-                    let nbrs = self
-                        .store
-                        .read_node(v, &mut block, &mut vec_buf)
+                    self.store
+                        .read_node(v, &mut block, &mut node)
                         .expect("disk store read failed");
                     stats.io_reads += self.store.sectors_per_block;
                     stats.coalesced_ios += 1;
-                    exact.insert(v, sq_l2(query, &vec_buf));
-                    nbrs
+                    exact.insert(v, sq_l2(query, &node.vector));
+                    node.neighbors.clone()
                 }
             };
             unvisited.clear();
@@ -847,14 +839,13 @@ impl<C: VectorCompressor> DiskIndex<C> {
                     if let Some((_, vec)) = self.cache.as_ref().and_then(|c| c.get(v)) {
                         return sq_l2(query, vec);
                     }
-                    let _ = self
-                        .store
-                        .read_node(v, &mut block, &mut vec_buf)
+                    self.store
+                        .read_node(v, &mut block, &mut node)
                         .expect("rerank read");
                     stats.io_reads += self.store.sectors_per_block;
                     stats.rerank_reads += self.store.sectors_per_block;
                     stats.coalesced_ios += 1;
-                    sq_l2(query, &vec_buf)
+                    sq_l2(query, &node.vector)
                 });
                 Neighbor { id: v, dist }
             })
@@ -1073,11 +1064,11 @@ mod tests {
         .build(&base);
         let store = SectorStore::build(&tmp_path("roundtrip"), &base, &graph, 4096).unwrap();
         let mut buf = Vec::new();
-        let mut v = vec![0.0f32; base.dim()];
+        let mut node = NodeBlock::default();
         for i in [0u32, 50, 99] {
-            let nbrs = store.read_node(i, &mut buf, &mut v).unwrap();
-            assert_eq!(nbrs, graph.neighbors(i));
-            assert_eq!(&v[..], base.get(i as usize));
+            store.read_node(i, &mut buf, &mut node).unwrap();
+            assert_eq!(node.neighbors, graph.neighbors(i));
+            assert_eq!(&node.vector[..], base.get(i as usize));
         }
     }
 
@@ -1111,13 +1102,13 @@ mod tests {
 
         // Batched contents must match the serial primitive byte for byte.
         let mut buf = Vec::new();
-        let mut v = vec![0.0f32; base.dim()];
+        let mut node = NodeBlock::default();
         store.read_batch(&[3, 4, 90], &mut batch).unwrap();
         for &id in &[3u32, 4, 90] {
-            let nbrs = store.read_node(id, &mut buf, &mut v).unwrap();
+            store.read_node(id, &mut buf, &mut node).unwrap();
             let block = batch.block(id);
-            assert_eq!(block.neighbors, nbrs);
-            assert_eq!(block.vector, v);
+            assert_eq!(block.neighbors, node.neighbors);
+            assert_eq!(block.vector, node.vector);
         }
     }
 
@@ -1310,7 +1301,7 @@ mod tests {
     #[test]
     fn attached_clock_accumulates_queue_wait() {
         let (mut index, _, queries) = build_index(400, 15, "clock");
-        index.attach_clock(Arc::new(SsdClock::new()));
+        index.attach_clock(Arc::new(VirtualClock::new()));
         let q = queries.get(0);
         let (_, first) = index.search(q, 40, 10);
         // The first query reserved milliseconds of modeled device time;

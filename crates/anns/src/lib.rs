@@ -47,5 +47,5 @@ pub use serve::{
     BatchReport, LatencySummary, MutableShardBackend, ServeConfig, ServeEngine, ShardBackend,
     ShardQueryStats, ShardedIndex, WorkerPool,
 };
-pub use ssd::{SsdClock, SsdModel};
+pub use ssd::SsdModel;
 pub use stream::{ConsolidateReport, StreamingConfig, StreamingIndex};

@@ -121,13 +121,9 @@ impl<C: VectorCompressor> InMemoryIndex<C> {
                 let est = self.compressor.estimator(&self.codes, query);
                 beam_search_filtered(&self.graph, &est, ef, k, scratch, filter)
             }
-            FilterStrategy::PostFilter { .. } => {
-                let big_ef = strategy.inflated_ef(ef);
-                let (mut res, stats) = self.search(query, big_ef, big_ef, scratch);
-                res.retain(|n| labels.matches(n.id as usize, pred));
-                res.truncate(k);
-                (res, stats)
-            }
+            FilterStrategy::PostFilter { .. } => strategy.post_filter(labels, pred, ef, k, |ef| {
+                self.search(query, ef, ef, scratch)
+            }),
         }
     }
 

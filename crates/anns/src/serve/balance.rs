@@ -27,10 +27,10 @@ pub enum LoadBalancePolicy {
     /// cost model at the balancer.
     LeastOutstanding,
     /// Earliest busy-until horizon on the replicas' virtual device
-    /// timelines ([`crate::ssd::VirtualClock`], the deterministic cousin
-    /// of the disk layer's shared `SsdClock`). Sees the *size* of queued
-    /// work, not just its count, so it routes around a stalled replica
-    /// fastest.
+    /// timelines ([`crate::ssd::VirtualClock`] on caller-supplied time —
+    /// the deterministic use of the type the disk shards' shared device
+    /// drives off the wall clock). Sees the *size* of queued work, not
+    /// just its count, so it routes around a stalled replica fastest.
     QueueAware,
 }
 

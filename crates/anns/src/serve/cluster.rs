@@ -736,7 +736,7 @@ mod tests {
         ef: usize,
     ) {
         // Disk shards charge queue wait off a wall-clock-driven device
-        // timeline (`SsdClock`): the one column that is not a pure
+        // timeline (`VirtualClock::reserve_now`): the one column that is not a pure
         // function of the query.
         let counters = |mut stats: ShardQueryStats| {
             stats.io_queue_seconds = 0.0;

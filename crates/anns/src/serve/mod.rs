@@ -46,86 +46,19 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rpq_data::{Dataset, LabelPredicate, Labels};
-use rpq_graph::{Neighbor, ProximityGraph, SearchScratch, SearchStats};
+use rpq_graph::{Neighbor, ProximityGraph, SearchScratch};
 use rpq_quant::VectorCompressor;
 
 use crate::disk::{DiskIndex, DiskIndexConfig, DiskSearchStats};
 use crate::filter::FilterStrategy;
 use crate::memory::InMemoryIndex;
-use crate::ssd::{SsdClock, VirtualClock};
+use crate::ssd::VirtualClock;
 use crate::stream::{StreamingConfig, StreamingIndex};
 
-/// Per-shard, per-query cost counters (superset of the in-memory and
-/// hybrid stats so both backends fit one serving path).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ShardQueryStats {
-    /// Next-hop selections.
-    pub hops: usize,
-    /// Distance-estimator invocations.
-    pub dist_comps: usize,
-    /// Raw sector reads issued (0 for in-memory shards).
-    pub io_reads: usize,
-    /// Modelled I/O commands after coalescing (0 for in-memory shards).
-    pub coalesced_ios: usize,
-    /// Node lookups served from the shard's RAM node cache.
-    pub cache_hits: usize,
-    /// Node lookups that went to the shard's store.
-    pub cache_misses: usize,
-    /// Modelled device seconds (0 for in-memory shards).
-    pub io_seconds: f32,
-    /// Modelled I/O seconds not hidden behind compute by the pipelined
-    /// disk engine (== `io_seconds` at `io_width = 1`).
-    pub io_stall_seconds: f32,
-    /// Queue wait on the shared device timeline under concurrent serving.
-    pub io_queue_seconds: f32,
-}
-
-impl ShardQueryStats {
-    /// Accumulates another shard's counters (fan-out totals per query).
-    pub fn merge(&mut self, other: &ShardQueryStats) {
-        self.hops += other.hops;
-        self.dist_comps += other.dist_comps;
-        self.io_reads += other.io_reads;
-        self.coalesced_ios += other.coalesced_ios;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.io_seconds += other.io_seconds;
-        self.io_stall_seconds += other.io_stall_seconds;
-        self.io_queue_seconds += other.io_queue_seconds;
-    }
-
-    /// Modelled seconds a query actually waits on the device: unhidden
-    /// service time plus queueing behind other queries' commands.
-    pub fn modeled_wait_seconds(&self) -> f32 {
-        self.io_stall_seconds + self.io_queue_seconds
-    }
-}
-
-impl From<SearchStats> for ShardQueryStats {
-    fn from(stats: SearchStats) -> Self {
-        Self {
-            hops: stats.hops,
-            dist_comps: stats.dist_comps,
-            ..Default::default()
-        }
-    }
-}
-
-impl From<DiskSearchStats> for ShardQueryStats {
-    fn from(stats: DiskSearchStats) -> Self {
-        Self {
-            hops: stats.hops,
-            dist_comps: stats.dist_comps,
-            io_reads: stats.io_reads,
-            coalesced_ios: stats.coalesced_ios,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            io_seconds: stats.io_seconds,
-            io_stall_seconds: stats.io_stall_seconds,
-            io_queue_seconds: stats.io_queue_seconds,
-        }
-    }
-}
+/// Per-shard, per-query cost counters: the hybrid scenario's stats, which
+/// are a superset of the in-memory ones (`From<SearchStats>` leaves the I/O
+/// columns zero), so both backends fit one serving path.
+pub type ShardQueryStats = DiskSearchStats;
 
 /// One searchable partition: anything that can answer a top-k query over
 /// its local id space. Implemented by every deployment scenario's index so
@@ -325,12 +258,11 @@ impl<C: VectorCompressor> ShardBackend for DiskIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
-        let (res, stats) = match filter {
+        Ok(match filter {
             None => self.search_with_scratch(query, ef, k, scratch),
             Some(_) if self.labels().is_none() => return Err(ReplicaFault::NoLabels),
             Some(f) => self.search_filtered(query, f.pred, f.strategy, ef, k, scratch),
-        };
-        Ok((res, stats.into()))
+        })
     }
 
     fn shard_len(&self) -> usize {
@@ -789,7 +721,7 @@ impl ShardedIndex {
     /// Partitions `data` round-robin into `n_shards` hybrid (disk) shards,
     /// each carrying its partition's subset of `labels` (in RAM, next to
     /// the codes) when given. Each shard's store file is `cfg.path` with
-    /// `.shard<i>` appended. All shards share **one** [`SsdClock`] — they
+    /// `.shard<i>` appended. All shards share **one** [`VirtualClock`] — they
     /// model one physical device, so concurrent queries contend for its
     /// timeline and serve-level p99 shows saturation when offered load
     /// exceeds the modelled throughput. Panics if `n_shards` exceeds the
@@ -805,7 +737,7 @@ impl ShardedIndex {
     where
         C: VectorCompressor + Clone + 'static,
     {
-        let clock = Arc::new(SsdClock::new());
+        let clock = Arc::new(VirtualClock::new());
         let groups = partition_parts(data, labels, n_shards)
             .enumerate()
             .map(|(i, (ids, part, labels))| {

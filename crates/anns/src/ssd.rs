@@ -23,8 +23,8 @@
 //! [`SsdModel::fixed`] reproduces the old constant-latency model bit for
 //! bit (zero service cost, one channel), so legacy configurations and the
 //! pinned accounting tests are unchanged. Queue wait under concurrent load
-//! comes from reservations on a shared timeline ([`SsdClock`] over
-//! [`VirtualClock`]), not from a closed-form queueing formula.
+//! comes from reservations on a shared timeline ([`VirtualClock`]), not
+//! from a closed-form queueing formula.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -91,16 +91,19 @@ impl SsdModel {
     }
 }
 
-/// A busy-until horizon over an arbitrary time base: the primitive under
-/// both [`SsdClock`] (wall-clock arrivals) and the serving cluster's
-/// per-replica timelines (virtual arrivals from an open-loop schedule,
-/// DESIGN.md §11). A reservation of `service_us` starts at
-/// `max(now, busy_until)` and the returned wait is `start − now`; because
+/// A busy-until horizon over a time base: the one timeline type under both
+/// the disk shards' shared device (wall-clock arrivals,
+/// [`VirtualClock::reserve_now`]) and the serving cluster's per-replica
+/// timelines (virtual arrivals from an open-loop schedule, DESIGN.md §11,
+/// [`VirtualClock::reserve_at`]). A reservation of `service_us` starts at
+/// `max(now, busy_until)` and the returned wait is `start − now`; when
 /// `now` is supplied by the caller, a schedule of arrivals produces
 /// bit-reproducible waits on any machine.
 pub struct VirtualClock {
-    /// Busy-until horizon in nanoseconds on the caller's time base.
+    /// Busy-until horizon in nanoseconds on the time base.
     busy_until_ns: AtomicU64,
+    /// Zero of the wall-clock time base [`VirtualClock::reserve_now`] uses.
+    epoch: Instant,
 }
 
 impl Default for VirtualClock {
@@ -113,6 +116,7 @@ impl VirtualClock {
     pub fn new() -> Self {
         Self {
             busy_until_ns: AtomicU64::new(0),
+            epoch: Instant::now(),
         }
     }
 
@@ -136,6 +140,17 @@ impl VirtualClock {
         }
     }
 
+    /// [`VirtualClock::reserve_at`] the wall-clock time since this clock
+    /// was created. Every disk shard of a [`crate::serve::ShardedIndex`]
+    /// reserves its batch occupancy on one clock this way, so queries
+    /// arriving while the device is busy observe queue wait — what
+    /// saturates p99 once offered load exceeds the device's `channels`.
+    /// Arrivals are real; the *cost* of each reservation is fully modeled.
+    pub fn reserve_now(&self, service_us: f64) -> f64 {
+        let now_us = self.epoch.elapsed().as_nanos() as f64 / 1e3;
+        self.reserve_at(now_us, service_us)
+    }
+
     /// Backlog still queued at `now_us`: `max(busy_until − now, 0)` in µs.
     /// What the queue-aware load balancer ranks replicas by.
     pub fn backlog_us(&self, now_us: f64) -> f64 {
@@ -148,42 +163,6 @@ impl VirtualClock {
     /// each other's backlog.
     pub fn reset(&self) {
         self.busy_until_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A shared virtual device timeline for concurrent serving: every disk
-/// shard of a [`crate::serve::ShardedIndex`] reserves its batch occupancy
-/// on one clock, so queries arriving while the device is busy observe
-/// queue wait — the mechanism behind p99 saturation once offered load
-/// exceeds what the device's `channels` can serve.
-///
-/// The timeline is a [`VirtualClock`] driven by a real monotonic clock:
-/// arrival times come from `Instant` (concurrency decides interleaving),
-/// but the *cost* added per reservation is fully modeled.
-pub struct SsdClock {
-    epoch: Instant,
-    timeline: VirtualClock,
-}
-
-impl Default for SsdClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SsdClock {
-    pub fn new() -> Self {
-        Self {
-            epoch: Instant::now(),
-            timeline: VirtualClock::new(),
-        }
-    }
-
-    /// Reserves `device_us` of device occupancy starting no earlier than
-    /// now; returns the queue wait in µs (0 when the device is idle).
-    pub fn reserve(&self, device_us: f32) -> f32 {
-        let now_us = self.epoch.elapsed().as_nanos() as f64 / 1e3;
-        self.timeline.reserve_at(now_us, device_us as f64) as f32
     }
 }
 
@@ -234,15 +213,15 @@ mod tests {
 
     #[test]
     fn clock_reserves_serialise_and_report_wait() {
-        let clock = SsdClock::new();
+        let clock = VirtualClock::new();
         // First reservation on an idle device: no wait.
-        let w0 = clock.reserve(50_000.0);
+        let w0 = clock.reserve_now(50_000.0);
         assert_eq!(w0, 0.0);
         // Immediately following reservations queue behind it; each waits
         // at least the remaining occupancy of the previous ones.
-        let w1 = clock.reserve(50_000.0);
+        let w1 = clock.reserve_now(50_000.0);
         assert!(w1 > 40_000.0, "second reservation must queue: {w1}");
-        let w2 = clock.reserve(0.0);
+        let w2 = clock.reserve_now(0.0);
         assert!(w2 > w1, "horizon keeps advancing: {w2} vs {w1}");
     }
 }

@@ -261,11 +261,9 @@ impl<C: VectorCompressor> StreamingIndex<C> {
                 self.search_with_filter(query, ef, k, scratch, filter)
             }
             FilterStrategy::PostFilter { .. } => {
-                let big_ef = strategy.inflated_ef(ef);
-                let (mut res, stats) = self.search(query, big_ef, big_ef, scratch);
-                res.retain(|n| self.labels.matches(n.id as usize, pred));
-                res.truncate(k);
-                (res, stats)
+                strategy.post_filter(&self.labels, pred, ef, k, |ef| {
+                    self.search(query, ef, ef, scratch)
+                })
             }
         }
     }

@@ -1,11 +1,15 @@
 //! Beam-search routing over a proximity graph (paper §3.1), generic over the
 //! distance oracle.
 //!
-//! The same routine serves three masters:
-//! * exact search (graph construction, ground-truth style routing),
-//! * PQ-integrated search (the estimator is an ADC lookup table),
-//! * routing-feature extraction (the [`beam_search_recording`] variant
-//!   mirrors paper Alg. 2 and captures each ranked candidate set `bᵢ`).
+//! Alg. 2's loop body — gather a vertex's unvisited neighbors, score them,
+//! offer them to the sorted candidate set — exists once, as
+//! [`SearchScratch::expand`]. [`beam_search`] / [`beam_search_filtered`]
+//! (exact or ADC estimator over a [`GraphView`]), the graph builders'
+//! `search_adj` and `rpq-anns`' disk engine are each
+//! [`SearchScratch::start`], then pop / expand until the pool runs dry, with
+//! their own work between the two calls. [`beam_search_recording`] is the
+//! exception by design: a literal transcription of Alg. 2 that captures each
+//! ranked candidate set `bᵢ` for the routing-feature extractor.
 
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
@@ -22,11 +26,11 @@ pub trait DistanceEstimator {
 
     /// Scores a batch of vertices into `out` (same length as `nodes`).
     ///
-    /// [`beam_search`] routes every expansion's unvisited neighbors through
-    /// this method. The default loops over [`DistanceEstimator::distance`],
-    /// and that loop is what every index's ADC estimator runs; an estimator
-    /// with a block kernel (the SoA scan kernel in `rpq-quant`, which no
-    /// index routes through) may override it.
+    /// [`SearchScratch::expand`] routes every expansion's unvisited neighbors
+    /// through this method. The default loops over
+    /// [`DistanceEstimator::distance`], and that loop is what every index's
+    /// ADC estimator runs; an estimator with a block kernel (the SoA scan
+    /// kernel in `rpq-quant`, which no index routes through) may override it.
     ///
     /// Contract: implementations must return **bit-identical** values to
     /// per-node `distance` calls — batching is a layout/throughput
@@ -82,56 +86,17 @@ impl<T: DistanceEstimator + ?Sized> DistanceEstimator for Box<T> {
     }
 }
 
-/// A vertex predicate for [`beam_search_filtered`]: `accept(v)` decides
-/// whether `v` may appear in the result set. Rejected vertices are still
-/// traversed (scored, kept in the working beam, expanded), so graph
-/// connectivity survives any predicate — see [`beam_search_filtered`].
+/// The one predicate type of the search stack: decides which vertices may
+/// appear in a result set. Rejected vertices are still traversed (scored,
+/// kept in the working beam, expanded), so graph connectivity survives any
+/// filter — see [`SearchScratch::expand`].
 ///
-/// Every `Fn(u32) -> bool` closure is a `VertexPredicate` via the blanket
-/// impl, so ad-hoc call sites keep working; [`VertexFilter`] is the
-/// first-class composable instance the index layers share.
-pub trait VertexPredicate {
-    /// Whether vertex `v` may be returned as a result.
-    fn accept(&self, v: u32) -> bool;
-
-    /// True when the predicate cannot reject anything: the search then
-    /// keeps no accepted set beside its candidate pool and never calls
-    /// [`VertexPredicate::accept`].
-    #[inline]
-    fn is_all(&self) -> bool {
-        false
-    }
-}
-
-/// The predicate of the unfiltered path: accepts every vertex, by type.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AcceptAll;
-
-impl VertexPredicate for AcceptAll {
-    #[inline]
-    fn accept(&self, _v: u32) -> bool {
-        true
-    }
-    #[inline]
-    fn is_all(&self) -> bool {
-        true
-    }
-}
-
-impl<F: Fn(u32) -> bool> VertexPredicate for F {
-    #[inline]
-    fn accept(&self, v: u32) -> bool {
-        self(v)
-    }
-}
-
-/// The first-class filter composing the two predicate sources every index
-/// has: a tombstone bitmap (deleted-but-not-yet-consolidated vertices,
-/// DESIGN.md §8.2) and an arbitrary user predicate (label filters,
-/// DESIGN.md §12). Tombstones are thereby *one instance* of vertex
-/// filtering, not a special case: `VertexFilter::tombstones(t)` behaves
-/// bit-identically to the hand-rolled `|v| !t[v as usize]` closure the
-/// streaming index used to build.
+/// It composes the two predicate sources every index has: a tombstone
+/// bitmap (deleted-but-not-yet-consolidated vertices, DESIGN.md §8.2) and
+/// an arbitrary user predicate (label filters, DESIGN.md §12). Tombstones
+/// are thereby *one instance* of vertex filtering, not a special case:
+/// `VertexFilter::tombstones(t)` behaves bit-identically to
+/// `VertexFilter::predicate(&|v| !t[v as usize])`.
 ///
 /// An empty filter ([`VertexFilter::all`]) accepts everything and keeps
 /// [`beam_search_filtered`] bit-identical to [`beam_search`].
@@ -163,12 +128,6 @@ impl<'a> VertexFilter<'a> {
         }
     }
 
-    /// This filter further restricted by a tombstone bitmap.
-    pub fn and_tombstones(mut self, tombstones: &'a [bool]) -> Self {
-        self.tombstones = Some(tombstones);
-        self
-    }
-
     /// This filter further restricted by a user predicate.
     pub fn and_predicate(mut self, predicate: &'a dyn Fn(u32) -> bool) -> Self {
         self.predicate = Some(predicate);
@@ -176,14 +135,14 @@ impl<'a> VertexFilter<'a> {
     }
 
     /// True when no tombstone map and no predicate is attached — the
-    /// filter cannot reject anything, so the caller may take the
-    /// unfiltered fast path.
+    /// filter cannot reject anything, so a search keeps no accepted set
+    /// beside its candidate pool and never evaluates the filter.
+    #[inline]
     pub fn is_all(&self) -> bool {
         self.tombstones.is_none() && self.predicate.is_none()
     }
-}
 
-impl VertexPredicate for VertexFilter<'_> {
+    /// Whether vertex `v` may be returned as a result.
     #[inline]
     fn accept(&self, v: u32) -> bool {
         if let Some(t) = self.tombstones {
@@ -195,10 +154,6 @@ impl VertexPredicate for VertexFilter<'_> {
             Some(p) => p(v),
             None => true,
         }
-    }
-    #[inline]
-    fn is_all(&self) -> bool {
-        VertexFilter::is_all(self)
     }
 }
 
@@ -217,16 +172,22 @@ pub struct SearchStats {
     pub dist_comps: usize,
 }
 
-/// Reusable per-thread search state: a visited map with O(touched) reset and
-/// the candidate pools, so a warmed scratch makes a query allocate nothing
-/// but its result `Vec` (perf-book: reuse workhorse collections).
+/// Reusable per-thread search state and the traversal step over it: a
+/// visited map with O(touched) reset, the candidate pools and the gather
+/// buffers, driven by every beam loop through [`SearchScratch::start`] /
+/// [`SearchScratch::pop_closest`] / [`SearchScratch::expand`]
+/// (DESIGN.md §9.5). A warmed scratch makes a query allocate nothing but
+/// its result `Vec` (perf-book: reuse workhorse collections).
 #[derive(Default)]
 pub struct SearchScratch {
     visited: Vec<bool>,
     touched: Vec<u32>,
-    /// The routing state of the running search (DESIGN.md §9.5).
-    pub(crate) pool: CandidatePool,
-    /// The best accepted vertices of a filtered search.
+    /// The routing state of the running search: the global candidate set
+    /// `b` of Alg. 2, regardless of filter — it drives admission and
+    /// termination.
+    pool: CandidatePool,
+    /// The best `ef` accepted vertices of a filtered search — what the
+    /// caller gets; used only when the filter can reject something.
     accepted: CandidatePool,
     /// Unvisited neighbors of the current expansion, gathered so the
     /// estimator can score them as one batch.
@@ -319,40 +280,121 @@ impl SearchScratch {
         self.memo_touched.retain(|&t| (t as usize) < n);
     }
 
-    pub(crate) fn prepare(&mut self, n: usize) {
+    fn prepare(&mut self, n: usize) {
         if self.visited.len() < n {
             self.visited.resize(n, false);
         }
         self.reset();
     }
 
-    /// Prepares the scratch for an externally-driven search over `n`
-    /// vertices: visited marks and the exact-distance memo are sized and
-    /// cleared. [`beam_search`] does this internally; engines that drive
-    /// their own traversal (the disk engine's pipelined beam) call this
-    /// once per query, then [`SearchScratch::visit`] /
-    /// [`SearchScratch::memo_insert`] during it.
-    pub fn begin(&mut self, n: usize) {
+    /// Begins a traversal over a graph of `n` vertices with beam width
+    /// `ef`: sizes the visited map, clears it and the memo, resets the
+    /// routing pool and — only when `filter` can reject — the accepted
+    /// pool, then marks and offers the entry vertex at distance `d0`.
+    #[inline]
+    pub fn start(&mut self, n: usize, ef: usize, entry: u32, d0: f32, filter: &VertexFilter<'_>) {
         self.prepare(n);
-        if self.memo_vals.len() < n {
-            self.memo_vals.resize(n, 0.0);
-            self.memo_marked.resize(n, false);
+        self.visit(entry);
+        self.pool.reset(ef);
+        self.pool.offer(d0, entry);
+        if !filter.is_all() {
+            self.accepted.reset(ef);
+            if filter.accept(entry) {
+                self.accepted.offer(d0, entry);
+            }
         }
     }
 
-    /// Marks `v` visited; `true` when it was unvisited (first sight). The
-    /// public face of the epoch-reset visited map for external engines;
-    /// valid between [`SearchScratch::begin`] and the next reset.
+    /// The frontier-expansion step of Alg. 2, the only one in the
+    /// repository: gathers the unvisited members of `nbrs`, scores them
+    /// with one [`DistanceEstimator::distance_batch`] call, and offers each
+    /// to the routing pool in neighbor order. Returns how many were scored.
+    ///
+    /// Gather-then-score cannot change any result, only the memory access
+    /// pattern: distances never depend on pool state, and admission runs in
+    /// the same neighbor order with the same (bit-identical, per the
+    /// estimator contract) values a score-as-you-go loop would see.
+    ///
+    /// Vertices failing `filter` are **traversed but never returned** —
+    /// scored, kept in the routing pool (tie tail included,
+    /// [`CandidatePool::offer`]) and expanded exactly as if unfiltered, so
+    /// graph connectivity and the routing path survive intact; only the
+    /// accepted pool, which [`SearchScratch::best`] reads for a filtered
+    /// search, skips them. This is the tombstone semantics of the streaming
+    /// index (DESIGN.md §8.2): deleted points keep carrying traffic until a
+    /// consolidation pass re-links their neighborhoods.
+    #[inline]
+    pub fn expand(
+        &mut self,
+        nbrs: &[u32],
+        est: &impl DistanceEstimator,
+        filter: &VertexFilter<'_>,
+    ) -> usize {
+        self.frontier.clear();
+        for &u in nbrs {
+            if self.visit(u) {
+                self.frontier.push(u);
+            }
+        }
+        self.dists.clear();
+        self.dists.resize(self.frontier.len(), 0.0);
+        est.distance_batch(&self.frontier, &mut self.dists);
+        let filtering = !filter.is_all();
+        for (&u, &du) in self.frontier.iter().zip(&self.dists) {
+            self.pool.offer(du, u);
+            if filtering && filter.accept(u) {
+                self.accepted.offer(du, u);
+            }
+        }
+        self.frontier.len()
+    }
+
+    /// The closest not-yet-expanded routing candidate, marked expanded;
+    /// `None` ends the search ([`CandidatePool::pop_closest`]).
+    #[inline]
+    pub fn pop_closest(&mut self) -> Option<(f32, u32)> {
+        self.pool.pop_closest()
+    }
+
+    /// Up to `width` closest unexpanded routing candidates — one pipeline
+    /// stage of the disk engine ([`CandidatePool::pop_batch`]).
+    #[inline]
+    pub fn pop_batch(&mut self, width: usize, out: &mut Vec<(f32, u32)>) {
+        self.pool.pop_batch(width, out)
+    }
+
+    /// The best `ef` vertices of the running search, ascending by
+    /// `(dist, id)`: the accepted pool's when `filtered`, else the routing
+    /// pool's.
+    #[inline]
+    pub fn best(&self, filtered: bool) -> &[(f32, u32)] {
+        if filtered { &self.accepted } else { &self.pool }.best()
+    }
+
+    /// Marks `v` visited; `true` when it was unvisited (first sight).
+    /// Valid between [`SearchScratch::start`] and the next reset.
     #[inline]
     pub fn visit(&mut self, v: u32) -> bool {
-        mark(&mut self.visited, &mut self.touched, v)
+        let slot = &mut self.visited[v as usize];
+        let first = !*slot;
+        if first {
+            *slot = true;
+            self.touched.push(v);
+        }
+        first
     }
 
     /// Memoises a per-vertex f32 (the disk engine's exact distances) in the
-    /// flat slot map. Overwrites any value from the same epoch.
+    /// flat slot map. Overwrites any value from the same epoch. The map
+    /// sizes itself to the visited map on the first insert beyond it.
     #[inline]
     pub fn memo_insert(&mut self, v: u32, val: f32) {
         let i = v as usize;
+        if i >= self.memo_marked.len() {
+            let n = self.visited.len().max(i + 1);
+            self.memo_vals.resize(n, 0.0);
+            self.memo_marked.resize(n, false);
+        }
         if !self.memo_marked[i] {
             self.memo_marked[i] = true;
             self.memo_touched.push(v);
@@ -370,54 +412,6 @@ impl SearchScratch {
             None
         }
     }
-
-    /// Takes the candidate pools (routing state, accepted set) for an
-    /// external engine's traversal; return them with
-    /// [`SearchScratch::put_pools`]. The same pools [`beam_search`] routes
-    /// with, so a scratch shared across backends keeps one allocation.
-    pub fn take_pools(&mut self) -> (CandidatePool, CandidatePool) {
-        (
-            std::mem::take(&mut self.pool),
-            std::mem::take(&mut self.accepted),
-        )
-    }
-
-    /// Returns pools taken by [`SearchScratch::take_pools`].
-    pub fn put_pools(&mut self, pool: CandidatePool, accepted: CandidatePool) {
-        self.pool = pool;
-        self.accepted = accepted;
-    }
-
-    /// Takes the neighbor-gather buffers (ids, distances) for an external
-    /// engine's expansion loop; return them with
-    /// [`SearchScratch::put_gather`]. The same buffers [`beam_search`]
-    /// reuses internally, so a scratch shared across backends keeps one
-    /// allocation.
-    pub fn take_gather(&mut self) -> (Vec<u32>, Vec<f32>) {
-        (
-            std::mem::take(&mut self.frontier),
-            std::mem::take(&mut self.dists),
-        )
-    }
-
-    /// Returns buffers taken by [`SearchScratch::take_gather`].
-    pub fn put_gather(&mut self, ids: Vec<u32>, dists: Vec<f32>) {
-        self.frontier = ids;
-        self.dists = dists;
-    }
-}
-
-/// Marks `v` in a visited map; `true` on first sight.
-#[inline]
-fn mark(visited: &mut [bool], touched: &mut Vec<u32>, v: u32) -> bool {
-    let slot = &mut visited[v as usize];
-    if *slot {
-        false
-    } else {
-        *slot = true;
-        touched.push(v);
-        true
-    }
 }
 
 /// Beam search from the graph's entry vertex: returns the top-`k` vertices
@@ -430,24 +424,18 @@ pub fn beam_search<G: GraphView>(
     k: usize,
     scratch: &mut SearchScratch,
 ) -> (Vec<Neighbor>, SearchStats) {
-    beam_search_filtered(graph, est, ef, k, scratch, AcceptAll)
+    beam_search_filtered(graph, est, ef, k, scratch, VertexFilter::all())
 }
 
-/// [`beam_search`] with a result filter: vertices failing `accept` are
-/// **traversed but never returned** — they are scored, kept in the working
-/// beam, and expanded exactly as if unfiltered, so graph connectivity (and
-/// the routing path) survives intact. This is the tombstone semantics of the
-/// streaming index (DESIGN.md §8.2): deleted points keep carrying traffic
-/// until a consolidation pass re-links their neighborhoods.
+/// [`beam_search`] with a result filter: vertices failing `filter` are
+/// traversed but never returned ([`SearchScratch::expand`]).
 ///
 /// With an all-accepting filter the result is bit-identical to
-/// [`beam_search`]: the accepted set then contains exactly the candidate
-/// pool's best `ef` (a vertex rejected by a full pool at visit time can never
-/// re-enter, since the pool's bound only decreases) — so a predicate whose
-/// [`VertexPredicate::is_all`] says so gets no accepted set at all.
+/// [`beam_search`]: the accepted set would then contain exactly the
+/// candidate pool's best `ef` (a vertex rejected by a full pool at visit
+/// time can never re-enter, since the pool's bound only decreases) — so a
+/// filter whose [`VertexFilter::is_all`] says so gets no accepted set at all.
 ///
-/// `accept` is any [`VertexPredicate`]: a plain closure, or the composable
-/// [`VertexFilter`] (tombstones + user predicate) the index layers share.
 /// This two-pool variant is the *filter-during-traversal* strategy of
 /// DESIGN.md §12; the post-filter-with-ef-inflation alternative is built
 /// on [`beam_search`] at the index layer.
@@ -457,71 +445,22 @@ pub fn beam_search_filtered<G: GraphView>(
     ef: usize,
     k: usize,
     scratch: &mut SearchScratch,
-    accept: impl VertexPredicate,
+    filter: VertexFilter<'_>,
 ) -> (Vec<Neighbor>, SearchStats) {
     let ef = ef.max(k).max(1);
     let mut stats = SearchStats::default();
     if graph.is_empty() {
         return (Vec::new(), stats);
     }
-    scratch.prepare(graph.len());
-
-    // `pool` is the global candidate set of Alg. 2, regardless of filter: it
-    // drives admission and termination. `accepted` holds the best `ef`
-    // accepted vertices — what the caller gets — and exists only when the
-    // predicate can reject something.
-    let filtering = !accept.is_all();
-    let SearchScratch {
-        visited,
-        touched,
-        frontier,
-        dists,
-        pool,
-        accepted,
-        ..
-    } = scratch;
-
     let entry = graph.entry();
-    mark(visited, touched, entry);
-    let d0 = est.distance(entry);
+    scratch.start(graph.len(), ef, entry, est.distance(entry), &filter);
     stats.dist_comps += 1;
-    pool.reset(ef);
-    pool.offer(d0, entry);
-    if filtering {
-        accepted.reset(ef);
-        if accept.accept(entry) {
-            accepted.offer(d0, entry);
-        }
-    }
-
-    // The expansion's unvisited neighbors are gathered first and scored as
-    // one `distance_batch` call (the SoA ADC kernels turn this into a
-    // block-processed table pass, DESIGN.md §9). Distances never depend on
-    // pool state, and admission below runs in the same neighbor order with
-    // the same (bit-identical, per the estimator contract) values — so this
-    // restructure cannot change any result, only the memory access pattern.
-    while let Some((_, v)) = pool.pop_closest() {
+    while let Some((_, v)) = scratch.pop_closest() {
         stats.hops += 1;
-        frontier.clear();
-        for &u in graph.neighbors(v) {
-            if mark(visited, touched, u) {
-                frontier.push(u);
-            }
-        }
-        dists.clear();
-        dists.resize(frontier.len(), 0.0);
-        est.distance_batch(frontier, dists);
-        stats.dist_comps += frontier.len();
-        for (&u, &du) in frontier.iter().zip(dists.iter()) {
-            pool.offer(du, u);
-            if filtering && accept.accept(u) {
-                accepted.offer(du, u);
-            }
-        }
+        stats.dist_comps += scratch.expand(graph.neighbors(v), est, &filter);
     }
-
-    let best = if filtering { accepted } else { pool }.best();
-    let out = best
+    let out = scratch
+        .best(!filter.is_all())
         .iter()
         .take(k)
         .map(|&(dist, id)| Neighbor { id, dist })
@@ -699,7 +638,8 @@ mod tests {
             let mut s1 = SearchScratch::new();
             let mut s2 = SearchScratch::new();
             let (plain, st1) = beam_search(&g, &est, 8, 5, &mut s1);
-            let (filt, st2) = beam_search_filtered(&g, &est, 8, 5, &mut s2, |_| true);
+            let (filt, st2) =
+                beam_search_filtered(&g, &est, 8, 5, &mut s2, VertexFilter::predicate(&|_| true));
             assert_eq!(st1, st2);
             assert_eq!(
                 plain
@@ -721,7 +661,15 @@ mod tests {
         let q = [30.0f32];
         let est = ExactEstimator::new(&ds, &q);
         let mut scratch = SearchScratch::new();
-        let (res, _) = beam_search_filtered(&g, &est, 8, 3, &mut scratch, |v| v != 30);
+        let not_30 = |v: u32| v != 30;
+        let (res, _) = beam_search_filtered(
+            &g,
+            &est,
+            8,
+            3,
+            &mut scratch,
+            VertexFilter::predicate(&not_30),
+        );
         let ids: Vec<u32> = res.iter().map(|n| n.id).collect();
         assert!(!ids.contains(&30), "rejected vertex returned: {ids:?}");
         assert!(
@@ -756,9 +704,9 @@ mod tests {
 
     #[test]
     fn vertex_filter_tombstones_match_the_hand_rolled_closure() {
-        // The refactor's pin: VertexFilter::tombstones must be bit-identical
-        // to the `|v| !tombstones[v]` closure the streaming index hand-rolled
-        // before tombstones became one instance of the filter layer.
+        // VertexFilter::tombstones must be bit-identical to the
+        // `|v| !tombstones[v]` predicate: tombstones are one instance of the
+        // filter layer, not a special case.
         let (ds, g) = line_world(50);
         let mut tomb = vec![false; 50];
         for v in [28usize, 30, 31, 44] {
@@ -769,8 +717,9 @@ mod tests {
             let est = ExactEstimator::new(&ds, &q);
             let mut s1 = SearchScratch::new();
             let mut s2 = SearchScratch::new();
+            let live = |v: u32| !tomb[v as usize];
             let (a, st_a) =
-                beam_search_filtered(&g, &est, 8, 5, &mut s1, |v: u32| !tomb[v as usize]);
+                beam_search_filtered(&g, &est, 8, 5, &mut s1, VertexFilter::predicate(&live));
             let (b, st_b) =
                 beam_search_filtered(&g, &est, 8, 5, &mut s2, VertexFilter::tombstones(&tomb));
             assert_eq!(st_a, st_b);
@@ -926,7 +875,7 @@ mod tests {
             ef: usize,
             k: usize,
             scratch: &mut SearchScratch,
-            accept: impl VertexPredicate,
+            accept: impl Fn(u32) -> bool,
         ) -> (Vec<Neighbor>, SearchStats) {
             let ef = ef.max(k).max(1);
             let mut stats = SearchStats::default();
@@ -950,7 +899,7 @@ mod tests {
             let mut accepted: BinaryHeap<Scored> = BinaryHeap::with_capacity(ef + 1);
             candidates.push(Reverse(Scored(d0, entry)));
             working.push(Scored(d0, entry));
-            if accept.accept(entry) {
+            if accept(entry) {
                 accepted.push(Scored(d0, entry));
             }
 
@@ -987,7 +936,7 @@ mod tests {
                             working.pop();
                         }
                     }
-                    if accept.accept(u) {
+                    if accept(u) {
                         let worst_a = accepted.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
                         if accepted.len() < ef || du < worst_a {
                             accepted.push(Scored(du, u));
@@ -1111,8 +1060,9 @@ mod tests {
                 let mut scratch = SearchScratch::new();
                 let mut oracle_scratch = SearchScratch::new();
 
-                let (got, got_stats) =
-                    beam_search_filtered(&graph, &est, ef, k, &mut scratch, accept);
+                let (got, got_stats) = beam_search_filtered(
+                    &graph, &est, ef, k, &mut scratch, VertexFilter::predicate(&accept),
+                );
                 let (want, want_stats) = heap_oracle::beam_search_filtered(
                     &graph, &est, ef, k, &mut oracle_scratch, accept,
                 );
@@ -1145,6 +1095,7 @@ mod tests {
                 let (b, st_b) = beam_search(g, &est, ef, 10, &mut SearchScratch::new());
                 assert_eq!(bits(&a), bits(&b), "unfiltered, ef {ef}");
                 assert_eq!(st_a, st_b);
+                let odd = VertexFilter::predicate(&odd);
                 let (a, st_a) = beam_search_filtered(g, &est, ef, 10, &mut reused, odd);
                 let (b, st_b) =
                     beam_search_filtered(g, &est, ef, 10, &mut SearchScratch::new(), odd);
@@ -1160,16 +1111,26 @@ mod tests {
         let q = [90.0f32];
         let est = ExactEstimator::new(&ds, &q);
         let mut scratch = SearchScratch::new();
-        beam_search_filtered(&g, &est, 64, 5, &mut scratch, |v: u32| v.is_multiple_of(3));
+        let thirds = |v: u32| v.is_multiple_of(3);
+        beam_search_filtered(
+            &g,
+            &est,
+            64,
+            5,
+            &mut scratch,
+            VertexFilter::predicate(&thirds),
+        );
         let with_pools = scratch.memory_bytes();
-        let (pool, accepted) = scratch.take_pools();
+        let pool = std::mem::take(&mut scratch.pool);
+        let accepted = std::mem::take(&mut scratch.accepted);
         assert!(pool.memory_bytes() >= 64 * 9 && accepted.memory_bytes() > 0);
         assert_eq!(
             with_pools - scratch.memory_bytes(),
             pool.memory_bytes() + accepted.memory_bytes()
         );
         assert!(!pool.best().is_empty() && !accepted.best().is_empty());
-        scratch.put_pools(pool, accepted);
+        scratch.pool = pool;
+        scratch.accepted = accepted;
 
         // Ids up to 119 are in the pools; after a shrink to 10 vertices
         // none of them may survive.
@@ -1182,7 +1143,7 @@ mod tests {
     #[test]
     fn memo_slot_map_is_epoch_reset() {
         let mut scratch = SearchScratch::new();
-        scratch.begin(10);
+        scratch.prepare(10);
         assert_eq!(scratch.memo_get(3), None);
         scratch.memo_insert(3, 1.5);
         scratch.memo_insert(7, 2.5);
@@ -1191,26 +1152,26 @@ mod tests {
         assert_eq!(scratch.memo_get(7), Some(2.5));
         assert_eq!(scratch.memo_get(4), None);
         // A new epoch forgets everything without reallocating.
-        scratch.begin(10);
+        scratch.prepare(10);
         assert_eq!(scratch.memo_get(3), None);
         assert_eq!(scratch.memo_get(7), None);
         // Shrinking below memoised ids then resetting must not panic.
         scratch.memo_insert(9, 4.0);
         scratch.shrink_to(5);
         scratch.reset();
-        scratch.begin(10);
+        scratch.prepare(10);
         assert_eq!(scratch.memo_get(9), None);
     }
 
     #[test]
     fn visit_matches_private_mark_semantics() {
         let mut scratch = SearchScratch::new();
-        scratch.begin(5);
+        scratch.prepare(5);
         assert!(scratch.visit(2));
         assert!(!scratch.visit(2));
         assert!(scratch.visit(4));
-        scratch.begin(5);
-        assert!(scratch.visit(2), "begin must reset visited marks");
+        scratch.prepare(5);
+        assert!(scratch.visit(2), "prepare must reset visited marks");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
-use crate::beam::SearchScratch;
+use crate::beam::{DistanceEstimator, ExactEstimator, SearchScratch, VertexFilter};
 
 /// A `(distance, id)` pair ascending-ordered by distance.
 pub(crate) type Scored = (f32, u32);
@@ -22,22 +22,15 @@ pub(crate) fn search_adj(
     l: usize,
     scratch: &mut SearchScratch,
 ) -> (Vec<Scored>, Vec<Scored>) {
-    scratch.prepare(adj.len());
-    scratch.pool.reset(l);
-    scratch.visit(entry);
-    let d0 = sq_l2(query, data.get(entry as usize));
-    scratch.pool.offer(d0, entry);
+    let est = ExactEstimator::new(data, query);
+    let all = VertexFilter::all();
+    scratch.start(adj.len(), l, entry, est.distance(entry), &all);
     let mut expanded: Vec<Scored> = Vec::new();
-
-    while let Some((d, v)) = scratch.pool.pop_closest() {
+    while let Some((d, v)) = scratch.pop_closest() {
         expanded.push((d, v));
-        for &u in &adj[v as usize] {
-            if scratch.visit(u) {
-                scratch.pool.offer(sq_l2(query, data.get(u as usize)), u);
-            }
-        }
+        scratch.expand(&adj[v as usize], &est, &all);
     }
-    (scratch.pool.best().to_vec(), expanded)
+    (scratch.best(false).to_vec(), expanded)
 }
 
 /// Index of the vector closest to the dataset mean (the medoid both Vamana
@@ -234,6 +227,57 @@ mod tests {
         let (res, expanded) = search_adj(&adj, &d, &[13.2], 0, 4, &mut scratch);
         assert_eq!(res[0].1, 13);
         assert!(expanded.len() >= 13);
+    }
+
+    #[test]
+    fn search_adj_equals_beam_search_over_the_same_adjacency() {
+        use crate::beam::beam_search;
+        use crate::dynamic::DynamicGraph;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        // 300 seeded points; a ring (so everything is reachable) plus five
+        // random out-edges per vertex.
+        let n = 300u32;
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut point = || {
+            (0..8)
+                .map(|_| rng.gen_range(-1.0f32..1.0))
+                .collect::<Vec<_>>()
+        };
+        let mut data = Dataset::new(8);
+        for _ in 0..n {
+            data.push(&point());
+        }
+        let queries: Vec<Vec<f32>> = (0..20).map(|_| point()).collect();
+        let adj: Vec<Vec<u32>> = (0..n)
+            .map(|v| {
+                let mut nbrs = vec![(v + 1) % n];
+                nbrs.extend((0..5).map(|_| rng.gen_range(0..n)).filter(|&u| u != v));
+                nbrs
+            })
+            .collect();
+        let entry = 17;
+        let graph = DynamicGraph::from_adjacency(adj.clone(), entry);
+
+        let mut scratch = SearchScratch::new();
+        for q in &queries {
+            for l in [1usize, 8, 40] {
+                let (res, expanded) = search_adj(&adj, &data, q, entry, l, &mut scratch);
+                let est = ExactEstimator::new(&data, q);
+                let (want, stats) = beam_search(&graph, &est, l, l, &mut scratch);
+                assert_eq!(
+                    res.iter()
+                        .map(|&(d, v)| (v, d.to_bits()))
+                        .collect::<Vec<_>>(),
+                    want.iter()
+                        .map(|n| (n.id, n.dist.to_bits()))
+                        .collect::<Vec<_>>(),
+                    "l {l}"
+                );
+                assert_eq!(expanded.len(), stats.hops, "l {l}");
+            }
+        }
     }
 
     #[test]

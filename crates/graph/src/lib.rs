@@ -35,7 +35,7 @@ pub mod vamana;
 
 pub use beam::{
     beam_search, beam_search_filtered, beam_search_recording, DistanceEstimator, ExactEstimator,
-    Neighbor, SearchScratch, SearchStats, VertexFilter, VertexPredicate,
+    Neighbor, SearchScratch, SearchStats, VertexFilter,
 };
 pub use dynamic::DynamicGraph;
 pub use hnsw::HnswConfig;

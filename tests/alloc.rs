@@ -10,9 +10,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rpq_anns::InMemoryIndex;
+use rpq_anns::{FilterStrategy, InMemoryIndex};
 use rpq_data::synth::DatasetKind;
-use rpq_data::Dataset;
+use rpq_data::{Dataset, LabelPredicate, Labels};
 use rpq_graph::{beam_search, ExactEstimator, HnswConfig, ProximityGraph, SearchScratch};
 use rpq_quant::{PqConfig, ProductQuantizer};
 
@@ -89,10 +89,14 @@ fn warmed_pq_index_search_allocation_count_is_pinned() {
         },
         &base,
     );
-    let index = InMemoryIndex::build(pq, &base, graph);
+    let labels = Labels::from_masks(2, (0..base.len()).map(|i| 1 << (i % 2)).collect());
+    let index = InMemoryIndex::build(pq, &base, graph).with_labels(labels);
+    let pred = LabelPredicate::single(1);
+    let during = FilterStrategy::DuringTraversal;
     let mut scratch = SearchScratch::new();
     for q in queries.iter() {
         index.search(q, 80, 10, &mut scratch);
+        index.search_filtered(q, pred, during, 80, 10, &mut scratch);
     }
     for q in queries.iter() {
         let before = ALLOCS.with(Cell::get);
@@ -102,6 +106,16 @@ fn warmed_pq_index_search_allocation_count_is_pinned() {
         assert_eq!(
             allocs, 3,
             "a warmed PQ query allocates its m·k table, the boxed estimator and its result Vec"
+        );
+        // In-traversal filtering adds nothing: the accepted pool is the
+        // scratch's, not a fresh one.
+        let before = ALLOCS.with(Cell::get);
+        let (res, _) = index.search_filtered(q, pred, during, 80, 10, &mut scratch);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(res.len(), 10);
+        assert_eq!(
+            allocs, 3,
+            "a warmed filtered PQ query allocates what the unfiltered one does"
         );
     }
 }
