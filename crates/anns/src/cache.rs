@@ -166,7 +166,7 @@ impl NodeCache {
 mod tests {
     use super::*;
     use rpq_data::synth::{SynthConfig, ValueTransform};
-    use rpq_graph::VamanaConfig;
+    use rpq_graph::{GraphView, VamanaConfig};
 
     fn setup(n: usize) -> (Dataset, ProximityGraph) {
         let data = SynthConfig {

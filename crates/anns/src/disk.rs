@@ -134,6 +134,16 @@ impl DiskSearchStats {
     pub fn modeled_wait_seconds(&self) -> f32 {
         self.io_stall_seconds + self.io_queue_seconds
     }
+
+    /// Fraction of node lookups served from the RAM node cache (0 with no
+    /// lookups: cache disabled, or an in-memory search).
+    pub fn cache_hit_rate(&self) -> f32 {
+        CacheStats {
+            hits: self.cache_hits as u64,
+            misses: self.cache_misses as u64,
+        }
+        .hit_rate()
+    }
 }
 
 /// An in-memory search's stats: the I/O columns stay zero.
@@ -493,14 +503,12 @@ impl<C: VectorCompressor> DiskIndex<C> {
         let mut scratch = SearchScratch::with_capacity(self.store.n);
         let k = ef.clamp(1, 10);
         for q in queries.iter() {
-            let _ = self.search_impl(
-                q,
-                ef,
-                k,
-                &mut scratch,
-                Some(&mut counts),
-                VertexFilter::all(),
-            );
+            let _ = self.search_with_scratch(q, ef, k, &mut scratch);
+            // Every block a search touches has its exact distance memoised,
+            // once: the memo's keys are the query's access trace.
+            for &v in scratch.memo_keys() {
+                counts[v as usize] += 1;
+            }
         }
         let mut ranked: Vec<(u64, u32)> = counts
             .iter()
@@ -550,7 +558,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, DiskSearchStats) {
-        self.search_impl(query, ef, k, scratch, None, VertexFilter::all())
+        self.search_impl(query, ef, k, scratch, VertexFilter::all())
     }
 
     /// DiskANN beam search restricted to vectors satisfying `pred`
@@ -579,7 +587,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
             FilterStrategy::DuringTraversal => {
                 let accept = labels.accept_fn(pred);
                 let filter = VertexFilter::predicate(&accept);
-                self.search_impl(query, ef, k, scratch, None, filter)
+                self.search_impl(query, ef, k, scratch, filter)
             }
             FilterStrategy::PostFilter { .. } => strategy.post_filter(labels, pred, ef, k, |ef| {
                 self.search_with_scratch(query, ef, ef, scratch)
@@ -593,7 +601,6 @@ impl<C: VectorCompressor> DiskIndex<C> {
         ef: usize,
         k: usize,
         scratch: &mut SearchScratch,
-        mut trace: Option<&mut Vec<u64>>,
         filter: VertexFilter<'_>,
     ) -> (Vec<Neighbor>, DiskSearchStats) {
         let ef = ef.max(k).max(1);
@@ -628,9 +635,6 @@ impl<C: VectorCompressor> DiskIndex<C> {
             plan.clear();
             miss_ids.clear();
             for &(_, v) in &stage {
-                if let Some(t) = trace.as_deref_mut() {
-                    t[v as usize] += 1;
-                }
                 match self.cache.as_ref().and_then(|c| c.get(v)) {
                     Some(hit) => {
                         stats.cache_hits += 1;
@@ -701,9 +705,6 @@ impl<C: VectorCompressor> DiskIndex<C> {
         for &(_, v) in &candidates {
             if scratch.memo_get(v).is_some() {
                 continue;
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                t[v as usize] += 1;
             }
             match self.cache.as_ref().and_then(|c| c.get(v)) {
                 Some((_, vec)) => {

@@ -1,22 +1,24 @@
 //! Batched query execution and the QPS / recall@k sweep machinery behind
 //! every evaluation figure.
 //!
-//! Queries run in parallel over the rayon pool (the paper evaluates with 8
-//! search threads; the pool width comes from `RPQ_THREADS` or the machine's
-//! available parallelism). For the hybrid scenario, each query's modelled
-//! disk time is added to the measured compute wall-time divided by the
-//! number of workers that **actually executed the batch**
-//! (`rayon::execution_width`, never more) — so modelled I/O overlaps
-//! across query threads exactly like compute does, and a single-threaded
-//! sweep charges the full I/O bill (see [`hybrid_qps`]).
+//! There is one sweep, [`sweep`], over anything that answers
+//! [`ShardBackend::search_local`] — the in-memory index, the hybrid (disk)
+//! index, a streaming index, an `Arc` of any of them. Queries run in
+//! parallel over the rayon pool (the paper evaluates with 8 search threads;
+//! the pool width comes from `RPQ_THREADS` or the machine's available
+//! parallelism). Each query's modelled disk stall is added to the measured
+//! compute wall-time divided by the number of workers that **actually
+//! executed the batch** (`rayon::execution_width`, never more) — so modelled
+//! I/O overlaps across query threads exactly like compute does, a
+//! single-threaded sweep charges the full I/O bill, and a backend that does
+//! no I/O is charged nothing (see [`hybrid_qps`]).
 
 use rayon::prelude::*;
 use rpq_data::{Dataset, GroundTruth};
 use rpq_graph::SearchScratch;
-use rpq_quant::VectorCompressor;
 
-use crate::disk::DiskIndex;
-use crate::memory::InMemoryIndex;
+use crate::disk::DiskSearchStats;
+use crate::serve::ShardBackend;
 
 /// One point on a QPS-vs-recall curve.
 #[derive(Clone, Copy, Debug)]
@@ -43,12 +45,48 @@ pub struct SweepPoint {
     pub cache_hit_rate: f32,
 }
 
-/// Sweeps beam widths over an in-memory index.
+/// Per-query means of a batch's summed counters: the one fold from
+/// [`DiskSearchStats`] totals to a report, behind both [`SweepPoint`] and
+/// [`crate::serve::BatchReport`].
+pub(crate) struct QueryMeans {
+    pub hops: f32,
+    pub io_ms: f32,
+    pub stall_ms: f32,
+    pub queue_ms: f32,
+    pub coalesced_ios: f32,
+    pub cache_hit_rate: f32,
+}
+
+impl QueryMeans {
+    /// `total` summed over `n_queries` queries (an empty batch divides by 1).
+    pub(crate) fn of(total: &DiskSearchStats, n_queries: usize) -> Self {
+        let n = n_queries.max(1) as f32;
+        Self {
+            hops: total.hops as f32 / n,
+            io_ms: total.io_seconds * 1e3 / n,
+            stall_ms: total.io_stall_seconds * 1e3 / n,
+            queue_ms: total.io_queue_seconds * 1e3 / n,
+            coalesced_ios: total.coalesced_ios as f32 / n,
+            cache_hit_rate: total.cache_hit_rate(),
+        }
+    }
+}
+
+/// Sweeps beam widths over any index: each query is one unfiltered
+/// [`ShardBackend::search_local`], each worker reusing one
+/// [`SearchScratch`] across its queries. QPS charges the modelled I/O
+/// **stall** time — the part of device time the pipelined engine could not
+/// hide behind compute (equal to the full device time at `io_width = 1`,
+/// zero in memory): `total = wall_compute + Σ io_stall_seconds / workers`,
+/// where `workers` is the executed parallel width (see [`hybrid_qps`]).
+///
+/// An unfiltered read of a built index cannot fault; one that does (a
+/// [`crate::serve::FlakyBackend`]) panics with the fault's message.
 ///
 /// # Example
 ///
 /// ```
-/// use rpq_anns::{sweep_memory, InMemoryIndex};
+/// use rpq_anns::{sweep, InMemoryIndex};
 /// use rpq_data::brute_force_knn;
 /// use rpq_data::synth::{SynthConfig, ValueTransform};
 /// use rpq_graph::HnswConfig;
@@ -72,54 +110,64 @@ pub struct SweepPoint {
 /// );
 /// let index = InMemoryIndex::build(pq, &base, graph);
 ///
-/// let points = sweep_memory(&index, &queries, &gt, 5, &[8, 32]);
+/// let points = sweep(&index, &queries, &gt, 5, &[8, 32]);
 /// assert_eq!(points.len(), 2);
 /// assert!(points.iter().all(|p| (0.0..=1.0).contains(&p.recall)));
 /// assert!(points.iter().all(|p| p.io_ms == 0.0)); // in-memory: no I/O
 /// ```
-pub fn sweep_memory<C: VectorCompressor>(
-    index: &InMemoryIndex<C>,
+pub fn sweep<B: ShardBackend + ?Sized>(
+    index: &B,
     queries: &Dataset,
     gt: &GroundTruth,
     k: usize,
     efs: &[usize],
 ) -> Vec<SweepPoint> {
+    // The executor's own width for this batch (pool width capped by its
+    // chunk count), never more.
+    let workers = rayon::execution_width(queries.len());
     efs.iter()
         .map(|&ef| {
             let start = std::time::Instant::now();
-            let per_query: Vec<(Vec<u32>, usize)> = (0..queries.len())
+            let per_query: Vec<(Vec<u32>, DiskSearchStats)> = (0..queries.len())
                 .into_par_iter()
                 .map_init(SearchScratch::new, |scratch, qi| {
-                    let (res, stats) = index.search(queries.get(qi), ef, k, scratch);
-                    (res.iter().map(|n| n.id).collect(), stats.hops)
+                    let (res, stats) = index
+                        .search_local(queries.get(qi), None, ef, k, scratch)
+                        .unwrap_or_else(|fault| panic!("sweep query {qi}: {fault}"));
+                    (res.iter().map(|n| n.id).collect(), stats)
                 })
                 .collect();
             let wall = start.elapsed().as_secs_f32().max(1e-9);
-            let results: Vec<Vec<u32>> = per_query.iter().map(|(ids, _)| ids.clone()).collect();
-            let hops: f32 =
-                per_query.iter().map(|&(_, h)| h as f32).sum::<f32>() / queries.len().max(1) as f32;
+            let mut total = DiskSearchStats::default();
+            let mut results = Vec::with_capacity(per_query.len());
+            for (ids, stats) in per_query {
+                total.merge(&stats);
+                results.push(ids);
+            }
+            let means = QueryMeans::of(&total, queries.len());
             SweepPoint {
                 ef,
                 recall: gt.recall(&results),
-                qps: queries.len() as f32 / wall,
-                hops,
-                io_ms: 0.0,
-                io_stall_ms: 0.0,
-                coalesced_ios: 0.0,
-                cache_hit_rate: 0.0,
+                qps: hybrid_qps(queries.len(), wall, total.io_stall_seconds, workers),
+                hops: means.hops,
+                io_ms: means.io_ms,
+                io_stall_ms: means.stall_ms,
+                coalesced_ios: means.coalesced_ios,
+                cache_hit_rate: means.cache_hit_rate,
             }
         })
         .collect()
 }
 
-/// The hybrid-scenario QPS model: modelled I/O time overlaps across the
+/// The QPS model of [`sweep`]: modelled I/O time overlaps across the
 /// `overlap_workers` query threads that executed the batch, on top of the
 /// measured compute wall-time:
 /// `qps = n_queries / (wall_seconds + io_total_seconds / overlap_workers)`.
 ///
 /// With one worker the full I/O bill is charged — dividing by anything
 /// larger than the executed worker count would silently inflate QPS by
-/// that factor (the bug this function exists to pin down).
+/// that factor (the bug this function exists to pin down). With no I/O it
+/// is `n_queries / wall_seconds`, the in-memory scenario's QPS.
 pub fn hybrid_qps(
     n_queries: usize,
     wall_seconds: f32,
@@ -128,65 +176,6 @@ pub fn hybrid_qps(
 ) -> f32 {
     let denom = wall_seconds.max(1e-9) + io_total_seconds / overlap_workers.max(1) as f32;
     n_queries as f32 / denom
-}
-
-/// Number of pool workers a parallel sweep over `n_queries` actually
-/// runs on — the executor's own width for this batch (pool width capped
-/// by its chunk count), never more.
-fn sweep_workers(n_queries: usize) -> usize {
-    rayon::execution_width(n_queries)
-}
-
-/// Sweeps beam widths over a hybrid (disk) index. QPS charges the modelled
-/// I/O **stall** time — the part of device time the pipelined engine could
-/// not hide behind compute (equal to the full device time at
-/// `io_width = 1`): `total = wall_compute + Σ io_stall_seconds / workers`,
-/// where `workers` is the executed parallel width (see [`hybrid_qps`]).
-/// Each worker reuses one [`SearchScratch`] across its queries, so the
-/// sweep makes no per-query allocations for the visited/memo state.
-pub fn sweep_disk<C: VectorCompressor>(
-    index: &DiskIndex<C>,
-    queries: &Dataset,
-    gt: &GroundTruth,
-    k: usize,
-    efs: &[usize],
-) -> Vec<SweepPoint> {
-    let workers = sweep_workers(queries.len());
-    efs.iter()
-        .map(|&ef| {
-            let start = std::time::Instant::now();
-            let per_query: Vec<(Vec<u32>, crate::disk::DiskSearchStats)> = (0..queries.len())
-                .into_par_iter()
-                .map_init(SearchScratch::new, |scratch, qi| {
-                    let (res, stats) = index.search_with_scratch(queries.get(qi), ef, k, scratch);
-                    (res.iter().map(|n| n.id).collect(), stats)
-                })
-                .collect();
-            let wall = start.elapsed().as_secs_f32().max(1e-9);
-            let n = queries.len().max(1) as f32;
-            let io_total: f32 = per_query.iter().map(|(_, s)| s.io_seconds).sum();
-            let stall_total: f32 = per_query.iter().map(|(_, s)| s.io_stall_seconds).sum();
-            let coalesced: usize = per_query.iter().map(|(_, s)| s.coalesced_ios).sum();
-            let hits: usize = per_query.iter().map(|(_, s)| s.cache_hits).sum();
-            let misses: usize = per_query.iter().map(|(_, s)| s.cache_misses).sum();
-            let results: Vec<Vec<u32>> = per_query.iter().map(|(ids, _)| ids.clone()).collect();
-            let hops: f32 = per_query.iter().map(|(_, s)| s.hops as f32).sum::<f32>() / n;
-            SweepPoint {
-                ef,
-                recall: gt.recall(&results),
-                qps: hybrid_qps(queries.len(), wall, stall_total, workers),
-                hops,
-                io_ms: io_total * 1e3 / n,
-                io_stall_ms: stall_total * 1e3 / n,
-                coalesced_ios: coalesced as f32 / n,
-                cache_hit_rate: if hits + misses == 0 {
-                    0.0
-                } else {
-                    hits as f32 / (hits + misses) as f32
-                },
-            }
-        })
-        .collect()
 }
 
 /// Interpolates the QPS a method achieves at a target recall (the "QPS at
@@ -223,6 +212,7 @@ pub fn qps_at_recall(points: &[SweepPoint], target: f32) -> Option<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::InMemoryIndex;
     use rpq_data::brute_force_knn;
     use rpq_data::synth::{SynthConfig, ValueTransform};
     use rpq_graph::HnswConfig;
@@ -256,16 +246,65 @@ mod tests {
             &base,
         );
         let index = InMemoryIndex::build(pq, &base, graph);
-        let points = sweep_memory(&index, &queries, &gt, 5, &[5, 20, 60]);
+        let points = sweep(&index, &queries, &gt, 5, &[5, 20, 60]);
         assert_eq!(points.len(), 3);
         for p in &points {
             assert!(p.qps > 0.0);
             assert!((0.0..=1.0).contains(&p.recall));
             assert!(p.hops > 0.0);
             assert_eq!(p.io_ms, 0.0, "in-memory sweep must report zero I/O");
+            assert_eq!(p.io_stall_ms, 0.0);
+            assert_eq!(p.coalesced_ios, 0.0);
+            assert_eq!(p.cache_hit_rate, 0.0);
         }
         // Wider beams cost throughput.
         assert!(points[0].qps >= points[2].qps * 0.5, "{points:?}");
+    }
+
+    #[test]
+    fn streaming_sweep_skips_tombstones() {
+        // The backend the memory / disk pair could not take: a live index
+        // with a third of its points tombstoned.
+        use crate::stream::{StreamingConfig, StreamingIndex};
+        use rpq_data::ground_truth::top_k_ids_filtered;
+        let data = SynthConfig {
+            dim: 8,
+            intrinsic_dim: 4,
+            clusters: 4,
+            cluster_std: 0.8,
+            noise_std: 0.05,
+            transform: ValueTransform::Identity,
+        }
+        .generate(320, 3);
+        let (base, queries) = data.split_at(300);
+        let pq = ProductQuantizer::train(
+            &PqConfig {
+                m: 4,
+                k: 16,
+                ..Default::default()
+            },
+            &base,
+        );
+        let mut index = StreamingIndex::build(pq, &base, StreamingConfig::default());
+        let dead: Vec<u32> = (0..300).step_by(3).collect();
+        for &v in &dead {
+            assert!(index.remove(v));
+        }
+        let gt_of = |accept: &dyn Fn(u32) -> bool, k| GroundTruth {
+            k,
+            neighbors: queries
+                .iter()
+                .map(|q| top_k_ids_filtered(&base, q, k, accept))
+                .collect(),
+        };
+        let live = sweep(&index, &queries, &gt_of(&|v| v % 3 != 0, 5), 5, &[40]);
+        assert!(live[0].recall > 0.3, "{live:?}");
+        assert_eq!(live[0].io_ms, 0.0);
+        // Against a truth listing every tombstoned id, any overlap at all
+        // is a tombstone in some top-k.
+        let all_dead = gt_of(&|v| v % 3 == 0, dead.len());
+        let none = sweep(&index, &queries, &all_dead, 5, &[40]);
+        assert_eq!(none[0].recall, 0.0, "a tombstoned id was returned");
     }
 
     #[test]
@@ -306,7 +345,7 @@ mod tests {
             DiskIndexConfig::new(dir.join("sweep.store")),
         )
         .unwrap();
-        let points = sweep_disk(&index, &queries, &gt, 5, &[5, 30]);
+        let points = sweep(&index, &queries, &gt, 5, &[5, 30]);
         assert_eq!(points.len(), 2);
         for p in &points {
             assert!(p.io_ms > 0.0, "hybrid sweep must report I/O time");
@@ -337,7 +376,7 @@ mod tests {
 
     #[test]
     fn single_thread_sweep_charges_full_io_time() {
-        // Regression test for the divisor bug: sweep_disk used to divide
+        // Regression test for the divisor bug: the hybrid sweep used to divide
         // the modelled I/O by `current_num_threads()` even when execution
         // was sequential, inflating QPS by the machine's core count. Under
         // one worker, QPS is bounded by the pure-I/O rate
@@ -379,7 +418,7 @@ mod tests {
             DiskIndexConfig::new(dir.join("sweep.store")),
         )
         .unwrap();
-        let points = rayon::with_num_threads(1, || sweep_disk(&index, &queries, &gt, 5, &[20]));
+        let points = rayon::with_num_threads(1, || sweep(&index, &queries, &gt, 5, &[20]));
         let p = &points[0];
         assert!(p.io_ms > 0.0, "hybrid sweep must model I/O");
         let io_bound_qps = 1000.0 / p.io_ms;

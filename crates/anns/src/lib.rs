@@ -41,7 +41,7 @@ pub mod stream;
 pub use cache::{CacheStats, NodeCache};
 pub use disk::{DiskIndex, DiskIndexConfig, DiskSearchStats};
 pub use filter::FilterStrategy;
-pub use harness::{hybrid_qps, qps_at_recall, sweep_disk, sweep_memory, SweepPoint};
+pub use harness::{hybrid_qps, qps_at_recall, sweep, SweepPoint};
 pub use memory::InMemoryIndex;
 pub use serve::{
     BatchReport, LatencySummary, MutableShardBackend, ServeConfig, ServeEngine, ShardBackend,

@@ -5,10 +5,13 @@
 //! answers it with its own reusable scratch. The calling thread is the
 //! merger: it drains partial results as they complete, merges each query's
 //! top-k as soon as its last shard reports, and stamps the query's
-//! wall-clock latency at that moment. Batching bounds how many queries are
-//! in flight at once (`max_batch × n_shards` jobs), which is what keeps
-//! tail latency meaningful under load instead of queueing an entire
-//! dataset behind the first queries.
+//! wall-clock latency at that moment. That submit-and-drain loop exists
+//! once (`ServeEngine::wave`): a batch runs it per window, a single query
+//! is a wave of one, and every job sends its shard's typed `Result` back so
+//! a fault surfaces on the calling thread with its reason. Batching bounds
+//! how many queries are in flight at once (`max_batch × n_shards` jobs),
+//! which is what keeps tail latency meaningful under load instead of
+//! queueing an entire dataset behind the first queries.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -21,6 +24,7 @@ use super::metrics::{LatencyRecorder, LatencySummary};
 use super::pool::{default_workers, WorkerPool};
 use super::{merge_top_k, FilteredQuery, ShardQueryStats, ShardedIndex};
 use crate::filter::FilterStrategy;
+use crate::harness::QueryMeans;
 
 /// Engine sizing knobs.
 #[derive(Clone, Copy, Debug)]
@@ -43,16 +47,11 @@ impl Default for ServeConfig {
 /// What one [`ServeEngine::serve_batch`] call measured.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchReport {
-    /// Queries answered.
+    /// Queries answered. The closed-loop engine admits everything (the
+    /// client self-throttles, so overload can't happen here); the cluster's
+    /// open-loop server reports real admission decisions in its own
+    /// [`crate::serve::ClusterReport`] (DESIGN.md §11.3–§11.4).
     pub queries: usize,
-    /// Queries admitted by the front-end. The closed-loop engine admits
-    /// everything (the client self-throttles, so overload can't happen
-    /// here); the cluster's open-loop server reports real admission
-    /// decisions in its own [`crate::serve::ClusterReport`] (DESIGN.md
-    /// §11.3–§11.4).
-    pub admitted: usize,
-    /// Queries shed instead of executed (always 0 closed-loop).
-    pub shed: usize,
     /// Shards each query fanned out to.
     pub shards: usize,
     /// Worker threads that served the batch.
@@ -132,7 +131,7 @@ impl ServeEngine {
 
     /// Answers one query: fan out to all shards, merge, record latency.
     pub fn search(&self, query: &[f32], ef: usize, k: usize) -> (Vec<Neighbor>, ShardQueryStats) {
-        self.fan_out(query, None, ef, k)
+        self.search_one(query, None, ef, k)
     }
 
     /// [`ServeEngine::search`] under a predicate: the same fan-out/merge,
@@ -148,53 +147,91 @@ impl ServeEngine {
         ef: usize,
         k: usize,
     ) -> (Vec<Neighbor>, ShardQueryStats) {
-        self.fan_out(query, Some(FilteredQuery { pred, strategy }), ef, k)
+        self.search_one(query, Some(FilteredQuery { pred, strategy }), ef, k)
     }
 
-    /// One job per shard on the pool; the calling thread merges. The
-    /// filter is `Copy`, so each job carries it by value, and each job
-    /// sends its shard's `Result` back — a typed fault surfaces here, on
-    /// the caller's thread, with its own message.
-    fn fan_out(
+    /// A wave of one: the query's merged top-`k` and its stats summed
+    /// across shards.
+    fn search_one(
         &self,
         query: &[f32],
         filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
     ) -> (Vec<Neighbor>, ShardQueryStats) {
-        assert_eq!(query.len(), self.index.dim(), "query dimension mismatch");
+        let mut answer = None;
+        self.wave(std::iter::once(query), filter, ef, k, |_, res, stats, _| {
+            answer = Some((res, stats))
+        });
+        answer.expect("a wave of one completes its query")
+    }
+
+    /// The engine's one submit-and-drain loop. Every query of `window`
+    /// becomes one job per shard on the pool; the calling thread merges as
+    /// jobs report and calls `done(position in window, top-k, stats summed
+    /// across shards, latency µs)` the moment a query's last shard does. A
+    /// query's latency is measured wall time since its submission plus its
+    /// own modelled device wait (stall + queue) across its shards.
+    ///
+    /// The filter is `Copy`, so each job carries it by value, and each job
+    /// sends its shard's `Result` back — a typed fault surfaces here, on
+    /// the caller's thread, with its own message.
+    fn wave<'q>(
+        &self,
+        window: impl Iterator<Item = &'q [f32]>,
+        filter: Option<FilteredQuery>,
+        ef: usize,
+        k: usize,
+        mut done: impl FnMut(usize, Vec<Neighbor>, ShardQueryStats, f32),
+    ) {
+        struct InFlight {
+            submitted: Instant,
+            pending: usize,
+            partials: Vec<Vec<Neighbor>>,
+            stats: ShardQueryStats,
+        }
         let n_shards = self.index.n_shards();
-        let query: Arc<[f32]> = query.into();
         let (tx, rx) = mpsc::channel();
-        let t0 = Instant::now();
-        for s in 0..n_shards {
-            let index = Arc::clone(&self.index);
-            let query = Arc::clone(&query);
-            let tx = tx.clone();
-            self.pool.submit(move |scratch| {
-                let _ = tx.send(index.read_shard(s, &query, filter, ef, k, scratch));
+        let mut in_flight = Vec::with_capacity(window.size_hint().0);
+        for (w, query) in window.enumerate() {
+            assert_eq!(query.len(), self.index.dim(), "query dimension mismatch");
+            let query: Arc<[f32]> = query.into();
+            in_flight.push(InFlight {
+                submitted: Instant::now(),
+                pending: n_shards,
+                partials: Vec::with_capacity(n_shards),
+                stats: ShardQueryStats::default(),
             });
+            for s in 0..n_shards {
+                let index = Arc::clone(&self.index);
+                let query = Arc::clone(&query);
+                let tx = tx.clone();
+                self.pool.submit(move |scratch| {
+                    let _ = tx.send((w, index.read_shard(s, &query, filter, ef, k, scratch)));
+                });
+            }
         }
         drop(tx);
-        let mut partials = Vec::with_capacity(n_shards);
-        let mut total = ShardQueryStats::default();
-        for out in rx {
+        for (w, out) in rx {
             let (part, stats) = out.unwrap_or_else(|fault| panic!("shard search failed: {fault}"));
-            total.merge(&stats);
-            partials.push(part);
+            let q = &mut in_flight[w];
+            q.stats.merge(&stats);
+            q.partials.push(part);
+            q.pending -= 1;
+            if q.pending == 0 {
+                let us = q.submitted.elapsed().as_secs_f32() * 1e6
+                    + q.stats.modeled_wait_seconds() * 1e6;
+                self.recorder.record_us(us);
+                let merged = merge_top_k(&std::mem::take(&mut q.partials), k);
+                done(w, merged, q.stats, us);
+            }
         }
-        // A shard job that panicked dropped its sender without reporting;
-        // fail loudly rather than returning a top-k missing a shard.
-        assert_eq!(
-            partials.len(),
-            n_shards,
-            "{} shard search job(s) panicked",
-            n_shards - partials.len()
-        );
-        self.recorder
-            .record_us(t0.elapsed().as_secs_f32() * 1e6 + total.modeled_wait_seconds() * 1e6);
-        self.served.fetch_add(1, Ordering::Relaxed);
-        (merge_top_k(&partials, k), total)
+        // Every sender is gone once rx closes; unfinished queries mean
+        // shard jobs died (panicked) without reporting. Returning a top-k
+        // missing a shard would be silently wrong — fail loudly.
+        let lost: usize = in_flight.iter().map(|q| q.pending).sum();
+        assert_eq!(lost, 0, "{lost} shard search job(s) panicked");
+        self.served.fetch_add(in_flight.len(), Ordering::Relaxed);
     }
 
     /// Answers a batch of queries concurrently, at most
@@ -206,90 +243,35 @@ impl ServeEngine {
         ef: usize,
         k: usize,
     ) -> (Vec<Vec<Neighbor>>, BatchReport) {
-        assert_eq!(queries.dim(), self.index.dim(), "query dimension mismatch");
         let n_queries = queries.len();
-        let n_shards = self.index.n_shards();
-        let max_batch = self.max_batch;
         let mut results: Vec<Vec<Neighbor>> = (0..n_queries).map(|_| Vec::new()).collect();
         let mut latencies_us: Vec<f32> = Vec::with_capacity(n_queries);
         let mut total = ShardQueryStats::default();
         let t_batch = Instant::now();
-
-        let mut wave_start = 0;
-        while wave_start < n_queries {
-            let wave_end = (wave_start + max_batch).min(n_queries);
-            let (tx, rx) = mpsc::channel::<(usize, Vec<Neighbor>, ShardQueryStats)>();
-            let mut submitted = Vec::with_capacity(wave_end - wave_start);
-            for qi in wave_start..wave_end {
-                let query: Arc<[f32]> = queries.get(qi).into();
-                let t_submit = Instant::now();
-                for s in 0..n_shards {
-                    let index = Arc::clone(&self.index);
-                    let query = Arc::clone(&query);
-                    let tx = tx.clone();
-                    self.pool.submit(move |scratch| {
-                        let (part, stats) = index.search_shard(s, &query, ef, k, scratch);
-                        let _ = tx.send((qi, part, stats));
-                    });
-                }
-                submitted.push(t_submit);
-            }
-            drop(tx);
-
-            // Merge as queries complete; a query's latency is stamped when
-            // its last shard reports: measured wall time plus the query's
-            // own modelled device wait (stall + queue) across its shards.
-            let mut pending: Vec<usize> = vec![n_shards; wave_end - wave_start];
-            let mut partials: Vec<Vec<Vec<Neighbor>>> =
-                (wave_start..wave_end).map(|_| Vec::new()).collect();
-            let mut qstats: Vec<ShardQueryStats> =
-                vec![ShardQueryStats::default(); wave_end - wave_start];
-            for (qi, part, stats) in rx {
-                let w = qi - wave_start;
+        for wave_start in (0..n_queries).step_by(self.max_batch) {
+            let wave_end = (wave_start + self.max_batch).min(n_queries);
+            let window = (wave_start..wave_end).map(|qi| queries.get(qi));
+            self.wave(window, None, ef, k, |w, res, stats, us| {
+                results[wave_start + w] = res;
                 total.merge(&stats);
-                qstats[w].merge(&stats);
-                partials[w].push(part);
-                pending[w] -= 1;
-                if pending[w] == 0 {
-                    let us = submitted[w].elapsed().as_secs_f32() * 1e6
-                        + qstats[w].modeled_wait_seconds() * 1e6;
-                    latencies_us.push(us);
-                    self.recorder.record_us(us);
-                    results[qi] = merge_top_k(&partials[w], k);
-                    partials[w].clear();
-                }
-            }
-            // Every sender is gone once rx closes; unfinished queries mean
-            // shard jobs died (panicked) without reporting. Returning their
-            // empty result vectors would be silently wrong — fail loudly.
-            let lost: usize = pending.iter().sum();
-            assert_eq!(lost, 0, "{lost} shard search job(s) panicked mid-batch");
-            wave_start = wave_end;
+                latencies_us.push(us);
+            });
         }
-
         let wall = t_batch.elapsed().as_secs_f32().max(1e-9);
-        self.served.fetch_add(n_queries, Ordering::Relaxed);
-        let n = n_queries.max(1) as f32;
-        let lookups = total.cache_hits + total.cache_misses;
+        let means = QueryMeans::of(&total, n_queries);
         let report = BatchReport {
             queries: n_queries,
-            admitted: n_queries,
-            shed: 0,
-            shards: n_shards,
+            shards: self.index.n_shards(),
             workers: self.pool.workers(),
             wall_seconds: wall,
             qps: n_queries as f32 / wall,
             latency: LatencySummary::from_samples(&latencies_us),
-            mean_hops: total.hops as f32 / n,
-            mean_io_ms: total.io_seconds * 1e3 / n,
-            mean_stall_ms: total.io_stall_seconds * 1e3 / n,
-            mean_queue_ms: total.io_queue_seconds * 1e3 / n,
-            mean_coalesced_ios: total.coalesced_ios as f32 / n,
-            cache_hit_rate: if lookups == 0 {
-                0.0
-            } else {
-                total.cache_hits as f32 / lookups as f32
-            },
+            mean_hops: means.hops,
+            mean_io_ms: means.io_ms,
+            mean_stall_ms: means.stall_ms,
+            mean_queue_ms: means.queue_ms,
+            mean_coalesced_ios: means.coalesced_ios,
+            cache_hit_rate: means.cache_hit_rate,
         };
         (results, report)
     }
@@ -363,8 +345,12 @@ mod tests {
         assert_eq!(report.mean_io_ms, 0.0);
     }
 
-    #[test]
-    fn concurrent_filtered_search_matches_sequential_reference() {
+    /// Ids with distance bits: what "bit-identical results" compares.
+    fn bits(res: &[Neighbor]) -> Vec<(u32, u32)> {
+        res.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    }
+
+    fn labeled_engine() -> (ServeEngine, Dataset) {
         let cfg = SynthConfig {
             dim: 8,
             intrinsic_dim: 4,
@@ -391,7 +377,13 @@ mod tests {
             3,
             graph_builder,
         ));
-        let eng = ServeEngine::new(Arc::clone(&index), ServeConfig::default());
+        (ServeEngine::new(index, ServeConfig::default()), queries)
+    }
+
+    #[test]
+    fn concurrent_filtered_search_matches_sequential_reference() {
+        let (eng, queries) = labeled_engine();
+        let index = eng.index();
         let mut scratch = SearchScratch::new();
         for strategy in [
             FilterStrategy::DuringTraversal,
@@ -432,12 +424,62 @@ mod tests {
         let q = queries.get(0);
         let (one, stats) = eng.search(q, 30, 5);
         let single = queries.subset(&[0]);
-        let (batch, _) = eng.serve_batch(&single, 30, 5);
-        assert_eq!(
-            one.iter().map(|n| n.id).collect::<Vec<_>>(),
-            batch[0].iter().map(|n| n.id).collect::<Vec<_>>(),
-        );
+        let (batch, report) = eng.serve_batch(&single, 30, 5);
+        assert_eq!(bits(&one), bits(&batch[0]));
+        // A batch of one's means are that query's own counters.
         assert!(stats.hops > 0);
+        assert_eq!(stats.hops as f32, report.mean_hops);
+        let mut scratch = SearchScratch::new();
+        let (want, want_stats) = eng.index().search(q, 30, 5, &mut scratch);
+        assert_eq!(bits(&one), bits(&want));
+        assert_eq!(
+            (stats.hops, stats.dist_comps, stats.io_reads),
+            (want_stats.hops, want_stats.dist_comps, want_stats.io_reads),
+        );
+    }
+
+    #[test]
+    fn single_filtered_query_matches_sequential_reference_bit_for_bit() {
+        let (eng, queries) = labeled_engine();
+        let mut scratch = SearchScratch::new();
+        let q = queries.get(0);
+        let pred = LabelPredicate::single(1);
+        let strategy = FilterStrategy::DuringTraversal;
+        let (one, stats) = eng.search_filtered(q, pred, strategy, 30, 5);
+        let (want, want_stats) =
+            eng.index()
+                .search_filtered(q, pred, strategy, 30, 5, &mut scratch);
+        assert_eq!(bits(&one), bits(&want));
+        assert_eq!(
+            (stats.hops, stats.dist_comps, stats.io_reads),
+            (want_stats.hops, want_stats.dist_comps, want_stats.io_reads),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "replica read failed")]
+    fn a_faulting_shard_in_a_batch_panics_on_the_caller_with_the_reason() {
+        use super::super::{ClusterGroup, FlakyBackend, Replica, ReplicaSet};
+        use crate::memory::InMemoryIndex;
+        let (base, queries) = setup(120, 29);
+        let pq = ProductQuantizer::train(
+            &PqConfig {
+                m: 4,
+                k: 16,
+                ..Default::default()
+            },
+            &base,
+        );
+        let shard = InMemoryIndex::build(pq, &base, graph_builder(&base));
+        let flaky = FlakyBackend::new(Box::new(shard), 1);
+        flaky.set_down(true);
+        let group = ClusterGroup::new(
+            ReplicaSet::new(vec![Replica::frozen(Arc::new(flaky))]),
+            (0..120).collect(),
+        );
+        let index = Arc::new(ShardedIndex::from_groups(vec![group], base.dim()));
+        let eng = ServeEngine::new(index, ServeConfig::default());
+        let _ = eng.serve_batch(&queries, 20, 5);
     }
 
     #[test]

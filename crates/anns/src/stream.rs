@@ -59,7 +59,6 @@ impl StreamingConfig {
             r: self.r,
             l: self.l,
             alpha: self.alpha,
-            batch: 512,
             seed: self.seed,
         }
     }
@@ -383,6 +382,7 @@ mod tests {
     use super::*;
     use rpq_data::brute_force_knn;
     use rpq_data::synth::{SynthConfig, ValueTransform};
+    use rpq_graph::GraphView;
     use rpq_quant::{PqConfig, ProductQuantizer};
 
     fn toy(n: usize, seed: u64) -> Dataset {

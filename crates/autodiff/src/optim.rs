@@ -11,19 +11,17 @@ use rpq_linalg::Matrix;
 #[derive(Clone, Copy, Debug)]
 pub struct AdamConfig {
     pub lr: f32,
-    pub beta1: f32,
-    pub beta2: f32,
-    pub eps: f32,
 }
+
+/// Moment decay rates and the denominator floor, at the values of Kingma &
+/// Ba (2014), Alg. 1.
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.999;
+const EPS: f32 = 1e-8;
 
 impl Default for AdamConfig {
     fn default() -> Self {
-        Self {
-            lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
+        Self { lr: 1e-3 }
     }
 }
 
@@ -77,8 +75,8 @@ impl Adam {
             "Adam: parameter count mismatch"
         );
         self.t += 1;
-        let b1t = 1.0 - self.cfg.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.cfg.beta2.powi(self.t as i32);
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
         for (slot, (param, grad)) in updates.iter_mut().enumerate() {
             let Some(grad) = grad else { continue };
             let lr = self.cfg.lr * self.lr_scales[slot];
@@ -96,11 +94,11 @@ impl Adam {
             );
             for i in 0..param.data.len() {
                 let g = grad.data[i];
-                m[i] = self.cfg.beta1 * m[i] + (1.0 - self.cfg.beta1) * g;
-                v[i] = self.cfg.beta2 * v[i] + (1.0 - self.cfg.beta2) * g * g;
+                m[i] = BETA1 * m[i] + (1.0 - BETA1) * g;
+                v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g;
                 let mhat = m[i] / b1t;
                 let vhat = v[i] / b2t;
-                param.data[i] -= lr * mhat / (vhat.sqrt() + self.cfg.eps);
+                param.data[i] -= lr * mhat / (vhat.sqrt() + EPS);
             }
         }
     }
@@ -160,13 +158,7 @@ mod tests {
         // minimise f(x) = ||x - target||^2
         let target = Matrix::from_rows(&[&[3.0, -2.0, 0.5]]);
         let mut x = Matrix::zeros(1, 3);
-        let mut adam = Adam::new(
-            AdamConfig {
-                lr: 0.1,
-                ..Default::default()
-            },
-            &[3],
-        );
+        let mut adam = Adam::new(AdamConfig { lr: 0.1 }, &[3]);
         for _ in 0..400 {
             let grad = x.sub(&target).scale(2.0);
             adam.step(&mut [(&mut x, Some(&grad))]);

@@ -7,7 +7,7 @@ use serde::Serialize;
 
 use rpq_data::synth::DatasetKind;
 
-use crate::experiments::{run_hybrid, run_memory, to_curves, Curve};
+use crate::experiments::{run_methods, to_curves, Curve};
 use crate::report::{fmt, write_json, Report};
 use crate::scale::Scale;
 use crate::setup::{build_graph, make_bench, GraphKind, Method};
@@ -39,13 +39,8 @@ pub fn fig5(scale: &Scale) -> Report {
     for kind in DatasetKind::ALL {
         let bench = make_bench(kind, scale.n_base, scale.n_query, scale.k, scale.seed);
         let graph = Arc::new(build_graph(GraphKind::Vamana, &bench.base, scale.seed));
-        let sweeps = run_hybrid(
-            &bench,
-            &graph,
-            &Method::HYBRID,
-            scale,
-            &format!("fig5-{}", kind.name()),
-        );
+        let tag = format!("fig5-{}", kind.name());
+        let sweeps = run_methods(&bench, &graph, &Method::HYBRID, scale, Some(&tag));
         for (method, pts) in &sweeps {
             for p in pts {
                 report.push_row(vec![
@@ -108,7 +103,7 @@ fn memory_figure(
     for kind in DatasetKind::ALL {
         let bench = make_bench(kind, scale.n_base, scale.n_query, scale.k, scale.seed);
         let graph = Arc::new(build_graph(graph_kind, &bench.base, scale.seed));
-        let sweeps = run_memory(&bench, &graph, methods, scale);
+        let sweeps = run_methods(&bench, &graph, methods, scale, None);
         for (method, pts) in &sweeps {
             for p in pts {
                 report.push_row(vec![

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use rpq_anns::{sweep_disk, sweep_memory, DiskIndex, DiskIndexConfig, InMemoryIndex, SweepPoint};
+use rpq_anns::{sweep, DiskIndex, DiskIndexConfig, InMemoryIndex, SweepPoint};
 use rpq_graph::ProximityGraph;
 use rpq_quant::VectorCompressor;
 
@@ -54,29 +54,28 @@ pub struct Curve {
     pub points: Vec<PointJson>,
 }
 
-/// Runs the hybrid (DiskANN-style) scenario for a set of methods sharing
-/// one Vamana graph.
-pub fn run_hybrid(
+/// Trains each method on the shared graph and sweeps it: in memory, or —
+/// given a store tag — in the hybrid (DiskANN-style) scenario, one store
+/// per method under that tag.
+pub fn run_methods(
     bench: &Bench,
     graph: &Arc<ProximityGraph>,
     methods: &[Method],
     scale: &Scale,
-    tag: &str,
+    hybrid_tag: Option<&str>,
 ) -> Vec<(String, Vec<SweepPoint>)> {
     methods
         .iter()
         .map(|m| {
             let compressor = m.build(&bench.base, graph, scale);
-            (
-                m.name(),
-                hybrid_sweep(
-                    bench,
-                    graph,
-                    compressor,
-                    scale,
-                    &format!("{tag}-{}", sanitize(&m.name())),
-                ),
-            )
+            let points = match hybrid_tag {
+                None => memory_sweep(bench, graph, compressor, scale),
+                Some(tag) => {
+                    let tag = format!("{tag}-{}", sanitize(&m.name()));
+                    hybrid_sweep(bench, graph, compressor, scale, &tag)
+                }
+            };
+            (m.name(), points)
         })
         .collect()
 }
@@ -96,23 +95,7 @@ pub fn hybrid_sweep(
         DiskIndexConfig::new(store_path(tag)),
     )
     .expect("disk index build failed");
-    sweep_disk(&index, &bench.queries, &bench.gt, scale.k, &scale.efs)
-}
-
-/// Runs the in-memory scenario for a set of methods over a shared graph.
-pub fn run_memory(
-    bench: &Bench,
-    graph: &Arc<ProximityGraph>,
-    methods: &[Method],
-    scale: &Scale,
-) -> Vec<(String, Vec<SweepPoint>)> {
-    methods
-        .iter()
-        .map(|m| {
-            let compressor = m.build(&bench.base, graph, scale);
-            (m.name(), memory_sweep(bench, graph, compressor, scale))
-        })
-        .collect()
+    sweep(&index, &bench.queries, &bench.gt, scale.k, &scale.efs)
 }
 
 /// Sweeps a single already-trained compressor in the in-memory scenario.
@@ -123,7 +106,7 @@ pub fn memory_sweep(
     scale: &Scale,
 ) -> Vec<SweepPoint> {
     let index = InMemoryIndex::build(compressor, &bench.base, ProximityGraph::clone(graph));
-    sweep_memory(&index, &bench.queries, &bench.gt, scale.k, &scale.efs)
+    sweep(&index, &bench.queries, &bench.gt, scale.k, &scale.efs)
 }
 
 /// The highest recall every method in a comparison can reach, capped —

@@ -63,13 +63,7 @@ pub fn build_graph(kind: GraphKind, data: &Dataset, seed: u64) -> ProximityGraph
             seed,
         }
         .build(data),
-        GraphKind::Nsg => NsgConfig {
-            r: 32,
-            l: 64,
-            seed,
-            ..Default::default()
-        }
-        .build(data),
+        GraphKind::Nsg => NsgConfig { r: 32, l: 64, seed }.build(data),
     }
 }
 

@@ -39,8 +39,6 @@ pub struct DiffQuantizerConfig {
     /// Assignment-probability temperature τ_a (Eq. 6), applied to
     /// batch-mean-normalised distances (scale-free).
     pub tau_assign: f32,
-    /// Training vectors used for the k-means codebook initialisation.
-    pub init_train_size: usize,
     pub seed: u64,
 }
 
@@ -50,7 +48,6 @@ impl Default for DiffQuantizerConfig {
             m: 8,
             k: 256,
             tau_assign: 0.1,
-            init_train_size: 20_000,
             seed: 0,
         }
     }

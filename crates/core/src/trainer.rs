@@ -73,25 +73,28 @@ pub struct RpqTrainerConfig {
     pub decision_batch: usize,
     pub triplet_sampler: TripletSamplerConfig,
     pub routing_sampler: RoutingSamplerConfig,
-    /// Triplet margin σ (Eq. 8), relative to the batch-mean distance.
-    pub sigma: f32,
-    /// Routing softmax temperature τ (Eq. 9), applied to batch-mean-
-    /// normalised distances.
-    pub tau_route: f32,
-    /// Gumbel temperature, constant within an epoch: epoch `e` of `E` runs
-    /// at `start + (e / E) · (end − start)`, so the first epoch runs at
-    /// `start` and the last one stops one step short of `end`.
-    pub tau_gumbel_start: f32,
-    pub tau_gumbel_end: f32,
     /// Peak learning rate (paper: 1e-3).
     pub lr: f32,
-    /// LR multiplier for the rotation parameter `W` (a global parameter:
-    /// moved more conservatively than the codebooks).
-    pub w_lr_scale: f32,
-    /// Weight of the reconstruction anchor (Eq. 2 fidelity term).
-    pub lambda_recon: f32,
     pub seed: u64,
 }
+
+/// Triplet margin σ (Eq. 8), relative to the batch-mean distance.
+const SIGMA: f32 = 0.2;
+/// Routing softmax temperature τ (Eq. 9), applied to batch-mean-normalised
+/// distances.
+const TAU_ROUTE: f32 = 0.1;
+/// Gumbel temperature, constant within an epoch: epoch `e` of `E` runs at
+/// `start + (e / E) · (end − start)`, so the first epoch runs at `start` and
+/// the last one stops one step short of `end`.
+const TAU_GUMBEL_START: f32 = 0.3;
+const TAU_GUMBEL_END: f32 = 0.05;
+/// LR multiplier for the rotation parameter `W` (a global parameter: moved
+/// more conservatively than the codebooks).
+const W_LR_SCALE: f32 = 0.1;
+/// Weight of the reconstruction anchor (Eq. 2 fidelity term).
+const LAMBDA_RECON: f32 = 3.0;
+/// Training vectors used for the k-means codebook initialisation.
+const INIT_TRAIN_SIZE: usize = 20_000;
 
 impl Default for RpqTrainerConfig {
     fn default() -> Self {
@@ -104,13 +107,7 @@ impl Default for RpqTrainerConfig {
             decision_batch: 12,
             triplet_sampler: TripletSamplerConfig::default(),
             routing_sampler: RoutingSamplerConfig::default(),
-            sigma: 0.2,
-            tau_route: 0.1,
-            tau_gumbel_start: 0.3,
-            tau_gumbel_end: 0.05,
             lr: 1e-3,
-            w_lr_scale: 0.1,
-            lambda_recon: 3.0,
             seed: 0,
         }
     }
@@ -154,7 +151,7 @@ pub fn train_rpq(
             pq: PqConfig {
                 m: cfg.quantizer.m,
                 k: cfg.quantizer.k,
-                train_size: cfg.quantizer.init_train_size,
+                train_size: INIT_TRAIN_SIZE,
                 seed: cfg.quantizer.seed,
                 ..Default::default()
             },
@@ -171,15 +168,8 @@ pub fn train_rpq(
     sizes.extend(dq.codebooks.iter().map(|c| c.data.len()));
     sizes.extend([1, 1]);
     let mut lr_scales = vec![1.0f32; sizes.len()];
-    lr_scales[0] = cfg.w_lr_scale;
-    let mut adam = Adam::with_lr_scales(
-        AdamConfig {
-            lr: cfg.lr,
-            ..Default::default()
-        },
-        &sizes,
-        &lr_scales,
-    );
+    lr_scales[0] = W_LR_SCALE;
+    let mut adam = Adam::with_lr_scales(AdamConfig { lr: cfg.lr }, &sizes, &lr_scales);
     let total_steps = (cfg.epochs * cfg.steps_per_epoch).max(1);
     let sched = OneCycleLr {
         max_lr: cfg.lr,
@@ -234,7 +224,7 @@ pub fn train_rpq(
         // (c) Mini-batch steps.
         let tau_g = {
             let frac = epoch as f32 / cfg.epochs.max(1) as f32;
-            cfg.tau_gumbel_start + frac * (cfg.tau_gumbel_end - cfg.tau_gumbel_start)
+            TAU_GUMBEL_START + frac * (TAU_GUMBEL_END - TAU_GUMBEL_START)
         };
         let mut epoch_loss = 0.0f32;
         let mut counted = 0usize;
@@ -262,31 +252,20 @@ pub fn train_rpq(
             let vs1 = t.param(s1.clone());
             let vs2 = t.param(s2.clone());
             let l_n = (!trip_batch.is_empty()).then(|| {
-                neighborhood_loss(
-                    &mut t, &dq, &vars, data, trip_batch, cfg.sigma, tau_g, &mut rng,
-                )
+                neighborhood_loss(&mut t, &dq, &vars, data, trip_batch, SIGMA, tau_g, &mut rng)
             });
             let l_r = (!dec_batch.is_empty()).then(|| {
                 routing_loss(
-                    &mut t,
-                    &dq,
-                    &vars,
-                    data,
-                    dec_batch,
-                    cfg.tau_route,
-                    tau_g,
-                    &mut rng,
+                    &mut t, &dq, &vars, data, dec_batch, TAU_ROUTE, tau_g, &mut rng,
                 )
             });
-            let mut loss = combine(&mut t, l_r, l_n, vs1, vs2);
-            if cfg.lambda_recon > 0.0 {
-                let ids: Vec<u32> = (0..32)
-                    .map(|_| rng.gen_range(0..data.len()) as u32)
-                    .collect();
-                let l_rec = reconstruction_loss(&mut t, &dq, &vars, data, &ids, tau_g, &mut rng);
-                let weighted = t.scale(l_rec, cfg.lambda_recon);
-                loss = t.add(loss, weighted);
-            }
+            let combined = combine(&mut t, l_r, l_n, vs1, vs2);
+            let ids: Vec<u32> = (0..32)
+                .map(|_| rng.gen_range(0..data.len()) as u32)
+                .collect();
+            let l_rec = reconstruction_loss(&mut t, &dq, &vars, data, &ids, tau_g, &mut rng);
+            let weighted = t.scale(l_rec, LAMBDA_RECON);
+            let loss = t.add(combined, weighted);
             epoch_loss += t.value(loss)[(0, 0)];
             counted += 1;
 

@@ -402,6 +402,13 @@ impl SearchScratch {
         self.memo_vals[i] = val;
     }
 
+    /// The vertices memoised this epoch, each once, in first-insert order —
+    /// for the disk engine, the node blocks the last search touched.
+    #[inline]
+    pub fn memo_keys(&self) -> &[u32] {
+        &self.memo_touched
+    }
+
     /// The value memoised for `v` this epoch, if any.
     #[inline]
     pub fn memo_get(&self, v: u32) -> Option<f32> {

@@ -5,6 +5,7 @@ use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
 use crate::beam::{DistanceEstimator, ExactEstimator, SearchScratch, VertexFilter};
+use crate::pg::reachable;
 
 /// A `(distance, id)` pair ascending-ordered by distance.
 pub(crate) type Scored = (f32, u32);
@@ -36,31 +37,14 @@ pub(crate) fn search_adj(
 /// Index of the vector closest to the dataset mean (the medoid both Vamana
 /// and NSG use as their fixed entry vertex).
 pub(crate) fn medoid(data: &Dataset) -> u32 {
-    let n = data.len();
-    assert!(n > 0, "medoid of an empty dataset");
-    let d = data.dim();
-    let mut mean = vec![0.0f64; d];
-    for v in data.iter() {
-        for (m, &x) in mean.iter_mut().zip(v) {
-            *m += x as f64;
-        }
-    }
-    let mean: Vec<f32> = mean.iter().map(|&m| (m / n as f64) as f32).collect();
-    let mut best = (f32::INFINITY, 0u32);
-    for (i, v) in data.iter().enumerate() {
-        let dist = sq_l2(&mean, v);
-        if dist < best.0 {
-            best = (dist, i as u32);
-        }
-    }
-    best.1
+    medoid_subset(data, &(0..data.len() as u32).collect::<Vec<_>>())
 }
 
 /// Medoid restricted to a subset: the member of `ids` closest to the mean
 /// of the vectors in `ids`. Consolidation re-centres the entry vertex on the
 /// survivors with this (DESIGN.md §8.3).
 pub(crate) fn medoid_subset(data: &Dataset, ids: &[u32]) -> u32 {
-    assert!(!ids.is_empty(), "medoid of an empty subset");
+    assert!(!ids.is_empty(), "medoid of an empty set");
     let d = data.dim();
     let mut mean = vec![0.0f64; d];
     for &i in ids {
@@ -98,17 +82,7 @@ pub(crate) fn repair_connectivity(
     let n = adj.len();
     let cap = r + 2;
     loop {
-        let mut seen = vec![false; n];
-        let mut stack = vec![entry];
-        seen[entry as usize] = true;
-        while let Some(v) = stack.pop() {
-            for &u in &adj[v as usize] {
-                if !seen[u as usize] {
-                    seen[u as usize] = true;
-                    stack.push(u);
-                }
-            }
-        }
+        let mut seen = reachable(n, entry, |v| &adj[v as usize]);
         let unreachable: Vec<u32> = (0..n as u32).filter(|&v| !seen[v as usize]).collect();
         if unreachable.is_empty() {
             return;
@@ -190,6 +164,48 @@ pub(crate) fn robust_prune(
     selected
 }
 
+/// The relative-neighborhood selection rule HNSW's heuristic (Malkov &
+/// Yashunin, TPAMI'18) and NSG's MRNG edge selection (Fu et al., VLDB'19)
+/// share: scanning `candidates` ascending by distance to the vertex being
+/// linked, keep `c` unless an already-kept `s` occludes it
+/// (`δ(c, s) < δ(c, vertex)`, i.e. the edge is shadowed by the path through
+/// `s`), until `m` are kept. With `top_up` — HNSW's keepPrunedConnections —
+/// a list the rule starved is filled with the closest remaining candidates.
+///
+/// Unlike [`robust_prune`] the comparison is not strict-dominance with
+/// slack, so the two are kept apart: an exact tie would choose differently.
+pub(crate) fn select_diverse(
+    candidates: &[Scored],
+    data: &Dataset,
+    m: usize,
+    top_up: bool,
+) -> Vec<u32> {
+    let mut selected: Vec<u32> = Vec::with_capacity(m);
+    for &(d, c) in candidates {
+        if selected.len() >= m {
+            break;
+        }
+        let cv = data.get(c as usize);
+        let occluded = selected
+            .iter()
+            .any(|&s| sq_l2(cv, data.get(s as usize)) < d);
+        if !occluded {
+            selected.push(c);
+        }
+    }
+    if top_up {
+        for &(_, c) in candidates {
+            if selected.len() >= m {
+                break;
+            }
+            if !selected.contains(&c) {
+                selected.push(c);
+            }
+        }
+    }
+    selected
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,10 +218,124 @@ mod tests {
         d
     }
 
+    fn seeded(n: usize, seed: u64) -> Dataset {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut d = Dataset::new(6);
+        for _ in 0..n {
+            let v: Vec<f32> = (0..6).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            d.push(&v);
+        }
+        d
+    }
+
     #[test]
     fn medoid_of_line_is_middle() {
         let d = line(9);
         assert_eq!(medoid(&d), 4);
+    }
+
+    #[test]
+    fn medoid_is_medoid_subset_over_every_id() {
+        // The pre-merge full-dataset body, kept here as the oracle.
+        fn medoid_oracle(data: &Dataset) -> u32 {
+            let n = data.len();
+            let mut mean = vec![0.0f64; data.dim()];
+            for v in data.iter() {
+                for (m, &x) in mean.iter_mut().zip(v) {
+                    *m += x as f64;
+                }
+            }
+            let mean: Vec<f32> = mean.iter().map(|&m| (m / n as f64) as f32).collect();
+            let mut best = (f32::INFINITY, 0u32);
+            for (i, v) in data.iter().enumerate() {
+                let dist = sq_l2(&mean, v);
+                if dist < best.0 {
+                    best = (dist, i as u32);
+                }
+            }
+            best.1
+        }
+        for seed in 0..5 {
+            let data = seeded(257, seed);
+            let all: Vec<u32> = (0..257).collect();
+            assert_eq!(medoid(&data), medoid_subset(&data, &all), "seed {seed}");
+            assert_eq!(medoid(&data), medoid_oracle(&data), "seed {seed}");
+        }
+    }
+
+    /// NSG's pre-merge MRNG selection, verbatim: the no-top-up oracle.
+    fn mrng_select(pool: &[Scored], data: &Dataset, r: usize) -> Vec<u32> {
+        let mut selected: Vec<u32> = Vec::with_capacity(r);
+        for &(d_vp, p) in pool {
+            if selected.len() >= r {
+                break;
+            }
+            let pv = data.get(p as usize);
+            let occluded = selected
+                .iter()
+                .any(|&q| sq_l2(pv, data.get(q as usize)) < d_vp);
+            if !occluded {
+                selected.push(p);
+            }
+        }
+        selected
+    }
+
+    /// HNSW's pre-merge heuristic selection, verbatim: the top-up oracle.
+    fn select_heuristic(candidates: &[Scored], data: &Dataset, m: usize) -> Vec<u32> {
+        let mut selected: Vec<u32> = Vec::with_capacity(m);
+        for &(d_q, c) in candidates {
+            if selected.len() >= m {
+                break;
+            }
+            let cv = data.get(c as usize);
+            let ok = selected
+                .iter()
+                .all(|&s| sq_l2(cv, data.get(s as usize)) >= d_q);
+            if ok {
+                selected.push(c);
+            }
+        }
+        if selected.len() < m {
+            for &(_, c) in candidates {
+                if selected.len() >= m {
+                    break;
+                }
+                if !selected.contains(&c) {
+                    selected.push(c);
+                }
+            }
+        }
+        selected
+    }
+
+    #[test]
+    fn select_diverse_equals_both_pre_merge_selection_rules() {
+        for seed in 0..5 {
+            let data = seeded(200, 40 + seed);
+            // Every other vertex as a candidate of vertex 0, ascending.
+            let mut cands: Vec<Scored> = (1..200u32)
+                .step_by(2)
+                .map(|v| (sq_l2(data.get(0), data.get(v as usize)), v))
+                .collect();
+            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for m in [1usize, 4, 16, 64, 200] {
+                assert_eq!(
+                    select_diverse(&cands, &data, m, false),
+                    mrng_select(&cands, &data, m),
+                    "seed {seed} m {m}"
+                );
+                let topped = select_diverse(&cands, &data, m, true);
+                assert_eq!(
+                    topped,
+                    select_heuristic(&cands, &data, m),
+                    "seed {seed} m {m}"
+                );
+                assert_eq!(topped.len(), m.min(cands.len()), "top-up fills the list");
+            }
+        }
     }
 
     #[test]

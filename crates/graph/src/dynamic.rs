@@ -125,28 +125,6 @@ impl DynamicGraph {
             + self.adj.iter().map(|l| l.capacity() * 4).sum::<usize>()
     }
 
-    /// Number of vertices reachable from the entry (connectivity
-    /// diagnostic, same contract as [`ProximityGraph::reachable_from_entry`]).
-    pub fn reachable_from_entry(&self) -> usize {
-        if self.is_empty() {
-            return 0;
-        }
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![self.entry];
-        seen[self.entry as usize] = true;
-        let mut count = 0;
-        while let Some(v) = stack.pop() {
-            count += 1;
-            for &u in &self.adj[v as usize] {
-                if !seen[u as usize] {
-                    seen[u as usize] = true;
-                    stack.push(u);
-                }
-            }
-        }
-        count
-    }
-
     /// The raw adjacency lists, for the crate-internal Vamana patch
     /// operations (which share `robust_prune`/`search_adj` with the batch
     /// builder).

@@ -14,7 +14,7 @@ use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
 use crate::beam::SearchScratch;
-use crate::construction::{search_adj, Scored};
+use crate::construction::{search_adj, select_diverse, Scored};
 use crate::pg::ProximityGraph;
 
 /// HNSW build parameters.
@@ -82,7 +82,7 @@ impl HnswConfig {
                 let (results, _) =
                     search_adj(&layers[l], data, q, ep, self.ef_construction, &mut scratch);
                 let cap = if l == 0 { m0 } else { m };
-                let selected = select_heuristic(&results, data, m);
+                let selected = select_diverse(&results, data, m, true);
                 for &s in &selected {
                     layers[l][i as usize].push(s);
                     let list = &mut layers[l][s as usize];
@@ -95,7 +95,7 @@ impl HnswConfig {
                         let mut sorted = sc;
                         sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                         *layers[l].get_mut(s as usize).unwrap() =
-                            select_heuristic(&sorted, data, cap);
+                            select_diverse(&sorted, data, cap, true);
                     }
                 }
                 if let Some(&(_, best)) = results.first() {
@@ -131,42 +131,11 @@ fn greedy_closest(layer: &[Vec<u32>], data: &Dataset, q: &[f32], mut cur: u32) -
     }
 }
 
-/// Malkov's heuristic neighbor selection: scan candidates ascending by
-/// distance, keep one only if it is closer to the query node than to every
-/// neighbor already kept (encourages direction diversity).
-fn select_heuristic(candidates: &[Scored], data: &Dataset, m: usize) -> Vec<u32> {
-    let mut selected: Vec<u32> = Vec::with_capacity(m);
-    for &(d_q, c) in candidates {
-        if selected.len() >= m {
-            break;
-        }
-        let cv = data.get(c as usize);
-        let ok = selected
-            .iter()
-            .all(|&s| sq_l2(cv, data.get(s as usize)) >= d_q);
-        if ok {
-            selected.push(c);
-        }
-    }
-    // Fallback: if the diversity rule starved us, top up with the closest
-    // remaining candidates (standard keepPruned extension).
-    if selected.len() < m {
-        for &(_, c) in candidates {
-            if selected.len() >= m {
-                break;
-            }
-            if !selected.contains(&c) {
-                selected.push(c);
-            }
-        }
-    }
-    selected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::beam::{beam_search, ExactEstimator, SearchScratch};
+    use crate::pg::GraphView;
     use rpq_data::ground_truth::brute_force_knn;
     use rpq_data::synth::{SynthConfig, ValueTransform};
 

@@ -32,24 +32,19 @@ pub fn brute_force_knn_graph(data: &Dataset, k: usize) -> Vec<Vec<u32>> {
 pub struct NnDescentConfig {
     /// Neighbors per node in the produced graph.
     pub k: usize,
-    /// Maximum local-join iterations.
-    pub max_iters: usize,
-    /// Cap on join candidates per node per iteration.
-    pub sample: usize,
-    /// Convergence threshold: stop when updates < `delta * n * k`.
-    pub delta: f32,
     pub seed: u64,
 }
 
+/// Maximum local-join iterations.
+const MAX_ITERS: usize = 12;
+/// Cap on join candidates per node per iteration.
+const SAMPLE: usize = 40;
+/// Convergence threshold: stop when updates < `DELTA * n * k`.
+const DELTA: f32 = 0.002;
+
 impl Default for NnDescentConfig {
     fn default() -> Self {
-        Self {
-            k: 24,
-            max_iters: 12,
-            sample: 40,
-            delta: 0.002,
-            seed: 0,
-        }
+        Self { k: 24, seed: 0 }
     }
 }
 
@@ -123,7 +118,7 @@ pub fn nn_descent(data: &Dataset, cfg: NnDescentConfig) -> Vec<Vec<u32>> {
         })
         .collect();
 
-    for _iter in 0..cfg.max_iters {
+    for _iter in 0..MAX_ITERS {
         // Candidate pools: forward neighbors + reverse neighbors, capped.
         let mut pools: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, list) in lists.iter().enumerate() {
@@ -135,10 +130,10 @@ pub fn nn_descent(data: &Dataset, cfg: NnDescentConfig) -> Vec<Vec<u32>> {
         for pool in &mut pools {
             pool.sort_unstable();
             pool.dedup();
-            if pool.len() > cfg.sample {
+            if pool.len() > SAMPLE {
                 // Deterministic thinning keeps the pass reproducible.
-                let stride = pool.len() as f32 / cfg.sample as f32;
-                let thinned: Vec<u32> = (0..cfg.sample)
+                let stride = pool.len() as f32 / SAMPLE as f32;
+                let thinned: Vec<u32> = (0..SAMPLE)
                     .map(|t| pool[(t as f32 * stride) as usize])
                     .collect();
                 *pool = thinned;
@@ -181,7 +176,7 @@ pub fn nn_descent(data: &Dataset, cfg: NnDescentConfig) -> Vec<Vec<u32>> {
             }
         }
 
-        if (updates as f32) < cfg.delta * (n * k) as f32 {
+        if (updates as f32) < DELTA * (n * k) as f32 {
             break;
         }
     }

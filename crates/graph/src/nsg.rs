@@ -8,7 +8,7 @@ use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
 use crate::beam::SearchScratch;
-use crate::construction::{medoid, repair_connectivity, search_adj};
+use crate::construction::{medoid, repair_connectivity, search_adj, select_diverse};
 use crate::knn::{brute_force_knn_graph, nn_descent, NnDescentConfig};
 use crate::pg::ProximityGraph;
 
@@ -19,21 +19,20 @@ pub struct NsgConfig {
     pub r: usize,
     /// Search pool width L when gathering candidates.
     pub l: usize,
-    /// Neighbors in the initial k-NN graph.
-    pub knn_k: usize,
-    /// Below this size the k-NN init is exact brute force; above it,
-    /// NN-Descent.
-    pub brute_force_threshold: usize,
     pub seed: u64,
 }
+
+/// Neighbors in the initial k-NN graph.
+const KNN_K: usize = 32;
+/// Up to this size the k-NN init is exact brute force; above it,
+/// NN-Descent.
+const BRUTE_FORCE_THRESHOLD: usize = 4000;
 
 impl Default for NsgConfig {
     fn default() -> Self {
         Self {
             r: 32,
             l: 64,
-            knn_k: 32,
-            brute_force_threshold: 4000,
             seed: 0,
         }
     }
@@ -48,15 +47,14 @@ impl NsgConfig {
         if n == 1 {
             return ProximityGraph::from_adjacency(vec![Vec::new()], 0);
         }
-        let knn = if n <= self.brute_force_threshold {
-            brute_force_knn_graph(data, self.knn_k)
+        let knn = if n <= BRUTE_FORCE_THRESHOLD {
+            brute_force_knn_graph(data, KNN_K)
         } else {
             nn_descent(
                 data,
                 NnDescentConfig {
-                    k: self.knn_k,
+                    k: KNN_K,
                     seed: self.seed,
-                    ..Default::default()
                 },
             )
         };
@@ -87,7 +85,9 @@ impl NsgConfig {
                 pool.retain(|&(_, u)| u != v);
                 pool.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 pool.dedup_by_key(|&mut (_, u)| u);
-                mrng_select(v, &pool, data, r)
+                // MRNG edge selection: `v→p` is dropped when a kept `q`
+                // makes `v→q→p` the shorter detour.
+                select_diverse(&pool, data, r, false)
             })
             .collect();
 
@@ -97,31 +97,11 @@ impl NsgConfig {
     }
 }
 
-/// MRNG edge selection: scanning the pool ascending by distance to `v`,
-/// keep candidate `p` unless some already-selected `q` satisfies
-/// `δ(p, q) < δ(p, v)` (i.e. the edge `v→p` is occluded by `v→q→p`).
-fn mrng_select(v: u32, pool: &[(f32, u32)], data: &Dataset, r: usize) -> Vec<u32> {
-    let mut selected: Vec<u32> = Vec::with_capacity(r);
-    for &(d_vp, p) in pool {
-        if selected.len() >= r {
-            break;
-        }
-        let pv = data.get(p as usize);
-        let occluded = selected
-            .iter()
-            .any(|&q| sq_l2(pv, data.get(q as usize)) < d_vp);
-        if !occluded {
-            selected.push(p);
-        }
-    }
-    let _ = v;
-    selected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::beam::{beam_search, ExactEstimator, SearchScratch};
+    use crate::pg::GraphView;
     use rpq_data::ground_truth::brute_force_knn;
     use rpq_data::synth::{SynthConfig, ValueTransform};
 

@@ -21,6 +21,39 @@ pub trait GraphView {
 
     /// Out-neighbors of `v`.
     fn neighbors(&self, v: u32) -> &[u32];
+
+    /// Number of vertices reachable from the entry (a connectivity
+    /// diagnostic; NSG's repair step guarantees this equals `len()`).
+    fn reachable_from_entry(&self) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
+        let seen = reachable(self.len(), self.entry(), |v| self.neighbors(v));
+        seen.iter().filter(|&&s| s).count()
+    }
+}
+
+/// Depth-first reachability over `n` vertices from `entry`: `seen[v]` is
+/// true iff a directed path `entry → v` exists. The one traversal behind
+/// [`GraphView::reachable_from_entry`] and the builders' connectivity
+/// repair.
+pub(crate) fn reachable<'a>(
+    n: usize,
+    entry: u32,
+    neighbors: impl Fn(u32) -> &'a [u32],
+) -> Vec<bool> {
+    let mut seen = vec![false; n];
+    let mut stack = vec![entry];
+    seen[entry as usize] = true;
+    while let Some(v) = stack.pop() {
+        for &u in neighbors(v) {
+            if !seen[u as usize] {
+                seen[u as usize] = true;
+                stack.push(u);
+            }
+        }
+    }
+    seen
 }
 
 impl GraphView for ProximityGraph {
@@ -152,25 +185,6 @@ impl ProximityGraph {
             }
         }
         result
-    }
-
-    /// Number of vertices reachable from the entry (a connectivity
-    /// diagnostic; NSG's repair step guarantees this equals `len()`).
-    pub fn reachable_from_entry(&self) -> usize {
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![self.entry];
-        seen[self.entry as usize] = true;
-        let mut count = 0;
-        while let Some(v) = stack.pop() {
-            count += 1;
-            for &u in self.neighbors(v) {
-                if !seen[u as usize] {
-                    seen[u as usize] = true;
-                    stack.push(u);
-                }
-            }
-        }
-        count
     }
 
     /// Serialises to a simple length-prefixed little-endian binary format.

@@ -30,10 +30,11 @@ pub struct VamanaConfig {
     pub l: usize,
     /// Pruning slack α for the second pass.
     pub alpha: f32,
-    /// Batch size for the parallel search phase.
-    pub batch: usize,
     pub seed: u64,
 }
+
+/// Batch size for the parallel search phase.
+const BATCH: usize = 512;
 
 impl Default for VamanaConfig {
     fn default() -> Self {
@@ -41,7 +42,6 @@ impl Default for VamanaConfig {
             r: 32,
             l: 64,
             alpha: 1.2,
-            batch: 512,
             seed: 0,
         }
     }
@@ -79,7 +79,7 @@ impl VamanaConfig {
             for i in (1..order.len()).rev() {
                 order.swap(i, rng.gen_range(0..=i));
             }
-            for chunk in order.chunks(self.batch.max(1)) {
+            for chunk in order.chunks(BATCH) {
                 // Parallel search phase against the current snapshot.
                 let searched: Vec<(u32, Vec<Scored>)> = chunk
                     .par_iter()
@@ -264,6 +264,7 @@ fn link_back(adj: &mut [Vec<u32>], data: &Dataset, p: u32, selected: &[u32], alp
 mod tests {
     use super::*;
     use crate::beam::{beam_search, ExactEstimator, SearchScratch};
+    use crate::pg::GraphView;
     use rpq_data::ground_truth::brute_force_knn;
     use rpq_data::synth::{SynthConfig, ValueTransform};
 

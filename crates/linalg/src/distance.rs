@@ -33,6 +33,20 @@ pub fn sq_l2(a: &[f32], b: &[f32]) -> f32 {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
+/// Squared distances from `x` to each of the `out.len()` contiguous rows of
+/// `rows` (row-major, `x.len()` floats each): `out[i] = sq_l2(x, rows[i])`,
+/// one [`sq_l2`] per row in row order, so every entry is bit-identical to
+/// the scalar call. The one sub-codebook distance loop: ADC and SDC table
+/// builds, the encoder's argmin and the k-means assignment step all run it,
+/// so a layout or kernel change for that loop is made here.
+#[inline]
+pub fn sq_l2_rows(x: &[f32], rows: &[f32], out: &mut [f32]) {
+    assert_eq!(rows.len(), out.len() * x.len(), "rows/out size mismatch");
+    for (o, row) in out.iter_mut().zip(rows.chunks_exact(x.len())) {
+        *o = sq_l2(x, row);
+    }
+}
+
 /// Dot product `⟨a, b⟩`.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -80,6 +94,20 @@ pub fn normalize(a: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sq_l2_rows_is_one_sq_l2_per_row_bit_for_bit() {
+        // Widths on both sides of the four-wide unroll, tail included.
+        for d in [1usize, 3, 4, 8, 11] {
+            let x: Vec<f32> = (0..d).map(|i| (i as f32 * 0.37).sin()).collect();
+            let rows: Vec<f32> = (0..7 * d).map(|i| (i as f32 * 0.11).cos()).collect();
+            let mut out = [0.0f32; 7];
+            sq_l2_rows(&x, &rows, &mut out);
+            for (i, o) in out.iter().enumerate() {
+                assert_eq!(o.to_bits(), sq_l2(&x, &rows[i * d..(i + 1) * d]).to_bits());
+            }
+        }
+    }
 
     #[test]
     fn sq_l2_known() {

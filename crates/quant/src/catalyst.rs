@@ -25,6 +25,12 @@ use crate::codebook::{encode_dataset_with, CompactCodes, LookupTable};
 use crate::compressor::{AdcEstimator, VectorCompressor};
 use crate::pq::{subsample, PqConfig, ProductQuantizer};
 
+/// Spreading regulariser weight; the paper (Sablayrolles et al., ICLR'19)
+/// uses 0.005.
+const LAMBDA: f32 = 0.005;
+/// Triplet margin.
+const MARGIN: f32 = 0.2;
+
 /// Catalyst training parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct CatalystConfig {
@@ -32,10 +38,6 @@ pub struct CatalystConfig {
     pub d_out: usize,
     /// Hidden width of the MLP.
     pub hidden: usize,
-    /// Spreading regulariser weight; paper uses 0.005.
-    pub lambda: f32,
-    /// Triplet margin.
-    pub margin: f32,
     /// Training epochs over the triplet set.
     pub epochs: usize,
     /// Triplet batch size.
@@ -54,8 +56,6 @@ impl Default for CatalystConfig {
         Self {
             d_out: 40,
             hidden: 256,
-            lambda: 0.005,
-            margin: 0.2,
             epochs: 4,
             batch: 128,
             mine_size: 1500,
@@ -180,7 +180,7 @@ impl Catalyst {
                 let an = t.sub(a_emb, n_emb);
                 let d_an = t.row_sq_norm(an);
                 let gap = t.sub(d_ap, d_an);
-                let shifted = t.add_scalar(gap, cfg.margin);
+                let shifted = t.add_scalar(gap, MARGIN);
                 let hinge = t.relu(shifted);
                 let trip = t.mean_all(hinge);
                 // Spreading regulariser: embeddings toward the unit sphere.
@@ -188,7 +188,7 @@ impl Catalyst {
                 let centered = t.add_scalar(norms, -1.0);
                 let sq = t.square(centered);
                 let reg_m = t.mean_all(sq);
-                let reg = t.scale(reg_m, cfg.lambda);
+                let reg = t.scale(reg_m, LAMBDA);
                 let loss = t.add(trip, reg);
 
                 let grads = t.backward(loss);

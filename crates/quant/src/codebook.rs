@@ -7,7 +7,9 @@
 //! sum of `M` table reads — the hot loop of PQ-integrated search.
 
 use rpq_data::Dataset;
-use rpq_linalg::distance::sq_l2;
+use rpq_linalg::distance::sq_l2_rows;
+
+use crate::kmeans::nearest_row;
 
 /// Product codebook: `m` sub-codebooks × `k` codewords × `dsub` dims.
 #[derive(Clone, Debug, PartialEq)]
@@ -89,16 +91,12 @@ impl Codebook {
     pub fn encode_one(&self, v: &[f32], out: &mut [u8]) {
         assert_eq!(v.len(), self.dim(), "vector dim mismatch");
         assert_eq!(out.len(), self.m, "code buffer size mismatch");
-        for j in 0..self.m {
+        // K <= 256 (asserted at construction): the row distances fit on
+        // the stack.
+        let mut dists = [0.0f32; 256];
+        for (j, code) in out.iter_mut().enumerate() {
             let sub = &v[j * self.dsub..(j + 1) * self.dsub];
-            let mut best = (0usize, f32::INFINITY);
-            for ki in 0..self.k {
-                let d = sq_l2(sub, self.codeword(j, ki));
-                if d < best.1 {
-                    best = (ki, d);
-                }
-            }
-            out[j] = best.0 as u8;
+            *code = nearest_row(sub, self.sub_codebook(j), &mut dists[..self.k]).0 as u8;
         }
     }
 
@@ -118,9 +116,7 @@ impl Codebook {
         for j in 0..self.m {
             let sub = &query[j * self.dsub..(j + 1) * self.dsub];
             let row = &mut table[j * self.k..(j + 1) * self.k];
-            for (ki, slot) in row.iter_mut().enumerate() {
-                *slot = sq_l2(sub, self.codeword(j, ki));
-            }
+            sq_l2_rows(sub, self.sub_codebook(j), row);
         }
         LookupTable {
             m: self.m,
@@ -134,10 +130,8 @@ impl Codebook {
         let mut table = vec![0.0f32; self.m * self.k * self.k];
         for j in 0..self.m {
             for a in 0..self.k {
-                for b in 0..self.k {
-                    table[(j * self.k + a) * self.k + b] =
-                        sq_l2(self.codeword(j, a), self.codeword(j, b));
-                }
+                let row = &mut table[(j * self.k + a) * self.k..][..self.k];
+                sq_l2_rows(self.codeword(j, a), self.sub_codebook(j), row);
             }
         }
         SdcTable {
@@ -319,6 +313,7 @@ pub fn encode_dataset_with(codebook: &Codebook, data: &Dataset) -> CompactCodes 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpq_linalg::distance::sq_l2;
 
     /// 1-D sub-spaces, 2 chunks, 2 codewords each: codewords at {0,10} and
     /// {0,100}.

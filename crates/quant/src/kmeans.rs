@@ -4,7 +4,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use rpq_linalg::distance::sq_l2;
+use rpq_linalg::distance::{sq_l2, sq_l2_rows};
 
 /// k-means parameters.
 #[derive(Clone, Copy, Debug)]
@@ -13,20 +13,34 @@ pub struct KMeansConfig {
     pub k: usize,
     /// Lloyd iteration cap.
     pub max_iters: usize,
-    /// Relative inertia improvement below which iteration stops.
-    pub tol: f32,
     pub seed: u64,
 }
+
+/// Relative inertia improvement below which iteration stops.
+const TOL: f32 = 1e-4;
 
 impl Default for KMeansConfig {
     fn default() -> Self {
         Self {
             k: 256,
             max_iters: 20,
-            tol: 1e-4,
             seed: 0,
         }
     }
+}
+
+/// The Lloyd quantizer's argmin: index of, and squared distance to, the row
+/// of `rows` (`buf.len()` rows of `x.len()` floats) nearest to `x`; the
+/// first such row on a tie. `buf` is scratch for the row distances.
+pub(crate) fn nearest_row(x: &[f32], rows: &[f32], buf: &mut [f32]) -> (usize, f32) {
+    sq_l2_rows(x, rows, buf);
+    let mut best = (0usize, f32::INFINITY);
+    for (i, &d) in buf.iter().enumerate() {
+        if d < best.1 {
+            best = (i, d);
+        }
+    }
+    best
 }
 
 /// Result of a k-means run.
@@ -95,17 +109,13 @@ pub fn kmeans(data: &[f32], dim: usize, cfg: KMeansConfig) -> KMeansResult {
         // Assignment step (parallel).
         let stats: Vec<(u32, f32)> = (0..n)
             .into_par_iter()
-            .map(|i| {
-                let p = point(i);
-                let mut best = (0u32, f32::INFINITY);
-                for c in 0..k {
-                    let d = sq_l2(p, &centroids[c * dim..(c + 1) * dim]);
-                    if d < best.1 {
-                        best = (c as u32, d);
-                    }
-                }
-                best
-            })
+            .map_init(
+                || vec![0.0f32; k],
+                |buf, i| {
+                    let (c, d) = nearest_row(point(i), &centroids, buf);
+                    (c as u32, d)
+                },
+            )
             .collect();
         inertia = stats.iter().map(|s| s.1 as f64).sum::<f64>() as f32;
         for (a, s) in assignments.iter_mut().zip(&stats) {
@@ -142,7 +152,7 @@ pub fn kmeans(data: &[f32], dim: usize, cfg: KMeansConfig) -> KMeansResult {
             }
         }
 
-        if prev_inertia.is_finite() && (prev_inertia - inertia).abs() <= cfg.tol * prev_inertia {
+        if prev_inertia.is_finite() && (prev_inertia - inertia).abs() <= TOL * prev_inertia {
             break;
         }
         prev_inertia = inertia;

@@ -169,6 +169,10 @@ impl VectorCompressor for LinkAndCode {
         self.pq.encode_dataset(data)
     }
 
+    fn encode_one(&self, v: &[f32], out: &mut [u8]) {
+        self.pq.encode_one(v, out);
+    }
+
     fn decode_into(&self, code: &[u8], out: &mut [f32]) {
         self.pq.decode_into(code, out);
     }

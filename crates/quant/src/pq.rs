@@ -69,7 +69,6 @@ impl ProductQuantizer {
                     k: k_eff,
                     max_iters: cfg.kmeans_iters,
                     seed: cfg.seed.wrapping_add(j as u64),
-                    ..Default::default()
                 },
             );
             let base = j * k_eff * dsub;
@@ -143,6 +142,10 @@ impl VectorCompressor for ProductQuantizer {
 
     fn encode_dataset(&self, data: &Dataset) -> CompactCodes {
         encode_dataset_with(&self.codebook, data)
+    }
+
+    fn encode_one(&self, v: &[f32], out: &mut [u8]) {
+        self.codebook.encode_one(v, out);
     }
 
     fn decode_into(&self, code: &[u8], out: &mut [f32]) {

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use rpq_anns::{sweep_memory, InMemoryIndex};
+use rpq_anns::{sweep, InMemoryIndex};
 use rpq_bench::setup::{build_graph, make_bench, GraphKind, Method};
 use rpq_bench::Scale;
 use rpq_data::synth::DatasetKind;
@@ -34,7 +34,7 @@ fn main() {
         let train_s = compressor.train_seconds();
         let model_kib = compressor.model_bytes() / 1024;
         let index = InMemoryIndex::build(compressor, &bench.base, ProximityGraph::clone(&graph));
-        let pts = sweep_memory(&index, &bench.queries, &bench.gt, scale.k, &[80]);
+        let pts = sweep(&index, &bench.queries, &bench.gt, scale.k, &[80]);
         let p = pts[0];
         println!(
             "{:<10} {:>10.1} {:>12} {:>10.3} {:>10.0} {:>10.1}",

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use rpq_anns::{qps_at_recall, sweep_disk, DiskIndex, DiskIndexConfig};
+use rpq_anns::{qps_at_recall, sweep, DiskIndex, DiskIndexConfig};
 use rpq_bench::setup::{rpq_config, store_path};
 use rpq_core::{train_rpq, TrainingMode};
 use rpq_data::brute_force_knn;
@@ -68,7 +68,7 @@ fn main() {
             index.disk_bytes() / 1024,
             100.0 * index.resident_bytes() as f32 / index.disk_bytes() as f32
         );
-        let points = sweep_disk(&index, &queries, &gt, 10, &efs);
+        let points = sweep(&index, &queries, &gt, 10, &efs);
         for p in &points {
             println!(
                 "  ef={:<4} recall@10={:.3} qps={:<8.0} hops={:<6.1} io={:.2} ms/query",

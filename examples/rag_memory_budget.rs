@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use rpq_anns::{sweep_memory, InMemoryIndex};
+use rpq_anns::{sweep, InMemoryIndex};
 use rpq_bench::setup::rpq_config;
 use rpq_core::{train_rpq, TrainingMode};
 use rpq_data::brute_force_knn;
@@ -64,7 +64,7 @@ fn main() {
                 "OVER"
             },
         );
-        let points = sweep_memory(&index, &queries, &gt, 10, &[20, 60, 180]);
+        let points = sweep(&index, &queries, &gt, 10, &[20, 60, 180]);
         for p in &points {
             println!(
                 "  ef={:<4} recall@10={:.3} qps={:.0}",

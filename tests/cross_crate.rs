@@ -20,9 +20,22 @@ fn estimator_matches_decode_for_every_method() {
     let scale = Scale::ci();
     let bench = make_bench(DatasetKind::Sift, 600, 5, 5, 21);
     let graph = Arc::new(build_graph(GraphKind::Hnsw, &bench.base, 0));
-    for method in [Method::Pq, Method::Opq, Method::Rpq(TrainingMode::Full)] {
+    for method in [
+        Method::Pq,
+        Method::Opq,
+        Method::Rpq(TrainingMode::Full),
+        Method::Lc,
+        Method::Catalyst,
+    ] {
         let c = method.build(&bench.base, &graph, &scale);
         let codes = c.encode_dataset(&bench.base);
+        // The trait's contract for the streaming insert path: one vector
+        // encodes to exactly the code the dataset encoder gives it.
+        let mut one = vec![0u8; codes.code(0).len()];
+        for (i, v) in bench.base.iter().enumerate() {
+            c.encode_one(v, &mut one);
+            assert_eq!(one, codes.code(i), "{} vector {i}", method.name());
+        }
         let q = bench.queries.get(0);
         let est = c.estimator(&codes, q);
         // Self-distance sanity: distance to a random node is finite and

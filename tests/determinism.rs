@@ -12,7 +12,7 @@ use rpq_anns::serve::{
     RejectReason, RequestOutcome, ShardedIndex, TokenBucketConfig,
 };
 use rpq_anns::stream::{StreamingConfig, StreamingIndex};
-use rpq_anns::{sweep_memory, InMemoryIndex};
+use rpq_anns::{sweep, InMemoryIndex};
 use rpq_data::synth::{SynthConfig, ValueTransform};
 use rpq_data::{brute_force_knn, Dataset};
 use rpq_graph::{nn_descent, HnswConfig, NnDescentConfig, NsgConfig, SearchScratch, VamanaConfig};
@@ -135,13 +135,13 @@ fn memory_sweep_is_thread_invariant() {
 
     // Recall (and hops) off the full sweep; QPS legitimately varies with
     // the width, so compare the deterministic fields only.
-    let sweep = assert_thread_invariant("sweep_memory recall/hops", || {
-        sweep_memory(&index, &queries, &gt, 10, &[10, 40])
+    let points = assert_thread_invariant("sweep recall/hops", || {
+        sweep(&index, &queries, &gt, 10, &[10, 40])
             .into_iter()
             .map(|p| (p.ef, p.recall.to_bits(), p.hops.to_bits()))
             .collect::<Vec<_>>()
     });
-    assert_eq!(sweep.len(), 2);
+    assert_eq!(points.len(), 2);
 }
 
 /// The index's own search (DESIGN.md §9): thread-invariant like everything

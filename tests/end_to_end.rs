@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use rpq_anns::{sweep_disk, sweep_memory, DiskIndex, DiskIndexConfig, InMemoryIndex};
+use rpq_anns::{sweep, DiskIndex, DiskIndexConfig, InMemoryIndex};
 use rpq_bench::setup::{rpq_config, store_path};
 use rpq_bench::Scale;
 use rpq_core::{train_rpq, TrainingMode};
@@ -38,8 +38,8 @@ fn full_pipeline_in_memory_rpq_not_worse_than_pq() {
     let efs = [20usize, 60];
     let pq_idx = InMemoryIndex::build(pq, &base, ProximityGraph::clone(&graph));
     let rpq_idx = InMemoryIndex::build(rpq, &base, ProximityGraph::clone(&graph));
-    let pq_pts = sweep_memory(&pq_idx, &queries, &gt, s.k, &efs);
-    let rpq_pts = sweep_memory(&rpq_idx, &queries, &gt, s.k, &efs);
+    let pq_pts = sweep(&pq_idx, &queries, &gt, s.k, &efs);
+    let rpq_pts = sweep(&rpq_idx, &queries, &gt, s.k, &efs);
 
     // At the largest beam, the learned quantizer must not lose (noticeable
     // margin allowed for noise at this tiny scale).
@@ -93,8 +93,8 @@ fn full_pipeline_hybrid_reranking_beats_adc_only() {
     .unwrap();
 
     let efs = [40usize];
-    let mem = sweep_memory(&mem_idx, &queries, &gt, s.k, &efs);
-    let disk = sweep_disk(&disk_idx, &queries, &gt, s.k, &efs);
+    let mem = sweep(&mem_idx, &queries, &gt, s.k, &efs);
+    let disk = sweep(&disk_idx, &queries, &gt, s.k, &efs);
     // The hybrid scenario reranks with exact distances: at equal beam width
     // it must reach at least the ADC-only recall.
     assert!(
@@ -134,7 +134,7 @@ fn ablation_ordering_is_sane() {
             &base,
             ProximityGraph::clone(&graph),
         );
-        let pts = sweep_memory(&idx, &queries, &gt, s.k, &[60]);
+        let pts = sweep(&idx, &queries, &gt, s.k, &[60]);
         recalls.push((mode.label(), pts[0].recall));
     }
     let full = recalls[0].1;

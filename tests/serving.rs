@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use rpq_anns::serve::{ServeConfig, ServeEngine, ShardedIndex};
 use rpq_anns::stream::StreamingConfig;
-use rpq_anns::{sweep_disk, sweep_memory, DiskIndex, DiskIndexConfig, InMemoryIndex};
+use rpq_anns::{sweep, DiskIndex, DiskIndexConfig, InMemoryIndex};
 use rpq_bench::Scale;
 use rpq_data::brute_force_knn;
 use rpq_data::synth::DatasetKind;
@@ -123,7 +123,7 @@ fn memory_sweep_invariants_hold_at_ci_scale() {
     let (base, queries, pq) = ci_bench(15, 3);
     let gt = brute_force_knn(&base, &queries, 10);
     let index = InMemoryIndex::build(pq, &base, hnsw(&base));
-    let points = sweep_memory(&index, &queries, &gt, 10, &[10, 40, 120]);
+    let points = sweep(&index, &queries, &gt, 10, &[10, 40, 120]);
     assert_eq!(points.len(), 3);
     for p in &points {
         assert!(
@@ -159,7 +159,7 @@ fn disk_sweep_invariants_hold_at_ci_scale() {
         DiskIndexConfig::new(dir.join("sweep-invariants.store")),
     )
     .unwrap();
-    let points = sweep_disk(&index, &queries, &gt, 10, &[10, 40]);
+    let points = sweep(&index, &queries, &gt, 10, &[10, 40]);
     for p in &points {
         assert!((0.0..=1.0).contains(&p.recall));
         assert!(p.io_ms > 0.0, "hybrid sweep must charge I/O time");
