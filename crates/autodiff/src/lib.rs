@@ -6,7 +6,8 @@
 //!
 //! Why build one: RPQ's training loop needs gradients through
 //!
-//! * a matrix exponential (`R = exp(A)`, adaptive vector decomposition),
+//! * the learned rotation's product with the data (adaptive vector
+//!   decomposition; the trainer turns `∂L/∂R` into a skew step itself),
 //! * Gumbel-Softmax codeword assignment (softmax / log / gather),
 //! * triplet and listwise (log-likelihood) losses over batches,
 //!
@@ -32,5 +33,5 @@ mod ops;
 mod optim;
 mod tape;
 
-pub use optim::{Adam, AdamConfig, OneCycleLr};
+pub use optim::{Adam, OneCycleLr};
 pub use tape::{Gradients, Tape, Var};

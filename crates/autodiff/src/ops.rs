@@ -7,7 +7,7 @@
 //!   output, e.g. softmax) and a sink that accumulates per-input gradients.
 
 use rand::Rng;
-use rpq_linalg::{expm, expm_vjp, Matrix};
+use rpq_linalg::Matrix;
 
 use crate::tape::{Tape, Var};
 
@@ -38,7 +38,6 @@ pub(crate) enum Op {
     Reshape(Var),
     GatherRows(Var, Vec<usize>),
     SelectPerRow(Var, Vec<usize>),
-    MatrixExp(Var),
 }
 
 impl Op {
@@ -195,9 +194,6 @@ impl Op {
                     out[(i, j)] += g[(i, 0)];
                 }
                 sink(*a, out);
-            }
-            Op::MatrixExp(a) => {
-                sink(*a, expm_vjp(tape.value(*a), g));
             }
         }
     }
@@ -449,14 +445,6 @@ impl Tape {
         }
         let ng = self.needs(a);
         self.push(v, Op::SelectPerRow(a, indices.to_vec()), ng)
-    }
-
-    /// Matrix exponential of a square matrix, with exact reverse-mode via the
-    /// adjoint Fréchet derivative.
-    pub fn matrix_exp(&mut self, a: Var) -> Var {
-        let v = expm(self.value(a));
-        let ng = self.needs(a);
-        self.push(v, Op::MatrixExp(a), ng)
     }
 
     // ---- composites -------------------------------------------------------

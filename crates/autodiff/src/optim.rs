@@ -7,28 +7,16 @@
 
 use rpq_linalg::Matrix;
 
-/// Configuration for [`Adam`].
-#[derive(Clone, Copy, Debug)]
-pub struct AdamConfig {
-    pub lr: f32,
-}
-
 /// Moment decay rates and the denominator floor, at the values of Kingma &
 /// Ba (2014), Alg. 1.
 const BETA1: f32 = 0.9;
 const BETA2: f32 = 0.999;
 const EPS: f32 = 1e-8;
 
-impl Default for AdamConfig {
-    fn default() -> Self {
-        Self { lr: 1e-3 }
-    }
-}
-
 /// Adam optimizer (Kingma & Ba 2014), one slot of first/second-moment state
 /// per parameter tensor.
 pub struct Adam {
-    cfg: AdamConfig,
+    lr: f32,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
     /// Per-parameter-slot multiplier on the learning rate (all 1 by
@@ -42,9 +30,9 @@ impl Adam {
     /// Creates the optimizer for a fixed set of parameter shapes (element
     /// counts). The order of `sizes` must match the order in which
     /// `(param, grad)` pairs are later passed to [`Adam::step`].
-    pub fn new(cfg: AdamConfig, sizes: &[usize]) -> Self {
+    pub fn new(lr: f32, sizes: &[usize]) -> Self {
         Self {
-            cfg,
+            lr,
             m: sizes.iter().map(|&s| vec![0.0; s]).collect(),
             v: sizes.iter().map(|&s| vec![0.0; s]).collect(),
             lr_scales: vec![1.0; sizes.len()],
@@ -53,16 +41,16 @@ impl Adam {
     }
 
     /// Like [`Adam::new`] with a per-slot learning-rate multiplier.
-    pub fn with_lr_scales(cfg: AdamConfig, sizes: &[usize], scales: &[f32]) -> Self {
+    pub fn with_lr_scales(lr: f32, sizes: &[usize], scales: &[f32]) -> Self {
         assert_eq!(sizes.len(), scales.len(), "one scale per parameter slot");
-        let mut adam = Self::new(cfg, sizes);
+        let mut adam = Self::new(lr, sizes);
         adam.lr_scales = scales.to_vec();
         adam
     }
 
     /// Overrides the learning rate (used by schedules).
     pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
+        self.lr = lr;
     }
 
     /// Applies one update. `updates` pairs each mutable parameter with its
@@ -79,7 +67,7 @@ impl Adam {
         let b2t = 1.0 - BETA2.powi(self.t as i32);
         for (slot, (param, grad)) in updates.iter_mut().enumerate() {
             let Some(grad) = grad else { continue };
-            let lr = self.cfg.lr * self.lr_scales[slot];
+            let lr = self.lr * self.lr_scales[slot];
             assert_eq!(
                 param.data.len(),
                 grad.data.len(),
@@ -158,7 +146,7 @@ mod tests {
         // minimise f(x) = ||x - target||^2
         let target = Matrix::from_rows(&[&[3.0, -2.0, 0.5]]);
         let mut x = Matrix::zeros(1, 3);
-        let mut adam = Adam::new(AdamConfig { lr: 0.1 }, &[3]);
+        let mut adam = Adam::new(0.1, &[3]);
         for _ in 0..400 {
             let grad = x.sub(&target).scale(2.0);
             adam.step(&mut [(&mut x, Some(&grad))]);
@@ -171,7 +159,7 @@ mod tests {
     #[test]
     fn adam_skips_missing_grads() {
         let mut x = Matrix::from_rows(&[&[1.0]]);
-        let mut adam = Adam::new(AdamConfig::default(), &[1]);
+        let mut adam = Adam::new(1e-3, &[1]);
         adam.step(&mut [(&mut x, None)]);
         assert_eq!(x.data[0], 1.0);
     }

@@ -277,48 +277,6 @@ fn grad_gather_and_select() {
 }
 
 #[test]
-fn grad_matrix_exp() {
-    let mut r = rng();
-    let p = Matrix::random_uniform(4, 4, 0.4, &mut r);
-    grad_check(
-        &p,
-        &|t, x| {
-            let e = t.matrix_exp(x);
-            let sq = t.square(e);
-            t.sum_all(sq)
-        },
-        1e-3,
-        3e-2,
-    );
-}
-
-#[test]
-fn grad_matrix_exp_through_skew_parameterisation() {
-    // The exact structure RPQ uses: R = exp(W - Wᵀ), loss on rotated data.
-    let mut r = rng();
-    let p = Matrix::random_uniform(4, 4, 0.3, &mut r);
-    let x = Matrix::random_uniform(6, 4, 1.0, &mut r);
-    let target = Matrix::random_uniform(6, 4, 1.0, &mut r);
-    grad_check(
-        &p,
-        &move |t, w| {
-            let wt = t.transpose(w);
-            let a = t.sub(w, wt);
-            let rot = t.matrix_exp(a);
-            let xc = t.constant(x.clone());
-            let rot_t = t.transpose(rot);
-            let xr = t.matmul(xc, rot_t);
-            let tg = t.constant(target.clone());
-            let diff = t.sub(xr, tg);
-            let sq = t.square(diff);
-            t.mean_all(sq)
-        },
-        1e-3,
-        3e-2,
-    );
-}
-
-#[test]
 fn grad_pairwise_sq_dist() {
     let mut r = rng();
     let p = Matrix::random_uniform(4, 3, 1.0, &mut r);

@@ -7,7 +7,8 @@
 //! paper's three components:
 //!
 //! * [`quantizer`] — the **differentiable quantizer** (§4): adaptive vector
-//!   decomposition by a learned orthonormal rotation `R = exp(W − Wᵀ)` and
+//!   decomposition by a learned orthonormal rotation `R`, moved by
+//!   `R ← R · exp(W − Wᵀ)` each step, and
 //!   differentiable codeword assignment by Gumbel-Softmax, expressed on the
 //!   `rpq-autodiff` tape so the whole quantization path back-propagates;
 //! * [`features`] — the **sampling-based feature extractor** (§5): Alg. 1's

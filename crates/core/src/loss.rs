@@ -229,7 +229,7 @@ mod tests {
             },
             data,
         );
-        dq.w = Matrix::random_uniform(8, 8, 0.05, &mut SmallRng::seed_from_u64(0));
+        dq.rotation = crate::quantizer::tests::random_rotation(8, 0.05, 0);
         dq
     }
 
@@ -256,7 +256,7 @@ mod tests {
         let lv = t.value(loss)[(0, 0)];
         assert!(lv.is_finite() && lv >= 0.0, "loss {lv}");
         let grads = t.backward(loss);
-        assert!(grads.get(vars.w).is_some());
+        assert!(grads.get(vars.rotation).is_some());
     }
 
     #[test]
@@ -283,7 +283,7 @@ mod tests {
         // NLL over 4 candidates is at most ln(4) + slack, at least ~0.
         assert!(lv.is_finite() && lv >= 0.0, "loss {lv}");
         let grads = t.backward(loss);
-        assert!(grads.get(vars.w).is_some());
+        assert!(grads.get(vars.rotation).is_some());
         for &c in &vars.codebooks {
             assert!(grads.get(c).is_some());
         }

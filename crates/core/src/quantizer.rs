@@ -3,10 +3,12 @@
 //! Two pieces make the discrete PQ pipeline differentiable:
 //!
 //! 1. **Adaptive vector decomposition**: instead of a fixed vertical split,
-//!    vectors are rotated by `R = exp(A)` with `A = W − Wᵀ` built from a
-//!    learnable matrix `W`. Orthogonality is guaranteed by construction
-//!    (`exp(A)ᵀ = exp(−A) = exp(A)⁻¹`), and gradients flow through the
-//!    matrix exponential via its Fréchet adjoint (`rpq-autodiff`).
+//!    vectors are rotated by a learned orthonormal `R`, moved as
+//!    `R ← R · exp(W − Wᵀ)` for a skew step built from a learnable `W`
+//!    (dynamic trivialization, DESIGN §4.8). Orthogonality is kept by
+//!    construction (`exp(A)ᵀ = exp(−A) = exp(A)⁻¹`); `R` is a plain tape
+//!    leaf, and [`DiffQuantizer::skew_grad`] maps its gradient to `W`'s at
+//!    `W = 0`, where the derivative of `exp` is the identity.
 //! 2. **Differentiable quantization**: codeword assignment probabilities
 //!    `p(c_jk | R x_j) = softmax(−δ(R x_j, c_jk)/τ_a)` (Eq. 6, with the
 //!    sign corrected — see DESIGN.md §4) are pushed through Gumbel-Softmax
@@ -19,7 +21,7 @@
 
 use rand::Rng;
 use rpq_autodiff::{Tape, Var};
-use rpq_linalg::{expm, Matrix};
+use rpq_linalg::{mul_expm, Matrix};
 use rpq_quant::{Codebook, OptimizedProductQuantizer, ProductQuantizer};
 
 /// Mean of a matrix's entries, floored away from zero — the stop-gradient
@@ -55,8 +57,9 @@ impl Default for DiffQuantizerConfig {
 
 /// Tape handles for one training step.
 pub struct QuantizerVars {
-    /// The learnable pre-skew matrix `W`.
-    pub w: Var,
+    /// The rotation `R`, a leaf: its gradient feeds
+    /// [`DiffQuantizer::skew_grad`].
+    pub rotation: Var,
     /// One learnable `K × dsub` codebook per chunk.
     pub codebooks: Vec<Var>,
     /// `Rᵀ` (as a tape node), the right-multiplier that rotates row
@@ -68,8 +71,9 @@ pub struct QuantizerVars {
 #[derive(Clone)]
 pub struct DiffQuantizer {
     cfg: DiffQuantizerConfig,
-    /// Learnable `D × D` matrix; the rotation is `exp(W − Wᵀ)`.
-    pub w: Matrix,
+    /// The current `D × D` rotation `R`, re-based by
+    /// [`DiffQuantizer::rebase`] after every step.
+    pub rotation: Matrix,
     /// Learnable codebooks, one `K × dsub` matrix per chunk.
     pub codebooks: Vec<Matrix>,
     dim: usize,
@@ -78,7 +82,7 @@ pub struct DiffQuantizer {
 
 impl DiffQuantizer {
     /// Builds a quantizer from an existing codebook (warm start), with the
-    /// learned rotation at identity (`W = 0`).
+    /// learned rotation at identity.
     pub fn from_codebook(cfg: DiffQuantizerConfig, codebook: &Codebook) -> Self {
         let d = codebook.dim();
         assert_eq!(cfg.m, codebook.m(), "chunk count mismatch");
@@ -88,7 +92,7 @@ impl DiffQuantizer {
             .collect();
         Self {
             cfg,
-            w: Matrix::zeros(d, d),
+            rotation: Matrix::identity(d),
             codebooks,
             dim: d,
             dsub,
@@ -112,17 +116,27 @@ impl DiffQuantizer {
 
     /// Registers the learnable parameters on a tape and computes `Rᵀ` once.
     pub fn begin(&self, t: &mut Tape) -> QuantizerVars {
-        let w = t.param(self.w.clone());
-        let wt = t.transpose(w);
-        let a = t.sub(w, wt);
-        let r = t.matrix_exp(a);
-        let rot_t = t.transpose(r);
+        let rotation = t.param(self.rotation.clone());
+        let rot_t = t.transpose(rotation);
         let codebooks = self.codebooks.iter().map(|c| t.param(c.clone())).collect();
         QuantizerVars {
-            w,
+            rotation,
             codebooks,
             rot_t,
         }
+    }
+
+    /// Given `G = ∂L/∂R`, the gradient at `W = 0` of
+    /// `W ↦ L(R · exp(W − Wᵀ))`: `RᵀG − GᵀR`.
+    pub fn skew_grad(&self, g: &Matrix) -> Matrix {
+        let rtg = self.rotation.matmul_tn(g);
+        rtg.sub(&rtg.transpose())
+    }
+
+    /// Moves the rotation by the step `W`: `R ← R · exp(W − Wᵀ)`, the
+    /// product taken in `f64` so `R` stays orthonormal over many steps.
+    pub fn rebase(&mut self, w: &Matrix) {
+        self.rotation = mul_expm(&self.rotation, &w.sub(&w.transpose()));
     }
 
     /// Rotates a constant batch on the tape: `X · Rᵀ`.
@@ -173,9 +187,9 @@ impl DiffQuantizer {
         self.quantize_rotated(t, vars, xr, tau_gumbel, rng)
     }
 
-    /// The current hard rotation `exp(W − Wᵀ)`.
-    pub fn rotation(&self) -> Matrix {
-        expm(&self.w.sub(&self.w.transpose()))
+    /// The current rotation `R`.
+    pub fn rotation(&self) -> &Matrix {
+        &self.rotation
     }
 
     /// Freezes the learned codebooks into a serving [`Codebook`].
@@ -207,9 +221,9 @@ impl DiffQuantizer {
     }
 
     /// Bytes of learnable state (paper Table 5's "model size" for RPQ:
-    /// the skew parameter matrix plus codebooks).
+    /// the rotation plus codebooks).
     pub fn model_bytes(&self) -> usize {
-        (self.w.data.len() + self.codebooks.iter().map(|c| c.data.len()).sum::<usize>()) * 4
+        (self.rotation.data.len() + self.codebooks.iter().map(|c| c.data.len()).sum::<usize>()) * 4
     }
 }
 
@@ -220,10 +234,11 @@ pub(crate) mod tests {
     use rand::SeedableRng;
     use rpq_data::synth::{SynthConfig, ValueTransform};
     use rpq_data::Dataset;
-    use rpq_linalg::is_orthonormal;
+    use rpq_linalg::{expm, is_orthonormal};
     use rpq_quant::{PqConfig, VectorCompressor};
 
-    /// The trainer's warm start without the OPQ rotation: PQ codebooks, `W = 0`.
+    /// The trainer's warm start without the OPQ rotation: PQ codebooks,
+    /// identity rotation.
     pub(crate) fn warm_start(cfg: DiffQuantizerConfig, data: &Dataset) -> DiffQuantizer {
         let mut pq = PqConfig::default();
         (pq.m, pq.k, pq.seed) = (cfg.m, cfg.k, cfg.seed);
@@ -262,10 +277,69 @@ pub(crate) mod tests {
         for (a, b) in r0.data.iter().zip(&i.data) {
             assert!((a - b).abs() < 1e-5);
         }
-        // Perturb W arbitrarily: rotation must remain orthonormal.
+        // Re-base by an arbitrary W: the rotation must remain orthonormal.
         let mut rng = SmallRng::seed_from_u64(7);
-        q.w = Matrix::random_uniform(16, 16, 1.0, &mut rng);
-        assert!(is_orthonormal(&q.rotation(), 1e-3));
+        q.rebase(&Matrix::random_uniform(16, 16, 1.0, &mut rng));
+        assert!(is_orthonormal(q.rotation(), 1e-3));
+    }
+
+    /// An orthonormal rotation away from identity: `exp` of a random skew.
+    pub(crate) fn random_rotation(dim: usize, scale: f32, seed: u64) -> Matrix {
+        let w = Matrix::random_uniform(dim, dim, scale, &mut SmallRng::seed_from_u64(seed));
+        expm(&w.sub(&w.transpose()))
+    }
+
+    #[test]
+    fn skew_grad_matches_finite_difference_of_rebase() {
+        // The loss of the old skew-parameterisation gradcheck, rotated rows
+        // against a target, through `begin`/`rotate`: `skew_grad(∂L/∂R)`
+        // must be the central difference of `W ↦ L(R · exp(W − Wᵀ))` at 0.
+        let data = toy(200, 8, 8);
+        let mut q = warm_start(
+            DiffQuantizerConfig {
+                m: 2,
+                k: 8,
+                ..Default::default()
+            },
+            &data,
+        );
+        q.rotation = random_rotation(8, 0.3, 9);
+        let mut rng = SmallRng::seed_from_u64(10);
+        let x = Matrix::random_uniform(6, 8, 1.0, &mut rng);
+        let target = Matrix::random_uniform(6, 8, 1.0, &mut rng);
+        let loss = |r: &Matrix| {
+            let diff = x.matmul_nt(r).sub(&target);
+            diff.data.iter().map(|v| v * v).sum::<f32>() / diff.data.len() as f32
+        };
+
+        let mut t = Tape::new();
+        let vars = q.begin(&mut t);
+        let xc = t.constant(x.clone());
+        let xr = q.rotate(&mut t, &vars, xc);
+        let tg = t.constant(target.clone());
+        let diff = t.sub(xr, tg);
+        let sq = t.square(diff);
+        let l = t.mean_all(sq);
+        assert!((t.value(l)[(0, 0)] - loss(&q.rotation)).abs() < 1e-6);
+        let analytic = q.skew_grad(t.backward(l).get(vars.rotation).unwrap());
+
+        let h = 1e-3f32;
+        let mut w = Matrix::zeros(8, 8);
+        for i in 0..w.data.len() {
+            let mut at = |v: f32| {
+                w.data[i] = v;
+                let mut moved = q.clone();
+                moved.rebase(&w);
+                loss(moved.rotation())
+            };
+            let fd = (at(h) - at(-h)) / (2.0 * h);
+            w.data[i] = 0.0;
+            let an = analytic.data[i];
+            assert!(
+                (an - fd).abs() <= 1e-2 * an.abs().max(fd.abs()).max(1.0),
+                "entry {i}: analytic {an}, finite-diff {fd}"
+            );
+        }
     }
 
     #[test]
@@ -319,7 +393,7 @@ pub(crate) mod tests {
             &data,
         );
         let mut rng = SmallRng::seed_from_u64(4);
-        q.w = Matrix::random_uniform(8, 8, 0.1, &mut rng);
+        q.rotation = random_rotation(8, 0.1, 4);
         let mut t = Tape::new();
         let vars = q.begin(&mut t);
         let x = t.constant(data.to_matrix(0, 16));
@@ -327,9 +401,8 @@ pub(crate) mod tests {
         let sq = t.square(xq);
         let loss = t.mean_all(sq);
         let grads = t.backward(loss);
-        assert!(grads.get(vars.w).is_some(), "no gradient for W");
-        let gw = grads.get(vars.w).unwrap();
-        assert!(gw.frob_norm() > 0.0, "zero gradient for W");
+        let gr = grads.get(vars.rotation).expect("no gradient for R");
+        assert!(gr.frob_norm() > 0.0, "zero gradient for R");
         for (j, &cv) in vars.codebooks.iter().enumerate() {
             let g = grads
                 .get(cv)

@@ -7,8 +7,8 @@
 //! decomposition"). Training it end-to-end requires:
 //!
 //! * a dense [`Matrix`] type with fast multiplication ([`matrix`]),
-//! * the matrix exponential and its *Fréchet derivative adjoint* so the
-//!   rotation can participate in reverse-mode autodiff ([`mod@expm`]),
+//! * the matrix exponential and the `f64` re-base product `R · exp(A)`
+//!   the trainer moves the rotation with ([`mod@expm`]),
 //! * the SVD behind OPQ's Procrustes step ([`decomp`]),
 //! * tight squared-Euclidean distance kernels — the inner loop of every
 //!   ANNS component ([`distance`]).
@@ -22,7 +22,7 @@ pub mod expm;
 pub mod matrix;
 
 pub use decomp::{procrustes, svd, Svd};
-pub use expm::{expm, expm_frechet, expm_vjp};
+pub use expm::{expm, mul_expm};
 pub use matrix::Matrix;
 
 /// Numerical tolerance used across tests and orthonormality checks.

@@ -342,19 +342,6 @@ impl Matrix {
         out
     }
 
-    /// Stacks matrices with equal column counts on top of each other.
-    pub fn vstack(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "vstack of nothing");
-        let cols = parts[0].cols;
-        let rows = parts.iter().map(|p| p.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            assert_eq!(p.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&p.data);
-        }
-        Matrix { rows, cols, data }
-    }
-
     /// Concatenates matrices with equal row counts side by side.
     pub fn hstack(parts: &[&Matrix]) -> Matrix {
         assert!(!parts.is_empty(), "hstack of nothing");
@@ -481,7 +468,7 @@ mod tests {
         assert!(approx_eq(&Matrix::hstack(&[&left, &right]), &a, 0.0));
         let top = a.slice_rows(0, 2);
         let bot = a.slice_rows(2, 4);
-        assert!(approx_eq(&Matrix::vstack(&[&top, &bot]), &a, 0.0));
+        assert_eq!([top.data, bot.data].concat(), a.data);
     }
 
     #[test]

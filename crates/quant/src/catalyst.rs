@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rpq_autodiff::{Adam, AdamConfig, Tape};
+use rpq_autodiff::{Adam, Tape};
 use rpq_data::ground_truth::top_k_ids;
 use rpq_data::Dataset;
 use rpq_graph::DistanceEstimator;
@@ -128,7 +128,7 @@ impl Catalyst {
             w3.data.len(),
             b3.data.len(),
         ];
-        let mut adam = Adam::new(AdamConfig::default(), &sizes);
+        let mut adam = Adam::new(1e-3, &sizes);
 
         let steps_per_epoch = (n / cfg.batch.max(1)).max(1);
         for _epoch in 0..cfg.epochs {
