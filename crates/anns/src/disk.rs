@@ -16,22 +16,20 @@
 //! charges only the I/O time **not hidden** by the previous stage's ADC
 //! scoring (`max(io, compute)` pipeline model, tracked as
 //! [`DiskSearchStats::io_stall_seconds`]). At `io_width = 1` the traversal
-//! is bit-identical to the serial engine ([`DiskIndex::search_serial`], the
-//! frozen pre-pipeline reference); wider widths trade extra speculative
-//! reads for stage-level overlap.
+//! is [`rpq_graph::beam_search`]'s, expansion for expansion, followed by an
+//! exact rerank of the best candidates (the tests pin that equality bit for
+//! bit); wider widths trade extra speculative reads for stage-level overlap.
 //!
 //! Substitution (DESIGN.md §4.2, §10): instead of a datacenter SSD we use a
-//! real file plus the queue-depth-aware [`SsdModel`]; reported "disk I/O
-//! time" is modeled, and QPS charges the modeled stall alongside measured
-//! compute. The trade-off curves (Figure 5) are governed by the number of
-//! I/Os per query, which is counted exactly (raw sectors and coalesced
-//! commands both).
+//! real file plus a per-sector read latency ([`SsdModel`]); reported "disk
+//! I/O time" is modeled, never read off a clock, and QPS charges the
+//! modeled stall alongside measured compute. The trade-off curves (Figure
+//! 5) are governed by the number of I/Os per query, which is counted
+//! exactly (raw sectors and coalesced commands both).
 
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use rpq_data::{Dataset, LabelPredicate, Labels};
@@ -41,10 +39,31 @@ use rpq_quant::{CompactCodes, VectorCompressor};
 
 use crate::cache::{CacheStats, NodeCache};
 use crate::filter::FilterStrategy;
-use crate::ssd::{SsdModel, VirtualClock};
 
 #[cfg(unix)]
 use std::os::unix::fs::FileExt;
+
+/// The simulated device (DESIGN.md §10.3): every sector read costs one
+/// fixed latency, so a batch costs its raw sectors times that latency.
+/// There is no device timeline — a query's modeled I/O is a function of
+/// what it read, never of when it ran or what else was running.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SsdModel {
+    /// Modeled latency of one sector read, µs.
+    pub per_sector_us: f32,
+}
+
+impl SsdModel {
+    /// A device whose every sector read takes `per_sector_us` µs.
+    pub fn fixed(per_sector_us: f32) -> Self {
+        Self { per_sector_us }
+    }
+
+    /// Modeled time of a batch reading `sectors` raw sectors, µs.
+    fn batch_us(&self, sectors: usize) -> f32 {
+        sectors as f32 * self.per_sector_us
+    }
+}
 
 /// Hybrid-index configuration.
 #[derive(Clone, Debug)]
@@ -62,11 +81,11 @@ pub struct DiskIndexConfig {
     /// trace-driven admission via [`DiskIndex::warm_cache_by_trace`].
     pub cache_nodes: usize,
     /// Frontier candidates fetched per pipeline stage (DiskANN's beam
-    /// width `W`). 1 = the serial best-first engine, bit-identical to
-    /// [`DiskIndex::search_serial`].
+    /// width `W`). 1 = the serial best-first engine, expanding exactly
+    /// what [`rpq_graph::beam_search`] expands.
     pub io_width: usize,
-    /// The simulated device (DESIGN.md §10). The default reproduces the
-    /// legacy fixed 100 µs/sector model exactly.
+    /// The simulated device (DESIGN.md §10.3); the default is 100 µs per
+    /// sector.
     pub ssd: SsdModel,
 }
 
@@ -109,9 +128,6 @@ pub struct DiskSearchStats {
     /// stage pipeline — what the query actually waits for. Equals
     /// `io_seconds` at `io_width = 1` (no overlap in the serial engine).
     pub io_stall_seconds: f32,
-    /// Queue wait observed on a shared [`VirtualClock`] under concurrent
-    /// serving (0 when no clock is attached).
-    pub io_queue_seconds: f32,
 }
 
 impl DiskSearchStats {
@@ -126,13 +142,6 @@ impl DiskSearchStats {
         self.cache_misses += other.cache_misses;
         self.io_seconds += other.io_seconds;
         self.io_stall_seconds += other.io_stall_seconds;
-        self.io_queue_seconds += other.io_queue_seconds;
-    }
-
-    /// Modelled seconds a query actually waits on the device: unhidden
-    /// service time plus queueing behind other queries' commands.
-    pub fn modeled_wait_seconds(&self) -> f32 {
-        self.io_stall_seconds + self.io_queue_seconds
     }
 
     /// Fraction of node lookups served from the RAM node cache (0 with no
@@ -157,22 +166,6 @@ impl From<SearchStats> for DiskSearchStats {
     }
 }
 
-/// Heap entry of [`DiskIndex::search_serial`], the frozen oracle (distance
-/// then id, matching the deterministic tie-break everywhere else).
-#[derive(PartialEq)]
-struct Pooled(f32, u32);
-impl Eq for Pooled {}
-impl PartialOrd for Pooled {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Pooled {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&o.0).then(self.1.cmp(&o.1))
-    }
-}
-
 /// A staged expansion with its cache probe resolved: `Some((neighbors,
 /// vector))` on a hit, `None` when the block must come from the batch read.
 type StagedNode<'a> = (u32, Option<(&'a [u32], &'a [f32])>);
@@ -185,14 +178,14 @@ struct NodeBlock {
 }
 
 /// Reusable result of a [`SectorStore::read_batch`]: parsed blocks aligned
-/// with the (ascending) requested ids, plus the modeled I/O shape.
+/// with the (ascending) requested ids, plus the I/O counts.
 #[derive(Default)]
 struct BatchRead {
     ids: Vec<u32>,
     blocks: Vec<NodeBlock>,
-    /// Sectors per coalesced command (adjacent requested blocks merge).
-    spans: Vec<usize>,
-    /// Total raw sectors read (== Σ spans).
+    /// Coalesced commands: runs of adjacent requested blocks.
+    runs: usize,
+    /// Total raw sectors read.
     raw_sectors: usize,
     bytes: Vec<u8>,
 }
@@ -213,7 +206,6 @@ struct SectorStore {
     max_degree: usize,
     dim: usize,
     n: usize,
-    reads: AtomicU64,
 }
 
 impl SectorStore {
@@ -252,7 +244,6 @@ impl SectorStore {
             max_degree,
             dim,
             n,
-            reads: AtomicU64::new(0),
         })
     }
 
@@ -286,30 +277,15 @@ impl SectorStore {
         }
     }
 
-    /// Reads and parses node `i`'s block into `out`. Counts I/O. The
-    /// serial engine's primitive; the pipelined path uses
-    /// [`SectorStore::read_batch`].
-    fn read_node(&self, i: u32, buf: &mut Vec<u8>, out: &mut NodeBlock) -> io::Result<()> {
-        assert!((i as usize) < self.n, "node {i} out of range");
-        buf.resize(self.block_bytes, 0);
-        let off = (i as u64) * (self.block_bytes as u64);
-        self.read_exact_at_off(buf, off)?;
-        self.reads
-            .fetch_add(self.sectors_per_block as u64, Ordering::Relaxed);
-        self.parse_block(buf, out);
-        Ok(())
-    }
-
     /// Reads the blocks of `ids` (ascending, unique) as a batch, coalescing
-    /// runs of adjacent blocks into single commands: one modeled I/O per
-    /// run, `run length × sectors_per_block` sectors each. Raw sector
-    /// counts are unchanged by coalescing — only the command count (and
-    /// with a nonzero per-command cost, the modeled time) shrinks.
+    /// runs of adjacent blocks into single commands: one pread per run,
+    /// `run length × sectors_per_block` sectors each. Coalescing changes
+    /// the command count, never the raw sector count.
     fn read_batch(&self, ids: &[u32], out: &mut BatchRead) -> io::Result<()> {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
         out.ids.clear();
         out.ids.extend_from_slice(ids);
-        out.spans.clear();
+        out.runs = 0;
         out.raw_sectors = 0;
         out.blocks
             .resize_with(ids.len().max(out.blocks.len()), NodeBlock::default);
@@ -333,13 +309,10 @@ impl SectorStore {
                 self.parse_block(img, &mut out.blocks[parsed]);
                 parsed += 1;
             }
-            let sectors = run_len * self.sectors_per_block;
-            out.spans.push(sectors);
-            out.raw_sectors += sectors;
+            out.runs += 1;
+            out.raw_sectors += run_len * self.sectors_per_block;
             run_start = run_end;
         }
-        self.reads
-            .fetch_add(out.raw_sectors as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -388,8 +361,6 @@ pub struct DiskIndex<C: VectorCompressor> {
     codes: CompactCodes,
     entry: u32,
     cache: Option<NodeCache>,
-    /// Shared device timeline for concurrent serving (queue wait).
-    clock: Option<Arc<VirtualClock>>,
     /// Per-vector label sets for filtered search (DESIGN.md §12); labels
     /// live in RAM next to the codes — one u32 per vector.
     labels: Option<Labels>,
@@ -416,7 +387,6 @@ impl<C: VectorCompressor> DiskIndex<C> {
             codes,
             entry: graph.entry(),
             cache,
-            clock: None,
             labels: None,
             cfg,
         })
@@ -432,6 +402,16 @@ impl<C: VectorCompressor> DiskIndex<C> {
     /// The attached labels, if any.
     pub fn labels(&self) -> Option<&Labels> {
         self.labels.as_ref()
+    }
+
+    /// The compact codes routing ranks by.
+    pub fn codes(&self) -> &CompactCodes {
+        &self.codes
+    }
+
+    /// The compressor.
+    pub fn compressor(&self) -> &C {
+        &self.compressor
     }
 
     /// Number of indexed vectors.
@@ -469,23 +449,6 @@ impl<C: VectorCompressor> DiskIndex<C> {
     /// of the paper's memory-fraction constraint.
     pub fn disk_bytes(&self) -> usize {
         self.store.file_bytes()
-    }
-
-    /// Re-points the engine at a different I/O policy (beam width `W` and
-    /// device model) without rebuilding the store, so one index can be
-    /// swept over `io_width × queue depth`.
-    pub fn set_io_policy(&mut self, io_width: usize, ssd: SsdModel) {
-        self.cfg.io_width = io_width.max(1);
-        self.cfg.ssd = ssd;
-    }
-
-    /// Attaches a shared device timeline: every batch issued by this index
-    /// reserves its modeled occupancy on `clock` and observes queue wait
-    /// ([`DiskSearchStats::io_queue_seconds`]). Sharded serving attaches
-    /// one clock to all disk shards so concurrent queries contend for one
-    /// modeled device.
-    pub fn attach_clock(&mut self, clock: Arc<VirtualClock>) {
-        self.clock = Some(clock);
     }
 
     /// Replaces the BFS-warmed cache with **frequency-based admission**:
@@ -549,8 +512,9 @@ impl<C: VectorCompressor> DiskIndex<C> {
 
     /// DiskANN beam search: ADC-ranked candidates, staged batch block
     /// fetches ([`DiskIndexConfig::io_width`] per stage), exact rerank of
-    /// the final list through the same batch API. At `io_width = 1`
-    /// results are bit-identical to [`DiskIndex::search_serial`].
+    /// the final list through the same batch API. At `io_width = 1` the
+    /// answer is [`rpq_graph::beam_search`]'s best `min(ef, rerank)`
+    /// candidates reranked by exact distance, bit for bit.
     pub fn search_with_scratch(
         &self,
         query: &[f32],
@@ -655,19 +619,13 @@ impl<C: VectorCompressor> DiskIndex<C> {
                     .read_batch(&miss_ids, &mut batch)
                     .expect("disk store read failed");
                 stats.io_reads += batch.raw_sectors;
-                stats.coalesced_ios += batch.spans.len();
-                ssd.batch_us(batch.spans.iter().copied(), io_width)
+                stats.coalesced_ios += batch.runs;
+                ssd.batch_us(batch.raw_sectors)
             };
-            if stage_io_us > 0.0 {
-                if let Some(clock) = &self.clock {
-                    stats.io_queue_seconds += clock.reserve_now(stage_io_us as f64) as f32 * 1e-6;
-                }
-            }
             stats.io_seconds += stage_io_us * 1e-6;
 
             // Score and admit through the shared expansion step, in popped
-            // (distance) order — identical to the serial loop at
-            // io_width = 1.
+            // (distance) order — `beam_search`'s loop at io_width = 1.
             let t0 = Instant::now();
             for &(v, cached) in &plan {
                 let (nbrs, vector): (&[u32], &[f32]) = match cached {
@@ -684,7 +642,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
 
             // Pipeline time model: a stage's reads overlap the previous
             // stage's scoring. The serial engine (width 1) cannot overlap —
-            // it blocks on every read, exactly like the pre-pipeline model.
+            // it blocks on every read.
             let stall_us = if io_width == 1 {
                 stage_io_us
             } else {
@@ -724,11 +682,8 @@ impl<C: VectorCompressor> DiskIndex<C> {
                 .expect("rerank read failed");
             stats.io_reads += batch.raw_sectors;
             stats.rerank_reads += batch.raw_sectors;
-            stats.coalesced_ios += batch.spans.len();
-            let io_us = ssd.batch_us(batch.spans.iter().copied(), io_width);
-            if let Some(clock) = &self.clock {
-                stats.io_queue_seconds += clock.reserve_now(io_us as f64) as f32 * 1e-6;
-            }
+            stats.coalesced_ios += batch.runs;
+            let io_us = ssd.batch_us(batch.raw_sectors);
             stats.io_seconds += io_us * 1e-6;
             // Nothing overlaps the tail rerank: charge it in full.
             stats.io_stall_seconds += io_us * 1e-6;
@@ -747,120 +702,6 @@ impl<C: VectorCompressor> DiskIndex<C> {
         reranked.truncate(k);
         (reranked, stats)
     }
-
-    /// The frozen pre-pipeline engine: one blocking read per expansion,
-    /// per-query hash maps, serial rerank reads. Kept verbatim as the
-    /// bit-equality oracle for [`DiskIndex::search_with_scratch`] at
-    /// `io_width = 1`. I/O time is the same [`SsdModel`] with no batching
-    /// and no overlap.
-    pub fn search_serial(
-        &self,
-        query: &[f32],
-        ef: usize,
-        k: usize,
-    ) -> (Vec<Neighbor>, DiskSearchStats) {
-        use std::cmp::Reverse;
-        use std::collections::{BinaryHeap, HashMap};
-
-        let ef = ef.max(k).max(1);
-        let mut stats = DiskSearchStats::default();
-        let est = self.compressor.estimator(&self.codes, query);
-        let mut visited: HashMap<u32, ()> = HashMap::new();
-        let mut exact: HashMap<u32, f32> = HashMap::new();
-        let mut block = Vec::new();
-        let mut node = NodeBlock::default();
-        let mut unvisited: Vec<u32> = Vec::new();
-        let mut dists: Vec<f32> = Vec::new();
-        let per_read_us = self.cfg.ssd.service_time_us(self.store.sectors_per_block);
-
-        let entry = self.entry;
-        visited.insert(entry, ());
-        let d0 = est.distance(entry);
-        stats.dist_comps += 1;
-
-        let mut frontier: BinaryHeap<Reverse<Pooled>> = BinaryHeap::new();
-        let mut pool: BinaryHeap<Pooled> = BinaryHeap::with_capacity(ef + 1);
-        frontier.push(Reverse(Pooled(d0, entry)));
-        pool.push(Pooled(d0, entry));
-
-        while let Some(Reverse(Pooled(d, v))) = frontier.pop() {
-            let worst = pool.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
-            if pool.len() == ef && d > worst {
-                break;
-            }
-            stats.hops += 1;
-            let nbrs: Vec<u32> = match self.cache.as_ref().and_then(|c| c.get(v)) {
-                Some((nbrs, vec)) => {
-                    stats.cache_hits += 1;
-                    exact.insert(v, sq_l2(query, vec));
-                    nbrs.to_vec()
-                }
-                None => {
-                    stats.cache_misses += 1;
-                    self.store
-                        .read_node(v, &mut block, &mut node)
-                        .expect("disk store read failed");
-                    stats.io_reads += self.store.sectors_per_block;
-                    stats.coalesced_ios += 1;
-                    exact.insert(v, sq_l2(query, &node.vector));
-                    node.neighbors.clone()
-                }
-            };
-            unvisited.clear();
-            for u in nbrs {
-                if visited.contains_key(&u) {
-                    continue;
-                }
-                visited.insert(u, ());
-                unvisited.push(u);
-            }
-            dists.clear();
-            dists.resize(unvisited.len(), 0.0);
-            est.distance_batch(&unvisited, &mut dists);
-            stats.dist_comps += unvisited.len();
-            for (&u, &du) in unvisited.iter().zip(dists.iter()) {
-                let worst = pool.peek().map(|s| s.0).unwrap_or(f32::INFINITY);
-                if pool.len() < ef || du < worst {
-                    frontier.push(Reverse(Pooled(du, u)));
-                    pool.push(Pooled(du, u));
-                    if pool.len() > ef {
-                        pool.pop();
-                    }
-                }
-            }
-        }
-
-        let mut candidates: Vec<(f32, u32)> = pool.into_iter().map(|Pooled(d, v)| (d, v)).collect();
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        candidates.truncate(self.cfg.rerank.max(k));
-        let mut reranked: Vec<Neighbor> = candidates
-            .into_iter()
-            .map(|(_, v)| {
-                let dist = *exact.entry(v).or_insert_with(|| {
-                    if let Some((_, vec)) = self.cache.as_ref().and_then(|c| c.get(v)) {
-                        return sq_l2(query, vec);
-                    }
-                    self.store
-                        .read_node(v, &mut block, &mut node)
-                        .expect("rerank read");
-                    stats.io_reads += self.store.sectors_per_block;
-                    stats.rerank_reads += self.store.sectors_per_block;
-                    stats.coalesced_ios += 1;
-                    sq_l2(query, &node.vector)
-                });
-                Neighbor { id: v, dist }
-            })
-            .collect();
-        reranked.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        reranked.truncate(k);
-
-        // One blocking command per block read: the full per-command service
-        // time, every time, nothing overlapped.
-        stats.io_seconds =
-            (stats.io_reads / self.store.sectors_per_block) as f32 * per_read_us * 1e-6;
-        stats.io_stall_seconds = stats.io_seconds;
-        (reranked, stats)
-    }
 }
 
 #[cfg(test)]
@@ -868,7 +709,7 @@ mod tests {
     use super::*;
     use rpq_data::ground_truth::brute_force_knn;
     use rpq_data::synth::{SynthConfig, ValueTransform};
-    use rpq_graph::VamanaConfig;
+    use rpq_graph::{beam_search, VamanaConfig};
     use rpq_quant::{PqConfig, ProductQuantizer};
 
     fn setup(n: usize, seed: u64) -> (Dataset, Dataset) {
@@ -890,46 +731,112 @@ mod tests {
         dir.join(format!("{tag}.store"))
     }
 
+    /// The default configuration over the store named `tag`.
+    fn cfg(tag: &str) -> DiskIndexConfig {
+        DiskIndexConfig::new(tmp_path(tag))
+    }
+
+    /// A corpus with its queries, Vamana graph and trained PQ — what every
+    /// index of a test is built from, so differently configured indexes
+    /// share one graph and one code set.
+    struct Parts {
+        base: Dataset,
+        queries: Dataset,
+        graph: ProximityGraph,
+        pq: ProductQuantizer,
+    }
+
+    impl Parts {
+        fn new(n: usize, seed: u64) -> Self {
+            let (base, queries) = setup(n, seed);
+            let graph = VamanaConfig {
+                r: 8,
+                l: 32,
+                ..Default::default()
+            }
+            .build(&base);
+            let pq = ProductQuantizer::train(
+                &PqConfig {
+                    m: 4,
+                    k: 64,
+                    ..Default::default()
+                },
+                &base,
+            );
+            Self {
+                base,
+                queries,
+                graph,
+                pq,
+            }
+        }
+
+        fn index(&self, cfg: DiskIndexConfig) -> DiskIndex<ProductQuantizer> {
+            DiskIndex::build(self.pq.clone(), &self.base, &self.graph, cfg).unwrap()
+        }
+
+        /// The width-1 reference, assembled from parts pinned elsewhere:
+        /// [`beam_search`] (pinned against the three-heap oracle in
+        /// `beam.rs`) over the same graph with the index's own ADC
+        /// estimator, keeping the best `min(ef, rerank)` (each clamped up to
+        /// `k`), then exact distances sorted by `(dist, id)` and cut to `k`.
+        fn reference(
+            &self,
+            index: &DiskIndex<ProductQuantizer>,
+            q: &[f32],
+            ef: usize,
+            k: usize,
+        ) -> (Vec<Neighbor>, SearchStats) {
+            let est = index.compressor.estimator(&index.codes, q);
+            let keep = ef.max(k).min(index.cfg.rerank.max(k));
+            let (routed, stats) =
+                beam_search(&self.graph, &est, ef, keep, &mut SearchScratch::new());
+            let mut exact: Vec<Neighbor> = routed
+                .iter()
+                .map(|n| Neighbor {
+                    id: n.id,
+                    dist: sq_l2(q, self.base.get(n.id as usize)),
+                })
+                .collect();
+            exact.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            exact.truncate(k);
+            (exact, stats)
+        }
+
+        /// Runs `q` through a width-1 `index` and demands the reference's
+        /// ids and distance bits, its hops and distance computations, and
+        /// one block read per store lookup. Returns the search's stats.
+        fn assert_matches_reference(
+            &self,
+            index: &DiskIndex<ProductQuantizer>,
+            q: &[f32],
+            ef: usize,
+            ctx: &str,
+        ) -> DiskSearchStats {
+            let (got, stats) = index.search(q, ef, 10);
+            let (want, want_stats) = self.reference(index, q, ef, 10);
+            assert_bit_identical(&got, &want, ctx);
+            assert_eq!(stats.hops, want_stats.hops, "{ctx}: hop counts diverge");
+            assert_eq!(
+                stats.dist_comps, want_stats.dist_comps,
+                "{ctx}: distance computations diverge"
+            );
+            assert_eq!(
+                stats.io_reads,
+                stats.cache_misses * index.store.sectors_per_block,
+                "{ctx}: every store lookup reads one block"
+            );
+            stats
+        }
+    }
+
     fn build_index(
         n: usize,
         seed: u64,
         tag: &str,
     ) -> (DiskIndex<ProductQuantizer>, Dataset, Dataset) {
-        build_index_with(n, seed, tag, 0)
-    }
-
-    fn build_index_with(
-        n: usize,
-        seed: u64,
-        tag: &str,
-        cache_nodes: usize,
-    ) -> (DiskIndex<ProductQuantizer>, Dataset, Dataset) {
-        let (base, queries) = setup(n, seed);
-        let graph = VamanaConfig {
-            r: 8,
-            l: 32,
-            ..Default::default()
-        }
-        .build(&base);
-        let pq = ProductQuantizer::train(
-            &PqConfig {
-                m: 4,
-                k: 64,
-                ..Default::default()
-            },
-            &base,
-        );
-        let index = DiskIndex::build(
-            pq,
-            &base,
-            &graph,
-            DiskIndexConfig {
-                cache_nodes,
-                ..DiskIndexConfig::new(tmp_path(tag))
-            },
-        )
-        .unwrap();
-        (index, base, queries)
+        let parts = Parts::new(n, seed);
+        (parts.index(cfg(tag)), parts.base, parts.queries)
     }
 
     fn ids(res: &[Neighbor]) -> Vec<u32> {
@@ -948,6 +855,19 @@ mod tests {
                 y.dist
             );
         }
+    }
+
+    #[test]
+    fn fixed_model_matches_legacy_per_sector_accounting() {
+        // Billing a batch as raw sectors × latency equals billing each of
+        // its coalesced commands and summing: at 100 µs/sector every partial
+        // sum is an exact f32, so how reads coalesce cannot change a bit.
+        let m = SsdModel::fixed(100.0);
+        let commands = [1usize, 1, 3, 2, 8];
+        let summed = commands.iter().fold(0.0f32, |acc, &s| acc + m.batch_us(s));
+        let total = m.batch_us(commands.iter().sum());
+        assert_eq!(total.to_bits(), summed.to_bits());
+        assert_eq!(total, 1500.0);
     }
 
     #[test]
@@ -1004,39 +924,13 @@ mod tests {
 
     #[test]
     fn node_cache_cuts_io_without_changing_results() {
-        let (base, queries) = setup(500, 6);
-        let graph = VamanaConfig {
-            r: 8,
-            l: 32,
-            ..Default::default()
-        }
-        .build(&base);
-        let pq = ProductQuantizer::train(
-            &PqConfig {
-                m: 4,
-                k: 64,
-                ..Default::default()
-            },
-            &base,
-        );
-        let plain = DiskIndex::build(
-            pq.clone(),
-            &base,
-            &graph,
-            DiskIndexConfig::new(tmp_path("nocache")),
-        )
-        .unwrap();
-        let cached = DiskIndex::build(
-            pq,
-            &base,
-            &graph,
-            DiskIndexConfig {
-                cache_nodes: 200,
-                ..DiskIndexConfig::new(tmp_path("cache"))
-            },
-        )
-        .unwrap();
-        let q = queries.get(0);
+        let parts = Parts::new(500, 6);
+        let plain = parts.index(cfg("nocache"));
+        let cached = parts.index(DiskIndexConfig {
+            cache_nodes: 200,
+            ..cfg("cache")
+        });
+        let q = parts.queries.get(0);
         let (r_plain, s_plain) = plain.search(q, 40, 10);
         let (r_cached, s_cached) = cached.search(q, 40, 10);
         assert_eq!(
@@ -1064,12 +958,12 @@ mod tests {
         }
         .build(&base);
         let store = SectorStore::build(&tmp_path("roundtrip"), &base, &graph, 4096).unwrap();
-        let mut buf = Vec::new();
-        let mut node = NodeBlock::default();
+        let mut batch = BatchRead::default();
+        store.read_batch(&[0, 50, 99], &mut batch).unwrap();
         for i in [0u32, 50, 99] {
-            store.read_node(i, &mut buf, &mut node).unwrap();
-            assert_eq!(node.neighbors, graph.neighbors(i));
-            assert_eq!(&node.vector[..], base.get(i as usize));
+            let block = batch.block(i);
+            assert_eq!(block.neighbors, graph.neighbors(i));
+            assert_eq!(&block.vector[..], base.get(i as usize));
         }
     }
 
@@ -1089,62 +983,56 @@ mod tests {
         // sectors; raw sectors are unchanged.
         let mut batch = BatchRead::default();
         store.read_batch(&[10, 11, 12, 13], &mut batch).unwrap();
-        assert_eq!(batch.spans, vec![4 * spb], "adjacent run must coalesce");
+        assert_eq!(batch.runs, 1, "adjacent run must coalesce");
         assert_eq!(batch.raw_sectors, 4 * spb);
 
         // Disjoint blocks stay separate commands.
         store.read_batch(&[1, 5, 9], &mut batch).unwrap();
-        assert_eq!(batch.spans, vec![spb, spb, spb]);
-        assert_eq!(batch.raw_sectors, 3 * spb);
+        assert_eq!((batch.runs, batch.raw_sectors), (3, 3 * spb));
 
         // Mixed: two runs.
         store.read_batch(&[3, 4, 90], &mut batch).unwrap();
-        assert_eq!(batch.spans, vec![2 * spb, spb]);
+        assert_eq!((batch.runs, batch.raw_sectors), (2, 3 * spb));
 
-        // Batched contents must match the serial primitive byte for byte.
-        let mut buf = Vec::new();
-        let mut node = NodeBlock::default();
-        store.read_batch(&[3, 4, 90], &mut batch).unwrap();
-        for &id in &[3u32, 4, 90] {
-            store.read_node(id, &mut buf, &mut node).unwrap();
+        // A coalesced read still parses every block as its own node.
+        for id in [3u32, 4, 90] {
             let block = batch.block(id);
-            assert_eq!(block.neighbors, node.neighbors);
-            assert_eq!(block.vector, node.vector);
+            assert_eq!(block.neighbors, graph.neighbors(id));
+            assert_eq!(&block.vector[..], base.get(id as usize));
         }
     }
 
     #[test]
     fn width1_is_bit_identical_to_the_serial_oracle() {
-        let (index, _, queries) = build_index(600, 9, "bitident");
-        for (qi, q) in queries.iter().enumerate() {
-            let (pipe, sp) = index.search(q, 50, 10);
-            let (serial, ss) = index.search_serial(q, 50, 10);
-            assert_bit_identical(&pipe, &serial, &format!("query {qi}"));
-            assert_eq!(sp.hops, ss.hops, "query {qi}: hop counts diverge");
-            assert_eq!(
-                sp.io_reads, ss.io_reads,
-                "query {qi}: raw sector counts diverge"
-            );
-            // Under the fixed model (zero per-command cost, one channel)
-            // coalescing cannot change modeled time; the engines only
-            // differ in f32 summation order.
+        let parts = Parts::new(600, 9);
+        let index = parts.index(cfg("bitident"));
+        for (qi, q) in parts.queries.iter().enumerate() {
+            let stats = parts.assert_matches_reference(&index, q, 50, &format!("query {qi}"));
+            // The fixed model bills every sector read at 100 µs; the
+            // per-stage f32 sums may round differently from one product.
             assert!(
-                (sp.io_seconds - ss.io_seconds).abs() < 1e-6,
-                "query {qi}: modeled io time diverges ({} vs {})",
-                sp.io_seconds,
-                ss.io_seconds
+                (stats.io_seconds - stats.io_reads as f32 * 100e-6).abs() < 1e-6,
+                "query {qi}: modeled io time {} for {} sectors",
+                stats.io_seconds,
+                stats.io_reads
             );
         }
     }
 
     #[test]
     fn width1_is_bit_identical_with_a_cache() {
-        let (index, _, queries) = build_index_with(600, 10, "bitident-cache", 150);
-        for (qi, q) in queries.iter().enumerate() {
-            let (pipe, _) = index.search(q, 50, 10);
-            let (serial, _) = index.search_serial(q, 50, 10);
-            assert_bit_identical(&pipe, &serial, &format!("cached query {qi}"));
+        let parts = Parts::new(600, 10);
+        let index = parts.index(DiskIndexConfig {
+            cache_nodes: 150,
+            ..cfg("bitident-cache")
+        });
+        let mut hits = 0usize;
+        for (qi, q) in parts.queries.iter().enumerate() {
+            hits += parts
+                .assert_matches_reference(&index, q, 50, &format!("cached {qi}"))
+                .cache_hits;
         }
+        assert!(hits > 0, "the BFS-warmed cache must serve some lookups");
     }
 
     #[test]
@@ -1164,19 +1052,17 @@ mod tests {
                     stats.rerank_reads, 0,
                     "routing already fetched every reranked candidate"
                 );
-                let (_, serial) = index.search_serial(q, ef, 10);
-                assert_eq!(serial.rerank_reads, 0);
             }
         }
     }
 
     #[test]
     fn pipeline_hides_io_behind_compute() {
-        let (mut index, _, queries) = build_index(600, 12, "pipeline");
-        let q = queries.get(0);
+        let parts = Parts::new(600, 12);
+        let q = parts.queries.get(0);
 
         // Serial semantics: every modeled microsecond stalls the query.
-        let (_, s1) = index.search(q, 60, 10);
+        let (_, s1) = parts.index(cfg("pipeline")).search(q, 60, 10);
         assert!(
             (s1.io_stall_seconds - s1.io_seconds).abs() < 1e-9,
             "width 1 cannot overlap: stall {} vs io {}",
@@ -1185,9 +1071,12 @@ mod tests {
         );
 
         // Wider stages overlap reads with the previous stage's scoring and
-        // batch commands at depth: the stall can only shrink.
-        index.set_io_policy(8, SsdModel::nvme());
-        let (_, s8) = index.search(q, 60, 10);
+        // coalesce adjacent blocks: the stall can only shrink.
+        let wide = parts.index(DiskIndexConfig {
+            io_width: 8,
+            ..cfg("pipeline-wide")
+        });
+        let (_, s8) = wide.search(q, 60, 10);
         assert!(
             s8.io_stall_seconds <= s8.io_seconds + 1e-9,
             "stall must never exceed modeled io"
@@ -1197,29 +1086,30 @@ mod tests {
 
     #[test]
     fn wider_io_width_reads_more_but_keeps_quality() {
-        let (mut index, base, queries) = build_index(600, 13, "width");
-        let gt = brute_force_knn(&base, &queries, 10);
-        let mut reads1 = 0usize;
-        let mut results1 = Vec::new();
-        for q in queries.iter() {
-            let (res, stats) = index.search(q, 60, 10);
-            reads1 += stats.io_reads;
-            results1.push(ids(&res));
-        }
-        index.set_io_policy(8, SsdModel::fixed(100.0));
-        let mut reads8 = 0usize;
-        let mut results8 = Vec::new();
-        for q in queries.iter() {
-            let (res, stats) = index.search(q, 60, 10);
-            reads8 += stats.io_reads;
-            results8.push(ids(&res));
-        }
+        let parts = Parts::new(600, 13);
+        let gt = brute_force_knn(&parts.base, &parts.queries, 10);
+        let pass = |index: &DiskIndex<ProductQuantizer>| {
+            let mut reads = 0usize;
+            let results: Vec<Vec<u32>> = parts
+                .queries
+                .iter()
+                .map(|q| {
+                    let (res, stats) = index.search(q, 60, 10);
+                    reads += stats.io_reads;
+                    ids(&res)
+                })
+                .collect();
+            (reads, gt.recall(&results))
+        };
+        let (reads1, r1) = pass(&parts.index(cfg("width")));
+        let (reads8, r8) = pass(&parts.index(DiskIndexConfig {
+            io_width: 8,
+            ..cfg("width-8")
+        }));
         assert!(
             reads8 >= reads1,
             "speculative width-8 frontier cannot read less: {reads8} vs {reads1}"
         );
-        let r1 = gt.recall(&results1);
-        let r8 = gt.recall(&results8);
         assert!(
             r8 >= r1 - 0.02,
             "width 8 must stay within the recall envelope: {r8} vs {r1}"
@@ -1228,12 +1118,12 @@ mod tests {
 
     #[test]
     fn trace_warming_pins_hot_nodes_and_preserves_results() {
-        let (mut index, _, queries) = build_index_with(600, 14, "tracewarm", 150);
-        let (warm, eval) = queries.split_at(10);
-        let serial: Vec<_> = eval
-            .iter()
-            .map(|q| index.search_serial(q, 50, 10).0)
-            .collect();
+        let parts = Parts::new(600, 14);
+        let mut index = parts.index(DiskIndexConfig {
+            cache_nodes: 150,
+            ..cfg("tracewarm")
+        });
+        let (warm, eval) = parts.queries.split_at(10);
 
         let pinned = index.warm_cache_by_trace(&warm, 50);
         assert!(pinned > 0, "warm-up traffic must pin something");
@@ -1241,8 +1131,7 @@ mod tests {
 
         let mut hits = 0usize;
         for (qi, q) in eval.iter().enumerate() {
-            let (res, stats) = index.search(q, 50, 10);
-            assert_bit_identical(&res, &serial[qi], &format!("trace-warmed query {qi}"));
+            let stats = parts.assert_matches_reference(&index, q, 50, &format!("warmed {qi}"));
             hits += stats.cache_hits;
         }
         assert!(
@@ -1297,21 +1186,5 @@ mod tests {
             );
             assert_bit_identical(&plain, &filtered, "all-matching filter");
         }
-    }
-
-    #[test]
-    fn attached_clock_accumulates_queue_wait() {
-        let (mut index, _, queries) = build_index(400, 15, "clock");
-        index.attach_clock(Arc::new(VirtualClock::new()));
-        let q = queries.get(0);
-        let (_, first) = index.search(q, 40, 10);
-        // The first query reserved milliseconds of modeled device time;
-        // the second arrives (in wall time) long before that drains.
-        let (_, second) = index.search(queries.get(1), 40, 10);
-        assert!(first.io_seconds > 0.0);
-        assert!(
-            second.io_queue_seconds > 0.0,
-            "back-to-back queries must observe device occupancy"
-        );
     }
 }

@@ -52,7 +52,6 @@ pub(crate) struct QueryMeans {
     pub hops: f32,
     pub io_ms: f32,
     pub stall_ms: f32,
-    pub queue_ms: f32,
     pub coalesced_ios: f32,
     pub cache_hit_rate: f32,
 }
@@ -65,7 +64,6 @@ impl QueryMeans {
             hops: total.hops as f32 / n,
             io_ms: total.io_seconds * 1e3 / n,
             stall_ms: total.io_stall_seconds * 1e3 / n,
-            queue_ms: total.io_queue_seconds * 1e3 / n,
             coalesced_ios: total.coalesced_ios as f32 / n,
             cache_hit_rate: total.cache_hit_rate(),
         }

@@ -15,8 +15,10 @@
 //!
 //! [`harness`] runs query batches in parallel and produces the
 //! QPS / recall@k / hops / disk-I/O curves every figure in the paper's §8
-//! is built from. Disk latency is a configurable per-read model added to
-//! measured compute time (DESIGN.md §4 substitution: simulated SSD).
+//! is built from. Disk latency is a per-sector model ([`SsdModel`]): the
+//! modeled stall a query's reads cost is charged beside measured compute
+//! time, never read off a clock (DESIGN.md §4.2 substitution: simulated
+//! SSD).
 //!
 //! [`serve`] is the online counterpart of the offline harness: a sharded
 //! concurrent serving layer — round-robin partitions over independent
@@ -35,11 +37,10 @@ pub mod filter;
 pub mod harness;
 pub mod memory;
 pub mod serve;
-pub mod ssd;
 pub mod stream;
 
 pub use cache::{CacheStats, NodeCache};
-pub use disk::{DiskIndex, DiskIndexConfig, DiskSearchStats};
+pub use disk::{DiskIndex, DiskIndexConfig, DiskSearchStats, SsdModel};
 pub use filter::FilterStrategy;
 pub use harness::{hybrid_qps, qps_at_recall, sweep, SweepPoint};
 pub use memory::InMemoryIndex;
@@ -47,5 +48,4 @@ pub use serve::{
     BatchReport, LatencySummary, MutableShardBackend, ServeConfig, ServeEngine, ShardBackend,
     ShardQueryStats, ShardedIndex, WorkerPool,
 };
-pub use ssd::SsdModel;
 pub use stream::{ConsolidateReport, StreamingConfig, StreamingIndex};

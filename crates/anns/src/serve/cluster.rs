@@ -27,7 +27,7 @@
 //!
 //! Time is virtual: arrivals come from an [`ArrivalSchedule`], service
 //! times from a [`CostModel`] over deterministic work counters, and queue
-//! waits from per-replica [`VirtualClock`](crate::ssd::VirtualClock)s. On
+//! waits from per-replica virtual timelines. On
 //! this 1-core container that is the honest way to measure goodput and p99
 //! under overload (DESIGN.md §11.4); it also makes every run
 //! bit-reproducible, which is what lets tests/determinism.rs pin the whole
@@ -476,11 +476,6 @@ impl ClusterEngine {
         }
     }
 
-    /// The admission gate configuration.
-    pub fn admission(&self) -> AdmissionConfig {
-        self.admission
-    }
-
     /// Runs `f` under the read lock — a consistent membership snapshot.
     pub fn with_read<R>(&self, f: impl FnOnce(&ClusterIndex) -> R) -> R {
         f(&self.cluster.read())
@@ -726,28 +721,23 @@ mod tests {
 
     /// The cluster view and the plain view of two identically-built tables
     /// must agree at a finite `ef` — neighbors bit for bit and every work
-    /// counter — unfiltered and under each predicate × strategy. Replica
-    /// choice, failover order and virtual-time bookkeeping are the only
-    /// things the cluster view adds, and none of them may show.
+    /// counter, modeled I/O included (disk shards run at `io_width` 1, so
+    /// their stall is the full device bill) — unfiltered and under each
+    /// predicate × strategy. Replica choice, failover order and
+    /// virtual-time bookkeeping are the only things the cluster view adds,
+    /// and none of them may show.
     fn assert_views_agree(
         cluster: &ClusterIndex,
         reference: &ShardedIndex,
         queries: &Dataset,
         ef: usize,
     ) {
-        // Disk shards charge queue wait off a wall-clock-driven device
-        // timeline (`VirtualClock::reserve_now`): the one column that is not a pure
-        // function of the query.
-        let counters = |mut stats: ShardQueryStats| {
-            stats.io_queue_seconds = 0.0;
-            stats
-        };
         let mut scratch = SearchScratch::new();
         for (qi, q) in queries.iter().enumerate() {
             let (got, got_stats) = cluster.search(q, ef, 10, &mut scratch).unwrap();
             let (want, want_stats) = reference.search(q, ef, 10, &mut scratch);
             assert_eq!(got, want, "query {qi} diverged unfiltered");
-            assert_eq!(counters(got_stats), counters(want_stats), "query {qi}");
+            assert_eq!(got_stats, want_stats, "query {qi}");
             for strategy in [
                 FilterStrategy::DuringTraversal,
                 FilterStrategy::PostFilter { inflation: 4 },
@@ -759,7 +749,7 @@ mod tests {
                 let (want, want_stats) =
                     reference.search_filtered(q, pred, strategy, ef, 10, &mut scratch);
                 assert_eq!(got, want, "query {qi} diverged under {}", strategy.name());
-                assert_eq!(counters(got_stats), counters(want_stats), "query {qi}");
+                assert_eq!(got_stats, want_stats, "query {qi}");
             }
         }
     }
@@ -1366,36 +1356,62 @@ mod tests {
     #[test]
     fn open_loop_run_is_reproducible() {
         let (base, queries) = setup(140, 43);
+        let labels = Labels::from_masks(4, (0..140).map(|i| 1u32 << (i % 4)).collect());
         let pq = pq(&base);
-        let mk = || {
-            let cluster = ClusterIndex::build_in_memory(
-                &pq,
-                &base,
-                2,
-                2,
-                LoadBalancePolicy::QueueAware,
-                graph_builder,
-            );
-            ClusterEngine::new(
-                cluster,
-                AdmissionConfig {
-                    queue_cap: 8,
-                    deadline_us: Some(10_000.0),
-                    ..Default::default()
-                },
-                CostModel::default(),
-            )
-        };
         let schedule = ArrivalSchedule::open_loop(400, 20_000.0, queries.len(), 3, 44);
-        let (o1, r1) = mk().serve_open_loop(&queries, &schedule, 40, 5);
-        let (o2, r2) = mk().serve_open_loop(&queries, &schedule, 40, 5);
-        assert_eq!(o1, o2, "same schedule, same outcomes, bit for bit");
-        assert_eq!(r1.latency, r2.latency);
-        assert_eq!(r1.tenants, r2.tenants);
-        // And a third run on the SAME engine (reset_virtual_time) agrees.
-        let eng = mk();
-        let (o3, _) = eng.serve_open_loop(&queries, &schedule, 40, 5);
-        let (o4, _) = eng.serve_open_loop(&queries, &schedule, 40, 5);
-        assert_eq!(o3, o4, "virtual state must reset between runs");
+        for kind in [Kind::Memory, Kind::Disk] {
+            let mk = |tag: &str| {
+                ClusterEngine::new(
+                    ClusterIndex::new(
+                        table(kind, &pq, &base, &labels, tag).with_replicas(2),
+                        LoadBalancePolicy::QueueAware,
+                    ),
+                    AdmissionConfig {
+                        queue_cap: 8,
+                        deadline_us: Some(10_000.0),
+                        ..Default::default()
+                    },
+                    CostModel::default(),
+                )
+            };
+            let (o1, r1) = mk("replay-1").serve_open_loop(&queries, &schedule, 40, 5);
+            let (o2, r2) = mk("replay-2").serve_open_loop(&queries, &schedule, 40, 5);
+            assert_eq!(
+                o1, o2,
+                "{kind:?}: same schedule, same outcomes, bit for bit"
+            );
+            assert_eq!(r1.latency, r2.latency, "{kind:?}");
+            assert_eq!(r1.tenants, r2.tenants, "{kind:?}");
+            // Not an all-shed run, which would replay trivially.
+            assert!(r1.completed > 0, "{kind:?}: nothing completed");
+            // And a third run on the SAME engine (reset_virtual_time) agrees.
+            let eng = mk("replay-3");
+            let (o3, _) = eng.serve_open_loop(&queries, &schedule, 40, 5);
+            let (o4, _) = eng.serve_open_loop(&queries, &schedule, 40, 5);
+            assert_eq!(o3, o4, "{kind:?}: virtual state must reset between runs");
+        }
+    }
+
+    /// A disk shard's modeled I/O is a function of what the query read:
+    /// the same query twice reports the same counters, and the admission
+    /// gate prices it the same.
+    #[test]
+    fn repeated_disk_reads_report_equal_stats_and_cost() {
+        let (base, queries) = setup(140, 45);
+        let labels = Labels::from_masks(4, (0..140).map(|i| 1u32 << (i % 4)).collect());
+        let table = table(Kind::Disk, &pq(&base), &base, &labels, "repeat");
+        let cost = CostModel::default();
+        let mut scratch = SearchScratch::new();
+        for q in queries.iter() {
+            let (first_ids, first) = table.search(q, 40, 10, &mut scratch);
+            let (second_ids, second) = table.search(q, 40, 10, &mut scratch);
+            assert_eq!(first_ids, second_ids);
+            assert_eq!(first, second);
+            assert!(first.io_stall_seconds > 0.0);
+            assert_eq!(
+                cost.service_us(&first).to_bits(),
+                cost.service_us(&second).to_bits()
+            );
+        }
     }
 }

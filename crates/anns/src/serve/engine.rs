@@ -60,10 +60,9 @@ pub struct BatchReport {
     pub wall_seconds: f32,
     /// Throughput: `queries / wall_seconds`.
     pub qps: f32,
-    /// Per-query latency percentiles for this batch. For disk shards each
-    /// sample is measured wall time **plus** the query's modelled device
-    /// wait (unhidden stall + queueing on the shared device timeline), so
-    /// tails reflect the simulated SSD, not just compute.
+    /// Per-query latency percentiles for this batch: measured wall time
+    /// only. Disk shards' modelled device time is reported beside it
+    /// (`mean_io_ms`, `mean_stall_ms`), never added into it.
     pub latency: LatencySummary,
     /// Mean next-hop selections per query (summed across shards).
     pub mean_hops: f32,
@@ -72,9 +71,6 @@ pub struct BatchReport {
     pub mean_io_ms: f32,
     /// Mean modelled unhidden-I/O stall per query, milliseconds.
     pub mean_stall_ms: f32,
-    /// Mean modelled device-queue wait per query, milliseconds — grows
-    /// without bound once offered load passes the device's throughput.
-    pub mean_queue_ms: f32,
     /// Mean coalesced I/O commands per query.
     pub mean_coalesced_ios: f32,
     /// Fraction of node lookups served from shard RAM caches (0 with
@@ -170,8 +166,7 @@ impl ServeEngine {
     /// becomes one job per shard on the pool; the calling thread merges as
     /// jobs report and calls `done(position in window, top-k, stats summed
     /// across shards, latency µs)` the moment a query's last shard does. A
-    /// query's latency is measured wall time since its submission plus its
-    /// own modelled device wait (stall + queue) across its shards.
+    /// query's latency is the wall time since its submission.
     ///
     /// The filter is `Copy`, so each job carries it by value, and each job
     /// sends its shard's `Result` back — a typed fault surfaces here, on
@@ -219,8 +214,7 @@ impl ServeEngine {
             q.partials.push(part);
             q.pending -= 1;
             if q.pending == 0 {
-                let us = q.submitted.elapsed().as_secs_f32() * 1e6
-                    + q.stats.modeled_wait_seconds() * 1e6;
+                let us = q.submitted.elapsed().as_secs_f32() * 1e6;
                 self.recorder.record_us(us);
                 let merged = merge_top_k(&std::mem::take(&mut q.partials), k);
                 done(w, merged, q.stats, us);
@@ -269,7 +263,6 @@ impl ServeEngine {
             mean_hops: means.hops,
             mean_io_ms: means.io_ms,
             mean_stall_ms: means.stall_ms,
-            mean_queue_ms: means.queue_ms,
             mean_coalesced_ios: means.coalesced_ios,
             cache_hit_rate: means.cache_hit_rate,
         };
@@ -504,80 +497,6 @@ mod tests {
         let _ = eng.search(queries.get(0), 20, 5);
         assert_eq!(eng.queries_served(), queries.len() + 1);
         assert_eq!(eng.metrics().count, queries.len() + 1);
-    }
-
-    #[test]
-    fn disk_serving_p99_saturates_on_a_slow_device() {
-        use crate::disk::DiskIndexConfig;
-        use crate::ssd::SsdModel;
-
-        let (base, queries) = setup(300, 26);
-        let pq = ProductQuantizer::train(
-            &PqConfig {
-                m: 4,
-                k: 16,
-                ..Default::default()
-            },
-            &base,
-        );
-        let dir = std::env::temp_dir().join("rpq-serve-saturation");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mk = |tag: &str, ssd: SsdModel| {
-            let cfg = DiskIndexConfig {
-                ssd,
-                ..DiskIndexConfig::new(dir.join(format!("{tag}.store")))
-            };
-            let index = Arc::new(
-                ShardedIndex::build_on_disk(&pq, &base, None, 2, &cfg, graph_builder).unwrap(),
-            );
-            ServeEngine::new(
-                index,
-                ServeConfig {
-                    workers: 4,
-                    max_batch: 32,
-                },
-            )
-        };
-        // Three devices, same traffic: sub-µs commands (never saturates at
-        // this offered load), 500 µs/sector, 5 ms/sector.
-        let fast = mk(
-            "fast",
-            SsdModel {
-                service_us: 0.5,
-                transfer_us_per_sector: 0.05,
-                channels: 8,
-            },
-        );
-        let med = mk("med", SsdModel::fixed(500.0));
-        let slow = mk("slow", SsdModel::fixed(5000.0));
-        let (_, rf) = fast.serve_batch(&queries, 40, 5);
-        let (_, rm) = med.serve_batch(&queries, 40, 5);
-        let (_, rs) = slow.serve_batch(&queries, 40, 5);
-
-        // Latency tails are dominated by the modelled device, so the
-        // ordering is strict and by wide margins wall noise cannot bridge:
-        // tens of modelled ms per query on `slow` vs sub-ms on `fast`.
-        assert!(
-            rm.latency.p99_us > rf.latency.p99_us,
-            "p99 must grow with device cost: {} vs {}",
-            rm.latency.p99_us,
-            rf.latency.p99_us
-        );
-        assert!(
-            rs.latency.p99_us > rm.latency.p99_us * 2.0,
-            "a 10x slower device must blow out the tail: {} vs {}",
-            rs.latency.p99_us,
-            rm.latency.p99_us
-        );
-        // The slow device cannot drain the offered load: queries queue
-        // behind each other's commands on the shared timeline. The fast
-        // device absorbs the same load with (almost) no queueing.
-        assert!(rs.mean_queue_ms > 0.0, "overload must queue");
-        assert!(rs.mean_stall_ms > 0.0);
-        assert!(
-            rs.mean_queue_ms > rf.mean_queue_ms,
-            "queueing must grow with load relative to device throughput"
-        );
     }
 
     #[test]

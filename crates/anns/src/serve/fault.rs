@@ -56,7 +56,7 @@ pub struct FlakyBackend {
     /// Probability in [0, 1] (f32 bits) that a given read fails.
     fail_rate_bits: AtomicU32,
     /// Extra modeled latency injected per read, in µs (f32 bits). Charged
-    /// to `io_queue_seconds` so the admission cost model sees the spike.
+    /// to `io_stall_seconds` so the admission cost model sees the spike.
     stall_us_bits: AtomicU32,
     /// Reads attempted (failed or not) — lets tests prove shed requests
     /// were never executed.
@@ -119,7 +119,7 @@ impl ShardBackend for FlakyBackend {
     /// On success the result is exactly the inner backend's (never
     /// truncated or reordered — corruption is not one of the simulated
     /// faults; DESIGN.md §11.5 says why), with any injected stall charged
-    /// to the stats' queue-wait column.
+    /// to the stats' modeled stall column.
     fn search_local(
         &self,
         query: &[f32],
@@ -145,7 +145,7 @@ impl ShardBackend for FlakyBackend {
         let (res, mut stats) = self.inner.search_local(query, filter, ef, k, scratch)?;
         let stall_us = f32::from_bits(self.stall_us_bits.load(Ordering::Relaxed));
         if stall_us > 0.0 {
-            stats.io_queue_seconds += stall_us / 1e6;
+            stats.io_stall_seconds += stall_us / 1e6;
         }
         Ok((res, stats))
     }
@@ -231,6 +231,6 @@ mod tests {
         flaky.set_stall_us(2_000.0);
         let (stalled, stats) = flaky.search_local(&[], None, 4, 3, &mut scratch).unwrap();
         assert_eq!(clean, stalled, "stall must not change results");
-        assert!((stats.io_queue_seconds - base.io_queue_seconds - 2e-3).abs() < 1e-6);
+        assert!((stats.io_stall_seconds - base.io_stall_seconds - 2e-3).abs() < 1e-6);
     }
 }

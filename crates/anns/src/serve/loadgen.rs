@@ -192,8 +192,9 @@ impl ArrivalSchedule {
 
 /// Converts a query's deterministic work counters into modeled service
 /// time. Distance evaluations and hops are the thread-invariant cost
-/// drivers (DESIGN.md §7.6); modeled I/O waits pass through as-is, which
-/// is how an injected device stall (fault.rs) reaches the admission gate.
+/// drivers (DESIGN.md §7.6); the modeled I/O stall passes through as-is,
+/// which is how a disk shard's device time and an injected stall
+/// (fault.rs) reach the admission gate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Per-request overhead, µs.
@@ -221,7 +222,7 @@ impl CostModel {
         self.fixed_us as f64
             + self.per_dist_us as f64 * stats.dist_comps as f64
             + self.per_hop_us as f64 * stats.hops as f64
-            + stats.modeled_wait_seconds() as f64 * 1e6
+            + stats.io_stall_seconds as f64 * 1e6
     }
 }
 
@@ -305,8 +306,7 @@ mod tests {
         let stats = ShardQueryStats {
             hops: 3,
             dist_comps: 10,
-            io_stall_seconds: 1e-6,
-            io_queue_seconds: 2e-6,
+            io_stall_seconds: 3e-6,
             ..Default::default()
         };
         // 1 + 0.5*10 + 2*3 + 3 = 15 (f32 stats, so micro-µs slack)

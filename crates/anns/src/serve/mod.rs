@@ -52,8 +52,8 @@ use rpq_quant::VectorCompressor;
 use crate::disk::{DiskIndex, DiskIndexConfig, DiskSearchStats};
 use crate::filter::FilterStrategy;
 use crate::memory::InMemoryIndex;
-use crate::ssd::VirtualClock;
 use crate::stream::{StreamingConfig, StreamingIndex};
+use balance::VirtualClock;
 
 /// Per-shard, per-query cost counters: the hybrid scenario's stats, which
 /// are a superset of the in-memory ones (`From<SearchStats>` leaves the I/O
@@ -337,7 +337,7 @@ impl Replica {
     fn new(handle: ClusterHandle) -> Self {
         Self {
             handle,
-            clock: VirtualClock::new(),
+            clock: VirtualClock::default(),
             outstanding: Mutex::new(Vec::new()),
             enabled: AtomicBool::new(true),
         }
@@ -721,11 +721,8 @@ impl ShardedIndex {
     /// Partitions `data` round-robin into `n_shards` hybrid (disk) shards,
     /// each carrying its partition's subset of `labels` (in RAM, next to
     /// the codes) when given. Each shard's store file is `cfg.path` with
-    /// `.shard<i>` appended. All shards share **one** [`VirtualClock`] — they
-    /// model one physical device, so concurrent queries contend for its
-    /// timeline and serve-level p99 shows saturation when offered load
-    /// exceeds the modelled throughput. Panics if `n_shards` exceeds the
-    /// dataset size.
+    /// `.shard<i>` appended. Panics if `n_shards` exceeds the dataset
+    /// size.
     pub fn build_on_disk<C>(
         compressor: &C,
         data: &Dataset,
@@ -737,7 +734,6 @@ impl ShardedIndex {
     where
         C: VectorCompressor + Clone + 'static,
     {
-        let clock = Arc::new(VirtualClock::new());
         let groups = partition_parts(data, labels, n_shards)
             .enumerate()
             .map(|(i, (ids, part, labels))| {
@@ -747,7 +743,6 @@ impl ShardedIndex {
                 os.push(format!(".shard{i}"));
                 shard_cfg.path = os.into();
                 let mut index = DiskIndex::build(compressor.clone(), &part, &graph, shard_cfg)?;
-                index.attach_clock(Arc::clone(&clock));
                 if let Some(labels) = labels {
                     index.set_labels(labels);
                 }

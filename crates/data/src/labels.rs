@@ -47,12 +47,6 @@ impl LabelPredicate {
         Self { mask: u32::MAX }
     }
 
-    /// Builds a predicate from a raw label bitmask (must be non-zero).
-    pub fn from_mask(mask: u32) -> Self {
-        assert!(mask != 0, "a predicate needs at least one label");
-        Self { mask }
-    }
-
     /// The raw label bitmask.
     pub fn mask(&self) -> u32 {
         self.mask

@@ -1,18 +1,19 @@
 //! Cross-crate contracts of the pipelined disk engine (DESIGN.md §10):
-//! width-1 bit-equality against the serial oracle for every estimator
-//! family (PQ, OPQ, and a tie-dense coarse PQ), the recall envelope at
-//! wide `io_width`, and trace-driven cache admission beating the BFS
-//! warm-up on a skewed workload.
+//! width-1 bit-equality against `beam_search` plus an exact rerank for
+//! every estimator family (PQ, OPQ, and a tie-dense coarse PQ), the recall
+//! envelope at wide `io_width`, and trace-driven cache admission beating
+//! the BFS warm-up on a skewed workload.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use rpq_anns::{DiskIndex, DiskIndexConfig, FilterStrategy, SsdModel};
+use rpq_anns::{DiskIndex, DiskIndexConfig, FilterStrategy};
 use rpq_bench::setup::{make_bench, Bench, Method};
 use rpq_bench::Scale;
 use rpq_data::synth::DatasetKind;
 use rpq_data::{LabelPredicate, Labels};
-use rpq_graph::{ProximityGraph, SearchScratch, VamanaConfig};
+use rpq_graph::{beam_search, Neighbor, ProximityGraph, SearchScratch, SearchStats, VamanaConfig};
+use rpq_linalg::distance::sq_l2;
 use rpq_quant::{PqConfig, ProductQuantizer, VectorCompressor};
 
 fn tmp_store(tag: &str) -> PathBuf {
@@ -41,26 +42,58 @@ fn every_and_every_third(n: usize) -> Labels {
     )
 }
 
-/// Runs every query through both engines at `io_width = 1` and demands
-/// bit-identical results and identical routing work. Since the pipelined
-/// engine moved to the candidate pool and `search_serial` kept its heaps,
-/// this is a cross-implementation check: sorted array + cursor + tie tail
-/// against frontier min-heap + bounded max-heap (DESIGN.md §9.5).
-///
-/// The filtered engine has no serial twin, so it is pinned through what the
-/// filter must not touch: under a predicate every vector satisfies, the
-/// accepted pool has to reproduce the serial answer bit for bit; under a
-/// selective one, routing (hops, distance computations) has to stay the
-/// serial engine's and every answer has to match.
-fn assert_width1_matches_serial<C: VectorCompressor>(
+/// The width-1 reference, assembled from parts pinned elsewhere:
+/// `beam_search` (pinned against the three-heap oracle by `beam.rs`'s
+/// tie-heavy proptest) over the index's graph with the index's own ADC
+/// estimator, keeping the best `min(ef, rerank)` (each clamped up to `k`),
+/// then exact distances sorted by `(dist, id)` and cut to `k`.
+fn reference<C: VectorCompressor>(
     index: &DiskIndex<C>,
+    graph: &ProximityGraph,
     bench: &Bench,
+    rerank: usize,
+    q: &[f32],
+    ef: usize,
+    k: usize,
+) -> (Vec<Neighbor>, SearchStats) {
+    let est = index.compressor().estimator(index.codes(), q);
+    let keep = ef.max(k).min(rerank.max(k));
+    let (routed, stats) = beam_search(graph, &est, ef, keep, &mut SearchScratch::new());
+    let mut exact: Vec<Neighbor> = routed
+        .iter()
+        .map(|n| Neighbor {
+            id: n.id,
+            dist: sq_l2(q, bench.base.get(n.id as usize)),
+        })
+        .collect();
+    exact.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+    exact.truncate(k);
+    (exact, stats)
+}
+
+/// Runs every query through the index at `io_width = 1` and demands the
+/// reference's ids and distance bits, its hops and distance computations,
+/// and one block read per store lookup. The engine routes with the
+/// candidate pool behind `pop_batch`, the reference with `beam_search`'s
+/// `pop_closest` loop (DESIGN.md §9.5).
+///
+/// The filtered engine is pinned through what the filter must not touch:
+/// under a predicate every vector satisfies, the accepted pool has to
+/// reproduce the reference bit for bit; under a selective one, routing
+/// (hops, distance computations) has to stay the reference's and every
+/// answer has to match.
+fn assert_width1_matches_reference<C: VectorCompressor>(
+    index: &DiskIndex<C>,
+    graph: &ProximityGraph,
+    bench: &Bench,
+    cfg: &DiskIndexConfig,
     ef: usize,
 ) {
     let labels = index.labels().expect("labels attached");
+    let sectors_per_block = index.disk_bytes() / index.len() / cfg.sector_bytes;
     let mut scratch = SearchScratch::new();
     for (qi, q) in bench.queries.iter().enumerate() {
-        let (serial, s_stats) = index.search_serial(q, ef, 10);
+        let (want, w_stats) = reference(index, graph, bench, cfg.rerank, q, ef, 10);
         let (piped, p_stats) = index.search(q, ef, 10);
         let (all, a_stats) = index.search_filtered(
             q,
@@ -74,8 +107,8 @@ fn assert_width1_matches_serial<C: VectorCompressor>(
             ("pipelined", &piped, &p_stats),
             ("match-all", &all, &a_stats),
         ] {
-            assert_eq!(serial.len(), res.len(), "query {qi} {tag}: result count");
-            for (a, b) in serial.iter().zip(res.iter()) {
+            assert_eq!(want.len(), res.len(), "query {qi} {tag}: result count");
+            for (a, b) in want.iter().zip(res.iter()) {
                 assert_eq!(a.id, b.id, "query {qi} {tag}: ids diverge");
                 assert_eq!(
                     a.dist.to_bits(),
@@ -83,14 +116,15 @@ fn assert_width1_matches_serial<C: VectorCompressor>(
                     "query {qi} {tag}: distance bits diverge"
                 );
             }
-            assert_eq!(s_stats.hops, stats.hops, "query {qi} {tag}: hops");
+            assert_eq!(w_stats.hops, stats.hops, "query {qi} {tag}: hops");
             assert_eq!(
-                s_stats.io_reads, stats.io_reads,
-                "query {qi} {tag}: io reads"
+                w_stats.dist_comps, stats.dist_comps,
+                "query {qi} {tag}: distance computations"
             );
             assert_eq!(
-                s_stats.dist_comps, stats.dist_comps,
-                "query {qi} {tag}: distance computations"
+                stats.io_reads,
+                stats.cache_misses * sectors_per_block,
+                "query {qi} {tag}: one block read per store lookup"
             );
         }
 
@@ -103,9 +137,9 @@ fn assert_width1_matches_serial<C: VectorCompressor>(
             10,
             &mut scratch,
         );
-        assert_eq!(s_stats.hops, f_stats.hops, "query {qi} filtered: hops");
+        assert_eq!(w_stats.hops, f_stats.hops, "query {qi} filtered: hops");
         assert_eq!(
-            s_stats.dist_comps, f_stats.dist_comps,
+            w_stats.dist_comps, f_stats.dist_comps,
             "query {qi} filtered: distance computations"
         );
         assert!(!some.is_empty(), "query {qi} filtered: no answer");
@@ -116,8 +150,8 @@ fn assert_width1_matches_serial<C: VectorCompressor>(
     }
 }
 
-/// Width-1 bit-equality — candidate pool against the serial engine's heaps
-/// (DESIGN.md §9.5) — must hold for every estimator family the engine
+/// Width-1 bit-equality against `beam_search` plus an exact rerank must
+/// hold for every estimator family the engine
 /// routes with (PQ, OPQ) and for a deliberately coarse PQ (M=4, K=16: at
 /// most 65 536 distinct codes, so equal ADC distances at the pool boundary
 /// are routine).
@@ -144,38 +178,33 @@ fn width1_is_bit_identical_for_pq_opq_and_tie_dense_estimators() {
         ),
     ];
     for (tag, c) in compressors {
-        let mut index = DiskIndex::build(
-            c,
-            &bench.base,
-            &arc,
-            DiskIndexConfig::new(tmp_store(&format!("bitexact-{tag}"))),
-        )
-        .expect("disk index build failed");
+        let cfg = DiskIndexConfig::new(tmp_store(&format!("bitexact-{tag}")));
+        let mut index =
+            DiskIndex::build(c, &bench.base, &arc, cfg.clone()).expect("disk index build failed");
         index.set_labels(every_and_every_third(bench.base.len()));
         for ef in [10, 40] {
-            assert_width1_matches_serial(&index, &bench, ef);
+            assert_width1_matches_reference(&index, &arc, &bench, &cfg, ef);
         }
     }
 }
 
 /// Wider frontiers read speculatively but may only *grow* the explored
 /// region: recall at `io_width ∈ {4, 8}` stays within 0.02 of the serial
-/// engine at the same ef. What the width buys is modeled device time:
-/// under the NVMe model width 8 bills less `io_seconds` than width 1 for
-/// the same queries, and that bill depends only on reads and coalesced
-/// spans — never on a clock — so it repeats bit for bit.
+/// engine at the same ef. The modeled device time of a pass depends only
+/// on the sectors it read — never on a clock — so it repeats bit for bit.
 #[test]
 fn wide_io_widths_stay_inside_the_recall_envelope() {
     let scale = Scale::ci();
     let (bench, graph) = prepare(700, 20, 32);
     let arc = Arc::new(graph);
-    let mut index = DiskIndex::build(
-        Method::Pq.build(&bench.base, &arc, &scale),
-        &bench.base,
-        &arc,
-        DiskIndexConfig::new(tmp_store("envelope")),
-    )
-    .expect("disk index build failed");
+    let index_at = |width: usize| {
+        let cfg = DiskIndexConfig {
+            io_width: width,
+            ..DiskIndexConfig::new(tmp_store(&format!("envelope-{width}")))
+        };
+        let compressor = Method::Pq.build(&bench.base, &arc, &scale);
+        DiskIndex::build(compressor, &bench.base, &arc, cfg).expect("disk index build failed")
+    };
 
     // Recall and summed modeled device seconds of one pass over the queries.
     let pass = |index: &DiskIndex<_>, ef: usize| {
@@ -192,30 +221,23 @@ fn wide_io_widths_stay_inside_the_recall_envelope() {
         (bench.gt.recall(&ids), io_seconds)
     };
 
-    for ef in [10, 30] {
-        let (serial, _) = pass(&index, ef);
-        let mut nvme_io = Vec::new();
-        for width in [1, 4, 8] {
-            index.set_io_policy(width, SsdModel::nvme());
-            let (wide, io) = pass(&index, ef);
-            let (_, io_again) = pass(&index, ef);
-            index.set_io_policy(1, SsdModel::fixed(100.0));
+    let serial = index_at(1);
+    for width in [4, 8] {
+        let wide = index_at(width);
+        for ef in [10, 30] {
+            let (serial_recall, _) = pass(&serial, ef);
+            let (recall, io) = pass(&wide, ef);
+            let (_, io_again) = pass(&wide, ef);
             assert!(
-                wide >= serial - 0.02,
-                "ef {ef} width {width}: recall {wide} fell more than 0.02 below serial {serial}"
+                recall >= serial_recall - 0.02,
+                "ef {ef} width {width}: recall {recall} fell more than 0.02 below serial {serial_recall}"
             );
             assert_eq!(
                 io.to_bits(),
                 io_again.to_bits(),
                 "ef {ef} width {width}: modeled io_seconds differs between two passes"
             );
-            nvme_io.push(io);
         }
-        let (width1_io, width8_io) = (nvme_io[0], nvme_io[2]);
-        assert!(
-            width8_io < width1_io,
-            "ef {ef}: width 8 bills {width8_io} s of modeled I/O, width 1 {width1_io} s"
-        );
     }
 }
 
