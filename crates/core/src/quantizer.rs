@@ -88,7 +88,7 @@ impl DiffQuantizer {
         assert_eq!(cfg.m, codebook.m(), "chunk count mismatch");
         let dsub = codebook.dsub();
         let codebooks = (0..cfg.m)
-            .map(|j| Matrix::from_vec(codebook.k(), dsub, codebook.sub_codebook(j).to_vec()))
+            .map(|j| Matrix::from_vec(codebook.k(), dsub, codebook.sub_codebook_rows(j)))
             .collect();
         Self {
             cfg,
@@ -194,12 +194,17 @@ impl DiffQuantizer {
 
     /// Freezes the learned codebooks into a serving [`Codebook`].
     pub fn to_codebook(&self) -> Codebook {
-        let k = self.k();
-        let mut flat = Vec::with_capacity(self.cfg.m * k * self.dsub);
-        for c in &self.codebooks {
-            flat.extend_from_slice(&c.data);
-        }
-        Codebook::new(self.cfg.m, k, self.dsub, flat)
+        self.scaled_codebook(1.0)
+    }
+
+    /// The learned codebooks with every codeword multiplied by `scale`.
+    fn scaled_codebook(&self, scale: f32) -> Codebook {
+        let rows = self
+            .codebooks
+            .iter()
+            .flat_map(|c| c.data.iter().map(|&v| v * scale))
+            .collect();
+        Codebook::new(self.cfg.m, self.k(), self.dsub, rows)
     }
 
     /// Exports the learned quantizer for serving: a rotation + hard-argmin
@@ -210,12 +215,7 @@ impl DiffQuantizer {
     /// regardless of the dataset's value range) and rescales at export;
     /// `1.0` exports the space as it is.
     pub fn export_pq(&self, train_seconds: f32, scale: f32) -> OptimizedProductQuantizer {
-        let mut cb = self.to_codebook();
-        for j in 0..cb.m() {
-            for v in cb.sub_codebook_mut(j) {
-                *v *= scale;
-            }
-        }
+        let cb = self.scaled_codebook(scale);
         let pq = ProductQuantizer::from_codebook(cb, train_seconds);
         OptimizedProductQuantizer::from_parts(self.rotation().transpose(), pq, train_seconds)
     }

@@ -16,6 +16,8 @@
 //! Everything is `f32` at the API surface (matching vector datasets); the
 //! numerically delicate routines (expm, LU solves) run in `f64` internally.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod decomp;
 pub mod distance;
 pub mod expm;

@@ -7,9 +7,7 @@
 //! sum of `M` table reads — the hot loop of PQ-integrated search.
 
 use rpq_data::Dataset;
-use rpq_linalg::distance::sq_l2_rows;
-
-use crate::kmeans::nearest_row;
+use rpq_linalg::distance::{nearest_column, sq_l2_columns};
 
 /// Product codebook: `m` sub-codebooks × `k` codewords × `dsub` dims.
 #[derive(Clone, Debug, PartialEq)]
@@ -17,23 +15,32 @@ pub struct Codebook {
     m: usize,
     k: usize,
     dsub: usize,
-    /// Flat layout `[m][k][dsub]`.
+    /// Flat dimension-major layout `[m][dsub][k]`: coordinate `d` of
+    /// codeword `ki` in chunk `j` is at `(j * dsub + d) * k + ki`, so the
+    /// column kernels' inner loop runs over `k`.
     codewords: Vec<f32>,
 }
 
 impl Codebook {
-    /// Assembles a codebook from a flat buffer (length must be `m*k*dsub`).
-    pub fn new(m: usize, k: usize, dsub: usize, codewords: Vec<f32>) -> Self {
+    /// Assembles a codebook from a flat **row-major** buffer `[m][k][dsub]`
+    /// (length must be `m*k*dsub`), transposed once into the
+    /// dimension-major storage.
+    pub fn new(m: usize, k: usize, dsub: usize, rows: Vec<f32>) -> Self {
         assert!(m > 0 && k > 0 && dsub > 0, "codebook dims must be positive");
         assert!(
             k <= 256,
             "compact codes are one byte: K must be <= 256, got {k}"
         );
-        assert_eq!(
-            codewords.len(),
-            m * k * dsub,
-            "codeword buffer size mismatch"
-        );
+        assert_eq!(rows.len(), m * k * dsub, "codeword buffer size mismatch");
+        let mut codewords = vec![0.0f32; rows.len()];
+        for (j, sub) in rows.chunks_exact(k * dsub).enumerate() {
+            let cols = &mut codewords[j * k * dsub..(j + 1) * k * dsub];
+            for (ki, row) in sub.chunks_exact(dsub).enumerate() {
+                for (d, &v) in row.iter().enumerate() {
+                    cols[d * k + ki] = v;
+                }
+            }
+        }
         Self {
             m,
             k,
@@ -66,24 +73,36 @@ impl Codebook {
         self.m * self.dsub
     }
 
-    /// The `ki`-th codeword of sub-codebook `j`.
+    /// Gathers the `ki`-th codeword of sub-codebook `j` into `out`
+    /// (`dsub` floats).
     #[inline]
-    pub fn codeword(&self, j: usize, ki: usize) -> &[f32] {
+    pub fn codeword(&self, j: usize, ki: usize, out: &mut [f32]) {
         debug_assert!(j < self.m && ki < self.k);
-        let base = (j * self.k + ki) * self.dsub;
-        &self.codewords[base..base + self.dsub]
+        debug_assert_eq!(out.len(), self.dsub);
+        for (o, &v) in out
+            .iter_mut()
+            .zip(self.sub_codebook(j)[ki..].iter().step_by(self.k))
+        {
+            *o = v;
+        }
     }
 
-    /// Mutable sub-codebook `j` as a flat `k × dsub` slice.
-    pub fn sub_codebook_mut(&mut self, j: usize) -> &mut [f32] {
-        let base = j * self.k * self.dsub;
-        &mut self.codewords[base..base + self.k * self.dsub]
-    }
-
-    /// Read-only sub-codebook `j`.
+    /// Sub-codebook `j` in its dimension-major storage: a flat `dsub × k`
+    /// slice whose element `d * k + ki` is coordinate `d` of codeword `ki`.
     pub fn sub_codebook(&self, j: usize) -> &[f32] {
-        let base = j * self.k * self.dsub;
-        &self.codewords[base..base + self.k * self.dsub]
+        let len = self.k * self.dsub;
+        &self.codewords[j * len..(j + 1) * len]
+    }
+
+    /// Sub-codebook `j` as row-major `k × dsub` rows (one codeword per
+    /// row) — the layout of [`Codebook::new`]'s input and of the `RPQC`
+    /// file.
+    pub fn sub_codebook_rows(&self, j: usize) -> Vec<f32> {
+        let mut rows = vec![0.0f32; self.k * self.dsub];
+        for (ki, row) in rows.chunks_exact_mut(self.dsub).enumerate() {
+            self.codeword(j, ki, row);
+        }
+        rows
     }
 
     /// Encodes one (already decomposed/rotated) vector: nearest codeword id
@@ -91,12 +110,8 @@ impl Codebook {
     pub fn encode_one(&self, v: &[f32], out: &mut [u8]) {
         assert_eq!(v.len(), self.dim(), "vector dim mismatch");
         assert_eq!(out.len(), self.m, "code buffer size mismatch");
-        // K <= 256 (asserted at construction): the row distances fit on
-        // the stack.
-        let mut dists = [0.0f32; 256];
-        for (j, code) in out.iter_mut().enumerate() {
-            let sub = &v[j * self.dsub..(j + 1) * self.dsub];
-            *code = nearest_row(sub, self.sub_codebook(j), &mut dists[..self.k]).0 as u8;
+        for (j, (code, sub)) in out.iter_mut().zip(v.chunks_exact(self.dsub)).enumerate() {
+            *code = nearest_column(sub, self.sub_codebook(j), self.k).0 as u8;
         }
     }
 
@@ -104,8 +119,8 @@ impl Codebook {
     pub fn decode(&self, code: &[u8], out: &mut [f32]) {
         assert_eq!(code.len(), self.m, "code length mismatch");
         assert_eq!(out.len(), self.dim(), "output buffer size mismatch");
-        for (j, &c) in code.iter().enumerate() {
-            out[j * self.dsub..(j + 1) * self.dsub].copy_from_slice(self.codeword(j, c as usize));
+        for (j, (&c, sub)) in code.iter().zip(out.chunks_exact_mut(self.dsub)).enumerate() {
+            self.codeword(j, c as usize, sub);
         }
     }
 
@@ -113,10 +128,12 @@ impl Codebook {
     pub fn lookup_table(&self, query: &[f32]) -> LookupTable {
         assert_eq!(query.len(), self.dim(), "query dim mismatch");
         let mut table = vec![0.0f32; self.m * self.k];
-        for j in 0..self.m {
-            let sub = &query[j * self.dsub..(j + 1) * self.dsub];
-            let row = &mut table[j * self.k..(j + 1) * self.k];
-            sq_l2_rows(sub, self.sub_codebook(j), row);
+        for (j, (row, sub)) in table
+            .chunks_exact_mut(self.k)
+            .zip(query.chunks_exact(self.dsub))
+            .enumerate()
+        {
+            sq_l2_columns(sub, self.sub_codebook(j), row);
         }
         LookupTable {
             m: self.m,
@@ -128,10 +145,11 @@ impl Codebook {
     /// Builds the SDC (symmetric) table: `table[j][a][b] = δ(c_ja, c_jb)`.
     pub fn sdc_table(&self) -> SdcTable {
         let mut table = vec![0.0f32; self.m * self.k * self.k];
-        for j in 0..self.m {
-            for a in 0..self.k {
-                let row = &mut table[(j * self.k + a) * self.k..][..self.k];
-                sq_l2_rows(self.codeword(j, a), self.sub_codebook(j), row);
+        let mut word = vec![0.0f32; self.dsub];
+        for (j, block) in table.chunks_exact_mut(self.k * self.k).enumerate() {
+            for (a, row) in block.chunks_exact_mut(self.k).enumerate() {
+                self.codeword(j, a, &mut word);
+                sq_l2_columns(&word, self.sub_codebook(j), row);
             }
         }
         SdcTable {

@@ -2,7 +2,7 @@
 //!
 //! Quantization substrate and the paper's baseline quantizers:
 //!
-//! * [`mod@kmeans`] — parallel Lloyd's algorithm with k-means++ seeding (the
+//! * [`mod@kmeans`] — Lloyd's algorithm with k-means++ seeding (the
 //!   codebook trainer inside every PQ variant, paper Def. 3),
 //! * [`codebook`] — codebooks, compact codes, ADC/SDC lookup tables
 //!   (paper §2.1's lookup-table query machinery),

@@ -47,14 +47,15 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Writes a codebook: magic, m, k, dsub, codewords.
+/// Writes a codebook: magic, m, k, dsub, codewords — row-major
+/// `[m][k][dsub]` on disk, whatever the in-memory layout.
 pub fn write_codebook(w: &mut impl Write, cb: &Codebook) -> io::Result<()> {
     w.write_all(CODEBOOK_MAGIC)?;
     write_u32(w, cb.m() as u32)?;
     write_u32(w, cb.k() as u32)?;
     write_u32(w, cb.dsub() as u32)?;
     for j in 0..cb.m() {
-        write_f32s(w, cb.sub_codebook(j))?;
+        write_f32s(w, &cb.sub_codebook_rows(j))?;
     }
     Ok(())
 }
@@ -149,6 +150,25 @@ mod tests {
         write_codebook(&mut buf, pq.codebook()).unwrap();
         let back = read_codebook(&mut buf.as_slice()).unwrap();
         assert_eq!(&back, pq.codebook());
+    }
+
+    #[test]
+    fn codebook_file_is_row_major() {
+        // K = 5 leaves a column the four-wide kernels do not cover.
+        let (m, k, dsub) = (2usize, 5usize, 3usize);
+        let rows: Vec<f32> = (0..m * k * dsub).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let cb = Codebook::new(m, k, dsub, rows.clone());
+        let mut buf = Vec::new();
+        write_codebook(&mut buf, &cb).unwrap();
+        let mut want = b"RPQC".to_vec();
+        for v in [m, k, dsub] {
+            want.extend_from_slice(&(v as u32).to_le_bytes());
+        }
+        for v in &rows {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(buf, want, "codewords are written [m][k][dsub]");
+        assert_eq!(read_codebook(&mut buf.as_slice()).unwrap(), cb);
     }
 
     #[test]

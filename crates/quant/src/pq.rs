@@ -1,7 +1,10 @@
 //! Plain product quantization (Jégou et al., TPAMI'11) — paper Def. 3 and
 //! the default quantizer inside DiskANN.
 
+use std::borrow::Cow;
 use std::time::Instant;
+
+use rayon::prelude::*;
 
 use rpq_data::Dataset;
 use rpq_graph::DistanceEstimator;
@@ -53,27 +56,31 @@ impl ProductQuantizer {
         assert!(!data.is_empty(), "cannot train PQ on an empty dataset");
         let dsub = d / cfg.m;
         let train = subsample(data, cfg.train_size, cfg.seed);
-
-        let mut codewords = vec![0.0f32; cfg.m * cfg.k.min(train.len()).max(1) * dsub];
         let k_eff = cfg.k.min(train.len());
-        for j in 0..cfg.m {
-            // Gather the j-th sub-vectors contiguously.
-            let mut sub = Vec::with_capacity(train.len() * dsub);
-            for v in train.iter() {
-                sub.extend_from_slice(&v[j * dsub..(j + 1) * dsub]);
-            }
-            let res = kmeans(
-                &sub,
-                dsub,
-                KMeansConfig {
-                    k: k_eff,
-                    max_iters: cfg.kmeans_iters,
-                    seed: cfg.seed.wrapping_add(j as u64),
-                },
-            );
-            let base = j * k_eff * dsub;
-            codewords[base..base + k_eff * dsub].copy_from_slice(&res.centroids);
-        }
+
+        // The M sub-space k-means are independent: run them side by side,
+        // each sequential and seeded by its chunk, collected in chunk order.
+        let sub_codebooks: Vec<Vec<f32>> = (0..cfg.m)
+            .into_par_iter()
+            .map(|j| {
+                // Gather the j-th sub-vectors contiguously.
+                let mut sub = Vec::with_capacity(train.len() * dsub);
+                for v in train.iter() {
+                    sub.extend_from_slice(&v[j * dsub..(j + 1) * dsub]);
+                }
+                kmeans(
+                    &sub,
+                    dsub,
+                    KMeansConfig {
+                        k: k_eff,
+                        max_iters: cfg.kmeans_iters,
+                        seed: cfg.seed.wrapping_add(j as u64),
+                    },
+                )
+                .centroids
+            })
+            .collect();
+        let codewords = sub_codebooks.concat();
         let codebook = Codebook::new(cfg.m, k_eff, dsub, codewords);
         Self {
             codebook,
@@ -172,18 +179,19 @@ impl VectorCompressor for ProductQuantizer {
     }
 }
 
-/// Deterministic stride subsample of up to `cap` vectors.
-pub(crate) fn subsample(data: &Dataset, cap: usize, seed: u64) -> Dataset {
+/// Deterministic stride subsample of up to `cap` vectors; borrows `data`
+/// when it already fits.
+pub(crate) fn subsample(data: &Dataset, cap: usize, seed: u64) -> Cow<'_, Dataset> {
     let n = data.len();
     if n <= cap {
-        return data.clone();
+        return Cow::Borrowed(data);
     }
     let stride = n as f64 / cap as f64;
     let offset = (seed as usize) % stride.ceil().max(1.0) as usize;
     let indices: Vec<usize> = (0..cap)
         .map(|i| ((i as f64 * stride) as usize + offset) % n)
         .collect();
-    data.subset(&indices)
+    Cow::Owned(data.subset(&indices))
 }
 
 #[cfg(test)]

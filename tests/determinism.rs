@@ -98,6 +98,55 @@ fn graph_builds_are_thread_invariant() {
     });
 }
 
+/// The bits of every codeword, codeword by codeword in `[m][k][dsub]`
+/// order.
+fn codebook_bits(pq: &ProductQuantizer) -> Vec<u32> {
+    let cb = pq.codebook();
+    let mut bits = Vec::with_capacity(cb.m() * cb.k() * cb.dsub());
+    let mut word = vec![0.0f32; cb.dsub()];
+    for j in 0..cb.m() {
+        for ki in 0..cb.k() {
+            cb.codeword(j, ki, &mut word);
+            bits.extend(word.iter().map(|v| v.to_bits()));
+        }
+    }
+    bits
+}
+
+/// PQ training runs its sub-space k-means side by side, each one
+/// sequential: the codebook bits cannot depend on the pool width. The
+/// fingerprint was recorded from the row-major, parallel-inside-k-means
+/// trainer the column kernel replaced, so any drift in the training
+/// arithmetic fails here.
+#[test]
+fn pq_training_is_thread_invariant_and_pinned() {
+    let data = SynthConfig {
+        dim: 32,
+        intrinsic_dim: 8,
+        clusters: 6,
+        cluster_std: 0.7,
+        noise_std: 0.05,
+        transform: ValueTransform::Identity,
+    }
+    .generate(2_000, 7);
+    let cfg = PqConfig {
+        m: 8,
+        k: 64,
+        seed: 7,
+        ..Default::default()
+    };
+    let bits = assert_thread_invariant("PQ codebook bits", || {
+        codebook_bits(&ProductQuantizer::train(&cfg, &data))
+    });
+    // FNV-1a over the little-endian bytes of those bits.
+    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
+    for b in bits.iter().flat_map(|v| v.to_le_bytes()) {
+        fingerprint ^= b as u64;
+        fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    assert_eq!(fingerprint, 0x2560_6f72_c799_1d7f);
+}
+
 #[test]
 fn memory_sweep_is_thread_invariant() {
     let data = ci_data(640, 3);
