@@ -657,8 +657,10 @@ impl<C: VectorCompressor> DiskIndex<C> {
         // separately counted) reads. Filtered traversal reranks the
         // accepted set instead — matches that routed past without
         // expansion get fetched here.
-        let best = scratch.best(!filter.is_all());
-        let candidates = best[..best.len().min(self.cfg.rerank.max(k))].to_vec();
+        let candidates: Vec<(f32, u32)> = scratch
+            .best(!filter.is_all())
+            .take(self.cfg.rerank.max(k))
+            .collect();
         miss_ids.clear();
         for &(_, v) in &candidates {
             if scratch.memo_get(v).is_some() {

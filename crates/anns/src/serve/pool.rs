@@ -3,8 +3,9 @@
 //! Workers live for the lifetime of the pool and each one owns a single
 //! reusable [`SearchScratch`], so steady-state queries allocate no visited
 //! maps — the scratch is sized once for the largest shard and then reset in
-//! O(touched) per query (the perf property `rpq_graph::beam_search` is
-//! built around). Jobs are `FnOnce(&mut SearchScratch)` closures pulled
+//! O(1) per query by bumping its visited-map epoch, with a full clear once
+//! every 255 queries (the perf property `rpq_graph::beam_search` is built
+//! around). Jobs are `FnOnce(&mut SearchScratch)` closures pulled
 //! from a shared MPMC queue (an [`mpsc`] receiver behind a mutex — the
 //! classic std-only work-sharing arrangement, which the vendored
 //! `parking_lot` shim keeps dependency-free).

@@ -172,16 +172,25 @@ pub struct SearchStats {
     pub dist_comps: usize,
 }
 
-/// Reusable per-thread search state and the traversal step over it: a
-/// visited map with O(touched) reset, the candidate pools and the gather
-/// buffers, driven by every beam loop through [`SearchScratch::start`] /
+/// Reusable per-thread search state and the traversal step over it: an
+/// epoch-stamped visited map, the candidate pools and the gather buffers,
+/// driven by every beam loop through [`SearchScratch::start`] /
 /// [`SearchScratch::pop_closest`] / [`SearchScratch::expand`]
 /// (DESIGN.md §9.5). A warmed scratch makes a query allocate nothing but
 /// its result `Vec` (perf-book: reuse workhorse collections).
-#[derive(Default)]
+///
+/// The visited map holds one byte per vertex: a vertex is visited when its
+/// stamp equals the current epoch. [`SearchScratch::reset`] starts a new
+/// epoch by bumping it, and clears the map only when the one-byte epoch
+/// wraps — once every 255 searches — so a query pays nothing per vertex it
+/// touched (hnswlib's `VisitedList`). The exact-distance memo is stamped
+/// from the same epoch.
 pub struct SearchScratch {
-    visited: Vec<bool>,
-    touched: Vec<u32>,
+    /// Per-vertex stamp; `== epoch` means visited in the running search.
+    visited: Vec<u8>,
+    /// The running search's stamp. Never 0, so freshly grown slots
+    /// (stamp 0) read unvisited.
+    epoch: u8,
     /// The routing state of the running search: the global candidate set
     /// `b` of Alg. 2, regardless of filter — it drives admission and
     /// termination.
@@ -189,17 +198,35 @@ pub struct SearchScratch {
     /// The best `ef` accepted vertices of a filtered search — what the
     /// caller gets; used only when the filter can reject something.
     accepted: CandidatePool,
-    /// Unvisited neighbors of the current expansion, gathered so the
-    /// estimator can score them as one batch.
+    /// Gather buffer, at least as long as the longest neighbor row seen:
+    /// an expansion writes every neighbor and keeps the unvisited ones as
+    /// a prefix, so the estimator can score them as one batch.
     frontier: Vec<u32>,
     /// Their batch-scored distances (parallel to `frontier`).
     dists: Vec<f32>,
-    /// Flat per-vertex f32 slot map with the same epoch-reset discipline as
-    /// `visited` — external engines memoise exact distances here instead of
-    /// in a per-query `HashMap`.
+    /// Flat per-vertex f32 slot map stamped from the visited map's epoch —
+    /// external engines memoise exact distances here instead of in a
+    /// per-query `HashMap`.
     memo_vals: Vec<f32>,
-    memo_marked: Vec<bool>,
-    memo_touched: Vec<u32>,
+    memo_stamps: Vec<u8>,
+    /// The memoised vertices in first-insert order ([`SearchScratch::memo_keys`]).
+    memo_keys: Vec<u32>,
+}
+
+impl Default for SearchScratch {
+    fn default() -> Self {
+        Self {
+            visited: Vec::new(),
+            epoch: 1,
+            pool: CandidatePool::default(),
+            accepted: CandidatePool::default(),
+            frontier: Vec::new(),
+            dists: Vec::new(),
+            memo_vals: Vec::new(),
+            memo_stamps: Vec::new(),
+            memo_keys: Vec::new(),
+        }
+    }
 }
 
 impl SearchScratch {
@@ -213,8 +240,7 @@ impl SearchScratch {
     /// size their scratch to the largest index they route to.
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            visited: vec![false; n],
-            touched: Vec::with_capacity(256),
+            visited: vec![0; n],
             frontier: Vec::with_capacity(64),
             dists: Vec::with_capacity(64),
             ..Self::default()
@@ -224,73 +250,66 @@ impl SearchScratch {
     /// Heap bytes currently held — the per-worker memory cost of keeping a
     /// scratch alive between queries.
     pub fn memory_bytes(&self) -> usize {
-        self.visited.capacity() * std::mem::size_of::<bool>()
-            + self.touched.capacity() * std::mem::size_of::<u32>()
+        self.visited.capacity() * std::mem::size_of::<u8>()
             + self.frontier.capacity() * std::mem::size_of::<u32>()
             + self.dists.capacity() * std::mem::size_of::<f32>()
             + self.pool.memory_bytes()
             + self.accepted.memory_bytes()
             + self.memo_vals.capacity() * std::mem::size_of::<f32>()
-            + self.memo_marked.capacity() * std::mem::size_of::<bool>()
-            + self.memo_touched.capacity() * std::mem::size_of::<u32>()
+            + self.memo_stamps.capacity() * std::mem::size_of::<u8>()
+            + self.memo_keys.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Forgets all visited marks without releasing memory. `beam_search`
-    /// resets incrementally on entry, so calling this between queries is
-    /// optional; it exists for callers that want a scratch handed to a new
-    /// index in a known-clean state.
+    /// Forgets all visited marks and memoised values without releasing
+    /// memory: starts a new epoch, clearing the stamp maps only when the
+    /// epoch wraps. [`SearchScratch::start`] resets on entry, so calling
+    /// this between queries is optional; it exists for callers that want a
+    /// scratch handed to a new index in a known-clean state.
     ///
     /// Epoch safety: a scratch outlives index mutations (DESIGN.md §8). The
-    /// index may have *grown* since the marks were made (the visited map was
-    /// resized up by the search that made them) or *shrunk* via
-    /// [`SearchScratch::shrink_to`] after a consolidation pass — so stale
-    /// marks are cleared through a bounds-checked access instead of assuming
-    /// every recorded index still fits the map.
+    /// index may have *grown* since the marks were made (new slots carry
+    /// stamp 0, which no epoch uses) or *shrunk* via
+    /// [`SearchScratch::shrink_to`] after a consolidation pass (the slots
+    /// went with their stamps).
     pub fn reset(&mut self) {
-        for &t in &self.touched {
-            if let Some(slot) = self.visited.get_mut(t as usize) {
-                *slot = false;
-            }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.visited.fill(0);
+            self.memo_stamps.fill(0);
+            self.epoch = 1;
         }
-        self.touched.clear();
-        for &t in &self.memo_touched {
-            if let Some(slot) = self.memo_marked.get_mut(t as usize) {
-                *slot = false;
-            }
-        }
-        self.memo_touched.clear();
+        self.memo_keys.clear();
     }
 
     /// Shrinks the visited map to `n` slots and releases the excess — what a
     /// long-lived worker calls after its index consolidated away tombstones,
     /// so scratch memory tracks the live index instead of the all-time peak.
-    /// Marks beyond the new length are dropped with the slots they pointed
-    /// at; the rest stay clearable by [`SearchScratch::reset`]. The pools
+    /// Marks beyond the new length are dropped with their slots. The pools
     /// are emptied: their entries may name vertices that no longer exist.
     pub fn shrink_to(&mut self, n: usize) {
         self.pool.reset(0);
         self.accepted.reset(0);
         self.visited.truncate(n);
         self.visited.shrink_to_fit();
-        self.touched.retain(|&t| (t as usize) < n);
         self.memo_vals.truncate(n);
         self.memo_vals.shrink_to_fit();
-        self.memo_marked.truncate(n);
-        self.memo_marked.shrink_to_fit();
-        self.memo_touched.retain(|&t| (t as usize) < n);
+        self.memo_stamps.truncate(n);
+        self.memo_stamps.shrink_to_fit();
+        self.memo_keys.retain(|&t| (t as usize) < n);
     }
 
     fn prepare(&mut self, n: usize) {
         if self.visited.len() < n {
-            self.visited.resize(n, false);
+            self.visited.resize(n, 0);
         }
         self.reset();
     }
 
     /// Begins a traversal over a graph of `n` vertices with beam width
-    /// `ef`: sizes the visited map, clears it and the memo, resets the
-    /// routing pool and — only when `filter` can reject — the accepted
-    /// pool, then marks and offers the entry vertex at distance `d0`.
+    /// `ef`: sizes the visited map, starts a new epoch (forgetting visits
+    /// and the memo), resets the routing pool and — only when `filter` can
+    /// reject — the accepted pool, then marks and offers the entry vertex
+    /// at distance `d0`.
     #[inline]
     pub fn start(&mut self, n: usize, ef: usize, entry: u32, d0: f32, filter: &VertexFilter<'_>) {
         self.prepare(n);
@@ -309,6 +328,10 @@ impl SearchScratch {
     /// repository: gathers the unvisited members of `nbrs`, scores them
     /// with one [`DistanceEstimator::distance_batch`] call, and offers each
     /// to the routing pool in neighbor order. Returns how many were scored.
+    ///
+    /// The gather has no data-dependent branch: every neighbor is stamped
+    /// and written to the next frontier slot, and the frontier's length
+    /// advances by one only when the neighbor was unvisited.
     ///
     /// Gather-then-score cannot change any result, only the memory access
     /// pattern: distances never depend on pool state, and admission runs in
@@ -330,23 +353,27 @@ impl SearchScratch {
         est: &impl DistanceEstimator,
         filter: &VertexFilter<'_>,
     ) -> usize {
-        self.frontier.clear();
-        for &u in nbrs {
-            if self.visit(u) {
-                self.frontier.push(u);
-            }
+        if self.frontier.len() < nbrs.len() {
+            self.frontier.resize(nbrs.len(), 0);
+            self.dists.resize(nbrs.len(), 0.0);
         }
-        self.dists.clear();
-        self.dists.resize(self.frontier.len(), 0.0);
-        est.distance_batch(&self.frontier, &mut self.dists);
+        let mut len = 0;
+        for &u in nbrs {
+            let fresh = self.visit(u);
+            self.frontier[len] = u;
+            len += fresh as usize;
+        }
+        let frontier = &self.frontier[..len];
+        let dists = &mut self.dists[..len];
+        est.distance_batch(frontier, dists);
         let filtering = !filter.is_all();
-        for (&u, &du) in self.frontier.iter().zip(&self.dists) {
+        for (&u, &du) in frontier.iter().zip(dists.iter()) {
             self.pool.offer(du, u);
             if filtering && filter.accept(u) {
                 self.accepted.offer(du, u);
             }
         }
-        self.frontier.len()
+        len
     }
 
     /// The closest not-yet-expanded routing candidate, marked expanded;
@@ -367,21 +394,19 @@ impl SearchScratch {
     /// `(dist, id)`: the accepted pool's when `filtered`, else the routing
     /// pool's.
     #[inline]
-    pub fn best(&self, filtered: bool) -> &[(f32, u32)] {
+    pub fn best(&self, filtered: bool) -> impl ExactSizeIterator<Item = (f32, u32)> + '_ {
         if filtered { &self.accepted } else { &self.pool }.best()
     }
 
     /// Marks `v` visited; `true` when it was unvisited (first sight).
-    /// Valid between [`SearchScratch::start`] and the next reset.
+    /// Valid between [`SearchScratch::start`] and the next reset. The stamp
+    /// is written unconditionally, so the call has no branch on the answer.
     #[inline]
     pub fn visit(&mut self, v: u32) -> bool {
         let slot = &mut self.visited[v as usize];
-        let first = !*slot;
-        if first {
-            *slot = true;
-            self.touched.push(v);
-        }
-        first
+        let fresh = *slot != self.epoch;
+        *slot = self.epoch;
+        fresh
     }
 
     /// Memoises a per-vertex f32 (the disk engine's exact distances) in the
@@ -390,14 +415,14 @@ impl SearchScratch {
     #[inline]
     pub fn memo_insert(&mut self, v: u32, val: f32) {
         let i = v as usize;
-        if i >= self.memo_marked.len() {
+        if i >= self.memo_stamps.len() {
             let n = self.visited.len().max(i + 1);
             self.memo_vals.resize(n, 0.0);
-            self.memo_marked.resize(n, false);
+            self.memo_stamps.resize(n, 0);
         }
-        if !self.memo_marked[i] {
-            self.memo_marked[i] = true;
-            self.memo_touched.push(v);
+        if self.memo_stamps[i] != self.epoch {
+            self.memo_stamps[i] = self.epoch;
+            self.memo_keys.push(v);
         }
         self.memo_vals[i] = val;
     }
@@ -406,18 +431,14 @@ impl SearchScratch {
     /// for the disk engine, the node blocks the last search touched.
     #[inline]
     pub fn memo_keys(&self) -> &[u32] {
-        &self.memo_touched
+        &self.memo_keys
     }
 
     /// The value memoised for `v` this epoch, if any.
     #[inline]
     pub fn memo_get(&self, v: u32) -> Option<f32> {
         let i = v as usize;
-        if i < self.memo_marked.len() && self.memo_marked[i] {
-            Some(self.memo_vals[i])
-        } else {
-            None
-        }
+        (self.memo_stamps.get(i) == Some(&self.epoch)).then(|| self.memo_vals[i])
     }
 }
 
@@ -468,9 +489,8 @@ pub fn beam_search_filtered<G: GraphView>(
     }
     let out = scratch
         .best(!filter.is_all())
-        .iter()
         .take(k)
-        .map(|&(dist, id)| Neighbor { id, dist })
+        .map(|(dist, id)| Neighbor { id, dist })
         .collect();
     (out, stats)
 }
@@ -1024,14 +1044,20 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// The distances a vertex may get: five integers, so that ties at
+        /// the pool boundary are the common case, and the values where
+        /// `f32` comparison and `total_cmp` part ways or a packed key could
+        /// misorder — a negative value, `-0.0` beside `0.0`, `+inf` and
+        /// NaN — so the pool is held to the heaps' order on them too.
+        const DISTS: [f32; 9] = [0.0, 1.0, 2.0, 3.0, 4.0, -1.0, -0.0, f32::INFINITY, f32::NAN];
+
         /// A random directed graph over 2..=20 vertices (no connectivity
-        /// promise), a random entry, and distances drawn from five integer
-        /// values so that ties at the pool boundary are the common case.
+        /// promise), a random entry, and distances drawn from [`DISTS`].
         fn world() -> impl Strategy<Value = (ProximityGraph, TableEstimator)> {
             (2usize..=20).prop_flat_map(|n| {
                 (
                     proptest::collection::vec(proptest::collection::vec(0u32..n as u32, 0..6), n),
-                    proptest::collection::vec(0u32..5, n),
+                    proptest::collection::vec(0..DISTS.len(), n),
                     0u32..n as u32,
                 )
                     .prop_map(|(mut adj, dists, entry)| {
@@ -1040,7 +1066,7 @@ mod tests {
                         }
                         (
                             ProximityGraph::from_adjacency(adj, entry),
-                            TableEstimator(dists.into_iter().map(|d| d as f32).collect()),
+                            TableEstimator(dists.into_iter().map(|d| DISTS[d]).collect()),
                         )
                     })
             })
@@ -1113,6 +1139,61 @@ mod tests {
     }
 
     #[test]
+    fn one_scratch_across_epoch_wraps_matches_fresh_ones() {
+        // Three cycles of the one-byte epoch (255 searches each), filtered
+        // and unfiltered, then a shrink, then a larger graph. The far query
+        // recurs exactly one cycle after it last ran, with only near
+        // queries in between: a wrap that kept the stale stamps would see
+        // its whole walk past the near region as already visited.
+        const CYCLE: usize = u8::MAX as usize;
+        fn same_as_fresh(
+            g: &ProximityGraph,
+            ds: &Dataset,
+            target: f32,
+            filtered: bool,
+            reused: &mut SearchScratch,
+        ) {
+            let q = [target];
+            let est = ExactEstimator::new(ds, &q);
+            let odd = |v: u32| v % 2 == 1;
+            let filter = if filtered {
+                VertexFilter::predicate(&odd)
+            } else {
+                VertexFilter::all()
+            };
+            let (a, st_a) = beam_search_filtered(g, &est, 10, 5, reused, filter);
+            let (b, st_b) = beam_search_filtered(g, &est, 10, 5, &mut SearchScratch::new(), filter);
+            assert_eq!(bits(&a), bits(&b), "target {target}, filtered {filtered}");
+            assert_eq!(st_a, st_b, "target {target}, filtered {filtered}");
+        }
+        let (ds, g) = line_world(300);
+        let (small_ds, small_g) = line_world(40);
+        let (big_ds, big_g) = line_world(600);
+        let mut reused = SearchScratch::new();
+        for i in 0..3 * CYCLE {
+            let target = if i % CYCLE == 0 {
+                290.3
+            } else {
+                (i % 23) as f32 + 0.4
+            };
+            same_as_fresh(&g, &ds, target, i % 2 == 1, &mut reused);
+        }
+        reused.shrink_to(40);
+        for i in 0..20 {
+            same_as_fresh(
+                &small_g,
+                &small_ds,
+                (i * 7 % 40) as f32,
+                i % 3 == 0,
+                &mut reused,
+            );
+        }
+        for (i, target) in [590.2f32, 310.7, 12.0, 599.0].into_iter().enumerate() {
+            same_as_fresh(&big_g, &big_ds, target, i % 2 == 0, &mut reused);
+        }
+    }
+
+    #[test]
     fn memory_bytes_counts_the_pools_and_shrink_to_empties_them() {
         let (ds, g) = line_world(120);
         let q = [90.0f32];
@@ -1135,15 +1216,15 @@ mod tests {
             with_pools - scratch.memory_bytes(),
             pool.memory_bytes() + accepted.memory_bytes()
         );
-        assert!(!pool.best().is_empty() && !accepted.best().is_empty());
+        assert!(pool.best().len() > 0 && accepted.best().len() > 0);
         scratch.pool = pool;
         scratch.accepted = accepted;
 
         // Ids up to 119 are in the pools; after a shrink to 10 vertices
         // none of them may survive.
         scratch.shrink_to(10);
-        assert!(scratch.pool.best().is_empty());
-        assert!(scratch.accepted.best().is_empty());
+        assert_eq!(scratch.pool.best().len(), 0);
+        assert_eq!(scratch.accepted.best().len(), 0);
         assert_eq!(scratch.pool.pop_closest(), None);
     }
 

@@ -31,7 +31,7 @@ pub(crate) fn search_adj(
         expanded.push((d, v));
         scratch.expand(&adj[v as usize], &est, &all);
     }
-    (scratch.best(false).to_vec(), expanded)
+    (scratch.best(false).collect(), expanded)
 }
 
 /// Index of the vector closest to the dataset mean (the medoid both Vamana

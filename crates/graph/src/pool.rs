@@ -7,17 +7,42 @@
 //! equivalent in recall — to a frontier min-heap plus a bounded max-heap:
 //! the tie tail (see [`CandidatePool::offer`]).
 
+/// Packs `(dist, id)` into one `u64` whose integer order is
+/// `(dist.total_cmp, id)` order: the order-preserving image of `dist`'s bits
+/// in the high half (a negative value has every bit flipped, a positive one
+/// its sign bit set), `id` in the low half. [`unpack`] inverts it bit for
+/// bit, NaN payloads included.
+#[inline]
+fn pack(dist: f32, id: u32) -> u64 {
+    let bits = dist.to_bits();
+    let ordered = bits ^ ((((bits as i32) >> 31) as u32) | 0x8000_0000);
+    (u64::from(ordered) << 32) | u64::from(id)
+}
+
+/// The `(dist, id)` a [`pack`]ed key was made from.
+#[inline]
+fn unpack(key: u64) -> (f32, u32) {
+    let ordered = (key >> 32) as u32;
+    let bits = ordered ^ ((((!ordered as i32) >> 31) as u32) | 0x8000_0000);
+    (f32::from_bits(bits), key as u32)
+}
+
 /// A bounded array of `(dist, id)` candidates kept ascending by
 /// `(dist.total_cmp, id)`, each with an *expanded* flag that takes no part
 /// in the ordering, and a cursor over the not-yet-expanded entries.
+///
+/// Each entry is stored as one packed `u64` key whose integer order is the
+/// `(dist.total_cmp, id)` order, so the slot search and the insertion shift
+/// run over plain integers; admission and the tie-tail trim still compare
+/// the decoded `f32`s, exactly as the heaps did.
 ///
 /// The first `ef` entries are the best-`ef` set (what a bounded max-heap
 /// would hold); entries past position `ef` are the tie tail. The pool owns
 /// its buffers across [`CandidatePool::reset`] calls, so a warmed pool never
 /// allocates.
 pub struct CandidatePool {
-    entries: Vec<(f32, u32)>,
-    /// Parallel to `entries`.
+    keys: Vec<u64>,
+    /// Parallel to `keys`.
     expanded: Vec<bool>,
     ef: usize,
     /// Every entry before `cursor` is expanded.
@@ -27,7 +52,7 @@ pub struct CandidatePool {
 impl Default for CandidatePool {
     fn default() -> Self {
         Self {
-            entries: Vec::new(),
+            keys: Vec::new(),
             expanded: Vec::new(),
             ef: 1,
             cursor: 0,
@@ -38,7 +63,7 @@ impl Default for CandidatePool {
 impl CandidatePool {
     /// Empties the pool and sets its capacity to `ef` (clamped up to 1).
     pub fn reset(&mut self, ef: usize) {
-        self.entries.clear();
+        self.keys.clear();
         self.expanded.clear();
         self.ef = ef.max(1);
         self.cursor = 0;
@@ -48,7 +73,9 @@ impl CandidatePool {
     /// while fewer than `ef` candidates are held.
     #[inline]
     pub fn bound(&self) -> f32 {
-        self.entries.get(self.ef - 1).map_or(f32::INFINITY, |e| e.0)
+        self.keys
+            .get(self.ef - 1)
+            .map_or(f32::INFINITY, |&k| unpack(k).0)
     }
 
     /// Offers a scored vertex; `true` when it was admitted (`len < ef` or
@@ -65,18 +92,15 @@ impl CandidatePool {
     #[inline]
     pub fn offer(&mut self, dist: f32, id: u32) -> bool {
         let ef = self.ef;
-        if !(self.entries.len() < ef || dist < self.entries[ef - 1].0) {
+        if !(self.keys.len() < ef || dist < self.bound()) {
             return false;
         }
-        let pos = self
-            .entries
-            .partition_point(|&(d, v)| d.total_cmp(&dist).then(v.cmp(&id)).is_lt());
-        self.entries.insert(pos, (dist, id));
+        let key = pack(dist, id);
+        let pos = self.keys.partition_point(|&k| k < key);
+        self.keys.insert(pos, key);
         self.expanded.insert(pos, false);
-        while self.entries.len() > ef
-            && self.entries[self.entries.len() - 1].0 > self.entries[ef - 1].0
-        {
-            self.entries.pop();
+        while self.keys.len() > ef && unpack(self.keys[self.keys.len() - 1]).0 > self.bound() {
+            self.keys.pop();
             self.expanded.pop();
         }
         // `pos < ef <= len`, so the cursor stays in range after the trim.
@@ -90,12 +114,12 @@ impl CandidatePool {
     /// test is needed here.
     #[inline]
     pub fn pop_closest(&mut self) -> Option<(f32, u32)> {
-        while self.cursor < self.entries.len() {
+        while self.cursor < self.keys.len() {
             let i = self.cursor;
             self.cursor += 1;
             if !self.expanded[i] {
                 self.expanded[i] = true;
-                return Some(self.entries[i]);
+                return Some(unpack(self.keys[i]));
             }
         }
         None
@@ -111,13 +135,15 @@ impl CandidatePool {
 
     /// The best `ef` candidates seen, ascending by `(dist, id)`.
     #[inline]
-    pub fn best(&self) -> &[(f32, u32)] {
-        &self.entries[..self.entries.len().min(self.ef)]
+    pub fn best(&self) -> impl ExactSizeIterator<Item = (f32, u32)> + '_ {
+        self.keys[..self.keys.len().min(self.ef)]
+            .iter()
+            .map(|&k| unpack(k))
     }
 
     /// Heap bytes held.
     pub fn memory_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(f32, u32)>()
+        self.keys.capacity() * std::mem::size_of::<u64>()
             + self.expanded.capacity() * std::mem::size_of::<bool>()
     }
 }
@@ -135,10 +161,14 @@ mod tests {
         p
     }
 
+    fn best(p: &CandidatePool) -> Vec<(f32, u32)> {
+        p.best().collect()
+    }
+
     #[test]
     fn pops_in_distance_then_id_order() {
         let mut p = pool_of(8, &[(2.0, 7), (1.0, 9), (1.0, 3), (0.5, 1)]);
-        assert_eq!(p.best(), &[(0.5, 1), (1.0, 3), (1.0, 9), (2.0, 7)]);
+        assert_eq!(best(&p), [(0.5, 1), (1.0, 3), (1.0, 9), (2.0, 7)]);
         assert_eq!(p.bound(), f32::INFINITY, "not full yet");
         assert_eq!(p.pop_closest(), Some((0.5, 1)));
         // Ties break ascending by id.
@@ -179,7 +209,7 @@ mod tests {
         assert!(!p.offer(2.0, 0), "a tie with the bound is not admitted");
         assert!(!p.offer(3.0, 3));
         assert!(p.offer(1.5, 4));
-        assert_eq!(p.best(), &[(1.0, 1), (1.5, 4)]);
+        assert_eq!(best(&p), [(1.0, 1), (1.5, 4)]);
     }
 
     #[test]
@@ -188,7 +218,7 @@ mod tests {
         // (1.0, 9) leaves the best set but ties the bound.
         let mut p = pool_of(2, &[(1.0, 5), (1.0, 9)]);
         assert!(p.offer(0.5, 1));
-        assert_eq!(p.best(), &[(0.5, 1), (1.0, 5)]);
+        assert_eq!(best(&p), [(0.5, 1), (1.0, 5)]);
         assert_eq!(p.bound(), 1.0);
         assert_eq!(p.pop_closest(), Some((0.5, 1)));
         assert_eq!(p.pop_closest(), Some((1.0, 5)));
@@ -210,7 +240,7 @@ mod tests {
         let bytes = p.memory_bytes();
         assert!(bytes >= 3 * 9);
         p.reset(2);
-        assert!(p.best().is_empty());
+        assert_eq!(p.best().len(), 0);
         assert_eq!(p.pop_closest(), None);
         assert_eq!(p.memory_bytes(), bytes);
         p.offer(4.0, 4);
@@ -219,5 +249,51 @@ mod tests {
             Some((4.0, 4)),
             "flags do not survive a reset"
         );
+    }
+
+    #[test]
+    fn packed_key_round_trips_and_orders_like_total_cmp_then_id() {
+        let nan_payload = f32::from_bits(0x7fc0_1234);
+        let specials = [
+            -1.0f32,
+            -0.0,
+            0.0,
+            1.0,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),            // smallest positive subnormal
+            -f32::from_bits(0x0040_0000), // a negative subnormal
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::NAN,
+            -f32::NAN,
+            nan_payload,
+            -nan_payload,
+        ];
+        let ids = [0u32, 1, 7, u32::MAX];
+        let items: Vec<(f32, u32)> = specials
+            .iter()
+            .flat_map(|&d| ids.iter().map(move |&v| (d, v)))
+            .collect();
+        for &(d, v) in &items {
+            let (back, id) = unpack(pack(d, v));
+            assert_eq!((back.to_bits(), id), (d.to_bits(), v), "{d:?}");
+        }
+        for &(da, va) in &items {
+            for &(db, vb) in &items {
+                assert_eq!(
+                    pack(da, va).cmp(&pack(db, vb)),
+                    da.total_cmp(&db).then(va.cmp(&vb)),
+                    "({da:?}, {va}) vs ({db:?}, {vb})"
+                );
+            }
+        }
+        // Bit patterns across the whole range round-trip: the stride
+        // visits every exponent, both signs and the NaN range.
+        for bits in (0..=u32::MAX).step_by(65_521) {
+            let d = f32::from_bits(bits);
+            assert_eq!(unpack(pack(d, 3)).0.to_bits(), bits);
+        }
     }
 }
