@@ -20,6 +20,12 @@
 //! exact rerank of the best candidates (the tests pin that equality bit for
 //! bit); wider widths trade extra speculative reads for stage-level overlap.
 //!
+//! A read moves only what the engine uses (DESIGN.md §10.1): each coalesced
+//! run is copied up to the end of its last node, so a block's trailing
+//! sector padding stays in the page cache, and the nodes decode in bulk
+//! into flat per-batch buffers sized once per query. The counters and the
+//! device model still charge whole sectors, exactly as before.
+//!
 //! Substitution (DESIGN.md §4.2, §10): instead of a datacenter SSD we use a
 //! real file plus a per-sector read latency ([`SsdModel`]); reported "disk
 //! I/O time" is modeled, never read off a clock, and QPS charges the
@@ -170,19 +176,21 @@ impl From<SearchStats> for DiskSearchStats {
 /// vector))` on a hit, `None` when the block must come from the batch read.
 type StagedNode<'a> = (u32, Option<(&'a [u32], &'a [f32])>);
 
-/// One node block parsed out of the store.
-#[derive(Default)]
-struct NodeBlock {
-    neighbors: Vec<u32>,
-    vector: Vec<f32>,
-}
-
-/// Reusable result of a [`SectorStore::read_batch`]: parsed blocks aligned
-/// with the (ascending) requested ids, plus the I/O counts.
+/// Reusable result of a [`SectorStore::read_batch`]: the (ascending)
+/// requested ids, their nodes decoded into flat buffers, plus the I/O
+/// counts. Node `i` of the batch is `degrees[i]` ids at
+/// `neighbors[i·R..]` and the vector at `vectors[i·D..(i+1)·D]`.
 #[derive(Default)]
 struct BatchRead {
     ids: Vec<u32>,
-    blocks: Vec<NodeBlock>,
+    degrees: Vec<u32>,
+    /// Neighbor-id slots, `R` (the store's degree bound) per node; slots
+    /// past a node's degree hold the block's zero padding.
+    neighbors: Vec<u32>,
+    /// Full vectors, `D` floats per node.
+    vectors: Vec<f32>,
+    max_degree: usize,
+    dim: usize,
     /// Coalesced commands: runs of adjacent requested blocks.
     runs: usize,
     /// Total raw sectors read.
@@ -191,11 +199,38 @@ struct BatchRead {
 }
 
 impl BatchRead {
-    /// The parsed block for `id`; panics if it was not in the batch.
-    fn block(&self, id: u32) -> &NodeBlock {
-        let i = self.ids.binary_search(&id).expect("id not in batch read");
-        &self.blocks[i]
+    /// Buffers sized for batches of up to `width` nodes from `store`, so
+    /// reading such a batch allocates nothing.
+    fn with_capacity(store: &SectorStore, width: usize) -> Self {
+        Self {
+            ids: Vec::with_capacity(width),
+            degrees: Vec::with_capacity(width),
+            neighbors: Vec::with_capacity(width * store.max_degree),
+            vectors: Vec::with_capacity(width * store.dim),
+            bytes: Vec::with_capacity(store.run_bytes(width)),
+            ..Self::default()
+        }
     }
+
+    /// The adjacency and vector of the batch's `i`-th node.
+    fn node(&self, i: usize) -> (&[u32], &[f32]) {
+        let (r, d) = (self.max_degree, self.dim);
+        (
+            &self.neighbors[i * r..i * r + self.degrees[i] as usize],
+            &self.vectors[i * d..(i + 1) * d],
+        )
+    }
+
+    /// The node `id`; panics if it was not in the batch.
+    fn block(&self, id: u32) -> (&[u32], &[f32]) {
+        let i = self.ids.binary_search(&id).expect("id not in batch read");
+        self.node(i)
+    }
+}
+
+/// Little-endian 4-byte words, decoded in bulk.
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = [u8; 4]> + '_ {
+    bytes.as_chunks::<4>().0.iter().copied()
 }
 
 /// Sector-aligned on-disk node store.
@@ -259,41 +294,41 @@ impl SectorStore {
         }
     }
 
-    /// Parses a raw block image into adjacency + vector.
-    fn parse_block(&self, bytes: &[u8], out: &mut NodeBlock) {
-        let deg = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        out.neighbors.clear();
-        for s in 0..deg.min(self.max_degree) {
-            out.neighbors.push(u32::from_le_bytes(
-                bytes[4 + s * 4..8 + s * 4].try_into().unwrap(),
-            ));
-        }
-        let voff = 4 + 4 * self.max_degree;
-        out.vector.clear();
-        for s in 0..self.dim {
-            out.vector.push(f32::from_le_bytes(
-                bytes[voff + s * 4..voff + s * 4 + 4].try_into().unwrap(),
-            ));
-        }
+    /// Bytes of a block the node occupies: `[degree][ids × R][vector × D]`;
+    /// the rest of the block is sector padding.
+    fn node_bytes(&self) -> usize {
+        4 + 4 * self.max_degree + 4 * self.dim
+    }
+
+    /// Bytes a run of `len ≥ 1` adjacent blocks is read as: every block
+    /// but the last whole, the last only up to the end of its node.
+    fn run_bytes(&self, len: usize) -> usize {
+        len.saturating_sub(1) * self.block_bytes + self.node_bytes()
     }
 
     /// Reads the blocks of `ids` (ascending, unique) as a batch, coalescing
     /// runs of adjacent blocks into single commands: one pread per run,
-    /// `run length × sectors_per_block` sectors each. Coalescing changes
-    /// the command count, never the raw sector count.
+    /// billed as `run length × sectors_per_block` sectors. Coalescing
+    /// changes the command count, never the raw sector count. The pread
+    /// copies only up to the end of the run's last node
+    /// ([`SectorStore::run_bytes`]): the trailing padding is never read,
+    /// while the counters and the device model still charge whole sectors.
     fn read_batch(&self, ids: &[u32], out: &mut BatchRead) -> io::Result<()> {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
+        let r = self.max_degree;
         out.ids.clear();
         out.ids.extend_from_slice(ids);
+        out.degrees.clear();
+        out.neighbors.clear();
+        out.vectors.clear();
+        out.max_degree = r;
+        out.dim = self.dim;
         out.runs = 0;
         out.raw_sectors = 0;
-        out.blocks
-            .resize_with(ids.len().max(out.blocks.len()), NodeBlock::default);
         if ids.is_empty() {
             return Ok(());
         }
         assert!((ids[ids.len() - 1] as usize) < self.n, "node out of range");
-        let mut parsed = 0usize;
         let mut run_start = 0usize;
         while run_start < ids.len() {
             let mut run_end = run_start + 1;
@@ -301,13 +336,17 @@ impl SectorStore {
                 run_end += 1;
             }
             let run_len = run_end - run_start;
-            out.bytes.resize(run_len * self.block_bytes, 0);
+            out.bytes.resize(self.run_bytes(run_len), 0);
             let off = (ids[run_start] as u64) * (self.block_bytes as u64);
             self.read_exact_at_off(&mut out.bytes, off)?;
             for j in 0..run_len {
-                let img = &out.bytes[j * self.block_bytes..(j + 1) * self.block_bytes];
-                self.parse_block(img, &mut out.blocks[parsed]);
-                parsed += 1;
+                let node = &out.bytes[j * self.block_bytes..][..self.node_bytes()];
+                let (degree, rest) = node.split_at(4);
+                let (nbrs, vector) = rest.split_at(4 * r);
+                out.degrees
+                    .extend(le_words(degree).map(|w| u32::from_le_bytes(w).min(r as u32)));
+                out.neighbors.extend(le_words(nbrs).map(u32::from_le_bytes));
+                out.vectors.extend(le_words(vector).map(f32::from_le_bytes));
             }
             out.runs += 1;
             out.raw_sectors += run_len * self.sectors_per_block;
@@ -490,11 +529,8 @@ impl<C: VectorCompressor> DiskIndex<C> {
             .read_batch(&ids, &mut batch)
             .expect("cache warm-up read failed");
         let entries = ids.iter().enumerate().map(|(i, &v)| {
-            (
-                v,
-                batch.blocks[i].neighbors.clone(),
-                batch.blocks[i].vector.clone(),
-            )
+            let (nbrs, vector) = batch.node(i);
+            (v, nbrs.to_vec(), vector.to_vec())
         });
         let cache = NodeCache::pin(entries);
         let pinned = cache.len();
@@ -577,12 +613,13 @@ impl<C: VectorCompressor> DiskIndex<C> {
         scratch.start(self.store.n, ef, self.entry, d0, &filter);
         stats.dist_comps += 1;
 
-        let mut stage: Vec<(f32, u32)> = Vec::new();
-        let mut batch = BatchRead::default();
-        let mut miss_ids: Vec<u32> = Vec::new();
+        // Per-query buffers, sized once for a full stage: no read grows them.
+        let mut stage: Vec<(f32, u32)> = Vec::with_capacity(io_width);
+        let mut batch = BatchRead::with_capacity(&self.store, io_width);
+        let mut miss_ids: Vec<u32> = Vec::with_capacity(io_width);
         // Stage nodes with their cache lookups resolved at pop time (one
         // counted cache probe per expansion, hit or miss).
-        let mut plan: Vec<StagedNode> = Vec::new();
+        let mut plan: Vec<StagedNode> = Vec::with_capacity(io_width);
         // Compute seconds of the previous stage — the budget this stage's
         // modeled I/O can hide behind (max(io, compute) pipeline model).
         let mut prev_compute = 0.0f32;
@@ -628,13 +665,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
             // (distance) order — `beam_search`'s loop at io_width = 1.
             let t0 = Instant::now();
             for &(v, cached) in &plan {
-                let (nbrs, vector): (&[u32], &[f32]) = match cached {
-                    Some((nbrs, vec)) => (nbrs, vec),
-                    None => {
-                        let b = batch.block(v);
-                        (&b.neighbors, &b.vector)
-                    }
-                };
+                let (nbrs, vector) = cached.unwrap_or_else(|| batch.block(v));
                 scratch.memo_insert(v, sq_l2(query, vector));
                 stats.dist_comps += scratch.expand(nbrs, &est, &filter);
             }
@@ -690,7 +721,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
             // Nothing overlaps the tail rerank: charge it in full.
             stats.io_stall_seconds += io_us * 1e-6;
             for (i, &v) in batch.ids.iter().enumerate() {
-                scratch.memo_insert(v, sq_l2(query, &batch.blocks[i].vector));
+                scratch.memo_insert(v, sq_l2(query, batch.node(i).1));
             }
         }
         let mut reranked: Vec<Neighbor> = candidates
@@ -963,9 +994,7 @@ mod tests {
         let mut batch = BatchRead::default();
         store.read_batch(&[0, 50, 99], &mut batch).unwrap();
         for i in [0u32, 50, 99] {
-            let block = batch.block(i);
-            assert_eq!(block.neighbors, graph.neighbors(i));
-            assert_eq!(&block.vector[..], base.get(i as usize));
+            assert_eq!(batch.block(i), (graph.neighbors(i), base.get(i as usize)));
         }
     }
 
@@ -998,10 +1027,101 @@ mod tests {
 
         // A coalesced read still parses every block as its own node.
         for id in [3u32, 4, 90] {
-            let block = batch.block(id);
-            assert_eq!(block.neighbors, graph.neighbors(id));
-            assert_eq!(&block.vector[..], base.get(id as usize));
+            assert_eq!(
+                batch.block(id),
+                (graph.neighbors(id), base.get(id as usize))
+            );
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn block_padding_is_never_read() {
+        // Every block's padding is overwritten with 0xFF through a second
+        // handle; neither a read nor a search may see a byte of it.
+        let parts = Parts::new(300, 18);
+        let mut scratch = (SearchScratch::new(), SearchScratch::new());
+        for io_width in [1usize, 8] {
+            let pristine = parts.index(DiskIndexConfig {
+                io_width,
+                ..cfg(&format!("padding-{io_width}"))
+            });
+            let dirty_path = tmp_path(&format!("padding-dirty-{io_width}"));
+            let dirty = parts.index(DiskIndexConfig {
+                io_width,
+                ..DiskIndexConfig::new(&dirty_path)
+            });
+            let store = &dirty.store;
+            let pad = vec![0xFFu8; store.block_bytes - store.node_bytes()];
+            let f = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&dirty_path)
+                .unwrap();
+            for i in 0..store.n {
+                let off = i * store.block_bytes + store.node_bytes();
+                f.write_all_at(&pad, off as u64).unwrap();
+            }
+
+            let mut batch = BatchRead::default();
+            for ids in [&[7u32][..], &[10, 11, 12, 13], &[0, 150, 299]] {
+                store.read_batch(ids, &mut batch).unwrap();
+                for &i in ids {
+                    let want = (parts.graph.neighbors(i), parts.base.get(i as usize));
+                    assert_eq!(batch.block(i), want, "node {i} of batch {ids:?}");
+                }
+            }
+
+            for (qi, q) in parts.queries.iter().enumerate() {
+                let ctx = format!("width {io_width}, query {qi}");
+                let (want, mut want_stats) =
+                    pristine.search_with_scratch(q, 40, 10, &mut scratch.0);
+                let (got, mut got_stats) = dirty.search_with_scratch(q, 40, 10, &mut scratch.1);
+                assert_bit_identical(&got, &want, &ctx);
+                if io_width > 1 {
+                    // The stall subtracts measured compute: a clock reading.
+                    want_stats.io_stall_seconds = 0.0;
+                    got_stats.io_stall_seconds = 0.0;
+                }
+                assert_eq!(got_stats, want_stats, "{ctx}: stats diverge");
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_store_fails_only_inside_node_bytes() {
+        let (base, _) = setup(50, 19);
+        let graph = VamanaConfig {
+            r: 6,
+            l: 16,
+            ..Default::default()
+        }
+        .build(&base);
+        let path = tmp_path("truncated");
+        let store = SectorStore::build(&path, &base, &graph, 4096).unwrap();
+        let last = (store.n - 1) as u32;
+        let node_end = last as usize * store.block_bytes + store.node_bytes();
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let mut batch = BatchRead::default();
+
+        // Cut inside the last block's padding: every node byte survives.
+        f.set_len(node_end as u64 + 10).unwrap();
+        store.read_batch(&[last - 1, last], &mut batch).unwrap();
+        for i in [last - 1, last] {
+            assert_eq!(batch.block(i), (graph.neighbors(i), base.get(i as usize)));
+        }
+
+        // Cut inside the last node's vector: an `UnexpectedEof`, alone or
+        // at the end of a coalesced run; nodes before the cut still read.
+        f.set_len(node_end as u64 - 4).unwrap();
+        for ids in [&[last][..], &[last - 2, last - 1, last]] {
+            let err = store.read_batch(ids, &mut batch).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "batch {ids:?}");
+        }
+        store.read_batch(&[0, last - 1], &mut batch).unwrap();
+        assert_eq!(
+            batch.block(last - 1),
+            (graph.neighbors(last - 1), base.get(last as usize - 1))
+        );
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! [`SearchScratch`], a query allocates its result `Vec` and nothing else —
 //! the visited map, the gather buffers and both candidate pools are reused.
 //! The PQ index path adds the per-query lookup table and its boxed estimator
-//! on top (ROADMAP item 3's baseline).
+//! on top (ROADMAP item 3's baseline). The disk engine sizes its per-query
+//! buffers once per query (DESIGN.md §10.1), so its count is a constant
+//! that does not grow with the blocks a query reads.
 //!
 //! The binary installs a counting `#[global_allocator]`; the count is kept
 //! per thread so the test harness's own threads cannot disturb it.
@@ -10,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rpq_anns::{FilterStrategy, InMemoryIndex};
+use rpq_anns::{DiskIndex, DiskIndexConfig, FilterStrategy, InMemoryIndex};
 use rpq_data::synth::DatasetKind;
 use rpq_data::{Dataset, LabelPredicate, Labels};
 use rpq_graph::{beam_search, ExactEstimator, HnswConfig, ProximityGraph, SearchScratch};
@@ -118,4 +120,54 @@ fn warmed_pq_index_search_allocation_count_is_pinned() {
             "a warmed filtered PQ query allocates what the unfiltered one does"
         );
     }
+}
+
+#[test]
+fn warmed_disk_search_allocation_count_does_not_grow_with_reads() {
+    let (base, queries, graph) = fixture();
+    let pq = ProductQuantizer::train(
+        &PqConfig {
+            m: 4,
+            k: 16,
+            ..Default::default()
+        },
+        &base,
+    );
+    let path = std::env::temp_dir().join(format!("rpq-it-alloc-{}.store", std::process::id()));
+    let cfg = DiskIndexConfig {
+        io_width: 8,
+        cache_nodes: 200,
+        rerank: 80,
+        ..DiskIndexConfig::new(&path)
+    };
+    let index = DiskIndex::build(pq, &base, &graph, cfg).expect("disk index build failed");
+    let mut scratch = SearchScratch::new();
+    for ef in [20, 80] {
+        for q in queries.iter() {
+            index.search_with_scratch(q, ef, 10, &mut scratch);
+        }
+    }
+    let mut blocks_read = [0usize; 2];
+    for (ef, blocks) in [20, 80].into_iter().zip(&mut blocks_read) {
+        for q in queries.iter() {
+            let before = ALLOCS.with(Cell::get);
+            let (res, stats) = index.search_with_scratch(q, ef, 10, &mut scratch);
+            let allocs = ALLOCS.with(Cell::get) - before;
+            assert_eq!(res.len(), 10);
+            assert_eq!(
+                allocs, 11,
+                "ef {ef}: a warmed disk query allocates its table and boxed estimator, \
+                 five batch buffers, the stage, plan and miss lists, and the rerank list \
+                 that becomes its result, however many blocks it reads"
+            );
+            *blocks += stats.cache_misses;
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    // The two beams read very different numbers of blocks (about 21 and 76
+    // per query), so an allocation per block could not hide in the pin.
+    assert!(
+        blocks_read[1] > 3 * blocks_read[0],
+        "blocks read at ef 20 / 80: {blocks_read:?}"
+    );
 }
