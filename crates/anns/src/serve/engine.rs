@@ -1,24 +1,29 @@
 //! The concurrent query engine: fan-out over shards through the worker
 //! pool, request batching, and latency accounting (DESIGN.md §7.2–§7.4).
 //!
-//! Every query becomes `n_shards` jobs; an idle worker picks each up and
-//! answers it with its own reusable scratch. The calling thread is the
-//! merger: it drains partial results as they complete, merges each query's
-//! top-k as soon as its last shard reports, and stamps the query's
-//! wall-clock latency at that moment. That submit-and-drain loop exists
-//! once (`ServeEngine::wave`): a batch runs it per window, a single query
-//! is a wave of one, and every job sends its shard's typed `Result` back so
-//! a fault surfaces on the calling thread with its reason. Batching bounds
-//! how many queries are in flight at once (`max_batch × n_shards` jobs),
-//! which is what keeps tail latency meaningful under load instead of
-//! queueing an entire dataset behind the first queries.
+//! Every query becomes `n_shards` jobs. The calling thread hands all of a
+//! wave's jobs but the last to the pool, where an idle worker picks each up
+//! and answers it with its own reusable scratch; it runs the last job
+//! itself, with a scratch from the engine's stash, and then merges: it
+//! drains partial results as they complete, merges each query's top-k as
+//! soon as its last shard reports, and stamps the query's wall-clock
+//! latency at that moment. A single query over two shards therefore pays
+//! one thread handoff instead of two, and over one shard none. That
+//! submit-run-drain loop exists once (`ServeEngine::wave`): a batch runs it
+//! per window, a single query is a wave of one, and every job — the
+//! caller's included — sends its shard's typed `Result` back so a fault
+//! surfaces on the calling thread with its reason. Batching bounds how many
+//! queries are in flight at once (`max_batch × n_shards` jobs), which is
+//! what keeps tail latency meaningful under load instead of queueing an
+//! entire dataset behind the first queries.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
+use parking_lot::Mutex;
 use rpq_data::{Dataset, LabelPredicate};
-use rpq_graph::Neighbor;
+use rpq_graph::{Neighbor, SearchScratch};
 
 use super::metrics::{LatencyRecorder, LatencySummary};
 use super::pool::{default_workers, WorkerPool};
@@ -29,7 +34,8 @@ use crate::harness::QueryMeans;
 /// Engine sizing knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Worker threads (default: one per available core).
+    /// Worker threads besides the calling thread, which runs the last
+    /// shard job of every wave itself (default: one per available core).
     pub workers: usize,
     /// Queries in flight per batching wave (default 64).
     pub max_batch: usize,
@@ -87,6 +93,9 @@ pub struct BatchReport {
 pub struct ServeEngine {
     index: Arc<ShardedIndex>,
     pool: WorkerPool,
+    /// Scratches for the jobs calling threads run themselves; the lock is
+    /// held only to pop and push, so concurrent callers never wait on it.
+    stash: Mutex<Vec<SearchScratch>>,
     max_batch: usize,
     recorder: LatencyRecorder,
     served: AtomicUsize,
@@ -99,6 +108,7 @@ impl ServeEngine {
         Self {
             index,
             pool,
+            stash: Mutex::new(Vec::new()),
             max_batch: cfg.max_batch.max(1),
             recorder: LatencyRecorder::new(),
             served: AtomicUsize::new(0),
@@ -162,15 +172,16 @@ impl ServeEngine {
         answer.expect("a wave of one completes its query")
     }
 
-    /// The engine's one submit-and-drain loop. Every query of `window`
-    /// becomes one job per shard on the pool; the calling thread merges as
+    /// The engine's one submit-run-drain loop. Every query of `window`
+    /// becomes one job per shard. All but the window's last job go to the
+    /// pool; the calling thread runs the last one itself, then merges as
     /// jobs report and calls `done(position in window, top-k, stats summed
     /// across shards, latency µs)` the moment a query's last shard does. A
     /// query's latency is the wall time since its submission.
     ///
     /// The filter is `Copy`, so each job carries it by value, and each job
     /// sends its shard's `Result` back — a typed fault surfaces here, on
-    /// the caller's thread, with its own message.
+    /// the caller's thread, with its own message, whoever ran the job.
     fn wave<'q>(
         &self,
         window: impl Iterator<Item = &'q [f32]>,
@@ -188,6 +199,9 @@ impl ServeEngine {
         let n_shards = self.index.n_shards();
         let (tx, rx) = mpsc::channel();
         let mut in_flight = Vec::with_capacity(window.size_hint().0);
+        // A job goes to the pool only once the next one exists, so the job
+        // still held when the window ends is the caller's.
+        let mut held: Option<(usize, usize, Arc<[f32]>)> = None;
         for (w, query) in window.enumerate() {
             assert_eq!(query.len(), self.index.dim(), "query dimension mismatch");
             let query: Arc<[f32]> = query.into();
@@ -198,13 +212,28 @@ impl ServeEngine {
                 stats: ShardQueryStats::default(),
             });
             for s in 0..n_shards {
-                let index = Arc::clone(&self.index);
-                let query = Arc::clone(&query);
-                let tx = tx.clone();
-                self.pool.submit(move |scratch| {
-                    let _ = tx.send((w, index.read_shard(s, &query, filter, ef, k, scratch)));
-                });
+                if let Some((w, s, query)) = held.replace((w, s, Arc::clone(&query))) {
+                    let index = Arc::clone(&self.index);
+                    let tx = tx.clone();
+                    self.pool.submit(move |scratch| {
+                        let _ = tx.send((w, index.read_shard(s, &query, filter, ef, k, scratch)));
+                    });
+                }
             }
+        }
+        if let Some((w, s, query)) = held {
+            // A panic here drops the popped scratch; the stash's lock is
+            // not held while the job runs, so nothing is poisoned.
+            let mut scratch = self
+                .stash
+                .lock()
+                .pop()
+                .unwrap_or_else(|| SearchScratch::with_capacity(self.index.max_shard_len()));
+            let out = self
+                .index
+                .read_shard(s, &query, filter, ef, k, &mut scratch);
+            self.stash.lock().push(scratch);
+            let _ = tx.send((w, out));
         }
         drop(tx);
         for (w, out) in rx {
@@ -343,7 +372,7 @@ mod tests {
         res.iter().map(|n| (n.id, n.dist.to_bits())).collect()
     }
 
-    fn labeled_engine() -> (ServeEngine, Dataset) {
+    fn labeled_engine(serve: ServeConfig) -> (ServeEngine, Dataset) {
         let cfg = SynthConfig {
             dim: 8,
             intrinsic_dim: 4,
@@ -370,12 +399,12 @@ mod tests {
             3,
             graph_builder,
         ));
-        (ServeEngine::new(index, ServeConfig::default()), queries)
+        (ServeEngine::new(index, serve), queries)
     }
 
     #[test]
     fn concurrent_filtered_search_matches_sequential_reference() {
-        let (eng, queries) = labeled_engine();
+        let (eng, queries) = labeled_engine(ServeConfig::default());
         let index = eng.index();
         let mut scratch = SearchScratch::new();
         for strategy in [
@@ -433,7 +462,7 @@ mod tests {
 
     #[test]
     fn single_filtered_query_matches_sequential_reference_bit_for_bit() {
-        let (eng, queries) = labeled_engine();
+        let (eng, queries) = labeled_engine(ServeConfig::default());
         let mut scratch = SearchScratch::new();
         let q = queries.get(0);
         let pred = LabelPredicate::single(1);
@@ -449,9 +478,8 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "replica read failed")]
-    fn a_faulting_shard_in_a_batch_panics_on_the_caller_with_the_reason() {
+    /// One shard whose only replica is a [`FlakyBackend`] that is down.
+    fn down_engine() -> (ServeEngine, Dataset) {
         use super::super::{ClusterGroup, FlakyBackend, Replica, ReplicaSet};
         use crate::memory::InMemoryIndex;
         let (base, queries) = setup(120, 29);
@@ -471,8 +499,107 @@ mod tests {
             (0..120).collect(),
         );
         let index = Arc::new(ShardedIndex::from_groups(vec![group], base.dim()));
-        let eng = ServeEngine::new(index, ServeConfig::default());
+        (ServeEngine::new(index, ServeConfig::default()), queries)
+    }
+
+    #[test]
+    #[should_panic(expected = "replica read failed")]
+    fn a_faulting_shard_in_a_batch_panics_on_the_caller_with_the_reason() {
+        let (eng, queries) = down_engine();
         let _ = eng.serve_batch(&queries, 20, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "replica read failed")]
+    fn a_fault_in_the_job_the_caller_runs_panics_with_the_reason() {
+        // One shard: the calling thread runs the query's only job.
+        let (eng, queries) = down_engine();
+        let _ = eng.search(queries.get(0), 20, 5);
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_leaves_the_engine_serving() {
+        let (eng, queries) = engine(150, 30, 2, ServeConfig::default());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eng.search_filtered(
+                queries.get(0),
+                LabelPredicate::single(0),
+                FilterStrategy::DuringTraversal,
+                20,
+                5,
+            )
+        }));
+        let payload = caught.expect_err("a predicate on label-less shards panics");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            message.contains("requires labels"),
+            "panic said {message:?}"
+        );
+
+        let (batch, _) = eng.serve_batch(&queries, 20, 5);
+        let mut scratch = SearchScratch::new();
+        for (qi, from_batch) in batch.iter().enumerate() {
+            let q = queries.get(qi);
+            let (one, stats) = eng.search(q, 20, 5);
+            let (want, want_stats) = eng.index().search(q, 20, 5, &mut scratch);
+            assert_eq!(bits(&one), bits(&want), "query {qi} diverged");
+            assert_eq!(
+                bits(from_batch),
+                bits(&want),
+                "query {qi} diverged in the batch"
+            );
+            assert_eq!(
+                (stats.hops, stats.dist_comps),
+                (want_stats.hops, want_stats.dist_comps),
+            );
+        }
+        // The failed query never completed, so it is not counted.
+        assert_eq!(eng.queries_served(), 2 * queries.len());
+    }
+
+    #[test]
+    fn concurrent_clients_get_the_sequential_answers() {
+        // Two workers, three shards: each query's first two jobs go to the
+        // pool and its third runs on the client's own thread.
+        let serve = ServeConfig {
+            workers: 2,
+            max_batch: 64,
+        };
+        let (eng, queries) = labeled_engine(serve);
+        let pred = LabelPredicate::single(2);
+        let strategy = FilterStrategy::DuringTraversal;
+        let mut scratch = SearchScratch::new();
+        let want: Vec<_> = (0..queries.len())
+            .map(|qi| {
+                let q = queries.get(qi);
+                let (plain, plain_stats) = eng.index().search(q, 30, 5, &mut scratch);
+                let (filtered, filtered_stats) =
+                    eng.index()
+                        .search_filtered(q, pred, strategy, 30, 5, &mut scratch);
+                (
+                    (bits(&plain), plain_stats),
+                    (bits(&filtered), filtered_stats),
+                )
+            })
+            .collect();
+        std::thread::scope(|clients| {
+            for _ in 0..4 {
+                clients.spawn(|| {
+                    for (qi, (plain, filtered)) in want.iter().enumerate() {
+                        let q = queries.get(qi);
+                        let (got, stats) = eng.search(q, 30, 5);
+                        assert_eq!((&bits(&got), &stats), (&plain.0, &plain.1), "query {qi}");
+                        let (got, stats) = eng.search_filtered(q, pred, strategy, 30, 5);
+                        assert_eq!(
+                            (&bits(&got), &stats),
+                            (&filtered.0, &filtered.1),
+                            "filtered query {qi}",
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(eng.queries_served(), 4 * 2 * queries.len());
     }
 
     #[test]
