@@ -36,7 +36,7 @@ pub enum FilterStrategy {
 
 impl FilterStrategy {
     /// The post-filter beam width for a requested `ef`.
-    pub fn inflated_ef(&self, ef: usize) -> usize {
+    fn inflated_ef(&self, ef: usize) -> usize {
         match self {
             FilterStrategy::DuringTraversal => ef,
             FilterStrategy::PostFilter { inflation } => {

@@ -36,9 +36,9 @@
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::Ordering;
+use std::sync::RwLock;
 use std::time::Instant;
 
-use parking_lot::RwLock;
 use rpq_data::{Dataset, LabelPredicate};
 use rpq_graph::{Neighbor, ProximityGraph, SearchScratch};
 use rpq_quant::VectorCompressor;
@@ -48,14 +48,16 @@ use super::balance::LoadBalancePolicy;
 use super::fault::ReplicaFault;
 use super::loadgen::{ArrivalSchedule, CostModel, FilteredQuery};
 use super::metrics::LatencySummary;
-use super::{slot, MutableShardBackend, Replica, ReplicaSet, ShardQueryStats, ShardedIndex};
+use super::{
+    recover, slot, MutableShardBackend, Replica, ReplicaSet, ShardQueryStats, ShardedIndex,
+};
 use crate::filter::FilterStrategy;
 use crate::stream::StreamingConfig;
 
 impl Replica {
     /// Requests admitted to this replica and not yet complete at `now_us`.
     fn outstanding_at(&self, now_us: f64) -> usize {
-        let mut v = self.outstanding.lock();
+        let mut v = recover(self.outstanding.lock());
         v.retain(|&done| done > now_us);
         v.len()
     }
@@ -65,7 +67,7 @@ impl Replica {
     fn reserve(&self, now_us: f64, service_us: f64) -> f64 {
         let wait_us = self.clock.reserve_at(now_us, service_us);
         let completion_us = now_us + wait_us + service_us;
-        self.outstanding.lock().push(completion_us);
+        recover(self.outstanding.lock()).push(completion_us);
         completion_us
     }
 }
@@ -203,15 +205,10 @@ impl ClusterIndex {
         self.policy
     }
 
-    /// Swaps the balance policy (takes effect on the next read).
-    pub fn set_policy(&mut self, policy: LoadBalancePolicy) {
-        self.policy = policy;
-    }
-
     /// The admission gate's start-wait estimate: a query fans out to all
     /// shards, so it starts when the *most backlogged* shard's best
     /// replica frees up.
-    pub fn est_start_wait_us(&self, now_us: f64) -> f64 {
+    fn est_start_wait_us(&self, now_us: f64) -> f64 {
         self.table
             .groups
             .iter()
@@ -228,7 +225,7 @@ impl ClusterIndex {
     /// shard has no answering replica — a partial top-k would be silent
     /// corruption.
     #[allow(clippy::too_many_arguments)]
-    pub fn search_at(
+    fn search_at(
         &self,
         query: &[f32],
         filter: Option<FilteredQuery>,
@@ -371,12 +368,12 @@ impl ClusterIndex {
     /// Clears all virtual-time runtime state (device horizons,
     /// outstanding completions, round-robin cursors) so measurement runs
     /// are independent of each other.
-    pub fn reset_virtual_time(&self) {
+    fn reset_virtual_time(&self) {
         for group in &self.table.groups {
             group.set.rr.store(0, Ordering::Relaxed);
             for replica in &group.set.replicas {
                 replica.clock.reset();
-                replica.outstanding.lock().clear();
+                recover(replica.outstanding.lock()).clear();
             }
         }
     }
@@ -478,13 +475,15 @@ impl ClusterEngine {
 
     /// Runs `f` under the read lock — a consistent membership snapshot.
     pub fn with_read<R>(&self, f: impl FnOnce(&ClusterIndex) -> R) -> R {
-        f(&self.cluster.read())
+        let cluster = recover(self.cluster.read());
+        f(&cluster)
     }
 
     /// Runs a reconfiguration under the write lock: no read overlaps it,
     /// so no query ever observes a half-applied membership change.
     pub fn reconfigure<R>(&self, f: impl FnOnce(&mut ClusterIndex) -> R) -> R {
-        f(&mut self.cluster.write())
+        let mut cluster = recover(self.cluster.write());
+        f(&mut cluster)
     }
 
     /// One interactive read, under `filter` when given (wall-clock arrival
@@ -498,7 +497,7 @@ impl ClusterEngine {
         scratch: &mut SearchScratch,
     ) -> Result<Vec<Neighbor>, RejectReason> {
         let now_us = self.epoch.elapsed().as_nanos() as f64 / 1e3;
-        let cluster = self.cluster.read();
+        let cluster = recover(self.cluster.read());
         cluster
             .search_at(query, filter, ef, k, scratch, now_us, &self.cost)
             .map(|(res, _, _)| res)
@@ -520,7 +519,7 @@ impl ClusterEngine {
         ef: usize,
         k: usize,
     ) -> (Vec<RequestOutcome>, ClusterReport) {
-        let cluster = self.cluster.read();
+        let cluster = recover(self.cluster.read());
         assert_eq!(queries.dim(), cluster.dim(), "query dimension mismatch");
         assert!(!queries.is_empty(), "need queries to serve");
         cluster.reset_virtual_time();
@@ -838,7 +837,7 @@ mod tests {
             .replica_set()
             .replicas()
             .iter()
-            .map(|r| r.outstanding.lock().len())
+            .map(|r| r.outstanding.lock().unwrap().len())
             .collect();
         let (min, max) = (*loads.iter().min().unwrap(), *loads.iter().max().unwrap());
         assert!(
@@ -848,12 +847,8 @@ mod tests {
 
         // Queue-aware: all traffic at t=0 still spreads, because each
         // reservation grows the chosen replica's backlog.
+        let cluster = ClusterIndex::new(cluster.table, LoadBalancePolicy::QueueAware);
         cluster.reset_virtual_time();
-        let cluster = {
-            let mut c = cluster;
-            c.set_policy(LoadBalancePolicy::QueueAware);
-            c
-        };
         for q in queries.iter() {
             cluster
                 .search_at(q, None, 40, 5, &mut scratch, 0.0, &cost)
@@ -863,7 +858,7 @@ mod tests {
             .replica_set()
             .replicas()
             .iter()
-            .map(|r| r.outstanding.lock().len())
+            .map(|r| r.outstanding.lock().unwrap().len())
             .collect();
         let (min, max) = (*loads.iter().min().unwrap(), *loads.iter().max().unwrap());
         assert!(
@@ -1055,8 +1050,11 @@ mod tests {
                 .unwrap();
         }
         let set = cluster.groups()[0].replica_set();
-        assert_eq!(set.replicas()[0].outstanding.lock().len(), 0);
-        assert_eq!(set.replicas()[1].outstanding.lock().len(), queries.len());
+        assert_eq!(set.replicas()[0].outstanding.lock().unwrap().len(), 0);
+        assert_eq!(
+            set.replicas()[1].outstanding.lock().unwrap().len(),
+            queries.len()
+        );
         set.replicas()[0].set_enabled(true);
         cluster.reset_virtual_time();
         for (i, q) in queries.iter().enumerate() {
@@ -1064,7 +1062,7 @@ mod tests {
                 .search_at(q, None, 30, 5, &mut scratch, i as f64, &cost)
                 .unwrap();
         }
-        assert!(!set.replicas()[0].outstanding.lock().is_empty());
+        assert!(!set.replicas()[0].outstanding.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -1413,5 +1411,50 @@ mod tests {
                 cost.service_us(&second).to_bits()
             );
         }
+    }
+
+    /// A reconfiguration that panics poisons the engine's `RwLock`; the
+    /// serving lock policy (`serve::recover`) takes the membership back,
+    /// so the same engine answers every read after the panic exactly as
+    /// before it — ids, distance bits and stats.
+    #[test]
+    fn a_panicking_reconfiguration_leaves_reads_unchanged() {
+        let (base, queries) = setup(160, 53);
+        let pq = pq(&base);
+        let cluster = ClusterIndex::build_in_memory(
+            &pq,
+            &base,
+            2,
+            2,
+            LoadBalancePolicy::RoundRobin,
+            graph_builder,
+        );
+        let engine = ClusterEngine::new(cluster, AdmissionConfig::default(), CostModel::default());
+        let bits = |res: &[Neighbor]| -> Vec<(u32, u32)> {
+            res.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+        };
+        let mut scratch = SearchScratch::new();
+        let mut answers = || -> Vec<_> {
+            queries
+                .iter()
+                .map(|q| {
+                    let (read, stats) = engine
+                        .with_read(|c| c.search(q, 40, 5, &mut scratch))
+                        .unwrap();
+                    let served = engine.search(q, None, 40, 5, &mut scratch).unwrap();
+                    (bits(&read), stats, bits(&served))
+                })
+                .collect()
+        };
+        let before = answers();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.reconfigure(|_| panic!("boom"))
+        }));
+        assert!(caught.is_err(), "the reconfiguration must have panicked");
+        assert!(
+            engine.cluster.is_poisoned(),
+            "the panic must poison the lock"
+        );
+        assert_eq!(answers(), before);
     }
 }

@@ -18,16 +18,15 @@
 //! entire dataset behind the first queries.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use rpq_data::{Dataset, LabelPredicate};
 use rpq_graph::{Neighbor, SearchScratch};
 
 use super::metrics::{LatencyRecorder, LatencySummary};
 use super::pool::{default_workers, WorkerPool};
-use super::{merge_top_k, FilteredQuery, ShardQueryStats, ShardedIndex};
+use super::{merge_top_k, recover, FilteredQuery, ShardQueryStats, ShardedIndex};
 use crate::filter::FilterStrategy;
 use crate::harness::QueryMeans;
 
@@ -224,15 +223,13 @@ impl ServeEngine {
         if let Some((w, s, query)) = held {
             // A panic here drops the popped scratch; the stash's lock is
             // not held while the job runs, so nothing is poisoned.
-            let mut scratch = self
-                .stash
-                .lock()
+            let mut scratch = recover(self.stash.lock())
                 .pop()
                 .unwrap_or_else(|| SearchScratch::with_capacity(self.index.max_shard_len()));
             let out = self
                 .index
                 .read_shard(s, &query, filter, ef, k, &mut scratch);
-            self.stash.lock().push(scratch);
+            recover(self.stash.lock()).push(scratch);
             let _ = tx.send((w, out));
         }
         drop(tx);
@@ -492,7 +489,7 @@ mod tests {
             &base,
         );
         let shard = InMemoryIndex::build(pq, &base, graph_builder(&base));
-        let flaky = FlakyBackend::new(Box::new(shard), 1);
+        let flaky = FlakyBackend::new(Box::new(shard));
         flaky.set_down(true);
         let group = ClusterGroup::new(
             ReplicaSet::new(vec![Replica::frozen(Arc::new(flaky))]),

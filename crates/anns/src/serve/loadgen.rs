@@ -141,15 +141,6 @@ impl ArrivalSchedule {
         Self { requests }
     }
 
-    /// Stamps every request with the same predicate — how an experiment
-    /// turns a traffic schedule into filtered traffic.
-    pub fn with_filter(mut self, filter: FilteredQuery) -> Self {
-        for r in &mut self.requests {
-            r.filter = Some(filter);
-        }
-        self
-    }
-
     /// Stamps request `i` with `filters[i % filters.len()]` — mixed-
     /// predicate traffic from one schedule (deterministic round-robin over
     /// the predicate set).
@@ -280,7 +271,7 @@ mod tests {
             pred: LabelPredicate::single(1),
             strategy: FilterStrategy::PostFilter { inflation: 4 },
         };
-        let s = ArrivalSchedule::open_loop(10, 100.0, 4, 1, 3).with_filter(f0);
+        let s = ArrivalSchedule::open_loop(10, 100.0, 4, 1, 3).with_filters(&[f0]);
         assert!(s.requests.iter().all(|r| r.filter == Some(f0)));
         let s = ArrivalSchedule::open_loop(10, 100.0, 4, 1, 3).with_filters(&[f0, f1]);
         assert_eq!(s.requests[0].filter, Some(f0));

@@ -4,9 +4,10 @@
 //! reduce the samples to the operational readouts a serving dashboard
 //! would plot: QPS, mean, and the p50/p95/p99 tail percentiles.
 
+use std::sync::Mutex;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use super::recover;
 
 /// Reduced view over a set of latency samples.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -54,7 +55,7 @@ impl LatencySummary {
 
 /// Samples the default recorder window holds — large enough for stable
 /// p99s, small enough that a long-lived engine's memory stays flat.
-pub const DEFAULT_WINDOW: usize = 65_536;
+const DEFAULT_WINDOW: usize = 65_536;
 
 /// Thread-safe accumulator of per-query latency samples over a **sliding
 /// window** of the most recent queries. One recorder lives for the whole
@@ -86,7 +87,7 @@ impl LatencyRecorder {
     }
 
     /// A recorder keeping the most recent `window` samples (≥ 1).
-    pub fn with_window(window: usize) -> Self {
+    fn with_window(window: usize) -> Self {
         Self {
             inner: Mutex::new(Window {
                 samples_us: Vec::new(),
@@ -105,7 +106,7 @@ impl LatencyRecorder {
     /// Records a pre-converted microsecond sample, evicting the oldest
     /// sample once the window is full.
     pub fn record_us(&self, us: f32) {
-        let mut w = self.inner.lock();
+        let mut w = recover(self.inner.lock());
         if w.samples_us.len() < w.capacity {
             w.samples_us.push(us);
         } else {
@@ -118,14 +119,14 @@ impl LatencyRecorder {
 
     /// Lifetime total of samples recorded (not capped by the window).
     pub fn count(&self) -> usize {
-        self.inner.lock().total as usize
+        recover(self.inner.lock()).total as usize
     }
 
     /// Percentile summary over the current window. The lock is held only
     /// for the copy: the `O(w log w)` sort runs after the guard is dropped,
     /// so concurrent [`LatencyRecorder::record_us`] calls never wait on it.
     pub fn snapshot(&self) -> LatencySummary {
-        let window = self.inner.lock().samples_us.clone();
+        let window = recover(self.inner.lock()).samples_us.clone();
         LatencySummary::reduce(window)
     }
 }

@@ -42,9 +42,8 @@ pub use pool::{default_workers, WorkerPool};
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use rpq_data::{Dataset, LabelPredicate, Labels};
 use rpq_graph::{Neighbor, ProximityGraph, SearchScratch};
 use rpq_quant::VectorCompressor;
@@ -54,6 +53,16 @@ use crate::filter::FilterStrategy;
 use crate::memory::InMemoryIndex;
 use crate::stream::{StreamingConfig, StreamingIndex};
 use balance::VirtualClock;
+
+/// The serving layer's one lock policy: a lock poisoned by a panicking
+/// holder is recovered, not propagated, so one panic does not fail every
+/// later request. The scratch stash, latency window, job queue and
+/// completion lists change only through calls that cannot panic midway;
+/// the cluster membership is left as far as a panicking
+/// `ClusterEngine::reconfigure` closure got (its caller sees the panic).
+pub(crate) fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Per-shard, per-query cost counters: the hybrid scenario's stats, which
 /// are a superset of the in-memory ones (`From<SearchStats>` leaves the I/O

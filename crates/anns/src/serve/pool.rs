@@ -7,15 +7,14 @@
 //! every 255 queries (the perf property `rpq_graph::beam_search` is built
 //! around). Jobs are `FnOnce(&mut SearchScratch)` closures pulled
 //! from a shared MPMC queue (an [`mpsc`] receiver behind a mutex — the
-//! classic std-only work-sharing arrangement, which the vendored
-//! `parking_lot` shim keeps dependency-free).
+//! classic std-only work-sharing arrangement).
 
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
 use rpq_graph::SearchScratch;
+
+use super::recover;
 
 /// A unit of work executed on a pool worker with that worker's scratch.
 type Job = Box<dyn FnOnce(&mut SearchScratch) + Send + 'static>;
@@ -41,7 +40,7 @@ impl WorkerPool {
                     loop {
                         // Hold the queue lock only for the dequeue, never
                         // while running the job.
-                        let job = receiver.lock().recv();
+                        let job = recover(receiver.lock()).recv();
                         match job {
                             Ok(job) => {
                                 // A panicking job must not take the worker

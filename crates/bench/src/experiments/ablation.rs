@@ -28,13 +28,13 @@ pub fn tables67(scale: &Scale) -> (Report, Report) {
         "table6",
         "Ablation, hybrid scenario: QPS at common recall (paper Table 6, 95%)",
         &scale.label(),
-        &["Method", "BigANN", "Deep", "Gist", "Sift", "Ukbench"],
+        &["Method", "Deep", "Gist", "Sift", "Ukbench"],
     );
     let mut t7 = Report::new(
         "table7",
         "Ablation, in-memory scenario: QPS at common recall (paper Table 7)",
         &scale.label(),
-        &["Method", "BigANN", "Deep", "Gist", "Sift", "Ukbench"],
+        &["Method", "Deep", "Gist", "Sift", "Ukbench"],
     );
     #[derive(Serialize)]
     struct Out {
@@ -46,7 +46,6 @@ pub fn tables67(scale: &Scale) -> (Report, Report) {
         memory_target: f32,
     }
     let kinds = [
-        DatasetKind::BigAnn,
         DatasetKind::Deep,
         DatasetKind::Gist,
         DatasetKind::Sift,
@@ -110,7 +109,7 @@ pub fn tables67(scale: &Scale) -> (Report, Report) {
 }
 
 /// **Figure 8**: effect of the k_pos/k_neg ratio on QPS in both scenarios
-/// (BigANN-like and Deep-like).
+/// (Sift-like and Deep-like).
 pub fn fig8(scale: &Scale) -> Report {
     let ratios = [0.02f32, 0.2, 0.5, 0.8, 0.98];
     let total = 25usize;
@@ -130,7 +129,7 @@ pub fn fig8(scale: &Scale) -> Report {
         memory_qps: f32,
     }
     let mut outs = Vec::new();
-    for kind in [DatasetKind::BigAnn, DatasetKind::Deep] {
+    for kind in [DatasetKind::Sift, DatasetKind::Deep] {
         let bench = make_bench(kind, scale.n_base, scale.n_query, scale.k, scale.seed);
         let vamana = Arc::new(build_graph(GraphKind::Vamana, &bench.base, scale.seed));
         let hnsw = Arc::new(build_graph(GraphKind::Hnsw, &bench.base, scale.seed));

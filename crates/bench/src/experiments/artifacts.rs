@@ -44,7 +44,7 @@ pub fn table2(scale: &Scale) -> Report {
     struct Out {
         dataset: String,
         sdc_recall: f32,
-        adc_recall: f32,
+        exact_recall: f32,
     }
     let mut outs = Vec::new();
     for kind in kinds {
@@ -78,13 +78,13 @@ pub fn table2(scale: &Scale) -> Report {
             bench.gt.recall(&results)
         };
         let sdc_recall = run(false);
-        let adc_recall = run(true);
+        let exact_recall = run(true);
         partial_row.push(fmt(sdc_recall));
-        full_row.push(fmt(adc_recall));
+        full_row.push(fmt(exact_recall));
         outs.push(Out {
             dataset: kind.name().into(),
             sdc_recall,
-            adc_recall,
+            exact_recall,
         });
     }
     report.push_row(partial_row);
@@ -230,13 +230,13 @@ pub fn tables45(scale: &Scale) -> (Report, Report) {
         "table4",
         "Training time, seconds (paper Table 4 reports hours at 500K scale)",
         &scale.label(),
-        &["Method", "BigANN", "Deep", "Sift", "Gist", "Ukbench"],
+        &["Method", "Deep", "Sift", "Gist", "Ukbench"],
     );
     let mut t5 = Report::new(
         "table5",
         "Model size, MB (paper Table 5)",
         &scale.label(),
-        &["Method", "BigANN", "Deep", "Sift", "Gist", "Ukbench"],
+        &["Method", "Deep", "Sift", "Gist", "Ukbench"],
     );
     #[derive(Serialize)]
     struct Out {
@@ -247,7 +247,6 @@ pub fn tables45(scale: &Scale) -> (Report, Report) {
         rpq_mb: f32,
     }
     let kinds = [
-        DatasetKind::BigAnn,
         DatasetKind::Deep,
         DatasetKind::Sift,
         DatasetKind::Gist,

@@ -43,7 +43,7 @@ pub fn fig910(scale: &Scale) -> (Report, Report) {
     let mut grid_scale = scale.clone();
     grid_scale.rpq_epochs = grid_scale.rpq_epochs.min(2);
     grid_scale.rpq_steps = grid_scale.rpq_steps.min(10);
-    for kind in [DatasetKind::BigAnn, DatasetKind::Deep, DatasetKind::Gist] {
+    for kind in [DatasetKind::Sift, DatasetKind::Deep, DatasetKind::Gist] {
         let bench = make_bench(kind, scale.n_base, scale.n_query, scale.k, scale.seed);
         let vamana = Arc::new(build_graph(GraphKind::Vamana, &bench.base, scale.seed));
         let hnsw = Arc::new(build_graph(GraphKind::Hnsw, &bench.base, scale.seed));
@@ -113,7 +113,7 @@ pub fn fig11(scale: &Scale) -> Report {
         rpq_qps: f32,
     }
     let mut outs = Vec::new();
-    for kind in [DatasetKind::BigAnn, DatasetKind::Deep] {
+    for kind in [DatasetKind::Sift, DatasetKind::Deep] {
         for &n in &scale.scalability_sizes {
             let bench = make_bench(kind, n, scale.n_query, scale.k, scale.seed);
             let vamana = Arc::new(build_graph(GraphKind::Vamana, &bench.base, scale.seed));
@@ -183,7 +183,7 @@ pub fn fig12(scale: &Scale) -> Report {
     }
     let ef = 64usize;
     let mut outs = Vec::new();
-    for kind in [DatasetKind::BigAnn, DatasetKind::Deep] {
+    for kind in [DatasetKind::Sift, DatasetKind::Deep] {
         for &n in &scale.scalability_sizes {
             let bench = make_bench(kind, n, scale.n_query, scale.k, scale.seed);
             let hnsw = Arc::new(build_graph(GraphKind::Hnsw, &bench.base, scale.seed));

@@ -39,7 +39,7 @@ impl Report {
     }
 
     /// Renders as a markdown table.
-    pub fn to_markdown(&self) -> String {
+    fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "\n## {} — {} ({})\n\n",

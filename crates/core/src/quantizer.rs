@@ -192,11 +192,6 @@ impl DiffQuantizer {
         &self.rotation
     }
 
-    /// Freezes the learned codebooks into a serving [`Codebook`].
-    pub fn to_codebook(&self) -> Codebook {
-        self.scaled_codebook(1.0)
-    }
-
     /// The learned codebooks with every codeword multiplied by `scale`.
     fn scaled_codebook(&self, scale: f32) -> Codebook {
         let rows = self

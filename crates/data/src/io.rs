@@ -1,11 +1,10 @@
-//! Readers and writers for the TEXMEX vector formats (`fvecs`, `bvecs`,
-//! `ivecs`) used by SIFT1M, GIST1M, BigANN and Deep.
+//! Reader and writer for the TEXMEX `fvecs` vector format used by SIFT1M,
+//! GIST1M and Deep.
 //!
-//! Format: each vector is `[d: i32 little-endian][d payload elements]` where
-//! the payload is `f32` (fvecs), `u8` (bvecs) or `i32` (ivecs). All readers
-//! validate the header against the file length and return a descriptive
-//! error instead of panicking — the paper's datasets are multi-GB downloads
-//! and truncation is a real failure mode.
+//! Format: each vector is `[d: i32 little-endian][d f32 little-endian]`. The
+//! reader validates the header against the file length and returns a
+//! descriptive error instead of panicking — the paper's datasets are
+//! multi-GB downloads and truncation is a real failure mode.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -62,12 +61,15 @@ impl From<io::Error> for VecsError {
 
 const MAX_DIM: i32 = 1 << 20;
 
-fn parse_vecs(
-    bytes: &[u8],
-    elem_size: usize,
-    mut emit: impl FnMut(&[u8]) -> f32,
-    limit: Option<usize>,
-) -> Result<Dataset, VecsError> {
+/// Reads an `fvecs` file (optionally only the first `limit` vectors).
+pub fn read_fvecs(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Dataset, VecsError> {
+    let mut bytes = Vec::new();
+    BufReader::new(File::open(path)?).read_to_end(&mut bytes)?;
+    parse_fvecs_bytes(&bytes, limit)
+}
+
+/// Parses `fvecs` from an in-memory buffer.
+pub fn parse_fvecs_bytes(bytes: &[u8], limit: Option<usize>) -> Result<Dataset, VecsError> {
     let mut offset = 0usize;
     let mut dim: Option<usize> = None;
     let mut data: Vec<f32> = Vec::new();
@@ -98,66 +100,18 @@ fn parse_vecs(
             _ => {}
         }
         offset += 4;
-        let payload = d * elem_size;
+        let payload = d * 4;
         if offset + payload > bytes.len() {
             return Err(VecsError::Truncated { offset });
         }
-        for chunk in bytes[offset..offset + payload].chunks_exact(elem_size) {
-            data.push(emit(chunk));
+        for chunk in bytes[offset..offset + payload].chunks_exact(4) {
+            data.push(f32::from_le_bytes(chunk.try_into().unwrap()));
         }
         offset += payload;
         count += 1;
     }
     let dim = dim.unwrap_or(1);
     Ok(Dataset::from_flat(dim.max(1), data))
-}
-
-/// Reads an `fvecs` file (optionally only the first `limit` vectors).
-pub fn read_fvecs(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Dataset, VecsError> {
-    let mut bytes = Vec::new();
-    BufReader::new(File::open(path)?).read_to_end(&mut bytes)?;
-    parse_fvecs_bytes(&bytes, limit)
-}
-
-/// Parses `fvecs` from an in-memory buffer.
-pub fn parse_fvecs_bytes(bytes: &[u8], limit: Option<usize>) -> Result<Dataset, VecsError> {
-    parse_vecs(
-        bytes,
-        4,
-        |c| f32::from_le_bytes(c.try_into().unwrap()),
-        limit,
-    )
-}
-
-/// Reads a `bvecs` file (byte vectors, e.g. BigANN), widening to `f32`.
-pub fn read_bvecs(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Dataset, VecsError> {
-    let mut bytes = Vec::new();
-    BufReader::new(File::open(path)?).read_to_end(&mut bytes)?;
-    parse_bvecs_bytes(&bytes, limit)
-}
-
-/// Parses `bvecs` from an in-memory buffer.
-pub fn parse_bvecs_bytes(bytes: &[u8], limit: Option<usize>) -> Result<Dataset, VecsError> {
-    parse_vecs(bytes, 1, |c| c[0] as f32, limit)
-}
-
-/// Reads an `ivecs` file (e.g. ground-truth indices) as rows of `i32`.
-pub fn read_ivecs(
-    path: impl AsRef<Path>,
-    limit: Option<usize>,
-) -> Result<Vec<Vec<u32>>, VecsError> {
-    let mut bytes = Vec::new();
-    BufReader::new(File::open(path)?).read_to_end(&mut bytes)?;
-    let ds = parse_vecs(
-        &bytes,
-        4,
-        |c| i32::from_le_bytes(c.try_into().unwrap()) as f32,
-        limit,
-    )?;
-    Ok(ds
-        .iter()
-        .map(|row| row.iter().map(|&v| v as u32).collect())
-        .collect())
 }
 
 /// Writes a dataset as `fvecs`.
@@ -247,16 +201,6 @@ mod tests {
             }) => {}
             other => panic!("expected MixedDimensions, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn bvecs_widens_bytes() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(2i32).to_le_bytes());
-        bytes.push(0);
-        bytes.push(255);
-        let ds = parse_bvecs_bytes(&bytes, None).unwrap();
-        assert_eq!(ds.get(0), &[0.0, 255.0]);
     }
 
     #[test]

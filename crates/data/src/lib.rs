@@ -4,13 +4,16 @@
 //!
 //! * [`Dataset`] — a flat, cache-friendly store of `n` vectors of dimension
 //!   `d` (the representation every other crate consumes),
-//! * [`io`] — readers/writers for the standard `fvecs`/`bvecs`/`ivecs`
-//!   formats so real SIFT/GIST/Deep/BigANN files can be dropped in,
-//! * [`synth`] — synthetic generators matched to the paper's five datasets
-//!   (Table 3) in dimensionality and local intrinsic dimensionality; these
+//! * [`io`] — reader/writer for the standard `fvecs` format, so real
+//!   SIFT/GIST/Deep files can be dropped in,
+//! * [`synth`] — four synthetic generators standing in for the paper's five
+//!   datasets (Table 3; BigANN, the billion-scale SIFT, shares the Sift
+//!   stand-in), matched in dimensionality and cluster structure; these
 //!   substitute for the multi-hundred-GB originals (see DESIGN.md §4),
-//! * [`lid`] — the MLE local-intrinsic-dimensionality estimator used to
-//!   validate the generators against Table 3,
+//! * [`lid`] — the MLE local-intrinsic-dimensionality estimator; its tests
+//!   pin that the generators reproduce Table 3's LID *ordering* at the
+//!   paper's proportions (the MLE reading rises with n, so at laptop scale
+//!   it sits below the full-scale targets; DESIGN.md §4.1),
 //! * [`ground_truth`] — parallel brute-force exact k-NN and recall@k
 //!   (paper Eq. 1), filtered and unfiltered,
 //! * [`labels`] — per-vector label metadata over a small fixed vocabulary,

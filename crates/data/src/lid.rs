@@ -9,9 +9,11 @@
 //! LID ≈ − ( (1/k) · Σᵢ ln(rᵢ / r_k) )⁻¹
 //! ```
 //!
-//! and the dataset-level figure is the average over sampled points. This is
-//! used by tests to validate that the synthetic generators actually land in
-//! the neighbourhood of the paper's reported LIDs.
+//! and the dataset-level figure is the average over sampled points. The
+//! tests use it to pin that the synthetic generators reproduce Table 3's
+//! LID *ordering* (Ukbench < Sift < Deep < Gist), each at 0.4–0.9× its
+//! target. The MLE reading rises with n, so at laptop scale it sits below
+//! the full-scale targets (DESIGN.md §4.1).
 
 use rayon::prelude::*;
 use rpq_linalg::distance::sq_l2;
@@ -72,7 +74,7 @@ pub fn estimate_lid(ds: &Dataset, sample: usize, k: usize, seed: u64) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::{SynthConfig, ValueTransform};
+    use crate::synth::{DatasetKind, SynthConfig, ValueTransform};
 
     fn gaussian_config(dim: usize, intrinsic: usize) -> SynthConfig {
         SynthConfig {
@@ -98,6 +100,39 @@ mod tests {
         );
         assert!(lid_low > 1.5 && lid_low < 10.0, "lid_low {lid_low}");
         assert!(lid_high > 10.0, "lid_high {lid_high}");
+    }
+
+    /// DESIGN.md §4.1's evidence: at n 5 000 the four generators' MLE LID
+    /// keeps Table 3's order and sits at 0.4–0.9× each target (the reading
+    /// rises with n, so laptop-scale corpora read below the full-scale
+    /// column).
+    #[test]
+    fn generators_keep_table3_lid_order_at_paper_proportions() {
+        let table3 = [
+            (DatasetKind::Ukbench, 8.3f32),
+            (DatasetKind::Sift, 16.6),
+            (DatasetKind::Deep, 17.6),
+            (DatasetKind::Gist, 35.0),
+        ];
+        for seed in 1..=3u64 {
+            let lids: Vec<f32> = table3
+                .iter()
+                .map(|&(kind, target)| {
+                    let data = kind.config().generate(5_000, seed);
+                    let lid = estimate_lid(&data, 200, 20, seed).unwrap();
+                    assert!(
+                        (0.4 * target..=0.9 * target).contains(&lid),
+                        "{} seed {seed}: LID {lid} outside [0.4, 0.9] x {target}",
+                        kind.name()
+                    );
+                    lid
+                })
+                .collect();
+            assert!(
+                lids.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed}: {lids:?} breaks Table 3's order Ukbench < Sift < Deep < Gist"
+            );
+        }
     }
 
     #[test]

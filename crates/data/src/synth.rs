@@ -1,5 +1,6 @@
-//! Synthetic dataset generators matched to the paper's five evaluation
-//! datasets (Table 3).
+//! Synthetic dataset generators standing in for the paper's five evaluation
+//! datasets (Table 3). BigANN, the billion-scale SIFT, shares the Sift
+//! stand-in, so there are four generators.
 //!
 //! The substitution rationale (DESIGN.md §4): for PQ-integrated graph ANNS
 //! the behaviour-relevant properties of a dataset are its dimensionality,
@@ -12,7 +13,6 @@
 //! | Kind      | dim  | target LID | transform                       |
 //! |-----------|------|-----------|----------------------------------|
 //! | `Sift`    | 128  | ~16.6     | non-negative, byte-quantised     |
-//! | `BigAnn`  | 128  | ~16.6     | non-negative, byte-quantised     |
 //! | `Deep`    | 96   | ~17.6     | L2-normalised rows               |
 //! | `Gist`    | 160* | ~35       | correlated dims, unit scale      |
 //! | `Ukbench` | 128  | ~8.3      | non-negative                     |
@@ -32,16 +32,14 @@ use crate::labels::Labels;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     Sift,
-    BigAnn,
     Deep,
     Gist,
     Ukbench,
 }
 
 impl DatasetKind {
-    /// All five, in the order the paper's tables list them.
-    pub const ALL: [DatasetKind; 5] = [
-        DatasetKind::BigAnn,
+    /// All four generators, in the order the paper's tables list them.
+    pub const ALL: [DatasetKind; 4] = [
         DatasetKind::Deep,
         DatasetKind::Gist,
         DatasetKind::Sift,
@@ -52,7 +50,6 @@ impl DatasetKind {
     pub fn name(&self) -> &'static str {
         match self {
             DatasetKind::Sift => "Sift",
-            DatasetKind::BigAnn => "BigANN",
             DatasetKind::Deep => "Deep",
             DatasetKind::Gist => "Gist",
             DatasetKind::Ukbench => "Ukbench",
@@ -62,7 +59,7 @@ impl DatasetKind {
     /// Default generator configuration for this dataset kind.
     pub fn config(&self) -> SynthConfig {
         match self {
-            DatasetKind::Sift | DatasetKind::BigAnn => SynthConfig {
+            DatasetKind::Sift => SynthConfig {
                 dim: 128,
                 intrinsic_dim: 16,
                 clusters: 64,

@@ -268,9 +268,8 @@ impl SearchScratch {
     ///
     /// Epoch safety: a scratch outlives index mutations (DESIGN.md §8). The
     /// index may have *grown* since the marks were made (new slots carry
-    /// stamp 0, which no epoch uses) or *shrunk* via
-    /// [`SearchScratch::shrink_to`] after a consolidation pass (the slots
-    /// went with their stamps).
+    /// stamp 0, which no epoch uses) or *shrunk* after a consolidation pass
+    /// (the map keeps its length; slots past the index are never read).
     pub fn reset(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -279,23 +278,6 @@ impl SearchScratch {
             self.epoch = 1;
         }
         self.memo_keys.clear();
-    }
-
-    /// Shrinks the visited map to `n` slots and releases the excess — what a
-    /// long-lived worker calls after its index consolidated away tombstones,
-    /// so scratch memory tracks the live index instead of the all-time peak.
-    /// Marks beyond the new length are dropped with their slots. The pools
-    /// are emptied: their entries may name vertices that no longer exist.
-    pub fn shrink_to(&mut self, n: usize) {
-        self.pool.reset(0);
-        self.accepted.reset(0);
-        self.visited.truncate(n);
-        self.visited.shrink_to_fit();
-        self.memo_vals.truncate(n);
-        self.memo_vals.shrink_to_fit();
-        self.memo_stamps.truncate(n);
-        self.memo_stamps.shrink_to_fit();
-        self.memo_keys.retain(|&t| (t as usize) < n);
     }
 
     fn prepare(&mut self, n: usize) {
@@ -402,7 +384,7 @@ impl SearchScratch {
     /// Valid between [`SearchScratch::start`] and the next reset. The stamp
     /// is written unconditionally, so the call has no branch on the answer.
     #[inline]
-    pub fn visit(&mut self, v: u32) -> bool {
+    fn visit(&mut self, v: u32) -> bool {
         let slot = &mut self.visited[v as usize];
         let fresh = *slot != self.epoch;
         *slot = self.epoch;
@@ -800,11 +782,8 @@ mod tests {
         let est_big = ExactEstimator::new(&big_ds, &q_big);
         let (b, _) = beam_search(&big_g, &est_big, 8, 1, &mut scratch);
         assert_eq!(b[0].id, 63);
-        // Shrink back below the marks the big search left behind, then
-        // reset: stale marks beyond the new length must not panic and the
-        // next search must see a clean map.
-        scratch.shrink_to(10);
-        scratch.reset();
+        // Back to the small index: the marks the big search left past its
+        // end must not panic or leak into the next search.
         let (c, _) = beam_search(&small_g, &est_small, 4, 1, &mut scratch);
         assert_eq!(c[0].id, 7);
         let mut fresh = SearchScratch::new();
@@ -1178,7 +1157,6 @@ mod tests {
             };
             same_as_fresh(&g, &ds, target, i % 2 == 1, &mut reused);
         }
-        reused.shrink_to(40);
         for i in 0..20 {
             same_as_fresh(
                 &small_g,
@@ -1194,7 +1172,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_bytes_counts_the_pools_and_shrink_to_empties_them() {
+    fn memory_bytes_counts_the_pools() {
         let (ds, g) = line_world(120);
         let q = [90.0f32];
         let est = ExactEstimator::new(&ds, &q);
@@ -1217,15 +1195,6 @@ mod tests {
             pool.memory_bytes() + accepted.memory_bytes()
         );
         assert!(pool.best().len() > 0 && accepted.best().len() > 0);
-        scratch.pool = pool;
-        scratch.accepted = accepted;
-
-        // Ids up to 119 are in the pools; after a shrink to 10 vertices
-        // none of them may survive.
-        scratch.shrink_to(10);
-        assert_eq!(scratch.pool.best().len(), 0);
-        assert_eq!(scratch.accepted.best().len(), 0);
-        assert_eq!(scratch.pool.pop_closest(), None);
     }
 
     #[test]
@@ -1243,12 +1212,6 @@ mod tests {
         scratch.prepare(10);
         assert_eq!(scratch.memo_get(3), None);
         assert_eq!(scratch.memo_get(7), None);
-        // Shrinking below memoised ids then resetting must not panic.
-        scratch.memo_insert(9, 4.0);
-        scratch.shrink_to(5);
-        scratch.reset();
-        scratch.prepare(10);
-        assert_eq!(scratch.memo_get(9), None);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! patch. `DynamicGraph` is the editable counterpart: plain adjacency lists
 //! plus an entry vertex, implementing [`GraphView`] so [`crate::beam_search`]
 //! routes over it unchanged. The Vamana incremental operations
-//! ([`crate::VamanaConfig::insert_point`] and friends) mutate it in place;
-//! [`DynamicGraph::freeze`] converts back to CSR when churn stops.
+//! ([`crate::VamanaConfig::insert_point`] and friends) mutate it in place.
 
 use crate::pg::{GraphView, ProximityGraph};
 
@@ -51,12 +50,6 @@ impl DynamicGraph {
             }
         }
         Self { adj, entry }
-    }
-
-    /// Freezes into CSR for the read-only serving paths. Panics when empty
-    /// (a CSR graph must have at least one vertex).
-    pub fn freeze(&self) -> ProximityGraph {
-        ProximityGraph::from_adjacency(self.adj.clone(), self.entry)
     }
 
     /// Number of vertices.
@@ -163,7 +156,8 @@ mod tests {
         assert_eq!(dynamic.len(), 3);
         assert_eq!(dynamic.entry(), 2);
         assert_eq!(dynamic.neighbors(0), &[1, 2]);
-        assert_eq!(dynamic.freeze(), g);
+        let frozen = ProximityGraph::from_adjacency(dynamic.adj().to_vec(), dynamic.entry());
+        assert_eq!(frozen, g);
     }
 
     #[test]

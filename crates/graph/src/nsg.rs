@@ -62,7 +62,7 @@ impl NsgConfig {
     }
 
     /// Builds the NSG from a pre-computed k-NN graph.
-    pub fn build_from_knn(&self, data: &Dataset, knn: &[Vec<u32>]) -> ProximityGraph {
+    fn build_from_knn(&self, data: &Dataset, knn: &[Vec<u32>]) -> ProximityGraph {
         let n = data.len();
         assert_eq!(knn.len(), n, "knn graph size mismatch");
         let entry = medoid(data);

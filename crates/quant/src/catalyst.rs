@@ -228,7 +228,7 @@ impl Catalyst {
     }
 
     /// Applies the MLP to a row-matrix of vectors.
-    pub fn project(&self, x: &Matrix) -> Matrix {
+    fn project(&self, x: &Matrix) -> Matrix {
         let mut h1 = x.matmul(&self.w1);
         add_bias_relu(&mut h1, &self.b1, true);
         let mut h2 = h1.matmul(&self.w2);
@@ -239,7 +239,7 @@ impl Catalyst {
     }
 
     /// Projects a full dataset into the embedding space.
-    pub fn project_dataset(&self, data: &Dataset) -> Dataset {
+    fn project_dataset(&self, data: &Dataset) -> Dataset {
         let x = data.to_matrix(0, data.len());
         Dataset::from_matrix(&self.project(&x))
     }

@@ -89,7 +89,7 @@ impl Codebook {
 
     /// Sub-codebook `j` in its dimension-major storage: a flat `dsub × k`
     /// slice whose element `d * k + ki` is coordinate `d` of codeword `ki`.
-    pub fn sub_codebook(&self, j: usize) -> &[f32] {
+    fn sub_codebook(&self, j: usize) -> &[f32] {
         let len = self.k * self.dsub;
         &self.codewords[j * len..(j + 1) * len]
     }

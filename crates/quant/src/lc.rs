@@ -113,11 +113,6 @@ impl LinkAndCode {
         }
     }
 
-    /// The fitted regression coefficients.
-    pub fn betas(&self) -> (f32, f32) {
-        (self.beta0, self.beta1)
-    }
-
     /// Refined reconstruction of vertex `i` given the full code set.
     pub fn refine_into(&self, codes: &CompactCodes, i: u32, out: &mut [f32]) {
         let d = self.pq.code_dim();
@@ -305,7 +300,7 @@ mod tests {
     fn betas_are_finite_and_dominated_by_own_code() {
         let (data, graph) = setup(400, 2);
         let lc = LinkAndCode::train(&lc_cfg(), &data, graph);
-        let (b0, b1) = lc.betas();
+        let (b0, b1) = (lc.beta0, lc.beta1);
         assert!(b0.is_finite() && b1.is_finite());
         assert!(b0 > 0.5, "own reconstruction should dominate, b0 = {b0}");
         assert!(b0.abs() > b1.abs(), "b0 {b0} vs b1 {b1}");

@@ -22,7 +22,7 @@ use rpq_quant::{PqConfig, ProductQuantizer, VectorCompressor};
 
 fn main() {
     let scale = rpq_bench::Scale::from_env().expect("RPQ_SCALE");
-    let (base, queries) = DatasetKind::BigAnn.generate(scale.n_base, scale.n_query, 7);
+    let (base, queries) = DatasetKind::Sift.generate(scale.n_base, scale.n_query, 7);
     let gt = brute_force_knn(&base, &queries, 10);
     println!(
         "image corpus: {} SIFT-like descriptors ({} dims), {} queries",

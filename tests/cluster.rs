@@ -98,22 +98,15 @@ fn fixture() -> &'static Fixture {
 fn flaky_cluster(
     replicas: usize,
     policy: LoadBalancePolicy,
-    seed: u64,
 ) -> (ClusterIndex, Vec<Vec<Arc<FlakyBackend>>>) {
     let fx = fixture();
     let mut switches = Vec::new();
     let groups = fx
         .parts
         .iter()
-        .enumerate()
-        .map(|(gi, (backend, ids))| {
+        .map(|(backend, ids)| {
             let row: Vec<Arc<FlakyBackend>> = (0..replicas)
-                .map(|ri| {
-                    Arc::new(FlakyBackend::new(
-                        Box::new(Arc::clone(backend)),
-                        seed ^ ((gi as u64) << 8) ^ ri as u64,
-                    ))
-                })
+                .map(|_| Arc::new(FlakyBackend::new(Box::new(Arc::clone(backend)))))
                 .collect();
             let set = ReplicaSet::new(row.iter().map(|f| Replica::frozen(f.clone())).collect());
             switches.push(row);
@@ -187,7 +180,7 @@ fn assert_no_corruption(outcomes: &[RequestOutcome], schedule: &ArrivalSchedule)
 fn replica_failure_degrades_goodput_but_never_corrupts_top_k() {
     let fx = fixture();
     let ef = fx.base.len();
-    let (cluster, switches) = flaky_cluster(2, LoadBalancePolicy::QueueAware, 7);
+    let (cluster, switches) = flaky_cluster(2, LoadBalancePolicy::QueueAware);
     let engine = ClusterEngine::new(
         cluster,
         AdmissionConfig {
@@ -262,7 +255,7 @@ fn replica_failure_degrades_goodput_but_never_corrupts_top_k() {
 #[test]
 fn latency_spike_sheds_rather_than_stalls() {
     let fx = fixture();
-    let (cluster, switches) = flaky_cluster(2, LoadBalancePolicy::QueueAware, 11);
+    let (cluster, switches) = flaky_cluster(2, LoadBalancePolicy::QueueAware);
     let engine = ClusterEngine::new(
         cluster,
         AdmissionConfig {
@@ -578,7 +571,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let fx = fixture();
-        let (cluster, switches) = flaky_cluster(1, LoadBalancePolicy::RoundRobin, seed);
+        let (cluster, switches) = flaky_cluster(1, LoadBalancePolicy::RoundRobin);
         let n_groups = switches.len();
         let engine = ClusterEngine::new(
             cluster,
