@@ -17,7 +17,6 @@
 //! what keeps tail latency meaningful under load instead of queueing an
 //! entire dataset behind the first queries.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
@@ -97,7 +96,6 @@ pub struct ServeEngine {
     stash: Mutex<Vec<SearchScratch>>,
     max_batch: usize,
     recorder: LatencyRecorder,
-    served: AtomicUsize,
 }
 
 impl ServeEngine {
@@ -110,7 +108,6 @@ impl ServeEngine {
             stash: Mutex::new(Vec::new()),
             max_batch: cfg.max_batch.max(1),
             recorder: LatencyRecorder::new(),
-            served: AtomicUsize::new(0),
         }
     }
 
@@ -124,9 +121,10 @@ impl ServeEngine {
         self.pool.workers()
     }
 
-    /// Queries answered over the engine's lifetime.
+    /// Queries answered over the engine's lifetime: the latency recorder's
+    /// lifetime count, one sample per query whose last shard reported.
     pub fn queries_served(&self) -> usize {
-        self.served.load(Ordering::Relaxed)
+        self.recorder.count()
     }
 
     /// Latency percentiles over every query the engine ever answered.
@@ -251,7 +249,6 @@ impl ServeEngine {
         // missing a shard would be silently wrong — fail loudly.
         let lost: usize = in_flight.iter().map(|q| q.pending).sum();
         assert_eq!(lost, 0, "{lost} shard search job(s) panicked");
-        self.served.fetch_add(in_flight.len(), Ordering::Relaxed);
     }
 
     /// Answers a batch of queries concurrently, at most

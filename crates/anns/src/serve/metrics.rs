@@ -5,7 +5,6 @@
 //! would plot: QPS, mean, and the p50/p95/p99 tail percentiles.
 
 use std::sync::Mutex;
-use std::time::Duration;
 
 use super::recover;
 
@@ -98,13 +97,8 @@ impl LatencyRecorder {
         }
     }
 
-    /// Records one query's wall-clock latency.
-    pub fn record(&self, latency: Duration) {
-        self.record_us(latency.as_secs_f32() * 1e6);
-    }
-
-    /// Records a pre-converted microsecond sample, evicting the oldest
-    /// sample once the window is full.
+    /// Records one query's wall-clock latency in microseconds, evicting
+    /// the oldest sample once the window is full.
     pub fn record_us(&self, us: f32) {
         let mut w = recover(self.inner.lock());
         if w.samples_us.len() < w.capacity {
@@ -165,7 +159,7 @@ mod tests {
     #[test]
     fn recorder_accumulates_across_calls() {
         let r = LatencyRecorder::new();
-        r.record(Duration::from_micros(100));
+        r.record_us(100.0);
         r.record_us(300.0);
         assert_eq!(r.count(), 2);
         let s = r.snapshot();

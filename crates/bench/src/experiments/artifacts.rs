@@ -138,13 +138,10 @@ pub fn fig4(scale: &Scale) -> Report {
         let after = chunk_variance_shares(&rotated, scale.m);
         // OPQ's distortion-minimising rotation as the balancing reference.
         let opq = rpq_quant::OptimizedProductQuantizer::train(
-            &rpq_quant::OpqConfig {
-                pq: rpq_quant::PqConfig {
-                    m: scale.m,
-                    k: scale.kk.min(64),
-                    ..Default::default()
-                },
-                iters: 6,
+            &rpq_quant::PqConfig {
+                m: scale.m,
+                k: scale.kk.min(64),
+                ..Default::default()
             },
             &imbalanced,
         );

@@ -9,12 +9,10 @@ use rpq_core::{
 };
 use rpq_data::synth::DatasetKind;
 use rpq_data::{brute_force_knn, Dataset, GroundTruth};
-use rpq_graph::{HnswConfig, NsgConfig, ProximityGraph, VamanaConfig};
+use rpq_graph::{build_nsg, HnswConfig, ProximityGraph, VamanaConfig};
 use rpq_quant::catalyst::{Catalyst, CatalystConfig};
-use rpq_quant::lc::{LcConfig, LinkAndCode};
-use rpq_quant::{
-    OpqConfig, OptimizedProductQuantizer, PqConfig, ProductQuantizer, VectorCompressor,
-};
+use rpq_quant::lc::LinkAndCode;
+use rpq_quant::{OptimizedProductQuantizer, PqConfig, ProductQuantizer, VectorCompressor};
 
 use crate::scale::Scale;
 
@@ -63,7 +61,7 @@ pub fn build_graph(kind: GraphKind, data: &Dataset, seed: u64) -> ProximityGraph
             seed,
         }
         .build(data),
-        GraphKind::Nsg => NsgConfig { r: 32, l: 64, seed }.build(data),
+        GraphKind::Nsg => build_nsg(data, seed),
     }
 }
 
@@ -144,13 +142,7 @@ pub fn build_method(
     };
     match method {
         Method::Pq => Box::new(ProductQuantizer::train(&pq_cfg, data)),
-        Method::Opq => Box::new(OptimizedProductQuantizer::train(
-            &OpqConfig {
-                pq: pq_cfg,
-                iters: 6,
-            },
-            data,
-        )),
+        Method::Opq => Box::new(OptimizedProductQuantizer::train(&pq_cfg, data)),
         Method::Catalyst => {
             // d_out must be divisible by m; 40 works for m=8, fall back to
             // m·5 otherwise.
@@ -164,18 +156,10 @@ pub fn build_method(
                     ..Default::default()
                 },
                 seed: scale.seed,
-                ..Default::default()
             };
             Box::new(Catalyst::train(&cfg, data))
         }
-        Method::Lc => Box::new(LinkAndCode::train(
-            &LcConfig {
-                pq: pq_cfg,
-                fit_sample: 2000,
-            },
-            data,
-            Arc::clone(graph),
-        )),
+        Method::Lc => Box::new(LinkAndCode::train(&pq_cfg, data, Arc::clone(graph))),
         Method::Rpq(mode) => {
             let cfg = rpq_config(mode, scale, m, kk);
             let (rpq, _) = train_rpq(&cfg, data, graph);
@@ -191,7 +175,6 @@ pub fn rpq_config(mode: TrainingMode, scale: &Scale, m: usize, kk: usize) -> Rpq
             m,
             k: kk,
             seed: scale.seed,
-            ..Default::default()
         },
         mode,
         epochs: scale.rpq_epochs,

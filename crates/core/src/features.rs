@@ -26,11 +26,14 @@ pub struct Triplet {
     pub neg: u32,
 }
 
+/// Propagation depth n of Alg. 1: anchors rank their two-hop
+/// neighbourhood, which at the experiments' degree (R 32) holds far more
+/// than the `k_pos + k_neg` ≤ 25 vertices any sampler setting keeps.
+const N_HOPS: usize = 2;
+
 /// Alg. 1 parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct TripletSamplerConfig {
-    /// Propagation depth n.
-    pub n_hops: usize,
     /// Positive-scope size k_pos.
     pub k_pos: usize,
     /// Negative-scope size k_neg.
@@ -41,7 +44,6 @@ pub struct TripletSamplerConfig {
 impl Default for TripletSamplerConfig {
     fn default() -> Self {
         Self {
-            n_hops: 2,
             k_pos: 8,
             k_neg: 16,
             seed: 0,
@@ -73,7 +75,7 @@ pub fn sample_triplets(
         attempts += 1;
         let v = rng.gen_range(0..n) as u32;
         // Lines 2–10: collect N_n(v).
-        let mut hood = graph.n_hop_neighborhood(v, cfg.n_hops);
+        let mut hood = graph.n_hop_neighborhood(v, N_HOPS);
         if hood.len() < 2 {
             continue;
         }
@@ -115,6 +117,10 @@ pub struct RoutingFeature {
     pub best: usize,
 }
 
+/// Cap on decisions kept per sampled query, so a long walk does not
+/// dominate an epoch's routing features.
+const MAX_DECISIONS_PER_QUERY: usize = 24;
+
 /// Alg. 2 parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct RoutingSamplerConfig {
@@ -122,9 +128,6 @@ pub struct RoutingSamplerConfig {
     pub n_queries: usize,
     /// Beam width h (the size of every recorded candidate set).
     pub h: usize,
-    /// Cap on decisions kept per query (keeps features balanced across
-    /// queries; 0 = unlimited).
-    pub max_decisions_per_query: usize,
     pub seed: u64,
 }
 
@@ -133,7 +136,6 @@ impl Default for RoutingSamplerConfig {
         Self {
             n_queries: 32,
             h: 16,
-            max_decisions_per_query: 24,
             seed: 0,
         }
     }
@@ -188,7 +190,7 @@ pub fn sample_routing_features<'a>(
                 best,
             });
             kept += 1;
-            if cfg.max_decisions_per_query > 0 && kept >= cfg.max_decisions_per_query {
+            if kept >= MAX_DECISIONS_PER_QUERY {
                 break;
             }
         }
@@ -225,7 +227,6 @@ mod tests {
     fn triplets_respect_scopes() {
         let (data, graph) = setup(400, 1);
         let cfg = TripletSamplerConfig {
-            n_hops: 2,
             k_pos: 4,
             k_neg: 8,
             seed: 0,
@@ -237,7 +238,7 @@ mod tests {
             assert_ne!(t.pos, t.neg);
             // Scope check: pos must rank before neg in the anchor's sorted
             // n-hop neighborhood.
-            let mut hood = graph.n_hop_neighborhood(t.anchor, cfg.n_hops);
+            let mut hood = graph.n_hop_neighborhood(t.anchor, N_HOPS);
             let av = data.get(t.anchor as usize);
             hood.sort_by(|&a, &b| {
                 sq_l2(av, data.get(a as usize))
@@ -335,7 +336,6 @@ mod tests {
             .collect();
         let graph = rpq_graph::ProximityGraph::from_adjacency(adj, 0);
         let cfg = TripletSamplerConfig {
-            n_hops: 1,
             k_pos: 2,
             k_neg: 4,
             seed: 0,
@@ -374,7 +374,6 @@ mod tests {
     fn zero_k_pos_rejected() {
         let (data, graph) = setup(50, 8);
         let cfg = TripletSamplerConfig {
-            n_hops: 1,
             k_pos: 0,
             k_neg: 4,
             seed: 0,
@@ -384,12 +383,12 @@ mod tests {
 
     #[test]
     fn decisions_per_query_capped() {
+        // A query's decisions are pushed contiguously, one run per query.
         let (data, graph) = setup(300, 6);
         let cfg = RoutingSamplerConfig {
             n_queries: 3,
-            h: 4,
-            max_decisions_per_query: 2,
             seed: 1,
+            ..Default::default()
         };
         let feats = sample_routing_features(
             &graph,
@@ -397,6 +396,13 @@ mod tests {
             &|q| Box::new(ExactEstimator::new(&data, q)) as Box<dyn DistanceEstimator>,
             &cfg,
         );
-        assert!(feats.len() <= 6);
+        let runs: Vec<usize> = feats
+            .chunk_by(|a, b| a.query == b.query)
+            .map(|run| run.len())
+            .collect();
+        assert!(
+            runs.iter().all(|&r| r <= MAX_DECISIONS_PER_QUERY),
+            "{runs:?}"
+        );
     }
 }

@@ -31,6 +31,11 @@ pub(crate) fn batch_mean(m: &Matrix) -> f32 {
     (m.data.iter().map(|&v| v as f64).sum::<f64>() as f32 / n).max(1e-12)
 }
 
+/// Assignment-probability temperature τ_a (Eq. 6), applied to
+/// batch-mean-normalised distances (scale-free). Fixed, not annealed, as in
+/// paper §6; only the Gumbel temperature anneals.
+const TAU_ASSIGN: f32 = 0.1;
+
 /// Structural parameters of the differentiable quantizer.
 #[derive(Clone, Copy, Debug)]
 pub struct DiffQuantizerConfig {
@@ -38,9 +43,6 @@ pub struct DiffQuantizerConfig {
     pub m: usize,
     /// Codewords per sub-codebook K (≤ 256).
     pub k: usize,
-    /// Assignment-probability temperature τ_a (Eq. 6), applied to
-    /// batch-mean-normalised distances (scale-free).
-    pub tau_assign: f32,
     pub seed: u64,
 }
 
@@ -49,7 +51,6 @@ impl Default for DiffQuantizerConfig {
         Self {
             m: 8,
             k: 256,
-            tau_assign: 0.1,
             seed: 0,
         }
     }
@@ -166,7 +167,7 @@ impl DiffQuantizer {
             // mean (a stop-gradient normaliser): without this the softmax
             // saturates to a constant one-hot and training gets no signal.
             let mean = batch_mean(t.value(d2));
-            let logits = t.scale(d2, -1.0 / (self.cfg.tau_assign * mean));
+            let logits = t.scale(d2, -1.0 / (TAU_ASSIGN * mean));
             let q = t.gumbel_softmax(logits, tau_gumbel, rng);
             let xqj = t.matmul(q, cj);
             parts.push(xqj);
@@ -339,41 +340,59 @@ pub(crate) mod tests {
 
     #[test]
     fn soft_quantization_approaches_hard_at_low_temperature() {
+        // At a low Gumbel temperature every chunk of the soft output is
+        // (nearly) one codeword drawn from softmax(−δ/τ_a), whose mode is
+        // the hard argmin codeword: over repeated draws, the most frequent
+        // codeword is the one hard assignment picks.
         let data = toy(300, 16, 2);
-        let q = warm_start(
-            // Sharp assignment distribution so sampled Gumbel argmax ==
-            // argmin distance with high probability.
-            DiffQuantizerConfig {
-                m: 4,
-                k: 16,
-                tau_assign: 0.02,
-                ..Default::default()
-            },
-            &data,
-        );
+        let q = small_quantizer(&data);
         let mut rng = SmallRng::seed_from_u64(3);
-        let batch = data.to_matrix(0, 8);
+        let nearest = |cb: &Matrix, v: &[f32]| {
+            (0..cb.rows)
+                .min_by(|&a, &b| {
+                    let da = rpq_linalg::distance::sq_l2(v, cb.row(a));
+                    da.total_cmp(&rpq_linalg::distance::sq_l2(v, cb.row(b)))
+                })
+                .unwrap()
+        };
 
         let mut t = Tape::new();
         let vars = q.begin(&mut t);
-        let x = t.constant(batch.clone());
-        let xq = q.quantize(&mut t, &vars, x, 0.05, &mut rng);
-        let soft = t.value(xq).clone();
-
-        // Hard reference: encode + decode via the exported quantizer.
-        let exported = q.export_pq(0.0, 1.0);
-        let codes = exported.encode_dataset(&Dataset::from_matrix(&batch));
-        let mut hard = vec![0.0f32; 16];
-        let mut matches = 0;
+        let x = t.constant(data.to_matrix(0, 8));
+        let xr = q.rotate(&mut t, &vars, x);
+        let rotated = t.value(xr).clone();
+        let draws: Vec<Matrix> = (0..1024)
+            .map(|_| {
+                let xq = q.quantize_rotated(&mut t, &vars, xr, 0.05, &mut rng);
+                t.value(xq).clone()
+            })
+            .collect();
+        let mut agree = 0;
         for i in 0..8 {
-            exported.decode_into(codes.code(i), &mut hard);
-            let d = rpq_linalg::distance::sq_l2(soft.row(i), &hard);
-            let scale = rpq_linalg::distance::sq_norm(&hard).max(1.0);
-            if d < 0.05 * scale {
-                matches += 1;
+            for (j, cb) in q.codebooks.iter().enumerate() {
+                let chunk = |m: &Matrix| m.row(i)[j * 4..(j + 1) * 4].to_vec();
+                let hard = nearest(cb, &chunk(&rotated));
+                let mut tally = vec![0usize; cb.rows];
+                for d in &draws {
+                    tally[nearest(cb, &chunk(d))] += 1;
+                }
+                let top = *tally.iter().max().unwrap();
+                // Near-tied codewords may swap places by sampling noise
+                // (three standard deviations of a count difference); the
+                // sign-flipped Eq. 6 would make the hard codeword the rarest.
+                let noise = 3.0 * (2.0 * top as f32).sqrt();
+                assert!(
+                    (top - tally[hard]) as f32 <= noise,
+                    "row {i} chunk {j}: hard codeword drawn {} times, mode {top}",
+                    tally[hard]
+                );
+                agree += usize::from(tally[hard] == top);
             }
         }
-        assert!(matches >= 6, "only {matches}/8 rows match hard assignment");
+        assert!(
+            agree >= 24,
+            "hard codeword is the mode in only {agree}/32 chunks"
+        );
     }
 
     #[test]

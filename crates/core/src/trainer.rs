@@ -16,7 +16,7 @@ use rpq_autodiff::{Adam, OneCycleLr, Tape};
 use rpq_data::Dataset;
 use rpq_graph::{DistanceEstimator, ExactEstimator, ProximityGraph};
 use rpq_linalg::Matrix;
-use rpq_quant::{OpqConfig, OptimizedProductQuantizer, PqConfig, VectorCompressor};
+use rpq_quant::{OptimizedProductQuantizer, PqConfig, VectorCompressor};
 
 use crate::features::{
     sample_routing_features, sample_triplets, RoutingSamplerConfig, TripletSamplerConfig,
@@ -63,6 +63,11 @@ impl TrainingMode {
 
 /// Trainer configuration. Defaults follow the paper where stated (LR 1e-3,
 /// decay 0.2, K = 256) and are laptop-scaled elsewhere.
+///
+/// `seed` is the only training seed besides `quantizer.seed` (the OPQ warm
+/// start's): `triplet_sampler.seed` and `routing_sampler.seed` are
+/// **ignored**, because every epoch re-seeds both samplers from `seed` and
+/// the epoch index so each epoch draws fresh triplets and queries.
 #[derive(Clone, Copy, Debug)]
 pub struct RpqTrainerConfig {
     pub quantizer: DiffQuantizerConfig,
@@ -71,7 +76,9 @@ pub struct RpqTrainerConfig {
     pub steps_per_epoch: usize,
     pub triplet_batch: usize,
     pub decision_batch: usize,
+    /// Sampler scopes; its `seed` is overridden per epoch (see above).
     pub triplet_sampler: TripletSamplerConfig,
+    /// Query count and beam width; its `seed` is overridden per epoch.
     pub routing_sampler: RoutingSamplerConfig,
     /// Peak learning rate (paper: 1e-3).
     pub lr: f32,
@@ -147,15 +154,11 @@ pub fn train_rpq(
     // RPQ a strict refinement of the strongest rotation baseline. The export
     // composes rot = R0 · Rᵀ so serving sees one rotation.
     let opq = OptimizedProductQuantizer::train(
-        &OpqConfig {
-            pq: PqConfig {
-                m: cfg.quantizer.m,
-                k: cfg.quantizer.k,
-                train_size: INIT_TRAIN_SIZE,
-                seed: cfg.quantizer.seed,
-                ..Default::default()
-            },
-            iters: 6,
+        &PqConfig {
+            m: cfg.quantizer.m,
+            k: cfg.quantizer.k,
+            train_size: INIT_TRAIN_SIZE,
+            seed: cfg.quantizer.seed,
         },
         &normalised,
     );
@@ -441,6 +444,20 @@ mod tests {
             rpq_linalg::is_orthonormal(rot, 1e-5),
             "rotation must stay orthonormal"
         );
+    }
+
+    #[test]
+    fn sampler_seeds_are_overridden_by_the_trainer_seed() {
+        let (data, graph) = setup(250, 6);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let a_cfg = fast_cfg(TrainingMode::Full);
+        let mut b_cfg = a_cfg;
+        b_cfg.triplet_sampler.seed = 11;
+        b_cfg.routing_sampler.seed = 29;
+        let (a, sa) = train_rpq(&a_cfg, &data, &graph);
+        let (b, sb) = train_rpq(&b_cfg, &data, &graph);
+        assert_eq!(bits(&sa.epoch_losses), bits(&sb.epoch_losses));
+        assert_eq!(a.encode_dataset(&data), b.encode_dataset(&data));
     }
 
     #[test]

@@ -27,13 +27,10 @@ pub fn brute_force_knn_graph(data: &Dataset, k: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// NN-Descent configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct NnDescentConfig {
-    /// Neighbors per node in the produced graph.
-    pub k: usize,
-    pub seed: u64,
-}
+/// Neighbors per node of the k-NN graph NSG is initialised from, exact or
+/// by NN-Descent: the same 32 as the final graphs' degree budget (NSG's and
+/// Vamana's R).
+pub(crate) const KNN_K: usize = 32;
 
 /// Maximum local-join iterations.
 const MAX_ITERS: usize = 12;
@@ -41,12 +38,6 @@ const MAX_ITERS: usize = 12;
 const SAMPLE: usize = 40;
 /// Convergence threshold: stop when updates < `DELTA * n * k`.
 const DELTA: f32 = 0.002;
-
-impl Default for NnDescentConfig {
-    fn default() -> Self {
-        Self { k: 24, seed: 0 }
-    }
-}
 
 /// Bounded, sorted neighbor list used during NN-Descent.
 struct NeighborList {
@@ -80,7 +71,8 @@ impl NeighborList {
 /// of parallelism inside each batch.
 const POOL_BATCH: usize = 512;
 
-/// Approximate k-NN graph by NN-Descent local joins.
+/// Approximate `KNN_K`-NN graph by NN-Descent local joins, seeded by
+/// `seed`.
 ///
 /// Each iteration gathers, for every node, a sampled set of forward and
 /// reverse neighbors, then tries every pair inside that set against each
@@ -93,14 +85,14 @@ const POOL_BATCH: usize = 512;
 /// join, this keeps the result bit-identical for a given seed at every
 /// thread count — the determinism contract the whole build pipeline
 /// (and `tests/determinism.rs`) relies on.
-pub fn nn_descent(data: &Dataset, cfg: NnDescentConfig) -> Vec<Vec<u32>> {
+pub fn nn_descent(data: &Dataset, seed: u64) -> Vec<Vec<u32>> {
     let n = data.len();
     assert!(n > 0, "empty dataset");
-    let k = cfg.k.min(n.saturating_sub(1));
+    let k = KNN_K.min(n.saturating_sub(1));
     if k == 0 {
         return vec![Vec::new(); n];
     }
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
 
     // Random initialisation.
     let mut lists: Vec<NeighborList> = (0..n)
@@ -253,14 +245,8 @@ mod tests {
     #[test]
     fn nn_descent_recovers_most_true_neighbors() {
         let data = toy_data(600, 3);
-        let exact = brute_force_knn_graph(&data, 10);
-        let approx = nn_descent(
-            &data,
-            NnDescentConfig {
-                k: 10,
-                ..Default::default()
-            },
-        );
+        let exact = brute_force_knn_graph(&data, KNN_K);
+        let approx = nn_descent(&data, 0);
         let recall = knn_graph_recall(&approx, &exact);
         assert!(recall > 0.85, "nn-descent recall too low: {recall}");
     }
@@ -268,15 +254,9 @@ mod tests {
     #[test]
     fn nn_descent_no_self_edges_and_bounded() {
         let data = toy_data(120, 4);
-        let g = nn_descent(
-            &data,
-            NnDescentConfig {
-                k: 8,
-                ..Default::default()
-            },
-        );
+        let g = nn_descent(&data, 0);
         for (i, l) in g.iter().enumerate() {
-            assert!(l.len() <= 8);
+            assert!(l.len() <= KNN_K);
             assert!(!l.contains(&(i as u32)));
             let mut dd = l.clone();
             dd.sort_unstable();
@@ -288,13 +268,7 @@ mod tests {
     #[test]
     fn nn_descent_tiny_dataset() {
         let data = toy_data(3, 5);
-        let g = nn_descent(
-            &data,
-            NnDescentConfig {
-                k: 8,
-                ..Default::default()
-            },
-        );
+        let g = nn_descent(&data, 0);
         assert!(g.iter().all(|l| l.len() == 2));
     }
 }

@@ -39,8 +39,8 @@ pub use beam::{
 };
 pub use dynamic::DynamicGraph;
 pub use hnsw::HnswConfig;
-pub use knn::{brute_force_knn_graph, knn_graph_recall, nn_descent, NnDescentConfig};
-pub use nsg::NsgConfig;
+pub use knn::{brute_force_knn_graph, knn_graph_recall, nn_descent};
+pub use nsg::build_nsg;
 pub use pg::{GraphView, ProximityGraph};
 pub use pool::CandidatePool;
 pub use vamana::VamanaConfig;

@@ -9,92 +9,66 @@ use rpq_linalg::distance::sq_l2;
 
 use crate::beam::SearchScratch;
 use crate::construction::{medoid, repair_connectivity, search_adj, select_diverse};
-use crate::knn::{brute_force_knn_graph, nn_descent, NnDescentConfig};
+use crate::knn::{brute_force_knn_graph, nn_descent, KNN_K};
 use crate::pg::ProximityGraph;
 
-/// NSG build parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct NsgConfig {
-    /// Maximum out-degree R.
-    pub r: usize,
-    /// Search pool width L when gathering candidates.
-    pub l: usize,
-    pub seed: u64,
-}
-
-/// Neighbors in the initial k-NN graph.
-const KNN_K: usize = 32;
+/// Maximum out-degree R: the degree budget of the Vamana graphs (R 32) and
+/// of HNSW's base layer (2·M, M 16) it is compared with, so the graph
+/// types differ in which edges they keep, not how many.
+const R: usize = 32;
+/// Search pool width L when gathering candidates — Vamana's build L.
+const L: usize = 64;
 /// Up to this size the k-NN init is exact brute force; above it,
 /// NN-Descent.
 const BRUTE_FORCE_THRESHOLD: usize = 4000;
 
-impl Default for NsgConfig {
-    fn default() -> Self {
-        Self {
-            r: 32,
-            l: 64,
-            seed: 0,
-        }
+/// Builds the NSG over `data` (`seed` drives NN-Descent's initialisation on
+/// large sets); the entry vertex is the medoid and every vertex is
+/// guaranteed reachable from it.
+pub fn build_nsg(data: &Dataset, seed: u64) -> ProximityGraph {
+    let n = data.len();
+    assert!(n > 0, "cannot build a graph over an empty dataset");
+    if n == 1 {
+        return ProximityGraph::from_adjacency(vec![Vec::new()], 0);
     }
+    let knn = if n <= BRUTE_FORCE_THRESHOLD {
+        brute_force_knn_graph(data, KNN_K)
+    } else {
+        nn_descent(data, seed)
+    };
+    build_from_knn(data, &knn)
 }
 
-impl NsgConfig {
-    /// Builds the NSG over `data`; the entry vertex is the medoid and every
-    /// vertex is guaranteed reachable from it.
-    pub fn build(&self, data: &Dataset) -> ProximityGraph {
-        let n = data.len();
-        assert!(n > 0, "cannot build a graph over an empty dataset");
-        if n == 1 {
-            return ProximityGraph::from_adjacency(vec![Vec::new()], 0);
-        }
-        let knn = if n <= BRUTE_FORCE_THRESHOLD {
-            brute_force_knn_graph(data, KNN_K)
-        } else {
-            nn_descent(
-                data,
-                NnDescentConfig {
-                    k: KNN_K,
-                    seed: self.seed,
-                },
-            )
-        };
-        self.build_from_knn(data, &knn)
-    }
+/// Builds the NSG from a pre-computed k-NN graph.
+fn build_from_knn(data: &Dataset, knn: &[Vec<u32>]) -> ProximityGraph {
+    let n = data.len();
+    assert_eq!(knn.len(), n, "knn graph size mismatch");
+    let entry = medoid(data);
 
-    /// Builds the NSG from a pre-computed k-NN graph.
-    fn build_from_knn(&self, data: &Dataset, knn: &[Vec<u32>]) -> ProximityGraph {
-        let n = data.len();
-        assert_eq!(knn.len(), n, "knn graph size mismatch");
-        let entry = medoid(data);
-        let r = self.r.max(1);
-
-        // Per-node candidate pool: visited set of a search for the node's own
-        // vector on the kNN graph, plus its kNN list; then MRNG selection.
-        let adj: Vec<Vec<u32>> = (0..n as u32)
-            .into_par_iter()
-            .map_init(SearchScratch::new, |scratch, v| {
-                let q = data.get(v as usize);
-                let (results, expanded) = search_adj(knn, data, q, entry, self.l, scratch);
-                let mut pool: Vec<(f32, u32)> =
-                    Vec::with_capacity(results.len() + expanded.len() + knn[v as usize].len());
-                pool.extend(results);
-                pool.extend(expanded);
-                for &u in &knn[v as usize] {
-                    pool.push((sq_l2(q, data.get(u as usize)), u));
-                }
-                pool.retain(|&(_, u)| u != v);
-                pool.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                pool.dedup_by_key(|&mut (_, u)| u);
-                // MRNG edge selection: `v→p` is dropped when a kept `q`
-                // makes `v→q→p` the shorter detour.
-                select_diverse(&pool, data, r, false)
-            })
-            .collect();
-
-        let mut adj = adj;
-        repair_connectivity(&mut adj, data, knn, entry, r);
-        ProximityGraph::from_adjacency(adj, entry)
-    }
+    // Per-node candidate pool: visited set of a search for the node's own
+    // vector on the kNN graph, plus its kNN list; then MRNG selection.
+    let mut adj: Vec<Vec<u32>> = (0..n as u32)
+        .into_par_iter()
+        .map_init(SearchScratch::new, |scratch, v| {
+            let q = data.get(v as usize);
+            let (results, expanded) = search_adj(knn, data, q, entry, L, scratch);
+            let mut pool: Vec<(f32, u32)> =
+                Vec::with_capacity(results.len() + expanded.len() + knn[v as usize].len());
+            pool.extend(results);
+            pool.extend(expanded);
+            for &u in &knn[v as usize] {
+                pool.push((sq_l2(q, data.get(u as usize)), u));
+            }
+            pool.retain(|&(_, u)| u != v);
+            pool.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            pool.dedup_by_key(|&mut (_, u)| u);
+            // MRNG edge selection: `v→p` is dropped when a kept `q`
+            // makes `v→q→p` the shorter detour.
+            select_diverse(&pool, data, R, false)
+        })
+        .collect();
+    repair_connectivity(&mut adj, data, knn, entry, R);
+    ProximityGraph::from_adjacency(adj, entry)
 }
 
 #[cfg(test)]
@@ -120,26 +94,22 @@ mod tests {
     #[test]
     fn degrees_bounded() {
         let data = toy(300, 1);
-        let g = NsgConfig {
-            r: 10,
-            ..Default::default()
-        }
-        .build(&data);
+        let g = build_nsg(&data, 0);
         // +slack for connectivity-repair edges
-        assert!(g.max_degree() <= 14, "max degree {}", g.max_degree());
+        assert!(g.max_degree() <= R + 4, "max degree {}", g.max_degree());
     }
 
     #[test]
     fn full_reachability_guaranteed() {
         let data = toy(400, 2);
-        let g = NsgConfig::default().build(&data);
+        let g = build_nsg(&data, 0);
         assert_eq!(g.reachable_from_entry(), 400);
     }
 
     #[test]
     fn nsg_is_navigable() {
         let data = toy(500, 3);
-        let g = NsgConfig::default().build(&data);
+        let g = build_nsg(&data, 0);
         let (_, queries) = data.split_at(480);
         let gt = brute_force_knn(&data, &queries, 10);
         let mut scratch = SearchScratch::new();
@@ -157,7 +127,7 @@ mod tests {
     fn tiny_datasets() {
         for n in [1usize, 2, 4] {
             let data = toy(n, 20 + n as u64);
-            let g = NsgConfig::default().build(&data);
+            let g = build_nsg(&data, 0);
             assert_eq!(g.len(), n);
             assert_eq!(g.reachable_from_entry(), n);
         }
@@ -166,8 +136,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let data = toy(150, 4);
-        let a = NsgConfig::default().build(&data);
-        let b = NsgConfig::default().build(&data);
+        let a = build_nsg(&data, 0);
+        let b = build_nsg(&data, 0);
         assert_eq!(a, b);
     }
 }

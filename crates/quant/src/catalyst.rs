@@ -31,21 +31,27 @@ const LAMBDA: f32 = 0.005;
 /// Triplet margin.
 const MARGIN: f32 = 0.2;
 
+// Training settings: the original's deep net and schedule scaled to a
+// CPU-trainable MLP (DESIGN.md §4.3). These are the reproduction's values,
+// not published ones; every experiment runs them.
+/// Hidden width of the MLP (D → HIDDEN → HIDDEN → d_out).
+const HIDDEN: usize = 256;
+/// Training epochs over the mined triplet set.
+const EPOCHS: usize = 4;
+/// Triplets per Adam step.
+const BATCH: usize = 128;
+/// Subsample the triplets are mined from (exact kNN over it is
+/// quadratic in its size).
+const MINE_SIZE: usize = 1500;
+/// Positives per anchor: an anchor's `K_POS` exact nearest neighbours in
+/// the mined subsample.
+const K_POS: usize = 10;
+
 /// Catalyst training parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct CatalystConfig {
     /// Output (embedding) dimensionality; paper uses 40.
     pub d_out: usize,
-    /// Hidden width of the MLP.
-    pub hidden: usize,
-    /// Training epochs over the triplet set.
-    pub epochs: usize,
-    /// Triplet batch size.
-    pub batch: usize,
-    /// Subset used to mine triplets.
-    pub mine_size: usize,
-    /// Positives per anchor (k of the kNN used as positives).
-    pub k_pos: usize,
     /// Inner PQ settings (m must divide `d_out`).
     pub pq: PqConfig,
     pub seed: u64,
@@ -55,11 +61,6 @@ impl Default for CatalystConfig {
     fn default() -> Self {
         Self {
             d_out: 40,
-            hidden: 256,
-            epochs: 4,
-            batch: 128,
-            mine_size: 1500,
-            k_pos: 10,
             pq: PqConfig {
                 m: 8,
                 k: 256,
@@ -95,7 +96,7 @@ impl Catalyst {
         );
         assert_eq!(cfg.d_out % cfg.pq.m, 0, "PQ m must divide d_out");
         let d = data.dim();
-        let h = cfg.hidden;
+        let h = HIDDEN;
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
         // Xavier-ish init.
@@ -108,9 +109,9 @@ impl Catalyst {
 
         // Triplet mining on a subsample: positives from exact kNN, negatives
         // uniform outside the positive set.
-        let mine = subsample(data, cfg.mine_size, cfg.seed);
+        let mine = subsample(data, MINE_SIZE, cfg.seed);
         let n = mine.len();
-        let k_pos = cfg.k_pos.min(n.saturating_sub(1)).max(1);
+        let k_pos = K_POS.min(n.saturating_sub(1)).max(1);
         let knn: Vec<Vec<u32>> = (0..n)
             .map(|i| {
                 let mut ids = top_k_ids(&mine, mine.get(i), k_pos + 1);
@@ -130,12 +131,12 @@ impl Catalyst {
         ];
         let mut adam = Adam::new(1e-3, &sizes);
 
-        let steps_per_epoch = (n / cfg.batch.max(1)).max(1);
-        for _epoch in 0..cfg.epochs {
+        let steps_per_epoch = (n / BATCH).max(1);
+        for _epoch in 0..EPOCHS {
             for _step in 0..steps_per_epoch {
                 // Assemble the triplet batch as [anchors; positives;
                 // negatives] so one forward pass embeds all three roles.
-                let b = cfg.batch.min(n);
+                let b = BATCH.min(n);
                 let mut rows: Vec<f32> = Vec::with_capacity(3 * b * d);
                 let mut pos_rows: Vec<f32> = Vec::with_capacity(b * d);
                 let mut neg_rows: Vec<f32> = Vec::with_capacity(b * d);
@@ -344,10 +345,6 @@ mod tests {
     fn small_cfg() -> CatalystConfig {
         CatalystConfig {
             d_out: 8,
-            hidden: 32,
-            epochs: 2,
-            batch: 32,
-            mine_size: 200,
             pq: PqConfig {
                 m: 2,
                 k: 16,
@@ -416,7 +413,7 @@ mod tests {
         let data = toy(150, 4);
         let cat = Catalyst::train(&small_cfg(), &data);
         // At least the three weight matrices.
-        assert!(cat.model_bytes() > (24 * 32 + 32 * 32 + 32 * 8) * 4);
+        assert!(cat.model_bytes() > (24 * HIDDEN + HIDDEN * HIDDEN + HIDDEN * 8) * 4);
     }
 
     #[test]

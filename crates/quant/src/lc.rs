@@ -26,23 +26,11 @@ use crate::codebook::CompactCodes;
 use crate::compressor::VectorCompressor;
 use crate::pq::{PqConfig, ProductQuantizer};
 
-/// L&C parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct LcConfig {
-    /// Inner PQ settings.
-    pub pq: PqConfig,
-    /// Sample size for fitting the regression coefficients.
-    pub fit_sample: usize,
-}
-
-impl Default for LcConfig {
-    fn default() -> Self {
-        Self {
-            pq: PqConfig::default(),
-            fit_sample: 2000,
-        }
-    }
-}
+/// Vectors the two regression coefficients are fitted over: an evenly
+/// strided sample of about this many (every vector of a smaller corpus).
+/// The reproduction's choice, not a published value — the original fits
+/// per-entry codebooks (DESIGN.md §4.4).
+const FIT_SAMPLE: usize = 2000;
 
 /// A trained L&C compressor: PQ + graph-neighbor regression refinement.
 pub struct LinkAndCode {
@@ -54,12 +42,12 @@ pub struct LinkAndCode {
 }
 
 impl LinkAndCode {
-    /// Trains PQ, encodes `data`, and fits `(β₀, β₁)` by least squares over
-    /// a sample of reconstruction targets.
-    pub fn train(cfg: &LcConfig, data: &Dataset, graph: Arc<ProximityGraph>) -> Self {
+    /// Trains PQ (`cfg`), encodes `data`, and fits `(β₀, β₁)` by least
+    /// squares over a sample of reconstruction targets.
+    pub fn train(cfg: &PqConfig, data: &Dataset, graph: Arc<ProximityGraph>) -> Self {
         let start = Instant::now();
         assert_eq!(graph.len(), data.len(), "graph and dataset size mismatch");
-        let pq = ProductQuantizer::train(&cfg.pq, data);
+        let pq = ProductQuantizer::train(cfg, data);
         let codes = pq.encode_dataset(data);
         let d = data.dim();
 
@@ -70,7 +58,7 @@ impl LinkAndCode {
         let mut b = vec![0.0f32; d];
         let mut nb = vec![0.0f32; d];
         let n = data.len();
-        let step = (n / cfg.fit_sample.max(1)).max(1);
+        let step = (n / FIT_SAMPLE).max(1);
         for i in (0..n).step_by(step) {
             pq.decode_into(codes.code(i), &mut a);
             let neighbors = graph.neighbors(i as u32);
@@ -265,14 +253,11 @@ mod tests {
         (data, graph)
     }
 
-    fn lc_cfg() -> LcConfig {
-        LcConfig {
-            pq: PqConfig {
-                m: 4,
-                k: 16,
-                ..Default::default()
-            },
-            fit_sample: 500,
+    fn lc_cfg() -> PqConfig {
+        PqConfig {
+            m: 4,
+            k: 16,
+            ..Default::default()
         }
     }
 

@@ -36,7 +36,7 @@ pub mod soa;
 pub use codebook::{Codebook, CompactCodes, LookupTable};
 pub use compressor::{AdcEstimator, SdcEstimator, VectorCompressor};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
-pub use opq::{OpqConfig, OptimizedProductQuantizer};
+pub use opq::OptimizedProductQuantizer;
 pub use persist::{read_codebook, read_rotated_pq, write_codebook, write_rotated_pq};
 pub use pq::{PqConfig, ProductQuantizer};
 pub use soa::{BatchAdcEstimator, SoaCodes, ADC_BLOCK};

@@ -13,23 +13,10 @@ use crate::codebook::{encode_dataset_with, CompactCodes, LookupTable};
 use crate::compressor::{AdcEstimator, VectorCompressor};
 use crate::pq::{subsample, PqConfig, ProductQuantizer};
 
-/// OPQ training parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct OpqConfig {
-    /// Inner PQ parameters.
-    pub pq: PqConfig,
-    /// Alternating optimisation rounds.
-    pub iters: usize,
-}
-
-impl Default for OpqConfig {
-    fn default() -> Self {
-        Self {
-            pq: PqConfig::default(),
-            iters: 8,
-        }
-    }
-}
+/// Alternating optimisation rounds (PQ fit, then Procrustes rotation
+/// update) of Ge et al.'s non-parametric OPQ: the round count of the OPQ
+/// baseline and of the RPQ trainer's OPQ warm start alike.
+const OPQ_ITERS: usize = 6;
 
 /// A trained OPQ: orthonormal rotation (applied as `x_row · R`) plus PQ in
 /// the rotated space.
@@ -44,20 +31,21 @@ pub struct OptimizedProductQuantizer {
 }
 
 impl OptimizedProductQuantizer {
-    /// Trains with the non-parametric alternation.
-    pub fn train(cfg: &OpqConfig, data: &Dataset) -> Self {
+    /// Trains with the non-parametric alternation (`OPQ_ITERS` rounds),
+    /// `cfg` setting the inner PQ.
+    pub fn train(cfg: &PqConfig, data: &Dataset) -> Self {
         let start = Instant::now();
         let d = data.dim();
         assert!(!data.is_empty(), "cannot train OPQ on an empty dataset");
-        let train = subsample(data, cfg.pq.train_size.min(20_000), cfg.pq.seed);
+        let train = subsample(data, cfg.train_size.min(20_000), cfg.seed);
         let x = train.to_matrix(0, train.len());
 
         let mut rotation = Matrix::identity(d);
-        for _ in 0..cfg.iters.max(1) {
+        for _ in 0..OPQ_ITERS {
             // (a) PQ on rotated data.
             let xr = x.matmul(&rotation);
             let rotated = Dataset::from_matrix(&xr);
-            let pq = ProductQuantizer::train(&cfg.pq, &rotated);
+            let pq = ProductQuantizer::train(cfg, &rotated);
             // (b) Rotation update: R = argmin ‖X R − Y‖ with Y the PQ
             // reconstructions of X R; solution U Vᵀ from svd(Xᵀ Y).
             let codes = pq.encode_dataset(&rotated);
@@ -72,7 +60,7 @@ impl OptimizedProductQuantizer {
         }
         // Final codebook fit against the final rotation.
         let xr = x.matmul(&rotation);
-        let pq = ProductQuantizer::train(&cfg.pq, &Dataset::from_matrix(&xr));
+        let pq = ProductQuantizer::train(cfg, &Dataset::from_matrix(&xr));
         Self::from_parts(rotation, pq, start.elapsed().as_secs_f32())
     }
 
@@ -211,13 +199,10 @@ mod tests {
     fn rotation_is_orthonormal() {
         let data = imbalanced(400, 16, 1);
         let opq = OptimizedProductQuantizer::train(
-            &OpqConfig {
-                pq: PqConfig {
-                    m: 4,
-                    k: 16,
-                    ..Default::default()
-                },
-                iters: 4,
+            &PqConfig {
+                m: 4,
+                k: 16,
+                ..Default::default()
             },
             &data,
         );
@@ -233,7 +218,7 @@ mod tests {
             ..Default::default()
         };
         let pq = ProductQuantizer::train(&pqc, &data);
-        let opq = OptimizedProductQuantizer::train(&OpqConfig { pq: pqc, iters: 6 }, &data);
+        let opq = OptimizedProductQuantizer::train(&pqc, &data);
         let pq_mse = pq.reconstruction_mse(&data);
         let rotated = opq.rotate_dataset(&data);
         let opq_mse = opq.pq().reconstruction_mse(&rotated);
@@ -247,13 +232,10 @@ mod tests {
     fn adc_matches_decoded_distance_in_rotated_space() {
         let data = imbalanced(300, 8, 3);
         let opq = OptimizedProductQuantizer::train(
-            &OpqConfig {
-                pq: PqConfig {
-                    m: 2,
-                    k: 16,
-                    ..Default::default()
-                },
-                iters: 3,
+            &PqConfig {
+                m: 2,
+                k: 16,
+                ..Default::default()
             },
             &data,
         );
@@ -281,13 +263,10 @@ mod tests {
         // δ(Rx, Rq) == δ(x, q): search in rotated space is equivalent.
         let data = imbalanced(100, 8, 4);
         let opq = OptimizedProductQuantizer::train(
-            &OpqConfig {
-                pq: PqConfig {
-                    m: 2,
-                    k: 8,
-                    ..Default::default()
-                },
-                iters: 2,
+            &PqConfig {
+                m: 2,
+                k: 8,
+                ..Default::default()
             },
             &data,
         );

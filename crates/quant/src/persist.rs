@@ -118,7 +118,6 @@ pub fn read_rotated_pq(r: &mut impl Read) -> io::Result<OptimizedProductQuantize
 mod tests {
     use super::*;
     use crate::compressor::VectorCompressor;
-    use crate::opq::OpqConfig;
     use crate::pq::PqConfig;
     use rpq_data::synth::{SynthConfig, ValueTransform};
     use rpq_data::Dataset;
@@ -175,13 +174,10 @@ mod tests {
     fn rotated_pq_roundtrip_preserves_behaviour() {
         let data = toy(300, 2);
         let opq = OptimizedProductQuantizer::train(
-            &OpqConfig {
-                pq: PqConfig {
-                    m: 4,
-                    k: 16,
-                    ..Default::default()
-                },
-                iters: 3,
+            &PqConfig {
+                m: 4,
+                k: 16,
+                ..Default::default()
             },
             &data,
         );

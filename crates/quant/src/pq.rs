@@ -13,6 +13,11 @@ use crate::codebook::{encode_dataset_with, Codebook, CompactCodes, LookupTable};
 use crate::compressor::{AdcEstimator, VectorCompressor};
 use crate::kmeans::{kmeans, KMeansConfig};
 
+/// Lloyd iterations per sub-codebook k-means: a fixed budget (as Faiss's
+/// PQ training has), the reproduction's value for PQ and every method
+/// built on it (OPQ, Catalyst, L&C, RPQ's warm start).
+const KMEANS_ITERS: usize = 15;
+
 /// PQ training parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct PqConfig {
@@ -20,8 +25,6 @@ pub struct PqConfig {
     pub m: usize,
     /// Codewords per sub-codebook K (≤ 256; paper uses 256).
     pub k: usize,
-    /// k-means iterations per sub-codebook.
-    pub kmeans_iters: usize,
     /// Cap on training vectors (the paper trains on a 500K subset).
     pub train_size: usize,
     pub seed: u64,
@@ -32,7 +35,6 @@ impl Default for PqConfig {
         Self {
             m: 8,
             k: 256,
-            kmeans_iters: 15,
             train_size: 100_000,
             seed: 0,
         }
@@ -73,7 +75,7 @@ impl ProductQuantizer {
                     dsub,
                     KMeansConfig {
                         k: k_eff,
-                        max_iters: cfg.kmeans_iters,
+                        max_iters: KMEANS_ITERS,
                         seed: cfg.seed.wrapping_add(j as u64),
                     },
                 )
@@ -296,7 +298,6 @@ mod tests {
             &PqConfig {
                 m: 2,
                 k: 4,
-                kmeans_iters: 30,
                 ..Default::default()
             },
             &data,

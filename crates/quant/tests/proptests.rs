@@ -24,7 +24,7 @@ proptest! {
     fn adc_equals_decoded_distance(ds in dataset(40, 8),
                                    q in proptest::collection::vec(-4.0f32..4.0, 8)) {
         let pq = ProductQuantizer::train(
-            &PqConfig { m: 4, k: 8, kmeans_iters: 4, ..Default::default() },
+            &PqConfig { m: 4, k: 8, ..Default::default() },
             &ds,
         );
         let codes = pq.encode_dataset(&ds);
@@ -44,7 +44,7 @@ proptest! {
     #[test]
     fn quantization_is_idempotent(ds in dataset(30, 6)) {
         let pq = ProductQuantizer::train(
-            &PqConfig { m: 3, k: 8, kmeans_iters: 4, ..Default::default() },
+            &PqConfig { m: 3, k: 8, ..Default::default() },
             &ds,
         );
         let codes = pq.encode_dataset(&ds);
@@ -65,7 +65,7 @@ proptest! {
     #[test]
     fn sdc_is_symmetric(ds in dataset(30, 6)) {
         let pq = ProductQuantizer::train(
-            &PqConfig { m: 3, k: 4, kmeans_iters: 4, ..Default::default() },
+            &PqConfig { m: 3, k: 4, ..Default::default() },
             &ds,
         );
         let sdc = pq.codebook().sdc_table();
@@ -107,7 +107,7 @@ proptest! {
                                      q in proptest::collection::vec(-4.0f32..4.0, 8),
                                      picks in proptest::collection::vec(0usize..45, 1..70)) {
         let pq = ProductQuantizer::train(
-            &PqConfig { m: 4, k: 8, kmeans_iters: 4, ..Default::default() },
+            &PqConfig { m: 4, k: 8, ..Default::default() },
             &ds,
         );
         let codes = pq.encode_dataset(&ds);

@@ -15,7 +15,7 @@ use rpq_anns::stream::{StreamingConfig, StreamingIndex};
 use rpq_anns::{sweep, InMemoryIndex};
 use rpq_data::synth::{SynthConfig, ValueTransform};
 use rpq_data::{brute_force_knn, Dataset};
-use rpq_graph::{nn_descent, HnswConfig, NnDescentConfig, NsgConfig, SearchScratch, VamanaConfig};
+use rpq_graph::{build_nsg, nn_descent, HnswConfig, SearchScratch, VamanaConfig};
 use rpq_quant::{PqConfig, ProductQuantizer, VectorCompressor};
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
@@ -76,26 +76,10 @@ fn graph_builds_are_thread_invariant() {
             .build(&data),
         )
     });
-    assert_thread_invariant("nsg build", || {
-        adjacency(
-            &NsgConfig {
-                r: 8,
-                ..Default::default()
-            }
-            .build(&data),
-        )
-    });
+    assert_thread_invariant("nsg build", || adjacency(&build_nsg(&data, 0)));
     // NN-Descent's local join runs as parallel propose / sequential
     // apply precisely so this holds.
-    assert_thread_invariant("nn_descent", || {
-        nn_descent(
-            &data,
-            NnDescentConfig {
-                k: 8,
-                ..Default::default()
-            },
-        )
-    });
+    assert_thread_invariant("nn_descent", || nn_descent(&data, 0));
 }
 
 /// The bits of every codeword, codeword by codeword in `[m][k][dsub]`
