@@ -424,9 +424,12 @@ impl SearchScratch {
     }
 }
 
-/// Beam search from the graph's entry vertex: returns the top-`k` vertices
-/// by estimated distance (ascending) plus routing statistics. `ef` is the
-/// beam width `h` (clamped up to `k`).
+/// Beam search from the graph's start vertex ([`GraphView::start_vertex`]:
+/// the entry, or where the descent through an HNSW graph's levels ends):
+/// returns the top-`k` vertices by estimated distance (ascending) plus
+/// routing statistics. `ef` is the beam width `h` (clamped up to `k`);
+/// `dist_comps` counts the descent's estimator calls too, `hops` only
+/// base-layer expansions.
 pub fn beam_search<G: GraphView>(
     graph: &G,
     est: &impl DistanceEstimator,
@@ -440,11 +443,13 @@ pub fn beam_search<G: GraphView>(
 /// [`beam_search`] with a result filter: vertices failing `filter` are
 /// traversed but never returned ([`SearchScratch::expand`]).
 ///
-/// With an all-accepting filter the result is bit-identical to
-/// [`beam_search`]: the accepted set would then contain exactly the
-/// candidate pool's best `ef` (a vertex rejected by a full pool at visit
-/// time can never re-enter, since the pool's bound only decreases) — so a
-/// filter whose [`VertexFilter::is_all`] says so gets no accepted set at all.
+/// A filter that can reject starts at the entry vertex, never at the end
+/// of an HNSW descent (DESIGN.md §12.3). From the same start, an
+/// all-accepting filter gives a result bit-identical to [`beam_search`]:
+/// the accepted set would then contain exactly the candidate pool's best
+/// `ef` (a vertex rejected by a full pool at visit time can never re-enter,
+/// since the pool's bound only decreases) — so a filter whose
+/// [`VertexFilter::is_all`] says so gets no accepted set at all.
 ///
 /// This two-pool variant is the *filter-during-traversal* strategy of
 /// DESIGN.md §12; the post-filter-with-ef-inflation alternative is built
@@ -462,9 +467,9 @@ pub fn beam_search_filtered<G: GraphView>(
     if graph.is_empty() {
         return (Vec::new(), stats);
     }
-    let entry = graph.entry();
-    scratch.start(graph.len(), ef, entry, est.distance(entry), &filter);
-    stats.dist_comps += 1;
+    let (start, d0, comps) = graph.start_vertex(est, &filter);
+    scratch.start(graph.len(), ef, start, d0, &filter);
+    stats.dist_comps += comps;
     while let Some((_, v)) = scratch.pop_closest() {
         stats.hops += 1;
         stats.dist_comps += scratch.expand(graph.neighbors(v), est, &filter);
@@ -475,6 +480,37 @@ pub fn beam_search_filtered<G: GraphView>(
         .map(|(dist, id)| Neighbor { id, dist })
         .collect();
     (out, stats)
+}
+
+/// Greedy 1-NN walk over one layer's adjacency from `cur` at estimated
+/// distance `cur_d`: each step scores every neighbor of the current vertex
+/// and moves to the closest one strictly nearer than it, until none is.
+/// Returns the vertex reached, its distance and the estimator calls made.
+/// HNSW's build descends its upper layers with it (under an
+/// [`ExactEstimator`]) and so does every search that starts at a
+/// [`ProximityGraph`] with levels ([`GraphView::start_vertex`]).
+pub(crate) fn greedy_closest<'a>(
+    est: &impl DistanceEstimator,
+    neighbors: impl Fn(u32) -> &'a [u32],
+    mut cur: u32,
+    mut cur_d: f32,
+) -> (u32, f32, usize) {
+    let mut comps = 0;
+    loop {
+        let from = cur;
+        let row = neighbors(from);
+        for &u in row {
+            let d = est.distance(u);
+            if d < cur_d {
+                cur_d = d;
+                cur = u;
+            }
+        }
+        comps += row.len();
+        if cur == from {
+            return (cur, cur_d, comps);
+        }
+    }
 }
 
 /// One recorded next-hop decision: the ranked global candidate set `bᵢ`
@@ -492,7 +528,9 @@ pub struct Decision {
 /// records, at every next-hop selection, the ranked candidate set the
 /// decision was made from. Used offline by the routing-feature extractor, so
 /// clarity beats speed (the candidate set is a sorted `Vec`, exactly like
-/// the pseudo-code's `sort` + `resize`).
+/// the pseudo-code's `sort` + `resize`). It starts where [`beam_search`]
+/// does, so on an HNSW graph the features come from the base-layer beam
+/// the index runs after its descent.
 pub fn beam_search_recording(
     graph: &ProximityGraph,
     est: &impl DistanceEstimator,
@@ -501,16 +539,16 @@ pub fn beam_search_recording(
 ) -> (Vec<Neighbor>, Vec<Decision>) {
     let h = h.max(1);
     scratch.prepare(graph.len());
-    let entry = graph.entry();
+    let (start, d0, _) = graph.start_vertex(est, &VertexFilter::all());
 
     // Global candidate set b, ascending by distance. `expanded` marks
     // vertices already used as a next hop; `scratch` marks vertices ever
     // inserted into b (so duplicates are never re-scored).
     let mut b: Vec<Neighbor> = vec![Neighbor {
-        id: entry,
-        dist: est.distance(entry),
+        id: start,
+        dist: d0,
     }];
-    scratch.visit(entry);
+    scratch.visit(start);
     let mut expanded: Vec<u32> = Vec::new();
     let mut decisions = Vec::new();
 

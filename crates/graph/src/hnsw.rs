@@ -1,5 +1,7 @@
-//! HNSW construction (Malkov & Yashunin, TPAMI'18), flattened to its base
-//! layer for the common [`ProximityGraph`] abstraction (see crate docs).
+//! HNSW construction (Malkov & Yashunin, TPAMI'18) into the common
+//! [`ProximityGraph`]: the base layer as its CSR, the layers above it as
+//! the levels a search descends before its base-layer beam (see crate
+//! docs).
 //!
 //! The insert procedure is the standard one: sample a level from a
 //! geometric distribution, greedily descend the upper layers, then at each
@@ -13,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
-use crate::beam::SearchScratch;
+use crate::beam::{greedy_closest, DistanceEstimator, ExactEstimator, SearchScratch};
 use crate::construction::{search_adj, select_diverse, Scored};
 use crate::pg::ProximityGraph;
 
@@ -38,9 +40,16 @@ impl Default for HnswConfig {
 }
 
 impl HnswConfig {
-    /// Builds the layered graph and returns its base layer, with the global
-    /// entry point as the PG entry vertex.
+    /// Builds the layered graph: its base layer with the global entry point
+    /// as the PG entry vertex, and its upper layers as the graph's levels.
     pub fn build(&self, data: &Dataset) -> ProximityGraph {
+        let (layers, levels, entry) = self.build_layers(data);
+        ProximityGraph::from_layers(layers, &levels, entry)
+    }
+
+    /// The insert loop: every layer's adjacency over all node ids (empty for
+    /// nodes absent from it), each node's level, and the entry point.
+    fn build_layers(&self, data: &Dataset) -> (Vec<Vec<Vec<u32>>>, Vec<usize>, u32) {
         let n = data.len();
         assert!(n > 0, "cannot build a graph over an empty dataset");
         let m = self.m.max(2);
@@ -71,11 +80,14 @@ impl HnswConfig {
             }
 
             let q = data.get(i as usize);
+            let est = ExactEstimator::new(data, q);
             let mut ep = entry;
+            let mut ep_d = est.distance(ep);
             // Greedy descent through layers above the node's level.
             let start = top_level.min(layers.len() - 1);
             for l in ((level + 1)..=start).rev() {
-                ep = greedy_closest(&layers[l], data, q, ep);
+                let layer = &layers[l];
+                (ep, ep_d, _) = greedy_closest(&est, |v| &layer[v as usize], ep, ep_d);
             }
             // Insert into each layer from min(level, top) down to 0.
             for l in (0..=level.min(top_level)).rev() {
@@ -108,26 +120,7 @@ impl HnswConfig {
             }
         }
 
-        ProximityGraph::from_adjacency(layers.swap_remove(0), entry)
-    }
-}
-
-/// Greedy 1-NN walk within one layer (used for the upper-layer descent).
-fn greedy_closest(layer: &[Vec<u32>], data: &Dataset, q: &[f32], mut cur: u32) -> u32 {
-    let mut cur_d = sq_l2(q, data.get(cur as usize));
-    loop {
-        let mut improved = false;
-        for &u in &layer[cur as usize] {
-            let d = sq_l2(q, data.get(u as usize));
-            if d < cur_d {
-                cur_d = d;
-                cur = u;
-                improved = true;
-            }
-        }
-        if !improved {
-            return cur;
-        }
+        (layers, levels, entry)
     }
 }
 
@@ -137,7 +130,7 @@ mod tests {
     use crate::beam::{beam_search, ExactEstimator, SearchScratch};
     use crate::pg::GraphView;
     use rpq_data::ground_truth::brute_force_knn;
-    use rpq_data::synth::{SynthConfig, ValueTransform};
+    use rpq_data::synth::{DatasetKind, SynthConfig, ValueTransform};
 
     fn toy(n: usize, seed: u64) -> Dataset {
         SynthConfig {
@@ -193,6 +186,72 @@ mod tests {
             let data = toy(n, 10 + n as u64);
             let g = HnswConfig::default().build(&data);
             assert_eq!(g.len(), n);
+        }
+    }
+
+    /// FNV-1a over the entry and every base-layer row (degree, then ids).
+    fn base_layer_checksum(g: &ProximityGraph) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u32| {
+            for b in x.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        eat(g.entry());
+        for v in 0..g.len() as u32 {
+            eat(g.neighbors(v).len() as u32);
+            g.neighbors(v).iter().for_each(|&u| eat(u));
+        }
+        h
+    }
+
+    #[test]
+    fn base_layer_is_pinned() {
+        // Taken before the build's upper-layer walk moved to the search's
+        // `greedy_closest`: same argument order, same strict `<`, same
+        // graph. At efc 100 the construction beam absorbs a changed walk,
+        // so the narrow efc 16 build is the one that would show it.
+        let data = DatasetKind::Sift.config().generate(2_000, 42);
+        for (m, ef_construction, entry, edges, sum) in [
+            (16, 100, 159, 51_328, 0xd5ff_89b5_bc4e_0621),
+            (8, 16, 1427, 25_309, 0x6c43_0e68_6bc1_16cd),
+        ] {
+            let g = HnswConfig {
+                m,
+                ef_construction,
+                seed: 42,
+            }
+            .build(&data);
+            assert_eq!((g.entry(), g.edge_count()), (entry, edges), "m {m}");
+            assert_eq!(base_layer_checksum(&g), sum, "m {m}");
+        }
+    }
+
+    #[test]
+    fn levels_hold_exactly_the_nodes_drawn_for_them() {
+        let data = DatasetKind::Sift.config().generate(2_000, 42);
+        let cfg = HnswConfig {
+            m: 8,
+            ef_construction: 40,
+            seed: 7,
+        };
+        let (layers, node_levels, entry) = cfg.build_layers(&data);
+        let g = ProximityGraph::from_layers(layers.clone(), &node_levels, entry);
+        let top = *node_levels.iter().max().unwrap();
+        assert!(top >= 2, "want several levels, got {top}");
+        assert_eq!(g.levels.len(), top);
+        assert_eq!(
+            node_levels[entry as usize], top,
+            "entry is on the top level"
+        );
+        for (level, l) in g.levels.iter().zip(1..) {
+            assert!(level.members.iter().all(|&v| node_levels[v as usize] >= l));
+            let drawn = node_levels.iter().filter(|&&nl| nl >= l).count();
+            assert_eq!(level.members.len(), drawn, "level {l}");
+            for &v in &level.members {
+                assert_eq!(level.row(v), layers[l][v as usize].as_slice());
+            }
         }
     }
 

@@ -18,10 +18,11 @@
 //!   for NSG),
 //! * [`hnsw`], [`nsg`], [`vamana`] — the three builders.
 //!
-//! Layered HNSW is flattened to its base layer with the hierarchical entry
-//! point retained as the PG entry: the base layer of HNSW is itself a
-//! navigable small-world graph, and the common entry-vertex abstraction is
-//! what the paper's routing definition assumes.
+//! HNSW's base layer is the graph's CSR and its hierarchical entry point
+//! the PG entry; its upper layers stay as levels that an unfiltered search
+//! descends greedily to pick where its base-layer beam starts
+//! ([`GraphView::start_vertex`], DESIGN.md §6.2). The beam itself — and
+//! the routing features recorded from it — is the same on every graph.
 
 pub mod beam;
 mod construction;

@@ -1,0 +1,190 @@
+//! Where a search starts (DESIGN.md §6.2): an unfiltered search over an
+//! HNSW graph descends its levels, then runs the same base-layer beam a
+//! flat graph runs from its entry. Every other start — Vamana, NSG, any
+//! filtered search — is pinned bit for bit against a wrapper that exposes
+//! only `len`, `entry` and `neighbors`, i.e. the entry-vertex start every
+//! graph had before HNSW kept its levels.
+
+use rpq_data::ground_truth::brute_force_knn;
+use rpq_data::synth::DatasetKind;
+use rpq_data::Dataset;
+use rpq_graph::{
+    beam_search, beam_search_filtered, beam_search_recording, build_nsg, DistanceEstimator,
+    ExactEstimator, GraphView, HnswConfig, Neighbor, ProximityGraph, SearchScratch, SearchStats,
+    VamanaConfig, VertexFilter,
+};
+
+/// A graph seen through the three required `GraphView` methods, starting
+/// at `entry`: the provided `start_vertex` scores it and nothing else.
+struct Flat<'a> {
+    graph: &'a ProximityGraph,
+    entry: u32,
+}
+
+impl GraphView for Flat<'_> {
+    fn len(&self) -> usize {
+        self.graph.len()
+    }
+    fn entry(&self) -> u32 {
+        self.entry
+    }
+    fn neighbors(&self, v: u32) -> &[u32] {
+        self.graph.neighbors(v)
+    }
+}
+
+fn flat(graph: &ProximityGraph) -> Flat<'_> {
+    Flat {
+        graph,
+        entry: graph.entry(),
+    }
+}
+
+fn corpus() -> (Dataset, Dataset) {
+    DatasetKind::Sift.generate(2_000, 40, 11)
+}
+
+fn hnsw(base: &Dataset) -> ProximityGraph {
+    HnswConfig {
+        m: 8,
+        ef_construction: 40,
+        seed: 11,
+    }
+    .build(base)
+}
+
+fn bits(res: &[Neighbor]) -> Vec<(u32, u32)> {
+    res.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+}
+
+type Answer = (Vec<(u32, u32)>, SearchStats);
+
+fn search<G: GraphView>(g: &G, base: &Dataset, q: &[f32], filter: VertexFilter<'_>) -> Answer {
+    let est = ExactEstimator::new(base, q);
+    let (res, stats) = beam_search_filtered(g, &est, 40, 10, &mut SearchScratch::new(), filter);
+    (bits(&res), stats)
+}
+
+/// Every query answers identically through `graph` and through [`Flat`]
+/// at its entry: under a rejecting predicate, under tombstones, and — when
+/// `plain` — through `beam_search` unfiltered.
+fn assert_starts_at_entry(graph: &ProximityGraph, base: &Dataset, queries: &Dataset, plain: bool) {
+    let every_third = |v: u32| v.is_multiple_of(3);
+    let tombstones: Vec<bool> = (0..graph.len()).map(|v| v.is_multiple_of(5)).collect();
+    let view = flat(graph);
+    for q in queries.iter() {
+        if plain {
+            let est = ExactEstimator::new(base, q);
+            let (res, stats) = beam_search(graph, &est, 40, 10, &mut SearchScratch::new());
+            assert_eq!(
+                (bits(&res), stats),
+                search(&view, base, q, VertexFilter::all())
+            );
+        }
+        for filter in [
+            VertexFilter::predicate(&every_third),
+            VertexFilter::tombstones(&tombstones),
+        ] {
+            assert_eq!(
+                search(graph, base, q, filter),
+                search(&view, base, q, filter)
+            );
+        }
+    }
+}
+
+#[test]
+fn vamana_and_nsg_start_at_their_entry() {
+    let (base, queries) = corpus();
+    let vamana = VamanaConfig {
+        r: 16,
+        l: 32,
+        seed: 3,
+        ..Default::default()
+    }
+    .build(&base);
+    assert_starts_at_entry(&vamana, &base, &queries, true);
+    assert_starts_at_entry(&build_nsg(&base, 3), &base, &queries, true);
+}
+
+#[test]
+fn filtered_hnsw_search_starts_at_the_entry() {
+    let (base, queries) = corpus();
+    assert_starts_at_entry(&hnsw(&base), &base, &queries, false);
+}
+
+#[test]
+fn unfiltered_hnsw_search_is_the_base_beam_from_the_descents_end() {
+    let (base, queries) = corpus();
+    let graph = hnsw(&base);
+    let mut moved = 0;
+    for q in queries.iter() {
+        let est = ExactEstimator::new(&base, q);
+        let (start, d0, descent) = graph.start_vertex(&est, &VertexFilter::all());
+        assert_eq!(d0.to_bits(), est.distance(start).to_bits());
+        let (ids, stats) = search(&graph, &base, q, VertexFilter::all());
+        let (want, base_stats) = search(
+            &Flat {
+                graph: &graph,
+                entry: start,
+            },
+            &base,
+            q,
+            VertexFilter::all(),
+        );
+        assert_eq!(ids, want);
+        assert_eq!(
+            stats.hops, base_stats.hops,
+            "hops are base-layer expansions"
+        );
+        // The wrapper scores its start once; the descent's calls include
+        // that score (the entry's, then every vertex it walked past).
+        assert_eq!(stats.dist_comps, base_stats.dist_comps - 1 + descent);
+        moved += usize::from(start != graph.entry());
+    }
+    assert!(
+        moved > queries.len() / 2,
+        "the descent moved {moved} starts"
+    );
+}
+
+#[test]
+fn recording_starts_where_the_search_does() {
+    let (base, queries) = corpus();
+    let graph = hnsw(&base);
+    for q in queries.iter() {
+        let est = ExactEstimator::new(&base, q);
+        let (start, _, _) = graph.start_vertex(&est, &VertexFilter::all());
+        let (_, decisions) = beam_search_recording(&graph, &est, 40, &mut SearchScratch::new());
+        assert_eq!(decisions[0].chosen, start);
+    }
+}
+
+// 18 s at the dev profile's opt-level 1 (2 vCPUs), where 12 000 points
+// do not show the defect; CI's "Kernel crates in release" step runs it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow unoptimised; runs in release")]
+fn hnsw_reaches_exact_recall_at_ef_80_on_20k_sift() {
+    // From the last-inserted top-level vertex alone, this graph's base
+    // layer read 0.830: too few long-range edges leave the entry's cluster
+    // within 80 steps. The descent starts each beam near its query.
+    let (base, queries) = DatasetKind::Sift.generate(20_000, 200, 42);
+    let graph = HnswConfig {
+        m: 16,
+        ef_construction: 100,
+        seed: 42,
+    }
+    .build(&base);
+    let gt = brute_force_knn(&base, &queries, 10);
+    let mut scratch = SearchScratch::with_capacity(base.len());
+    let results: Vec<Vec<u32>> = queries
+        .iter()
+        .map(|q| {
+            let est = ExactEstimator::new(&base, q);
+            let (res, _) = beam_search(&graph, &est, 80, 10, &mut scratch);
+            res.iter().map(|n| n.id).collect()
+        })
+        .collect();
+    let recall = gt.recall(&results);
+    assert!(recall >= 0.99, "exact recall@10 at ef 80: {recall}");
+}

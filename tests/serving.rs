@@ -16,8 +16,11 @@ use rpq_bench::Scale;
 use rpq_data::brute_force_knn;
 use rpq_data::synth::DatasetKind;
 use rpq_data::Dataset;
-use rpq_graph::{HnswConfig, ProximityGraph, SearchScratch, VamanaConfig};
-use rpq_quant::{PqConfig, ProductQuantizer};
+use rpq_graph::{
+    beam_search, DistanceEstimator, ExactEstimator, HnswConfig, ProximityGraph, SearchScratch,
+    VamanaConfig,
+};
+use rpq_quant::{PqConfig, ProductQuantizer, VectorCompressor};
 
 fn ci_bench(n_extra_queries: usize, seed: u64) -> (Dataset, Dataset, ProductQuantizer) {
     let s = Scale::ci();
@@ -135,9 +138,41 @@ fn memory_sweep_invariants_hold_at_ci_scale() {
         assert!(p.hops > 0.0, "sweep must route through the graph");
         assert!(p.qps > 0.0);
     }
-    // Beam width is the recall knob: the widest beam must not lose to the
-    // narrowest by more than noise.
-    assert!(points[2].recall >= points[0].recall - 0.02, "{points:?}");
+    // Under ADC a wide beam is not a recall knob past exhaustive ADC's own
+    // top k: a narrow beam returns vertices near its path, which may beat
+    // the estimator's ranking, and a wide one converges on that ranking.
+    // So the widest beam reaches the exhaustive-ADC recall, and with exact
+    // distances the widest beam does not lose to the narrowest.
+    let exhaustive: Vec<Vec<u32>> = queries
+        .iter()
+        .map(|q| {
+            let est = index.compressor().estimator(index.codes(), q);
+            let mut all: Vec<(f32, u32)> = (0..base.len() as u32)
+                .map(|v| (est.distance(v), v))
+                .collect();
+            all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            all.iter().take(10).map(|&(_, v)| v).collect()
+        })
+        .collect();
+    let ceiling = gt.recall(&exhaustive);
+    assert!(
+        points[2].recall >= ceiling - 0.01,
+        "ef 120 {} vs exhaustive ADC {ceiling}: {points:?}",
+        points[2].recall
+    );
+    let exact_recall = |ef: usize| {
+        let mut scratch = SearchScratch::new();
+        let results: Vec<Vec<u32>> = queries
+            .iter()
+            .map(|q| {
+                let est = ExactEstimator::new(&base, q);
+                let (res, _) = beam_search(index.graph(), &est, ef, 10, &mut scratch);
+                res.iter().map(|n| n.id).collect()
+            })
+            .collect();
+        gt.recall(&results)
+    };
+    assert!(exact_recall(120) >= exact_recall(10));
 }
 
 #[test]
