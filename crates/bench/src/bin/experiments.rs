@@ -6,7 +6,8 @@
 //! RPQ_SCALE=ci cargo run -p rpq-bench --release --bin experiments -- table2
 //! ```
 //!
-//! Results print as markdown and persist to `bench_results/<id>.json`.
+//! Each artifact prints as a markdown table and persists, as the same
+//! record, to `bench_results/<id>.json`.
 
 use std::time::Instant;
 
@@ -48,31 +49,23 @@ fn main() {
 
     for id in wanted {
         let start = Instant::now();
-        match id {
-            "table2" => artifacts::table2(&scale).print(),
-            "fig4" => artifacts::fig4(&scale).print(),
-            "fig5" => curves::fig5(&scale).print(),
-            "fig6" => curves::fig6(&scale).print(),
-            "fig7" => curves::fig7(&scale).print(),
-            "table4" | "table5" => {
-                let (t4, t5) = artifacts::tables45(&scale);
-                t4.print();
-                t5.print();
-            }
-            "table6" | "table7" => {
-                let (t6, t7) = ablation::tables67(&scale);
-                t6.print();
-                t7.print();
-            }
-            "fig8" => ablation::fig8(&scale).print(),
-            "fig9" | "fig10" => {
-                let (f9, f10) = sensitivity::fig910(&scale);
-                f9.print();
-                f10.print();
-            }
-            "fig11" => sensitivity::fig11(&scale).print(),
-            "fig12" => sensitivity::fig12(&scale).print(),
+        let reports = match id {
+            "table2" => vec![artifacts::table2(&scale)],
+            "fig4" => vec![artifacts::fig4(&scale)],
+            "fig5" => vec![curves::fig5(&scale)],
+            "fig6" => vec![curves::fig6(&scale)],
+            "fig7" => vec![curves::fig7(&scale)],
+            "table4" | "table5" => artifacts::tables45(&scale).into(),
+            "table6" | "table7" => ablation::tables67(&scale).into(),
+            "fig8" => vec![ablation::fig8(&scale)],
+            "fig9" | "fig10" => sensitivity::fig910(&scale).into(),
+            "fig11" => vec![sensitivity::fig11(&scale)],
+            "fig12" => vec![sensitivity::fig12(&scale)],
             _ => unreachable!(),
+        };
+        for report in reports {
+            report.print();
+            report.write_json();
         }
         eprintln!("[{id}] done in {:.1}s", start.elapsed().as_secs_f32());
     }

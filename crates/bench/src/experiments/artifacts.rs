@@ -3,8 +3,6 @@
 
 use std::sync::Arc;
 
-use serde::Serialize;
-
 use rpq_anns::InMemoryIndex;
 use rpq_core::{train_rpq, TrainingMode};
 use rpq_data::synth::DatasetKind;
@@ -13,7 +11,7 @@ use rpq_graph::{beam_search, ProximityGraph, SearchScratch};
 use rpq_quant::catalyst::{Catalyst, CatalystConfig};
 use rpq_quant::{PqConfig, ProductQuantizer, SdcEstimator, VectorCompressor};
 
-use crate::report::{fmt, write_json, Report};
+use crate::report::{Cell, Report};
 use crate::scale::Scale;
 use crate::setup::{build_graph, make_bench, rpq_config, GraphKind};
 
@@ -38,15 +36,8 @@ pub fn table2(scale: &Scale) -> Report {
         &["Ranking", "Sift", "Deep", "Ukbench", "Gist"],
     );
     let ef = *scale.efs.last().unwrap();
-    let mut partial_row = vec!["w/ neighbor & routing terms (SDC)".to_string()];
-    let mut full_row = vec!["by Eq. 5, all terms (exact)".to_string()];
-    #[derive(Serialize)]
-    struct Out {
-        dataset: String,
-        sdc_recall: f32,
-        exact_recall: f32,
-    }
-    let mut outs = Vec::new();
+    let mut partial_row: Vec<Cell> = vec!["w/ neighbor & routing terms (SDC)".into()];
+    let mut full_row: Vec<Cell> = vec!["by Eq. 5, all terms (exact)".into()];
     for kind in kinds {
         let bench = make_bench(kind, scale.n_base, scale.n_query, scale.k, scale.seed);
         let graph = build_graph(GraphKind::Hnsw, &bench.base, scale.seed);
@@ -77,19 +68,11 @@ pub fn table2(scale: &Scale) -> Report {
             }
             bench.gt.recall(&results)
         };
-        let sdc_recall = run(false);
-        let exact_recall = run(true);
-        partial_row.push(fmt(sdc_recall));
-        full_row.push(fmt(exact_recall));
-        outs.push(Out {
-            dataset: kind.name().into(),
-            sdc_recall,
-            exact_recall,
-        });
+        partial_row.push(run(false).into());
+        full_row.push(run(true).into());
     }
     report.push_row(partial_row);
     report.push_row(full_row);
-    write_json("table2", &outs);
     report
 }
 
@@ -99,28 +82,15 @@ pub fn table2(scale: &Scale) -> Report {
 /// per-dimension scale) so vertical division starts badly, then reports how
 /// the learned rotation redistributes variance across the M chunks.
 pub fn fig4(scale: &Scale) -> Report {
+    let mut columns = vec!["Dataset".to_string(), "Stage".into()];
+    columns.extend((1..=scale.m).map(|j| format!("chunk {j}")));
+    columns.push("max/mean imbalance".into());
     let mut report = Report::new(
         "fig4",
         "Per-chunk variance share before/after adaptive decomposition (paper Fig. 4)",
         &scale.label(),
-        &[
-            "Dataset",
-            "Stage",
-            "chunk variance shares (M chunks)",
-            "max/mean imbalance",
-        ],
+        &columns,
     );
-    #[derive(Serialize)]
-    struct Out {
-        dataset: String,
-        before: Vec<f32>,
-        after_rpq: Vec<f32>,
-        after_opq: Vec<f32>,
-        imbalance_before: f32,
-        imbalance_after: f32,
-        imbalance_opq: f32,
-    }
-    let mut outs = Vec::new();
     for kind in [DatasetKind::Sift, DatasetKind::Deep] {
         let bench = make_bench(kind, scale.n_base.min(3000), 10, scale.k, scale.seed);
         let imbalanced = imbalance(&bench.base);
@@ -146,46 +116,17 @@ pub fn fig4(scale: &Scale) -> Report {
             &imbalanced,
         );
         let after_opq = chunk_variance_shares(&opq.rotate_dataset(&imbalanced), scale.m);
-        let ib = imbalance_metric(&before);
-        let ia = imbalance_metric(&after);
-        let io = imbalance_metric(&after_opq);
-        report.push_row(vec![
-            kind.name().into(),
-            "before".into(),
-            before
-                .iter()
-                .map(|v| fmt(*v))
-                .collect::<Vec<_>>()
-                .join(", "),
-            fmt(ib),
-        ]);
-        report.push_row(vec![
-            kind.name().into(),
-            "after (RPQ rotation)".into(),
-            after.iter().map(|v| fmt(*v)).collect::<Vec<_>>().join(", "),
-            fmt(ia),
-        ]);
-        report.push_row(vec![
-            kind.name().into(),
-            "after (OPQ rotation, reference)".into(),
-            after_opq
-                .iter()
-                .map(|v| fmt(*v))
-                .collect::<Vec<_>>()
-                .join(", "),
-            fmt(io),
-        ]);
-        outs.push(Out {
-            dataset: kind.name().into(),
-            before,
-            after_rpq: after,
-            after_opq,
-            imbalance_before: ib,
-            imbalance_after: ia,
-            imbalance_opq: io,
-        });
+        for (stage, shares) in [
+            ("before", before),
+            ("after (RPQ rotation)", after),
+            ("after (OPQ rotation, reference)", after_opq),
+        ] {
+            let mut row: Vec<Cell> = vec![kind.name().into(), stage.into()];
+            row.extend(shares.iter().map(|&v| Cell::from(v)));
+            row.push(imbalance_metric(&shares).into());
+            report.push_row(row);
+        }
     }
-    write_json("fig4", &outs);
     report
 }
 
@@ -222,7 +163,7 @@ fn imbalance_metric(shares: &[f32]) -> f32 {
 /// **Tables 4 & 5**: training time (s at reproduction scale; the paper
 /// reports hours at 500K-vector scale) and model size (MB) for Catalyst vs
 /// RPQ.
-pub fn tables45(scale: &Scale) -> (Report, Report) {
+pub fn tables45(scale: &Scale) -> [Report; 2] {
     let mut t4 = Report::new(
         "table4",
         "Training time, seconds (paper Table 4 reports hours at 500K scale)",
@@ -235,25 +176,16 @@ pub fn tables45(scale: &Scale) -> (Report, Report) {
         &scale.label(),
         &["Method", "Deep", "Sift", "Gist", "Ukbench"],
     );
-    #[derive(Serialize)]
-    struct Out {
-        dataset: String,
-        catalyst_seconds: f32,
-        rpq_seconds: f32,
-        catalyst_mb: f32,
-        rpq_mb: f32,
-    }
     let kinds = [
         DatasetKind::Deep,
         DatasetKind::Sift,
         DatasetKind::Gist,
         DatasetKind::Ukbench,
     ];
-    let mut cat_time = vec!["Catalyst".to_string()];
-    let mut rpq_time = vec!["RPQ".to_string()];
-    let mut cat_size = vec!["Catalyst".to_string()];
-    let mut rpq_size = vec!["RPQ".to_string()];
-    let mut outs = Vec::new();
+    let mut cat_time: Vec<Cell> = vec!["Catalyst".into()];
+    let mut rpq_time: Vec<Cell> = vec!["RPQ".into()];
+    let mut cat_size: Vec<Cell> = vec!["Catalyst".into()];
+    let mut rpq_size: Vec<Cell> = vec!["RPQ".into()];
     for kind in kinds {
         let bench = make_bench(kind, scale.n_base, 10, scale.k, scale.seed);
         let graph = Arc::new(build_graph(GraphKind::Vamana, &bench.base, scale.seed));
@@ -273,17 +205,10 @@ pub fn tables45(scale: &Scale) -> (Report, Report) {
         let cfg = rpq_config(TrainingMode::Full, scale, scale.m, scale.kk);
         let (rpq, stats) = train_rpq(&cfg, &bench.base, &graph);
         let mb = |b: usize| b as f32 / (1024.0 * 1024.0);
-        cat_time.push(fmt(cat.train_seconds()));
-        rpq_time.push(fmt(stats.seconds));
-        cat_size.push(fmt(mb(cat.model_bytes())));
-        rpq_size.push(fmt(mb(rpq.model_bytes())));
-        outs.push(Out {
-            dataset: kind.name().into(),
-            catalyst_seconds: cat.train_seconds(),
-            rpq_seconds: stats.seconds,
-            catalyst_mb: mb(cat.model_bytes()),
-            rpq_mb: mb(rpq.model_bytes()),
-        });
+        cat_time.push(cat.train_seconds().into());
+        rpq_time.push(stats.seconds.into());
+        cat_size.push(mb(cat.model_bytes()).into());
+        rpq_size.push(mb(rpq.model_bytes()).into());
         // Sanity: the quantizers remain servable (guards against silent
         // training collapse inside the timing experiment).
         let idx = InMemoryIndex::build(
@@ -297,6 +222,5 @@ pub fn tables45(scale: &Scale) -> (Report, Report) {
     t4.push_row(rpq_time);
     t5.push_row(cat_size);
     t5.push_row(rpq_size);
-    write_json("table4_table5", &outs);
-    (t4, t5)
+    [t4, t5]
 }

@@ -6,7 +6,10 @@
 //!
 //! 1. builds the datasets/graphs/compressors it needs through [`setup`],
 //! 2. runs the measurement through `rpq-anns`' harness,
-//! 3. prints a paper-style table and writes `bench_results/<id>.json`.
+//! 3. returns one [`Report`] per artifact, which the binary prints as a
+//!    paper-style table and writes, unchanged, to `bench_results/<id>.json`
+//!    (`{id, title, scale, columns, rows}`, numbers at full `f32`
+//!    precision).
 //!
 //! Run them with `cargo run -p rpq-bench --release --bin experiments -- all`
 //! (or a specific id: `table2`, `fig4` … `fig12`). The mapping from paper
@@ -19,6 +22,6 @@ pub mod report;
 pub mod scale;
 pub mod setup;
 
-pub use report::{write_json, Report};
+pub use report::Report;
 pub use scale::Scale;
 pub use setup::{build_graph, make_bench, Bench, GraphKind, Method};

@@ -113,57 +113,45 @@ impl Method {
         Method::Rpq(TrainingMode::Full),
     ];
 
-    /// Trains this method on `data` over `graph`.
+    /// Trains this method on `data` over `graph` at the scale's M and K.
     pub fn build(
         &self,
         data: &Dataset,
         graph: &Arc<ProximityGraph>,
         scale: &Scale,
     ) -> Box<dyn VectorCompressor> {
-        build_method(*self, data, graph, scale, scale.m, scale.kk)
-    }
-}
-
-/// Trains a method with explicit M/K (the K-and-M sensitivity grids need
-/// non-default values).
-pub fn build_method(
-    method: Method,
-    data: &Dataset,
-    graph: &Arc<ProximityGraph>,
-    scale: &Scale,
-    m: usize,
-    kk: usize,
-) -> Box<dyn VectorCompressor> {
-    let pq_cfg = PqConfig {
-        m,
-        k: kk,
-        seed: scale.seed,
-        ..Default::default()
-    };
-    match method {
-        Method::Pq => Box::new(ProductQuantizer::train(&pq_cfg, data)),
-        Method::Opq => Box::new(OptimizedProductQuantizer::train(&pq_cfg, data)),
-        Method::Catalyst => {
-            // d_out must be divisible by m; 40 works for m=8, fall back to
-            // m·5 otherwise.
-            let d_out = if 40 % m == 0 { 40 } else { m * 5 };
-            let cfg = CatalystConfig {
-                d_out,
-                pq: PqConfig {
-                    m,
-                    k: kk,
+        let (m, kk) = (scale.m, scale.kk);
+        let pq_cfg = PqConfig {
+            m,
+            k: kk,
+            seed: scale.seed,
+            ..Default::default()
+        };
+        match *self {
+            Method::Pq => Box::new(ProductQuantizer::train(&pq_cfg, data)),
+            Method::Opq => Box::new(OptimizedProductQuantizer::train(&pq_cfg, data)),
+            Method::Catalyst => {
+                // d_out must be divisible by m; 40 works for m=8, fall back to
+                // m·5 otherwise.
+                let d_out = if 40 % m == 0 { 40 } else { m * 5 };
+                let cfg = CatalystConfig {
+                    d_out,
+                    pq: PqConfig {
+                        m,
+                        k: kk,
+                        seed: scale.seed,
+                        ..Default::default()
+                    },
                     seed: scale.seed,
-                    ..Default::default()
-                },
-                seed: scale.seed,
-            };
-            Box::new(Catalyst::train(&cfg, data))
-        }
-        Method::Lc => Box::new(LinkAndCode::train(&pq_cfg, data, Arc::clone(graph))),
-        Method::Rpq(mode) => {
-            let cfg = rpq_config(mode, scale, m, kk);
-            let (rpq, _) = train_rpq(&cfg, data, graph);
-            Box::new(rpq)
+                };
+                Box::new(Catalyst::train(&cfg, data))
+            }
+            Method::Lc => Box::new(LinkAndCode::train(&pq_cfg, data, Arc::clone(graph))),
+            Method::Rpq(mode) => {
+                let cfg = rpq_config(mode, scale, m, kk);
+                let (rpq, _) = train_rpq(&cfg, data, graph);
+                Box::new(rpq)
+            }
         }
     }
 }

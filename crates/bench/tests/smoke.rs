@@ -6,7 +6,7 @@
 //! plain `cargo test -q` without running the full experiment suite.
 
 use rpq_bench::setup::{build_graph, make_bench, GraphKind, Method};
-use rpq_bench::{write_json, Scale};
+use rpq_bench::{Report, Scale};
 use rpq_data::ground_truth::recall_at_k;
 use rpq_data::synth::DatasetKind;
 use rpq_graph::SearchScratch;
@@ -44,7 +44,9 @@ fn ci_scale_setup_path_works() {
     assert!(recall > 0.3, "CI-scale recall collapsed: {recall}");
 
     // JSON reporting path (serde shims + bench_results dir).
-    let path = write_json("smoke-test", &vec![recall]);
+    let mut report = Report::new("smoke-test", "Smoke", &scale.label(), &["Recall@10"]);
+    report.push_row(vec![recall.into()]);
+    let path = report.write_json();
     assert!(path.exists());
     std::fs::remove_file(path).ok();
 }

@@ -529,8 +529,13 @@ pub struct Decision {
 /// decision was made from. Used offline by the routing-feature extractor, so
 /// clarity beats speed (the candidate set is a sorted `Vec`, exactly like
 /// the pseudo-code's `sort` + `resize`). It starts where [`beam_search`]
-/// does, so on an HNSW graph the features come from the base-layer beam
-/// the index runs after its descent.
+/// does, so on an HNSW graph the features come from the base layer the
+/// index searches after its descent. It is not a step-for-step replay of
+/// [`beam_search`] when estimated distances tie: the sorted `Vec` drops
+/// everything past position `h`, while [`CandidatePool::offer`] keeps
+/// entries tied with the bound as a tail that is still expanded. Under
+/// exact distances the decision sequences rarely differ; under coarse PQ
+/// codes (many vectors sharing a code) they differ for most queries.
 pub fn beam_search_recording(
     graph: &ProximityGraph,
     est: &impl DistanceEstimator,

@@ -55,13 +55,9 @@ fn main() {
             compressor.model_bytes() / 1024,
             base.len() * 8 / 1024,
         );
-        let index = DiskIndex::build(
-            compressor,
-            &base,
-            &graph,
-            DiskIndexConfig::new(store_path(&format!("example-image-{which}"))),
-        )
-        .expect("store build failed");
+        let store = store_path(&format!("example-image-{which}"));
+        let index = DiskIndex::build(compressor, &base, &graph, DiskIndexConfig::new(&store))
+            .expect("store build failed");
         println!(
             "  resident/disk = {} KiB / {} KiB ({:.1}% in RAM)",
             index.resident_bytes() / 1024,
@@ -69,6 +65,8 @@ fn main() {
             100.0 * index.resident_bytes() as f32 / index.disk_bytes() as f32
         );
         let points = sweep(&index, &queries, &gt, 10, &efs);
+        drop(index);
+        std::fs::remove_file(&store).expect("remove store");
         for p in &points {
             println!(
                 "  ef={:<4} recall@10={:.3} qps={:<8.0} hops={:<6.1} io={:.2} ms/query",

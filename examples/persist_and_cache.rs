@@ -50,11 +50,15 @@ fn main() {
         loaded.model_bytes() / 1024
     );
 
+    let (plain_store, cached_store) = (
+        store_path("example-persist-plain"),
+        store_path("example-persist-cached"),
+    );
     let plain = DiskIndex::build(
         read_model(&model_path),
         &base,
         &graph,
-        DiskIndexConfig::new(store_path("example-persist-plain")),
+        DiskIndexConfig::new(&plain_store),
     )
     .expect("build plain index");
     let cached = DiskIndex::build(
@@ -63,7 +67,7 @@ fn main() {
         &graph,
         DiskIndexConfig {
             cache_nodes: base.len() / 10, // pin ~10% of nodes around the entry
-            ..DiskIndexConfig::new(store_path("example-persist-cached"))
+            ..DiskIndexConfig::new(&cached_store)
         },
     )
     .expect("build cached index");
@@ -80,6 +84,10 @@ fn main() {
         io_cached / n,
         cached.cache_stats().hit_rate() * 100.0
     );
+    drop((plain, cached));
+    for path in [plain_store, cached_store, model_path] {
+        std::fs::remove_file(path).expect("remove store");
+    }
 }
 
 fn read_model(path: &std::path::Path) -> rpq_quant::OptimizedProductQuantizer {

@@ -185,6 +185,8 @@ fn width1_is_bit_identical_for_pq_opq_and_tie_dense_estimators() {
         for ef in [10, 40] {
             assert_width1_matches_reference(&index, &arc, &bench, &cfg, ef);
         }
+        drop(index);
+        std::fs::remove_file(&cfg.path).unwrap();
     }
 }
 
@@ -238,6 +240,10 @@ fn wide_io_widths_stay_inside_the_recall_envelope() {
                 "ef {ef} width {width}: modeled io_seconds differs between two passes"
             );
         }
+    }
+    drop(serial);
+    for width in [1, 4, 8] {
+        std::fs::remove_file(tmp_store(&format!("envelope-{width}"))).unwrap();
     }
 }
 
@@ -325,4 +331,6 @@ fn trace_admission_beats_bfs_warmup_on_a_zipf_workload() {
         trace_rate > 0.0,
         "a skewed workload over a warmed cache must hit"
     );
+    drop(index);
+    std::fs::remove_file(tmp_store("zipf")).unwrap();
 }

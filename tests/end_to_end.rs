@@ -84,17 +84,15 @@ fn full_pipeline_hybrid_reranking_beats_adc_only() {
     ));
 
     let mem_idx = InMemoryIndex::build(pq_for_mem, &base, ProximityGraph::clone(&vamana));
-    let disk_idx = DiskIndex::build(
-        pq_for_disk,
-        &base,
-        &vamana,
-        DiskIndexConfig::new(store_path("it-hybrid")),
-    )
-    .unwrap();
+    let store = store_path("it-hybrid");
+    let disk_idx =
+        DiskIndex::build(pq_for_disk, &base, &vamana, DiskIndexConfig::new(&store)).unwrap();
 
     let efs = [40usize];
     let mem = sweep(&mem_idx, &queries, &gt, s.k, &efs);
     let disk = sweep(&disk_idx, &queries, &gt, s.k, &efs);
+    drop(disk_idx);
+    std::fs::remove_file(&store).unwrap();
     // The hybrid scenario reranks with exact distances: at equal beam width
     // it must reach at least the ADC-only recall.
     assert!(

@@ -282,6 +282,8 @@ fn disk_filtered_search_reranks_matches_and_respects_the_predicate() {
             "disk in-traversal recall {recall:.3} under {floor} at label {label}"
         );
     }
+    drop(index);
+    std::fs::remove_file(tmp_store("rerank")).unwrap();
 }
 
 /// Zipf-skewed query selection raises the NodeCache hit rate over uniform
@@ -338,6 +340,8 @@ fn zipf_traffic_raises_node_cache_hit_rate_over_uniform_on_disk() {
         zipf_rate > uniform_rate,
         "Zipf stream hit rate {zipf_rate:.3} not above uniform {uniform_rate:.3}"
     );
+    drop(index);
+    std::fs::remove_file(tmp_store("zipfcache")).unwrap();
 }
 
 proptest! {
