@@ -388,11 +388,12 @@ impl SectorStore {
 ///
 /// // Unique per-process path: concurrent test runs must not share stores.
 /// let store = std::env::temp_dir().join(format!("rpq-doctest-{}.store", std::process::id()));
-/// let index = DiskIndex::build(pq, &base, &graph, DiskIndexConfig::new(store)).unwrap();
+/// let index = DiskIndex::build(pq, &base, &graph, DiskIndexConfig::new(&store)).unwrap();
 /// let (top, stats) = index.search(queries.get(0), 32, 5);
 /// assert_eq!(top.len(), 5);
 /// assert!(stats.io_reads > 0); // routing fetched blocks from the store
 /// assert!(stats.coalesced_ios <= stats.io_reads);
+/// std::fs::remove_file(&store).unwrap();
 /// ```
 pub struct DiskIndex<C: VectorCompressor> {
     store: SectorStore,
@@ -740,6 +741,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_store::TestStore;
     use rpq_data::ground_truth::brute_force_knn;
     use rpq_data::synth::{SynthConfig, ValueTransform};
     use rpq_graph::{beam_search, VamanaConfig};
@@ -758,15 +760,9 @@ mod tests {
         data.split_at(n)
     }
 
-    fn tmp_path(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("rpq-disk-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{tag}.store"))
-    }
-
-    /// The default configuration over the store named `tag`.
-    fn cfg(tag: &str) -> DiskIndexConfig {
-        DiskIndexConfig::new(tmp_path(tag))
+    /// The default configuration over `store`.
+    fn cfg(store: &TestStore) -> DiskIndexConfig {
+        DiskIndexConfig::new(store.path())
     }
 
     /// A corpus with its queries, Vamana graph and trained PQ — what every
@@ -863,13 +859,17 @@ mod tests {
         }
     }
 
+    /// An index over a fresh store, returned with the store's guard: bind
+    /// it to a name, so the store outlives the test's searches.
     fn build_index(
         n: usize,
         seed: u64,
         tag: &str,
-    ) -> (DiskIndex<ProductQuantizer>, Dataset, Dataset) {
+    ) -> (TestStore, DiskIndex<ProductQuantizer>, Dataset, Dataset) {
         let parts = Parts::new(n, seed);
-        (parts.index(cfg(tag)), parts.base, parts.queries)
+        let store = TestStore::new(tag);
+        let index = parts.index(cfg(&store));
+        (store, index, parts.base, parts.queries)
     }
 
     fn ids(res: &[Neighbor]) -> Vec<u32> {
@@ -905,7 +905,7 @@ mod tests {
 
     #[test]
     fn rerank_makes_results_exact_quality() {
-        let (index, base, queries) = build_index(600, 1, "rerank");
+        let (_store, index, base, queries) = build_index(600, 1, "rerank");
         let gt = brute_force_knn(&base, &queries, 10);
         let mut results = Vec::new();
         for q in queries.iter() {
@@ -921,7 +921,7 @@ mod tests {
 
     #[test]
     fn exact_distances_are_reported() {
-        let (index, base, queries) = build_index(300, 2, "exactd");
+        let (_store, index, base, queries) = build_index(300, 2, "exactd");
         let q = queries.get(0);
         let (res, _) = index.search(q, 40, 5);
         for n in &res {
@@ -932,7 +932,7 @@ mod tests {
 
     #[test]
     fn io_grows_with_beam_width() {
-        let (index, _, queries) = build_index(600, 3, "iobeam");
+        let (_store, index, _, queries) = build_index(600, 3, "iobeam");
         let q = queries.get(0);
         let (_, s_small) = index.search(q, 8, 4);
         let (_, s_large) = index.search(q, 80, 4);
@@ -946,7 +946,7 @@ mod tests {
 
     #[test]
     fn resident_memory_is_a_fraction_of_disk() {
-        let (index, _, _) = build_index(500, 4, "memfrac");
+        let (_store, index, _, _) = build_index(500, 4, "memfrac");
         let resident = index.resident_bytes();
         let disk = index.disk_bytes();
         assert!(
@@ -958,10 +958,11 @@ mod tests {
     #[test]
     fn node_cache_cuts_io_without_changing_results() {
         let parts = Parts::new(500, 6);
-        let plain = parts.index(cfg("nocache"));
+        let stores = [TestStore::new("nocache"), TestStore::new("cache")];
+        let plain = parts.index(cfg(&stores[0]));
         let cached = parts.index(DiskIndexConfig {
             cache_nodes: 200,
-            ..cfg("cache")
+            ..cfg(&stores[1])
         });
         let q = parts.queries.get(0);
         let (r_plain, s_plain) = plain.search(q, 40, 10);
@@ -990,7 +991,8 @@ mod tests {
             ..Default::default()
         }
         .build(&base);
-        let store = SectorStore::build(&tmp_path("roundtrip"), &base, &graph, 4096).unwrap();
+        let file = TestStore::new("roundtrip");
+        let store = SectorStore::build(file.path(), &base, &graph, 4096).unwrap();
         let mut batch = BatchRead::default();
         store.read_batch(&[0, 50, 99], &mut batch).unwrap();
         for i in [0u32, 50, 99] {
@@ -1007,7 +1009,8 @@ mod tests {
             ..Default::default()
         }
         .build(&base);
-        let store = SectorStore::build(&tmp_path("coalesce"), &base, &graph, 4096).unwrap();
+        let file = TestStore::new("coalesce");
+        let store = SectorStore::build(file.path(), &base, &graph, 4096).unwrap();
         let spb = store.sectors_per_block;
 
         // Four adjacent blocks collapse into one command spanning 4×spb
@@ -1042,20 +1045,20 @@ mod tests {
         let parts = Parts::new(300, 18);
         let mut scratch = (SearchScratch::new(), SearchScratch::new());
         for io_width in [1usize, 8] {
+            let stores = [TestStore::new("padding"), TestStore::new("padding-dirty")];
             let pristine = parts.index(DiskIndexConfig {
                 io_width,
-                ..cfg(&format!("padding-{io_width}"))
+                ..cfg(&stores[0])
             });
-            let dirty_path = tmp_path(&format!("padding-dirty-{io_width}"));
             let dirty = parts.index(DiskIndexConfig {
                 io_width,
-                ..DiskIndexConfig::new(&dirty_path)
+                ..cfg(&stores[1])
             });
             let store = &dirty.store;
             let pad = vec![0xFFu8; store.block_bytes - store.node_bytes()];
             let f = std::fs::OpenOptions::new()
                 .write(true)
-                .open(&dirty_path)
+                .open(stores[1].path())
                 .unwrap();
             for i in 0..store.n {
                 let off = i * store.block_bytes + store.node_bytes();
@@ -1096,11 +1099,14 @@ mod tests {
             ..Default::default()
         }
         .build(&base);
-        let path = tmp_path("truncated");
-        let store = SectorStore::build(&path, &base, &graph, 4096).unwrap();
+        let file = TestStore::new("truncated");
+        let store = SectorStore::build(file.path(), &base, &graph, 4096).unwrap();
         let last = (store.n - 1) as u32;
         let node_end = last as usize * store.block_bytes + store.node_bytes();
-        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(file.path())
+            .unwrap();
         let mut batch = BatchRead::default();
 
         // Cut inside the last block's padding: every node byte survives.
@@ -1127,7 +1133,8 @@ mod tests {
     #[test]
     fn width1_is_bit_identical_to_the_serial_oracle() {
         let parts = Parts::new(600, 9);
-        let index = parts.index(cfg("bitident"));
+        let store = TestStore::new("bitident");
+        let index = parts.index(cfg(&store));
         for (qi, q) in parts.queries.iter().enumerate() {
             let stats = parts.assert_matches_reference(&index, q, 50, &format!("query {qi}"));
             // The fixed model bills every sector read at 100 µs; the
@@ -1144,9 +1151,10 @@ mod tests {
     #[test]
     fn width1_is_bit_identical_with_a_cache() {
         let parts = Parts::new(600, 10);
+        let store = TestStore::new("bitident-cache");
         let index = parts.index(DiskIndexConfig {
             cache_nodes: 150,
-            ..cfg("bitident-cache")
+            ..cfg(&store)
         });
         let mut hits = 0usize;
         for (qi, q) in parts.queries.iter().enumerate() {
@@ -1166,7 +1174,7 @@ mod tests {
         // d > worst. The separate counter pins that invariant at zero;
         // would-be extra reads go through the batch API and would show up
         // here instead of inflating io_reads silently.
-        let (index, _, queries) = build_index(600, 11, "rerankreads");
+        let (_store, index, _, queries) = build_index(600, 11, "rerankreads");
         for q in queries.iter() {
             for ef in [10usize, 60] {
                 let (_, stats) = index.search(q, ef, 10);
@@ -1182,9 +1190,10 @@ mod tests {
     fn pipeline_hides_io_behind_compute() {
         let parts = Parts::new(600, 12);
         let q = parts.queries.get(0);
+        let stores = [TestStore::new("pipeline"), TestStore::new("pipeline-wide")];
 
         // Serial semantics: every modeled microsecond stalls the query.
-        let (_, s1) = parts.index(cfg("pipeline")).search(q, 60, 10);
+        let (_, s1) = parts.index(cfg(&stores[0])).search(q, 60, 10);
         assert!(
             (s1.io_stall_seconds - s1.io_seconds).abs() < 1e-9,
             "width 1 cannot overlap: stall {} vs io {}",
@@ -1196,7 +1205,7 @@ mod tests {
         // coalesce adjacent blocks: the stall can only shrink.
         let wide = parts.index(DiskIndexConfig {
             io_width: 8,
-            ..cfg("pipeline-wide")
+            ..cfg(&stores[1])
         });
         let (_, s8) = wide.search(q, 60, 10);
         assert!(
@@ -1223,10 +1232,11 @@ mod tests {
                 .collect();
             (reads, gt.recall(&results))
         };
-        let (reads1, r1) = pass(&parts.index(cfg("width")));
+        let stores = [TestStore::new("width"), TestStore::new("width-8")];
+        let (reads1, r1) = pass(&parts.index(cfg(&stores[0])));
         let (reads8, r8) = pass(&parts.index(DiskIndexConfig {
             io_width: 8,
-            ..cfg("width-8")
+            ..cfg(&stores[1])
         }));
         assert!(
             reads8 >= reads1,
@@ -1241,9 +1251,10 @@ mod tests {
     #[test]
     fn trace_warming_pins_hot_nodes_and_preserves_results() {
         let parts = Parts::new(600, 14);
+        let store = TestStore::new("tracewarm");
         let mut index = parts.index(DiskIndexConfig {
             cache_nodes: 150,
-            ..cfg("tracewarm")
+            ..cfg(&store)
         });
         let (warm, eval) = parts.queries.split_at(10);
 
@@ -1264,7 +1275,7 @@ mod tests {
 
     #[test]
     fn filtered_search_returns_only_matching_and_reranks_exactly() {
-        let (mut index, base, queries) = build_index(600, 16, "filtered");
+        let (_store, mut index, base, queries) = build_index(600, 16, "filtered");
         let labels = Labels::from_masks(2, (0..base.len()).map(|i| 1 << (i % 2)).collect());
         index.set_labels(labels.clone());
         let pred = LabelPredicate::single(0);
@@ -1293,7 +1304,7 @@ mod tests {
 
     #[test]
     fn filtered_with_all_matching_equals_unfiltered() {
-        let (mut index, base, queries) = build_index(400, 17, "filtered-all");
+        let (_store, mut index, base, queries) = build_index(400, 17, "filtered-all");
         index.set_labels(Labels::from_masks(1, vec![1; base.len()]));
         let mut scratch = SearchScratch::with_capacity(base.len());
         for q in queries.iter() {

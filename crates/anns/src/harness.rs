@@ -211,6 +211,7 @@ pub fn qps_at_recall(points: &[SweepPoint], target: f32) -> Option<f32> {
 mod tests {
     use super::*;
     use crate::memory::InMemoryIndex;
+    use crate::test_store::TestStore;
     use rpq_data::brute_force_knn;
     use rpq_data::synth::{SynthConfig, ValueTransform};
     use rpq_graph::HnswConfig;
@@ -334,15 +335,9 @@ mod tests {
             },
             &base,
         );
-        let dir = std::env::temp_dir().join("rpq-harness-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let index = DiskIndex::build(
-            pq,
-            &base,
-            &graph,
-            DiskIndexConfig::new(dir.join("sweep.store")),
-        )
-        .unwrap();
+        let store = TestStore::new("sweep");
+        let index =
+            DiskIndex::build(pq, &base, &graph, DiskIndexConfig::new(store.path())).unwrap();
         let points = sweep(&index, &queries, &gt, 5, &[5, 30]);
         assert_eq!(points.len(), 2);
         for p in &points {
@@ -407,15 +402,9 @@ mod tests {
             },
             &base,
         );
-        let dir = std::env::temp_dir().join("rpq-harness-io-accounting");
-        std::fs::create_dir_all(&dir).unwrap();
-        let index = DiskIndex::build(
-            pq,
-            &base,
-            &graph,
-            DiskIndexConfig::new(dir.join("sweep.store")),
-        )
-        .unwrap();
+        let store = TestStore::new("sweep-one-worker");
+        let index =
+            DiskIndex::build(pq, &base, &graph, DiskIndexConfig::new(store.path())).unwrap();
         let points = rayon::with_num_threads(1, || sweep(&index, &queries, &gt, 5, &[20]));
         let p = &points[0];
         assert!(p.io_ms > 0.0, "hybrid sweep must model I/O");

@@ -49,3 +49,7 @@ pub use serve::{
     ShardQueryStats, ShardedIndex, WorkerPool,
 };
 pub use stream::{ConsolidateReport, StreamingConfig, StreamingIndex};
+
+#[cfg(test)]
+#[path = "../tests/support/test_store.rs"]
+mod test_store;

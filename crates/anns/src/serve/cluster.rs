@@ -636,6 +636,7 @@ mod tests {
     use super::super::ClusterHandle;
     use super::*;
     use crate::stream::StreamingIndex;
+    use crate::test_store::TestStore;
     use rpq_data::synth::{SynthConfig, ValueTransform};
     use rpq_data::Labels;
     use rpq_graph::HnswConfig;
@@ -688,14 +689,14 @@ mod tests {
 
     const KINDS: [Kind; 3] = [Kind::Memory, Kind::Streaming, Kind::Disk];
 
-    /// A labeled two-shard partition table of `kind` over `base`; `tag`
-    /// keeps concurrent tests' disk stores apart.
+    /// A labeled two-shard partition table of `kind` over `base`; a disk
+    /// table keeps its shards at `store`.
     fn table(
         kind: Kind,
         pq: &ProductQuantizer,
         base: &Dataset,
         labels: &Labels,
-        tag: &str,
+        store: &TestStore,
     ) -> ShardedIndex {
         match kind {
             Kind::Memory => {
@@ -710,9 +711,7 @@ mod tests {
                 ShardedIndex::build_streaming(pq, base, Some(labels), 2, cfg)
             }
             Kind::Disk => {
-                let dir = std::env::temp_dir().join("rpq-cluster-test");
-                std::fs::create_dir_all(&dir).unwrap();
-                let cfg = DiskIndexConfig::new(dir.join(format!("{tag}.store")));
+                let cfg = DiskIndexConfig::new(store.path());
                 ShardedIndex::build_on_disk(pq, base, Some(labels), 2, &cfg, graph_builder).unwrap()
             }
         }
@@ -953,11 +952,15 @@ mod tests {
         let pq = pq(&base);
         for kind in KINDS {
             let mutable = kind == Kind::Streaming;
+            let stores = [
+                TestStore::new("writes-cluster"),
+                TestStore::new("writes-ref"),
+            ];
             let mut cluster = ClusterIndex::new(
-                table(kind, &pq, &initial, &labels, "writes-cluster").with_replicas(2),
+                table(kind, &pq, &initial, &labels, &stores[0]).with_replicas(2),
                 LoadBalancePolicy::LeastOutstanding,
             );
-            let mut reference = table(kind, &pq, &initial, &labels, "writes-reference");
+            let mut reference = table(kind, &pq, &initial, &labels, &stores[1]);
             let mut scratch = SearchScratch::new();
             // Frozen kinds refuse every write on both views alike; the
             // streaming kind applies each one to both replicas.
@@ -1137,11 +1140,15 @@ mod tests {
         let base_labels = labels.subset(&(0..200).collect::<Vec<_>>());
         let pq = pq(&base);
         for kind in KINDS {
+            let stores = [
+                TestStore::new("filtered-cluster"),
+                TestStore::new("filtered-ref"),
+            ];
             let cluster = ClusterIndex::new(
-                table(kind, &pq, &base, &base_labels, "filtered-cluster").with_replicas(2),
+                table(kind, &pq, &base, &base_labels, &stores[0]).with_replicas(2),
                 LoadBalancePolicy::QueueAware,
             );
-            let reference = table(kind, &pq, &base, &base_labels, "filtered-reference");
+            let reference = table(kind, &pq, &base, &base_labels, &stores[1]);
             let mut scratch = SearchScratch::new();
             // Exhaustive ef: the §7.3 exact-merge contract must hold per
             // predicate, replica choice and strategy notwithstanding.
@@ -1358,10 +1365,11 @@ mod tests {
         let pq = pq(&base);
         let schedule = ArrivalSchedule::open_loop(400, 20_000.0, queries.len(), 3, 44);
         for kind in [Kind::Memory, Kind::Disk] {
-            let mk = |tag: &str| {
+            let stores = [1, 2, 3].map(|i| TestStore::new(&format!("replay-{i}")));
+            let mk = |store: &TestStore| {
                 ClusterEngine::new(
                     ClusterIndex::new(
-                        table(kind, &pq, &base, &labels, tag).with_replicas(2),
+                        table(kind, &pq, &base, &labels, store).with_replicas(2),
                         LoadBalancePolicy::QueueAware,
                     ),
                     AdmissionConfig {
@@ -1372,8 +1380,8 @@ mod tests {
                     CostModel::default(),
                 )
             };
-            let (o1, r1) = mk("replay-1").serve_open_loop(&queries, &schedule, 40, 5);
-            let (o2, r2) = mk("replay-2").serve_open_loop(&queries, &schedule, 40, 5);
+            let (o1, r1) = mk(&stores[0]).serve_open_loop(&queries, &schedule, 40, 5);
+            let (o2, r2) = mk(&stores[1]).serve_open_loop(&queries, &schedule, 40, 5);
             assert_eq!(
                 o1, o2,
                 "{kind:?}: same schedule, same outcomes, bit for bit"
@@ -1383,7 +1391,7 @@ mod tests {
             // Not an all-shed run, which would replay trivially.
             assert!(r1.completed > 0, "{kind:?}: nothing completed");
             // And a third run on the SAME engine (reset_virtual_time) agrees.
-            let eng = mk("replay-3");
+            let eng = mk(&stores[2]);
             let (o3, _) = eng.serve_open_loop(&queries, &schedule, 40, 5);
             let (o4, _) = eng.serve_open_loop(&queries, &schedule, 40, 5);
             assert_eq!(o3, o4, "{kind:?}: virtual state must reset between runs");
@@ -1397,7 +1405,8 @@ mod tests {
     fn repeated_disk_reads_report_equal_stats_and_cost() {
         let (base, queries) = setup(140, 45);
         let labels = Labels::from_masks(4, (0..140).map(|i| 1u32 << (i % 4)).collect());
-        let table = table(Kind::Disk, &pq(&base), &base, &labels, "repeat");
+        let store = TestStore::new("repeat");
+        let table = table(Kind::Disk, &pq(&base), &base, &labels, &store);
         let cost = CostModel::default();
         let mut scratch = SearchScratch::new();
         for q in queries.iter() {

@@ -1021,6 +1021,7 @@ impl ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_store::TestStore;
     use rpq_data::brute_force_knn;
     use rpq_data::synth::{SynthConfig, ValueTransform};
     use rpq_graph::HnswConfig;
@@ -1119,9 +1120,8 @@ mod tests {
             },
             &base,
         );
-        let dir = std::env::temp_dir().join("rpq-serve-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let cfg = DiskIndexConfig::new(dir.join("sharded.store"));
+        let store = TestStore::new("sharded");
+        let cfg = DiskIndexConfig::new(store.path());
         let sharded =
             ShardedIndex::build_on_disk(&pq, &base, None, 2, &cfg, graph_builder).unwrap();
         let gt = brute_force_knn(&base, &queries, 5);

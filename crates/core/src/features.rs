@@ -6,16 +6,16 @@
 //! negative from the next `k_neg` — the hard-negative band that makes the
 //! triplets informative (Def. 4–5).
 //!
-//! **Routing features** (Alg. 2): run beam search with the *current learned
-//! quantizer* on sampled queries and record every ranked candidate set
-//! `b_i`. Each decision is labelled with the candidate that is truly
-//! closest to the query (exact distance) — the correct next hop the routing
-//! loss (Eq. 9–10) teaches the quantizer to rank first.
+//! **Routing features** (Alg. 2): run the index's own beam search with the
+//! *current learned quantizer* on sampled queries and record every ranked
+//! candidate set `b_i`. Each decision is labelled with the candidate that is
+//! truly closest to the query (exact distance) — the correct next hop the
+//! routing loss (Eq. 9–10) teaches the quantizer to rank first.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rpq_data::Dataset;
-use rpq_graph::{beam_search_recording, DistanceEstimator, ProximityGraph, SearchScratch};
+use rpq_graph::{DistanceEstimator, GraphView, ProximityGraph, SearchScratch, VertexFilter};
 use rpq_linalg::distance::sq_l2;
 
 /// A contrastive triplet of vertex ids (paper Def. 4–5).
@@ -117,8 +117,8 @@ pub struct RoutingFeature {
     pub best: usize,
 }
 
-/// Cap on decisions kept per sampled query, so a long walk does not
-/// dominate an epoch's routing features.
+/// Decisions recorded per sampled query: the walk stops at this many, so a
+/// long walk does not dominate an epoch's routing features.
 const MAX_DECISIONS_PER_QUERY: usize = 24;
 
 /// Alg. 2 parameters.
@@ -149,6 +149,11 @@ impl Default for RoutingSamplerConfig {
 /// returns the estimator the beam search routes with — this is what makes
 /// the features reflect the quantizer being trained rather than ideal
 /// routing.
+///
+/// Each walk makes the calls [`rpq_graph::beam_search`] makes —
+/// [`GraphView::start_vertex`], [`SearchScratch::start`] at `ef = h`, then
+/// pop / expand — and records the pool's best `h` at each pop where it
+/// holds `h`, stopping after `MAX_DECISIONS_PER_QUERY` decisions.
 pub fn sample_routing_features<'a>(
     graph: &ProximityGraph,
     data: &'a Dataset,
@@ -159,40 +164,40 @@ pub fn sample_routing_features<'a>(
     assert!(cfg.h >= 2, "beam width h must be >= 2 to rank anything");
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let n = data.len();
+    let all = VertexFilter::all();
     let mut scratch = SearchScratch::new();
     let mut out = Vec::new();
     for _ in 0..cfg.n_queries {
         let qid = rng.gen_range(0..n) as u32;
-        let qvec = data.get(qid as usize).to_vec();
-        let est = make_estimator(data.get(qid as usize));
-        let (_, decisions) = beam_search_recording(graph, &est, cfg.h, &mut scratch);
-        let mut kept = 0usize;
-        for d in decisions {
+        let q = data.get(qid as usize);
+        let est = make_estimator(q);
+        let (start, d0, _) = graph.start_vertex(&est, &all);
+        scratch.start(n, cfg.h, start, d0, &all);
+        let mut kept = 0;
+        while let Some((_, v)) = scratch.pop_closest() {
             // Only full beams: the loss batches decisions as fixed h-way
             // softmaxes.
-            if d.ranked.len() != cfg.h {
-                continue;
+            if scratch.best(false).len() == cfg.h {
+                let candidates: Vec<u32> = scratch.best(false).map(|(_, id)| id).collect();
+                // Label: the candidate truly closest to the query.
+                let best = candidates
+                    .iter()
+                    .map(|&c| sq_l2(q, data.get(c as usize)))
+                    .enumerate()
+                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
+                    .map(|(i, _)| i)
+                    .expect("a full beam is non-empty");
+                out.push(RoutingFeature {
+                    query: qid,
+                    candidates,
+                    best,
+                });
+                kept += 1;
+                if kept == MAX_DECISIONS_PER_QUERY {
+                    break;
+                }
             }
-            // Label: the candidate truly closest to the query.
-            let best = d
-                .ranked
-                .iter()
-                .enumerate()
-                .min_by(|(_, &a), (_, &b)| {
-                    sq_l2(&qvec, data.get(a as usize))
-                        .total_cmp(&sq_l2(&qvec, data.get(b as usize)))
-                })
-                .map(|(i, _)| i)
-                .expect("non-empty ranked set");
-            out.push(RoutingFeature {
-                query: qid,
-                candidates: d.ranked,
-                best,
-            });
-            kept += 1;
-            if kept >= MAX_DECISIONS_PER_QUERY {
-                break;
-            }
+            scratch.expand(graph.neighbors(v), &est, &all);
         }
     }
     out
@@ -202,7 +207,9 @@ pub fn sample_routing_features<'a>(
 mod tests {
     use super::*;
     use rpq_data::synth::{SynthConfig, ValueTransform};
-    use rpq_graph::{DistanceEstimator, ExactEstimator, VamanaConfig};
+    use rpq_graph::{beam_search, DistanceEstimator, ExactEstimator, HnswConfig, VamanaConfig};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn setup(n: usize, seed: u64) -> (Dataset, ProximityGraph) {
         let data = SynthConfig {
@@ -364,9 +371,11 @@ mod tests {
             &|q| Box::new(ExactEstimator::new(&data, q)) as Box<dyn DistanceEstimator>,
             &cfg,
         );
-        for f in &feats {
-            assert_eq!(f.candidates.len(), 64);
-        }
+        assert!(
+            feats.is_empty(),
+            "{} features from underfull beams",
+            feats.len()
+        );
     }
 
     #[test]
@@ -383,12 +392,14 @@ mod tests {
 
     #[test]
     fn decisions_per_query_capped() {
-        // A query's decisions are pushed contiguously, one run per query.
-        let (data, graph) = setup(300, 6);
+        // At h 32 a walk over 1 500 points passes far more than the cap's
+        // full-beam pops; a query's decisions are pushed contiguously, one
+        // run per query, and the walk stops at the cap.
+        let (data, graph) = setup(1_500, 6);
         let cfg = RoutingSamplerConfig {
             n_queries: 3,
+            h: 32,
             seed: 1,
-            ..Default::default()
         };
         let feats = sample_routing_features(
             &graph,
@@ -404,5 +415,82 @@ mod tests {
             runs.iter().all(|&r| r <= MAX_DECISIONS_PER_QUERY),
             "{runs:?}"
         );
+        assert!(
+            runs.contains(&MAX_DECISIONS_PER_QUERY),
+            "the cap never binds: {runs:?}"
+        );
+    }
+
+    /// Exact distance floored to `grid`, so that distances tie as ADC
+    /// distances do; logs every vertex it scores, in order.
+    struct Gridded<'a> {
+        exact: ExactEstimator<'a>,
+        grid: f32,
+        scored: Rc<RefCell<Vec<u32>>>,
+    }
+
+    impl DistanceEstimator for Gridded<'_> {
+        fn distance(&self, node: u32) -> f32 {
+            self.scored.borrow_mut().push(node);
+            (self.exact.distance(node) / self.grid).floor() * self.grid
+        }
+    }
+
+    #[test]
+    fn routing_sampler_walks_the_index_beam() {
+        // Each walk must score what `beam_search` at ef = h scores for the
+        // same query, in the same order, up to where the cap stops it:
+        // same start (an HNSW walk scores the descent first), and under
+        // ties the pool's admission and tie tail rather than a second
+        // beam's. The coarser the grid, the more distances tie.
+        let (data, vamana) = setup(1_500, 9);
+        let hnsw = HnswConfig {
+            m: 8,
+            ef_construction: 40,
+            seed: 9,
+        }
+        .build(&data);
+        for (name, graph) in [("vamana", &vamana), ("hnsw", &hnsw)] {
+            for grid in [0.5f32, 2.0, 8.0] {
+                let walks = RefCell::new(Vec::new());
+                let cfg = RoutingSamplerConfig {
+                    n_queries: 64,
+                    h: 8,
+                    seed: 3,
+                };
+                let feats = sample_routing_features(
+                    graph,
+                    &data,
+                    &|q| {
+                        let scored = Rc::default();
+                        walks.borrow_mut().push((q.to_vec(), Rc::clone(&scored)));
+                        Box::new(Gridded {
+                            exact: ExactEstimator::new(&data, q),
+                            grid,
+                            scored,
+                        })
+                    },
+                    &cfg,
+                );
+                assert!(!feats.is_empty(), "{name}, grid {grid}: no features");
+                let mut scratch = SearchScratch::new();
+                let diverged = walks
+                    .into_inner()
+                    .into_iter()
+                    .filter(|(q, walk)| {
+                        let scored = Rc::default();
+                        let est = Gridded {
+                            exact: ExactEstimator::new(&data, q),
+                            grid,
+                            scored: Rc::clone(&scored),
+                        };
+                        beam_search(graph, &est, cfg.h, 1, &mut scratch);
+                        let search = scored.borrow();
+                        !search.starts_with(&walk.borrow())
+                    })
+                    .count();
+                assert_eq!(diverged, 0, "{name}, grid {grid}: walks off the beam");
+            }
+        }
     }
 }

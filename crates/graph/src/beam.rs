@@ -7,14 +7,14 @@
 //! (exact or ADC estimator over a [`GraphView`]), the graph builders'
 //! `search_adj` and `rpq-anns`' disk engine are each
 //! [`SearchScratch::start`], then pop / expand until the pool runs dry, with
-//! their own work between the two calls. [`beam_search_recording`] is the
-//! exception by design: a literal transcription of Alg. 2 that captures each
-//! ranked candidate set `bᵢ` for the routing-feature extractor.
+//! their own work between the two calls. So is `rpq-core`'s routing-feature
+//! sampler, which records the ranked candidate set `bᵢ` at each pop of the
+//! same loop and stops after a fixed number of decisions.
 
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
-use crate::pg::{GraphView, ProximityGraph};
+use crate::pg::GraphView;
 use crate::pool::CandidatePool;
 
 /// A distance oracle from an implicit query to any graph vertex. One value
@@ -488,7 +488,8 @@ pub fn beam_search_filtered<G: GraphView>(
 /// Returns the vertex reached, its distance and the estimator calls made.
 /// HNSW's build descends its upper layers with it (under an
 /// [`ExactEstimator`]) and so does every search that starts at a
-/// [`ProximityGraph`] with levels ([`GraphView::start_vertex`]).
+/// [`ProximityGraph`](crate::ProximityGraph) with levels
+/// ([`GraphView::start_vertex`]).
 pub(crate) fn greedy_closest<'a>(
     est: &impl DistanceEstimator,
     neighbors: impl Fn(u32) -> &'a [u32],
@@ -513,76 +514,10 @@ pub(crate) fn greedy_closest<'a>(
     }
 }
 
-/// One recorded next-hop decision: the ranked global candidate set `bᵢ`
-/// (ascending by estimated distance) at the moment a next hop was selected,
-/// and the vertex the estimator-driven search actually expanded.
-#[derive(Clone, Debug)]
-pub struct Decision {
-    /// Ranked candidate ids, best first (at most the beam width `h`).
-    pub ranked: Vec<u32>,
-    /// The vertex popped as next hop (always a member of `ranked`).
-    pub chosen: u32,
-}
-
-/// Literal transcription of paper Alg. 2's inner loop: beam search that
-/// records, at every next-hop selection, the ranked candidate set the
-/// decision was made from. Used offline by the routing-feature extractor, so
-/// clarity beats speed (the candidate set is a sorted `Vec`, exactly like
-/// the pseudo-code's `sort` + `resize`). It starts where [`beam_search`]
-/// does, so on an HNSW graph the features come from the base layer the
-/// index searches after its descent. It is not a step-for-step replay of
-/// [`beam_search`] when estimated distances tie: the sorted `Vec` drops
-/// everything past position `h`, while [`CandidatePool::offer`] keeps
-/// entries tied with the bound as a tail that is still expanded. Under
-/// exact distances the decision sequences rarely differ; under coarse PQ
-/// codes (many vectors sharing a code) they differ for most queries.
-pub fn beam_search_recording(
-    graph: &ProximityGraph,
-    est: &impl DistanceEstimator,
-    h: usize,
-    scratch: &mut SearchScratch,
-) -> (Vec<Neighbor>, Vec<Decision>) {
-    let h = h.max(1);
-    scratch.prepare(graph.len());
-    let (start, d0, _) = graph.start_vertex(est, &VertexFilter::all());
-
-    // Global candidate set b, ascending by distance. `expanded` marks
-    // vertices already used as a next hop; `scratch` marks vertices ever
-    // inserted into b (so duplicates are never re-scored).
-    let mut b: Vec<Neighbor> = vec![Neighbor {
-        id: start,
-        dist: d0,
-    }];
-    scratch.visit(start);
-    let mut expanded: Vec<u32> = Vec::new();
-    let mut decisions = Vec::new();
-
-    // v* ← closest vertex in b not yet expanded (Alg. 2 line 6).
-    while let Some(pos) = b.iter().position(|n| !expanded.contains(&n.id)) {
-        let vstar = b[pos].id;
-        decisions.push(Decision {
-            ranked: b.iter().map(|n| n.id).collect(),
-            chosen: vstar,
-        });
-        expanded.push(vstar);
-        for &u in graph.neighbors(vstar) {
-            if !scratch.visit(u) {
-                continue;
-            }
-            b.push(Neighbor {
-                id: u,
-                dist: est.distance(u),
-            });
-        }
-        b.sort_by(|x, y| x.dist.total_cmp(&y.dist).then(x.id.cmp(&y.id)));
-        b.truncate(h);
-    }
-    (b, decisions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pg::ProximityGraph;
     use rpq_data::Dataset;
 
     /// A 1-D line dataset with a bidirectional path graph: routing from
@@ -849,33 +784,6 @@ mod tests {
         let (res, stats) = beam_search(&g, &est, 4, 2, &mut scratch);
         assert!(res.is_empty());
         assert_eq!(stats.dist_comps, 0);
-    }
-
-    #[test]
-    fn recording_decisions_contain_chosen() {
-        let (ds, g) = line_world(25);
-        let q = [19.0f32];
-        let est = ExactEstimator::new(&ds, &q);
-        let mut scratch = SearchScratch::new();
-        let (res, decisions) = beam_search_recording(&g, &est, 4, &mut scratch);
-        assert!(!decisions.is_empty());
-        for d in &decisions {
-            assert!(d.ranked.contains(&d.chosen));
-            assert!(d.ranked.len() <= 4);
-        }
-        assert_eq!(res[0].id, 19);
-    }
-
-    #[test]
-    fn recording_matches_beam_search_result() {
-        let (ds, g) = line_world(30);
-        let q = [22.4f32];
-        let est = ExactEstimator::new(&ds, &q);
-        let mut s1 = SearchScratch::new();
-        let mut s2 = SearchScratch::new();
-        let (fast, _) = beam_search(&g, &est, 6, 1, &mut s1);
-        let (rec, _) = beam_search_recording(&g, &est, 6, &mut s2);
-        assert_eq!(fast[0].id, rec[0].id);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //!   outer loop) generic over a [`beam::DistanceEstimator`], so the same
 //!   code routes with exact distances, PQ/ADC distances, or anything else,
 //! * [`pool::CandidatePool`] — the sorted candidate set `b` of Alg. 2 that
-//!   every beam loop (search, construction, the disk engine) routes with,
-//! * [`beam::beam_search_recording`] — the instrumented variant that captures
-//!   the ranked candidate set at every next-hop decision, which is exactly
-//!   the paper's *routing features* (Def. 6),
+//!   every beam loop (search, construction, the disk engine, `rpq-core`'s
+//!   routing-feature sampler) routes with; the paper's *routing features*
+//!   (Def. 6) are its best `h` at each next-hop decision of that one beam,
 //! * [`knn`] — brute-force and NN-Descent k-NN graphs (construction seeds
 //!   for NSG),
 //! * [`hnsw`], [`nsg`], [`vamana`] — the three builders.
@@ -35,8 +34,8 @@ pub mod pool;
 pub mod vamana;
 
 pub use beam::{
-    beam_search, beam_search_filtered, beam_search_recording, DistanceEstimator, ExactEstimator,
-    Neighbor, SearchScratch, SearchStats, VertexFilter,
+    beam_search, beam_search_filtered, DistanceEstimator, ExactEstimator, Neighbor, SearchScratch,
+    SearchStats, VertexFilter,
 };
 pub use dynamic::DynamicGraph;
 pub use hnsw::HnswConfig;

@@ -9,9 +9,8 @@ use rpq_data::ground_truth::brute_force_knn;
 use rpq_data::synth::DatasetKind;
 use rpq_data::Dataset;
 use rpq_graph::{
-    beam_search, beam_search_filtered, beam_search_recording, build_nsg, DistanceEstimator,
-    ExactEstimator, GraphView, HnswConfig, Neighbor, ProximityGraph, SearchScratch, SearchStats,
-    VamanaConfig, VertexFilter,
+    beam_search, beam_search_filtered, build_nsg, DistanceEstimator, ExactEstimator, GraphView,
+    HnswConfig, Neighbor, ProximityGraph, SearchScratch, SearchStats, VamanaConfig, VertexFilter,
 };
 
 /// A graph seen through the three required `GraphView` methods, starting
@@ -146,18 +145,6 @@ fn unfiltered_hnsw_search_is_the_base_beam_from_the_descents_end() {
         moved > queries.len() / 2,
         "the descent moved {moved} starts"
     );
-}
-
-#[test]
-fn recording_starts_where_the_search_does() {
-    let (base, queries) = corpus();
-    let graph = hnsw(&base);
-    for q in queries.iter() {
-        let est = ExactEstimator::new(&base, q);
-        let (start, _, _) = graph.start_vertex(&est, &VertexFilter::all());
-        let (_, decisions) = beam_search_recording(&graph, &est, 40, &mut SearchScratch::new());
-        assert_eq!(decisions[0].chosen, start);
-    }
 }
 
 // 18 s at the dev profile's opt-level 1 (2 vCPUs), where 12 000 points

@@ -22,6 +22,10 @@ use rpq_graph::{
 };
 use rpq_quant::{PqConfig, ProductQuantizer, VectorCompressor};
 
+#[path = "../crates/anns/tests/support/test_store.rs"]
+mod test_store;
+use test_store::TestStore;
+
 fn ci_bench(n_extra_queries: usize, seed: u64) -> (Dataset, Dataset, ProductQuantizer) {
     let s = Scale::ci();
     let (base, queries) = DatasetKind::Sift.generate(s.n_base, n_extra_queries, seed);
@@ -94,9 +98,8 @@ fn concurrent_engine_agrees_with_sequential_fanout_at_operating_beam() {
 #[test]
 fn disk_backed_shards_serve_with_io_accounting() {
     let (base, queries, pq) = ci_bench(10, 13);
-    let dir = std::env::temp_dir().join("rpq-serving-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let cfg = DiskIndexConfig::new(dir.join("serving.store"));
+    let store = TestStore::new("serving");
+    let cfg = DiskIndexConfig::new(store.path());
     let index = Arc::new(
         ShardedIndex::build_on_disk(&pq, &base, None, 2, &cfg, |part| {
             VamanaConfig {
@@ -185,15 +188,8 @@ fn disk_sweep_invariants_hold_at_ci_scale() {
         ..Default::default()
     }
     .build(&base);
-    let dir = std::env::temp_dir().join("rpq-serving-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let index = DiskIndex::build(
-        pq,
-        &base,
-        &graph,
-        DiskIndexConfig::new(dir.join("sweep-invariants.store")),
-    )
-    .unwrap();
+    let store = TestStore::new("sweep-invariants");
+    let index = DiskIndex::build(pq, &base, &graph, DiskIndexConfig::new(store.path())).unwrap();
     let points = sweep(&index, &queries, &gt, 10, &[10, 40]);
     for p in &points {
         assert!((0.0..=1.0).contains(&p.recall));
