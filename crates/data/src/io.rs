@@ -139,27 +139,25 @@ mod tests {
         d
     }
 
+    /// Writes the sample to a file of this process's own, reads it back
+    /// with `limit` and removes the file before the caller asserts.
+    fn roundtrip(tag: &str, limit: Option<usize>) -> Dataset {
+        let name = format!("rpq-io-test-{}-{tag}.fvecs", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        write_fvecs(&path, &sample_dataset()).unwrap();
+        let back = read_fvecs(&path, limit);
+        std::fs::remove_file(&path).unwrap();
+        back.unwrap()
+    }
+
     #[test]
     fn fvecs_roundtrip() {
-        let dir = std::env::temp_dir().join("rpq-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.fvecs");
-        let ds = sample_dataset();
-        write_fvecs(&path, &ds).unwrap();
-        let back = read_fvecs(&path, None).unwrap();
-        assert_eq!(back, ds);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(roundtrip("sample", None), sample_dataset());
     }
 
     #[test]
     fn fvecs_limit() {
-        let dir = std::env::temp_dir().join("rpq-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("limit.fvecs");
-        write_fvecs(&path, &sample_dataset()).unwrap();
-        let back = read_fvecs(&path, Some(1)).unwrap();
-        assert_eq!(back.len(), 1);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(roundtrip("limit", Some(1)).len(), 1);
     }
 
     #[test]

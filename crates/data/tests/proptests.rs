@@ -13,14 +13,19 @@ fn dataset(max_n: usize, dim: usize) -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// A file of this process's own directly under `$TMPDIR`; each case
+/// removes it again.
+fn temp_file(tag: &str) -> std::path::PathBuf {
+    let name = format!("rpq-proptest-io-{}-{tag}.fvecs", std::process::id());
+    std::env::temp_dir().join(name)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn fvecs_roundtrip_any_payload(ds in dataset(20, 5)) {
-        let dir = std::env::temp_dir().join("rpq-proptest-io");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("case-{}.fvecs", std::process::id()));
+        let path = temp_file("case");
         write_fvecs(&path, &ds).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let back = parse_fvecs_bytes(&bytes, None).unwrap();
@@ -30,9 +35,7 @@ proptest! {
 
     #[test]
     fn arbitrary_truncation_never_panics(ds in dataset(8, 3), cut in 1usize..50) {
-        let dir = std::env::temp_dir().join("rpq-proptest-io");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("trunc-{}.fvecs", std::process::id()));
+        let path = temp_file("trunc");
         write_fvecs(&path, &ds).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();

@@ -3,15 +3,25 @@
 //! the levels a search descends before its base-layer beam (see crate
 //! docs).
 //!
-//! The insert procedure is the standard one: sample a level from a
-//! geometric distribution, greedily descend the upper layers, then at each
-//! level ≤ the node's level run an `ef_construction` search and select
-//! `M` neighbors with the *heuristic* selection rule (keep a candidate only
-//! if it is closer to the new node than to every already-selected
-//! neighbor), linking bidirectionally with degree capping.
+//! Each node's insert is the standard one: sample a level from a geometric
+//! distribution, greedily descend the upper layers, then at each level ≤
+//! the node's level run an `ef_construction` search and select `M`
+//! neighbors with the *heuristic* selection rule (keep a candidate only if
+//! it is closer to the new node than to every already-selected neighbor),
+//! linking bidirectionally with degree capping.
+//!
+//! Nodes go in by batches (ParlayANN, Manohar et al., PPoPP'24): every
+//! level is drawn up front, and each batch holds as many nodes as are
+//! already in, up to `BATCH_CAP`; a node that raises the top level goes in
+//! alone. A batch's nodes search the frozen layers in parallel; then their
+//! out-lists are set, their back-edges are grouped by target, and every
+//! target pushed over its cap is re-pruned once over its old list and all
+//! its additions. The batches depend only on the seed and the levels, so
+//! the graph is the same at every pool width.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
@@ -28,6 +38,12 @@ pub struct HnswConfig {
     pub ef_construction: usize,
     pub seed: u64,
 }
+
+/// Most nodes one insert batch holds. Batches double with the graph (each
+/// holds as many nodes as are already in), up to this cap: the nodes of a
+/// batch cannot link to each other, so a wide batch over a small graph
+/// would leave it sparse.
+const BATCH_CAP: usize = 256;
 
 impl Default for HnswConfig {
     fn default() -> Self {
@@ -47,77 +63,98 @@ impl HnswConfig {
         ProximityGraph::from_layers(layers, &levels, entry)
     }
 
-    /// The insert loop: every layer's adjacency over all node ids (empty for
-    /// nodes absent from it), each node's level, and the entry point.
+    /// The batched insert: every layer's adjacency over all node ids (empty
+    /// for nodes absent from it), each node's level, and the entry point.
     fn build_layers(&self, data: &Dataset) -> (Vec<Vec<Vec<u32>>>, Vec<usize>, u32) {
         let n = data.len();
         assert!(n > 0, "cannot build a graph over an empty dataset");
         let m = self.m.max(2);
-        let m0 = 2 * m;
         let ml = 1.0 / (m as f64).ln();
         let mut rng = SmallRng::seed_from_u64(self.seed);
+        let levels: Vec<usize> = (0..n)
+            .map(|_| {
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                ((-u.ln() * ml) as usize).min(32)
+            })
+            .collect();
 
         // layers[l] is an adjacency list over all node ids (empty for nodes
         // absent from that layer). Level 0 always contains everyone.
-        let mut layers: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); n]];
-        let mut levels: Vec<usize> = Vec::with_capacity(n);
+        let top = *levels.iter().max().expect("n > 0 draws a level");
+        let mut layers = vec![vec![Vec::<u32>::new(); n]; top + 1];
         let mut entry: u32 = 0;
-        let mut top_level: usize = 0;
+        let mut top_level = levels[0];
 
-        let mut scratch = SearchScratch::new();
-
-        for i in 0..n as u32 {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let level = ((-u.ln() * ml) as usize).min(32);
-            levels.push(level);
-            while layers.len() <= level {
-                layers.push(vec![Vec::new(); n]);
+        let mut start = 1;
+        while start < n {
+            // Prefix doubling; a node that raises the top level goes alone.
+            let mut end = start + 1;
+            if levels[start] <= top_level {
+                while end < n && end - start < start.min(BATCH_CAP) && levels[end] <= top_level {
+                    end += 1;
+                }
             }
-            if i == 0 {
-                entry = 0;
-                top_level = level;
-                continue;
-            }
-
-            let q = data.get(i as usize);
-            let est = ExactEstimator::new(data, q);
-            let mut ep = entry;
-            let mut ep_d = est.distance(ep);
-            // Greedy descent through layers above the node's level.
-            let start = top_level.min(layers.len() - 1);
-            for l in ((level + 1)..=start).rev() {
-                let layer = &layers[l];
-                (ep, ep_d, _) = greedy_closest(&est, |v| &layer[v as usize], ep, ep_d);
-            }
-            // Insert into each layer from min(level, top) down to 0.
-            for l in (0..=level.min(top_level)).rev() {
-                let (results, _) =
-                    search_adj(&layers[l], data, q, ep, self.ef_construction, &mut scratch);
-                let cap = if l == 0 { m0 } else { m };
-                let selected = select_diverse(&results, data, m, true);
-                for &s in &selected {
-                    layers[l][i as usize].push(s);
-                    let list = &mut layers[l][s as usize];
-                    list.push(i);
-                    if list.len() > cap {
-                        let sc: Vec<Scored> = list
-                            .iter()
-                            .map(|&u2| (sq_l2(data.get(s as usize), data.get(u2 as usize)), u2))
-                            .collect();
-                        let mut sorted = sc;
-                        sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                        *layers[l].get_mut(s as usize).unwrap() =
-                            select_diverse(&sorted, data, cap, true);
+            // Each node's out-lists, top layer first, against the frozen layers.
+            let found: Vec<Vec<Vec<u32>>> = (start..end)
+                .into_par_iter()
+                .map_init(SearchScratch::new, |scratch, i| {
+                    let q = data.get(i);
+                    let est = ExactEstimator::new(data, q);
+                    let mut ep = entry;
+                    let mut ep_d = est.distance(ep);
+                    for l in (levels[i] + 1..=top_level).rev() {
+                        (ep, ep_d, _) = greedy_closest(&est, |v| &layers[l][v as usize], ep, ep_d);
                     }
+                    let mut lists = Vec::new();
+                    for layer in layers[..=levels[i].min(top_level)].iter().rev() {
+                        let (results, _) =
+                            search_adj(layer, data, q, ep, self.ef_construction, scratch);
+                        lists.push(select_diverse(&results, data, m, true));
+                        ep = results.first().map_or(ep, |&(_, best)| best);
+                    }
+                    lists
+                })
+                .collect();
+
+            let mut back: Vec<(usize, u32, u32)> = Vec::new();
+            for (i, lists) in (start..end).zip(found) {
+                for (l, list) in (0..lists.len()).rev().zip(lists) {
+                    back.extend(list.iter().map(|&s| (l, s, i as u32)));
+                    layers[l][i] = list;
                 }
-                if let Some(&(_, best)) = results.first() {
-                    ep = best;
+                if levels[i] > top_level {
+                    top_level = levels[i];
+                    entry = i as u32;
                 }
             }
-            if level > top_level {
-                top_level = level;
-                entry = i;
+            // Each target's back-edges at once: a list over its cap is
+            // re-pruned once over its old entries and all of the additions.
+            back.sort_unstable();
+            let groups: Vec<&[(usize, u32, u32)]> =
+                back.chunk_by(|a, b| a.0 == b.0 && a.1 == b.1).collect();
+            let updated: Vec<Vec<u32>> = groups
+                .par_iter()
+                .map(|group| {
+                    let (l, s) = (group[0].0, group[0].1);
+                    let mut list = layers[l][s as usize].clone();
+                    list.extend(group.iter().map(|e| e.2));
+                    let cap = if l == 0 { 2 * m } else { m };
+                    if list.len() <= cap {
+                        return list;
+                    }
+                    let sv = data.get(s as usize);
+                    let mut sc: Vec<Scored> = list
+                        .iter()
+                        .map(|&u| (sq_l2(sv, data.get(u as usize)), u))
+                        .collect();
+                    sc.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                    select_diverse(&sc, data, cap, true)
+                })
+                .collect();
+            for (group, list) in groups.iter().zip(updated) {
+                layers[group[0].0][group[0].1 as usize] = list;
             }
+            start = end;
         }
 
         (layers, levels, entry)
@@ -208,14 +245,17 @@ mod tests {
 
     #[test]
     fn base_layer_is_pinned() {
-        // Taken before the build's upper-layer walk moved to the search's
-        // `greedy_closest`: same argument order, same strict `<`, same
-        // graph. At efc 100 the construction beam absorbs a changed walk,
-        // so the narrow efc 16 build is the one that would show it.
+        // The batched insert's graph: prefix-doubling batches up to
+        // `BATCH_CAP`, back-edges re-pruned once per target and batch. It
+        // is the same at every pool width, since the batches depend only on
+        // the drawn levels, and any change to the batch schedule, the
+        // upper-layer walk or the re-prune moves it. At efc 100 the
+        // construction beam absorbs a changed walk, so the narrow efc 16
+        // build is the one that would show it.
         let data = DatasetKind::Sift.config().generate(2_000, 42);
         for (m, ef_construction, entry, edges, sum) in [
-            (16, 100, 159, 51_328, 0xd5ff_89b5_bc4e_0621),
-            (8, 16, 1427, 25_309, 0x6c43_0e68_6bc1_16cd),
+            (16, 100, 159, 49_976, 0x3678_928a_7bb0_da4b),
+            (8, 16, 1427, 24_624, 0x7d35_3a43_6d22_cc8b),
         ] {
             let g = HnswConfig {
                 m,

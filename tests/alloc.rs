@@ -18,6 +18,10 @@ use rpq_data::{Dataset, LabelPredicate, Labels};
 use rpq_graph::{beam_search, ExactEstimator, HnswConfig, ProximityGraph, SearchScratch};
 use rpq_quant::{PqConfig, ProductQuantizer};
 
+#[path = "../crates/anns/tests/support/test_store.rs"]
+mod test_store;
+use test_store::TestStore;
+
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
@@ -133,12 +137,12 @@ fn warmed_disk_search_allocation_count_does_not_grow_with_reads() {
         },
         &base,
     );
-    let path = std::env::temp_dir().join(format!("rpq-it-alloc-{}.store", std::process::id()));
+    let store = TestStore::new("alloc");
     let cfg = DiskIndexConfig {
         io_width: 8,
         cache_nodes: 200,
         rerank: 80,
-        ..DiskIndexConfig::new(&path)
+        ..DiskIndexConfig::new(store.path())
     };
     let index = DiskIndex::build(pq, &base, &graph, cfg).expect("disk index build failed");
     let mut scratch = SearchScratch::new();
@@ -163,7 +167,6 @@ fn warmed_disk_search_allocation_count_does_not_grow_with_reads() {
             *blocks += stats.cache_misses;
         }
     }
-    let _ = std::fs::remove_file(&path);
     // The two beams read very different numbers of blocks (about 21 and 76
     // per query), so an allocation per block could not hide in the pin.
     assert!(

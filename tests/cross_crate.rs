@@ -12,6 +12,10 @@ use rpq_graph::DistanceEstimator;
 use rpq_linalg::distance::sq_l2;
 use rpq_quant::VectorCompressor;
 
+#[path = "../crates/anns/tests/support/test_store.rs"]
+mod test_store;
+use test_store::TestStore;
+
 /// ADC contract: for rotation/projection compressors the estimator's value
 /// must equal the squared distance between the (transformed) query and the
 /// decoded reconstruction.
@@ -167,15 +171,14 @@ fn every_index_accounts_its_codes_exactly_once() {
         graph.memory_bytes() + n * M + model + labels.memory_bytes()
     );
 
-    let store =
-        std::env::temp_dir().join(format!("rpq-it-accounting-{}.store", std::process::id()));
+    let store = TestStore::new("accounting");
     let mut disk = DiskIndex::build(
         pq.clone(),
         &bench.base,
         &graph,
         DiskIndexConfig {
             cache_nodes: 32,
-            ..DiskIndexConfig::new(&store)
+            ..DiskIndexConfig::new(store.path())
         },
     )
     .expect("disk index build failed");
@@ -186,7 +189,6 @@ fn every_index_accounts_its_codes_exactly_once() {
         disk.resident_bytes(),
         n * M + model + cache + labels.memory_bytes()
     );
-    let _ = std::fs::remove_file(&store);
 
     let mut stream = StreamingIndex::build(pq, &bench.base, StreamingConfig::default());
     let mut scratch = SearchScratch::new();

@@ -58,8 +58,13 @@ fn ground_truth_is_thread_invariant() {
     assert!(gt.iter().all(|l| l.len() == 10));
 }
 
+/// Vamana and HNSW build in batches (Vamana's fixed chunks of 512, HNSW's
+/// doubling batches up to 256), so their corpus is wide enough to span
+/// several: a fault in how one batch's results reach the next shows only
+/// there.
 #[test]
 fn graph_builds_are_thread_invariant() {
+    let batched = ci_data(1_300, 7);
     let data = ci_data(300, 7);
     let adjacency = |g: &rpq_graph::ProximityGraph| -> Vec<Vec<u32>> {
         (0..g.len() as u32)
@@ -73,8 +78,17 @@ fn graph_builds_are_thread_invariant() {
                 l: 16,
                 ..Default::default()
             }
-            .build(&data),
+            .build(&batched),
         )
+    });
+    // The whole graph: the base layer, the entry and the upper levels.
+    assert_thread_invariant("hnsw build", || {
+        HnswConfig {
+            m: 8,
+            ef_construction: 32,
+            seed: 7,
+        }
+        .build(&batched)
     });
     assert_thread_invariant("nsg build", || adjacency(&build_nsg(&data, 0)));
     // NN-Descent's local join runs as parallel propose / sequential

@@ -4,7 +4,6 @@
 //! envelope at wide `io_width`, and trace-driven cache admission beating
 //! the BFS warm-up on a skewed workload.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use rpq_anns::{DiskIndex, DiskIndexConfig, FilterStrategy};
@@ -16,9 +15,9 @@ use rpq_graph::{beam_search, Neighbor, ProximityGraph, SearchScratch, SearchStat
 use rpq_linalg::distance::sq_l2;
 use rpq_quant::{PqConfig, ProductQuantizer, VectorCompressor};
 
-fn tmp_store(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("rpq-it-diskio-{}-{tag}.store", std::process::id()))
-}
+#[path = "../crates/anns/tests/support/test_store.rs"]
+mod test_store;
+use test_store::TestStore;
 
 fn prepare(n_base: usize, n_query: usize, seed: u64) -> (Bench, ProximityGraph) {
     let bench = make_bench(DatasetKind::Sift, n_base, n_query, 10, seed);
@@ -178,15 +177,14 @@ fn width1_is_bit_identical_for_pq_opq_and_tie_dense_estimators() {
         ),
     ];
     for (tag, c) in compressors {
-        let cfg = DiskIndexConfig::new(tmp_store(&format!("bitexact-{tag}")));
+        let store = TestStore::new(&format!("bitexact-{tag}"));
+        let cfg = DiskIndexConfig::new(store.path());
         let mut index =
             DiskIndex::build(c, &bench.base, &arc, cfg.clone()).expect("disk index build failed");
         index.set_labels(every_and_every_third(bench.base.len()));
         for ef in [10, 40] {
             assert_width1_matches_reference(&index, &arc, &bench, &cfg, ef);
         }
-        drop(index);
-        std::fs::remove_file(&cfg.path).unwrap();
     }
 }
 
@@ -199,10 +197,10 @@ fn wide_io_widths_stay_inside_the_recall_envelope() {
     let scale = Scale::ci();
     let (bench, graph) = prepare(700, 20, 32);
     let arc = Arc::new(graph);
-    let index_at = |width: usize| {
+    let index_at = |width: usize, store: &TestStore| {
         let cfg = DiskIndexConfig {
             io_width: width,
-            ..DiskIndexConfig::new(tmp_store(&format!("envelope-{width}")))
+            ..DiskIndexConfig::new(store.path())
         };
         let compressor = Method::Pq.build(&bench.base, &arc, &scale);
         DiskIndex::build(compressor, &bench.base, &arc, cfg).expect("disk index build failed")
@@ -223,9 +221,11 @@ fn wide_io_widths_stay_inside_the_recall_envelope() {
         (bench.gt.recall(&ids), io_seconds)
     };
 
-    let serial = index_at(1);
+    let serial_store = TestStore::new("envelope-1");
+    let serial = index_at(1, &serial_store);
     for width in [4, 8] {
-        let wide = index_at(width);
+        let store = TestStore::new(&format!("envelope-{width}"));
+        let wide = index_at(width, &store);
         for ef in [10, 30] {
             let (serial_recall, _) = pass(&serial, ef);
             let (recall, io) = pass(&wide, ef);
@@ -240,10 +240,6 @@ fn wide_io_widths_stay_inside_the_recall_envelope() {
                 "ef {ef} width {width}: modeled io_seconds differs between two passes"
             );
         }
-    }
-    drop(serial);
-    for width in [1, 4, 8] {
-        std::fs::remove_file(tmp_store(&format!("envelope-{width}"))).unwrap();
     }
 }
 
@@ -290,13 +286,14 @@ fn trace_admission_beats_bfs_warmup_on_a_zipf_workload() {
     let scale = Scale::ci();
     let (bench, graph) = prepare(900, 5, 33);
     let arc = Arc::new(graph);
+    let store = TestStore::new("zipf");
     let mut index = DiskIndex::build(
         Method::Pq.build(&bench.base, &arc, &scale),
         &bench.base,
         &arc,
         DiskIndexConfig {
             cache_nodes: 120,
-            ..DiskIndexConfig::new(tmp_store("zipf"))
+            ..DiskIndexConfig::new(store.path())
         },
     )
     .expect("disk index build failed");
@@ -331,6 +328,4 @@ fn trace_admission_beats_bfs_warmup_on_a_zipf_workload() {
         trace_rate > 0.0,
         "a skewed workload over a warmed cache must hit"
     );
-    drop(index);
-    std::fs::remove_file(tmp_store("zipf")).unwrap();
 }

@@ -5,13 +5,17 @@
 use std::sync::Arc;
 
 use rpq_anns::{sweep, DiskIndex, DiskIndexConfig, InMemoryIndex};
-use rpq_bench::setup::{rpq_config, store_path};
+use rpq_bench::setup::rpq_config;
 use rpq_bench::Scale;
 use rpq_core::{train_rpq, TrainingMode};
 use rpq_data::brute_force_knn;
 use rpq_data::synth::DatasetKind;
 use rpq_graph::{HnswConfig, ProximityGraph, VamanaConfig};
 use rpq_quant::{PqConfig, ProductQuantizer, VectorCompressor};
+
+#[path = "../crates/anns/tests/support/test_store.rs"]
+mod test_store;
+use test_store::TestStore;
 
 fn scale() -> Scale {
     Scale::ci()
@@ -84,15 +88,18 @@ fn full_pipeline_hybrid_reranking_beats_adc_only() {
     ));
 
     let mem_idx = InMemoryIndex::build(pq_for_mem, &base, ProximityGraph::clone(&vamana));
-    let store = store_path("it-hybrid");
-    let disk_idx =
-        DiskIndex::build(pq_for_disk, &base, &vamana, DiskIndexConfig::new(&store)).unwrap();
+    let store = TestStore::new("hybrid");
+    let disk_idx = DiskIndex::build(
+        pq_for_disk,
+        &base,
+        &vamana,
+        DiskIndexConfig::new(store.path()),
+    )
+    .unwrap();
 
     let efs = [40usize];
     let mem = sweep(&mem_idx, &queries, &gt, s.k, &efs);
     let disk = sweep(&disk_idx, &queries, &gt, s.k, &efs);
-    drop(disk_idx);
-    std::fs::remove_file(&store).unwrap();
     // The hybrid scenario reranks with exact distances: at equal beam width
     // it must reach at least the ADC-only recall.
     assert!(

@@ -8,8 +8,6 @@
 //! from its generating cluster — matching points are geometrically
 //! clumped, the hard case for a filtered traversal.
 
-use std::path::PathBuf;
-
 use proptest::prelude::*;
 
 use rpq_anns::serve::{ArrivalSchedule, ShardedIndex};
@@ -20,13 +18,9 @@ use rpq_data::{brute_force_knn_filtered, Dataset, LabelPredicate, Labels};
 use rpq_graph::{HnswConfig, ProximityGraph, SearchScratch};
 use rpq_quant::{PqConfig, ProductQuantizer};
 
-/// Per-process store path so parallel test binaries never collide.
-fn tmp_store(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "rpq-it-filtered-{}-{tag}.store",
-        std::process::id()
-    ))
-}
+#[path = "../crates/anns/tests/support/test_store.rs"]
+mod test_store;
+use test_store::TestStore;
 
 /// Clustered corpus with cluster-correlated labels: 64 generating
 /// clusters folded into a vocabulary of 8 gives the selectivity ladder
@@ -237,11 +231,12 @@ fn sharded_filtered_merge_equals_single_index_per_predicate() {
 #[test]
 fn disk_filtered_search_reranks_matches_and_respects_the_predicate() {
     let f = fixture();
+    let store = TestStore::new("rerank");
     let mut index = DiskIndex::build(
         pq(&f.base),
         &f.base,
         &hnsw(&f.base),
-        DiskIndexConfig::new(tmp_store("rerank")),
+        DiskIndexConfig::new(store.path()),
     )
     .expect("disk index build failed");
     index.set_labels(f.labels.clone());
@@ -282,8 +277,6 @@ fn disk_filtered_search_reranks_matches_and_respects_the_predicate() {
             "disk in-traversal recall {recall:.3} under {floor} at label {label}"
         );
     }
-    drop(index);
-    std::fs::remove_file(tmp_store("rerank")).unwrap();
 }
 
 /// Zipf-skewed query selection raises the NodeCache hit rate over uniform
@@ -293,13 +286,14 @@ fn disk_filtered_search_reranks_matches_and_respects_the_predicate() {
 #[test]
 fn zipf_traffic_raises_node_cache_hit_rate_over_uniform_on_disk() {
     let f = fixture();
+    let store = TestStore::new("zipfcache");
     let mut index = DiskIndex::build(
         pq(&f.base),
         &f.base,
         &hnsw(&f.base),
         DiskIndexConfig {
             cache_nodes: 96,
-            ..DiskIndexConfig::new(tmp_store("zipfcache"))
+            ..DiskIndexConfig::new(store.path())
         },
     )
     .expect("disk index build failed");
@@ -340,8 +334,6 @@ fn zipf_traffic_raises_node_cache_hit_rate_over_uniform_on_disk() {
         zipf_rate > uniform_rate,
         "Zipf stream hit rate {zipf_rate:.3} not above uniform {uniform_rate:.3}"
     );
-    drop(index);
-    std::fs::remove_file(tmp_store("zipfcache")).unwrap();
 }
 
 proptest! {
