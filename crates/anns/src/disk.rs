@@ -44,7 +44,8 @@ use rpq_linalg::distance::sq_l2;
 use rpq_quant::{CompactCodes, VectorCompressor};
 
 use crate::cache::{CacheStats, NodeCache};
-use crate::filter::FilterStrategy;
+use crate::filter::{self, FilterStrategy};
+use crate::serve::{FilteredQuery, ReplicaFault};
 
 #[cfg(unix)]
 use std::os::unix::fs::FileExt;
@@ -172,9 +173,36 @@ impl From<SearchStats> for DiskSearchStats {
     }
 }
 
-/// A staged expansion with its cache probe resolved: `Some((neighbors,
-/// vector))` on a hit, `None` when the block must come from the batch read.
-type StagedNode<'a> = (u32, Option<(&'a [u32], &'a [f32])>);
+/// A node's adjacency and vector.
+type Node<'a> = (&'a [u32], &'a [f32]);
+
+/// The buffers of [`DiskIndex::fetch`], sized once per query: the ids of
+/// the last fetch in request order, each with its cache hit (`None` on a
+/// miss), the misses, and the batch they were read into.
+struct Fetch<'a> {
+    plan: Vec<(u32, Option<Node<'a>>)>,
+    misses: Vec<u32>,
+    batch: BatchRead,
+}
+
+impl Fetch<'_> {
+    /// Buffers for fetches of up to `width` nodes from `store`.
+    fn with_capacity(store: &SectorStore, width: usize) -> Self {
+        Self {
+            plan: Vec::with_capacity(width),
+            misses: Vec::with_capacity(width),
+            batch: BatchRead::with_capacity(store, width),
+        }
+    }
+
+    /// The last fetch's nodes in request order: `(id, neighbors, vector)`.
+    fn nodes(&self) -> impl Iterator<Item = (u32, &[u32], &[f32])> {
+        self.plan.iter().map(|&(v, cached)| {
+            let (nbrs, vector) = cached.unwrap_or_else(|| self.batch.block(v));
+            (v, nbrs, vector)
+        })
+    }
+}
 
 /// Reusable result of a [`SectorStore::read_batch`]: the (ascending)
 /// requested ids, their nodes decoded into flat buffers, plus the I/O
@@ -212,19 +240,15 @@ impl BatchRead {
         }
     }
 
-    /// The adjacency and vector of the batch's `i`-th node.
-    fn node(&self, i: usize) -> (&[u32], &[f32]) {
+    /// The adjacency and vector of node `id`; panics if it was not in the
+    /// batch.
+    fn block(&self, id: u32) -> (&[u32], &[f32]) {
+        let i = self.ids.binary_search(&id).expect("id not in batch read");
         let (r, d) = (self.max_degree, self.dim);
         (
             &self.neighbors[i * r..i * r + self.degrees[i] as usize],
             &self.vectors[i * d..(i + 1) * d],
         )
-    }
-
-    /// The node `id`; panics if it was not in the batch.
-    fn block(&self, id: u32) -> (&[u32], &[f32]) {
-        let i = self.ids.binary_search(&id).expect("id not in batch read");
-        self.node(i)
     }
 }
 
@@ -367,7 +391,7 @@ impl SectorStore {
 /// ```
 /// use rpq_anns::{DiskIndex, DiskIndexConfig};
 /// use rpq_data::synth::{SynthConfig, ValueTransform};
-/// use rpq_graph::VamanaConfig;
+/// use rpq_graph::{SearchScratch, VamanaConfig};
 /// use rpq_quant::{PqConfig, ProductQuantizer};
 ///
 /// let data = SynthConfig {
@@ -389,7 +413,8 @@ impl SectorStore {
 /// // Unique per-process path: concurrent test runs must not share stores.
 /// let store = std::env::temp_dir().join(format!("rpq-doctest-{}.store", std::process::id()));
 /// let index = DiskIndex::build(pq, &base, &graph, DiskIndexConfig::new(&store)).unwrap();
-/// let (top, stats) = index.search(queries.get(0), 32, 5);
+/// let mut scratch = SearchScratch::new();
+/// let (top, stats) = index.search_with_scratch(queries.get(0), 32, 5, &mut scratch);
 /// assert_eq!(top.len(), 5);
 /// assert!(stats.io_reads > 0); // routing fetched blocks from the store
 /// assert!(stats.coalesced_ios <= stats.io_reads);
@@ -523,35 +548,24 @@ impl<C: VectorCompressor> DiskIndex<C> {
         // deterministic.
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         ranked.truncate(capacity);
-        let mut ids: Vec<u32> = ranked.iter().map(|&(_, v)| v).collect();
-        ids.sort_unstable();
-        let mut batch = BatchRead::default();
-        self.store
-            .read_batch(&ids, &mut batch)
-            .expect("cache warm-up read failed");
-        let entries = ids.iter().enumerate().map(|(i, &v)| {
-            let (nbrs, vector) = batch.node(i);
-            (v, nbrs.to_vec(), vector.to_vec())
-        });
+        let mut fetch = Fetch::with_capacity(&self.store, ranked.len());
+        let ids = ranked.iter().map(|&(_, v)| v);
+        self.fetch(ids, &mut fetch, &mut DiskSearchStats::default());
+        let entries = fetch
+            .nodes()
+            .map(|(v, nbrs, vec)| (v, nbrs.to_vec(), vec.to_vec()));
         let cache = NodeCache::pin(entries);
         let pinned = cache.len();
         self.cache = Some(cache);
         pinned
     }
 
-    /// DiskANN beam search through the pipelined engine, allocating a
-    /// fresh scratch. Sweeps and serving reuse a scratch via
-    /// [`DiskIndex::search_with_scratch`] instead.
-    pub fn search(&self, query: &[f32], ef: usize, k: usize) -> (Vec<Neighbor>, DiskSearchStats) {
-        let mut scratch = SearchScratch::with_capacity(self.store.n);
-        self.search_with_scratch(query, ef, k, &mut scratch)
-    }
-
-    /// DiskANN beam search: ADC-ranked candidates, staged batch block
-    /// fetches ([`DiskIndexConfig::io_width`] per stage), exact rerank of
-    /// the final list through the same batch API. At `io_width = 1` the
-    /// answer is [`rpq_graph::beam_search`]'s best `min(ef, rerank)`
-    /// candidates reranked by exact distance, bit for bit.
+    /// DiskANN beam search, the index's one unfiltered entry point:
+    /// ADC-ranked candidates, staged batch block fetches
+    /// ([`DiskIndexConfig::io_width`] per stage), exact rerank of the final
+    /// list through the same fetch step. At `io_width = 1` the answer is
+    /// [`rpq_graph::beam_search`]'s best `min(ef, rerank)` candidates
+    /// reranked by exact distance, bit for bit.
     pub fn search_with_scratch(
         &self,
         query: &[f32],
@@ -559,18 +573,13 @@ impl<C: VectorCompressor> DiskIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, DiskSearchStats) {
-        self.search_impl(query, ef, k, scratch, VertexFilter::all())
+        filter::answer(self.read(query, None, ef, k, scratch))
     }
 
     /// DiskANN beam search restricted to vectors satisfying `pred`
-    /// (DESIGN.md §12). [`FilterStrategy::DuringTraversal`] runs the
-    /// in-memory kernel's expansion step ([`SearchScratch::expand`]): the
-    /// unfiltered pool still drives admission and termination (routing
-    /// survives low selectivity) while a second pool collects matches,
-    /// which then rerank as usual.
-    /// [`FilterStrategy::PostFilter`] searches unfiltered at an inflated
-    /// `ef` and filters the reranked results. Panics unless labels were
-    /// attached with [`DiskIndex::set_labels`].
+    /// (DESIGN.md §12), pushed into the search by `strategy`
+    /// ([`FilterStrategy`]); the matches rerank as usual. Panics unless
+    /// labels were attached with [`DiskIndex::set_labels`].
     pub fn search_filtered(
         &self,
         query: &[f32],
@@ -580,20 +589,56 @@ impl<C: VectorCompressor> DiskIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, DiskSearchStats) {
-        let labels = self
-            .labels
-            .as_ref()
-            .expect("search_filtered requires labels (DiskIndex::set_labels)");
-        match strategy {
-            FilterStrategy::DuringTraversal => {
-                let accept = labels.accept_fn(pred);
-                let filter = VertexFilter::predicate(&accept);
-                self.search_impl(query, ef, k, scratch, filter)
+        let filter = Some(FilteredQuery { pred, strategy });
+        filter::answer(self.read(query, filter, ef, k, scratch))
+    }
+
+    /// The index's one read path ([`filter::read`]).
+    pub(crate) fn read(
+        &self,
+        query: &[f32],
+        filter: Option<FilteredQuery>,
+        ef: usize,
+        k: usize,
+        scratch: &mut SearchScratch,
+    ) -> Result<(Vec<Neighbor>, DiskSearchStats), ReplicaFault> {
+        let base = VertexFilter::all();
+        filter::read(self.labels.as_ref(), base, filter, ef, k, |vf, ef, k| {
+            self.search_impl(query, ef, k, scratch, vf)
+        })
+    }
+
+    /// Fetches the nodes `ids` (unique) into `fetch`: each id probes the
+    /// node cache once, and the misses are read, ascending, as one
+    /// coalesced batch. Counts the hits, misses, raw sectors, commands and
+    /// modeled seconds into `stats`; returns the batch's modeled µs.
+    fn fetch<'a>(
+        &'a self,
+        ids: impl IntoIterator<Item = u32>,
+        fetch: &mut Fetch<'a>,
+        stats: &mut DiskSearchStats,
+    ) -> f32 {
+        fetch.plan.clear();
+        fetch.misses.clear();
+        for v in ids {
+            let hit = self.cache.as_ref().and_then(|c| c.get(v));
+            if hit.is_some() {
+                stats.cache_hits += 1;
+            } else {
+                stats.cache_misses += 1;
+                fetch.misses.push(v);
             }
-            FilterStrategy::PostFilter { .. } => strategy.post_filter(labels, pred, ef, k, |ef| {
-                self.search_with_scratch(query, ef, ef, scratch)
-            }),
+            fetch.plan.push((v, hit));
         }
+        fetch.misses.sort_unstable();
+        self.store
+            .read_batch(&fetch.misses, &mut fetch.batch)
+            .expect("disk store read failed");
+        stats.io_reads += fetch.batch.raw_sectors;
+        stats.coalesced_ios += fetch.batch.runs;
+        let io_us = self.cfg.ssd.batch_us(fetch.batch.raw_sectors);
+        stats.io_seconds += io_us * 1e-6;
+        io_us
     }
 
     fn search_impl(
@@ -606,7 +651,6 @@ impl<C: VectorCompressor> DiskIndex<C> {
     ) -> (Vec<Neighbor>, DiskSearchStats) {
         let ef = ef.max(k).max(1);
         let io_width = self.cfg.io_width.max(1);
-        let ssd = &self.cfg.ssd;
         let mut stats = DiskSearchStats::default();
         let est = self.compressor.estimator(&self.codes, query);
 
@@ -616,11 +660,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
 
         // Per-query buffers, sized once for a full stage: no read grows them.
         let mut stage: Vec<(f32, u32)> = Vec::with_capacity(io_width);
-        let mut batch = BatchRead::with_capacity(&self.store, io_width);
-        let mut miss_ids: Vec<u32> = Vec::with_capacity(io_width);
-        // Stage nodes with their cache lookups resolved at pop time (one
-        // counted cache probe per expansion, hit or miss).
-        let mut plan: Vec<StagedNode> = Vec::with_capacity(io_width);
+        let mut fetch = Fetch::with_capacity(&self.store, io_width);
         // Compute seconds of the previous stage — the budget this stage's
         // modeled I/O can hide behind (max(io, compute) pipeline model).
         let mut prev_compute = 0.0f32;
@@ -631,42 +671,13 @@ impl<C: VectorCompressor> DiskIndex<C> {
                 break;
             }
             stats.hops += stage.len();
-
-            // Resolve cache hits and gather the miss set (ascending for
-            // coalescing; stage nodes are unique by the visited discipline).
-            plan.clear();
-            miss_ids.clear();
-            for &(_, v) in &stage {
-                match self.cache.as_ref().and_then(|c| c.get(v)) {
-                    Some(hit) => {
-                        stats.cache_hits += 1;
-                        plan.push((v, Some(hit)));
-                    }
-                    None => {
-                        stats.cache_misses += 1;
-                        miss_ids.push(v);
-                        plan.push((v, None));
-                    }
-                }
-            }
-            miss_ids.sort_unstable();
-            let stage_io_us = if miss_ids.is_empty() {
-                0.0
-            } else {
-                self.store
-                    .read_batch(&miss_ids, &mut batch)
-                    .expect("disk store read failed");
-                stats.io_reads += batch.raw_sectors;
-                stats.coalesced_ios += batch.runs;
-                ssd.batch_us(batch.raw_sectors)
-            };
-            stats.io_seconds += stage_io_us * 1e-6;
+            // Stage nodes are unique by the visited discipline.
+            let stage_io_us = self.fetch(stage.iter().map(|&(_, v)| v), &mut fetch, &mut stats);
 
             // Score and admit through the shared expansion step, in popped
             // (distance) order — `beam_search`'s loop at io_width = 1.
             let t0 = Instant::now();
-            for &(v, cached) in &plan {
-                let (nbrs, vector) = cached.unwrap_or_else(|| batch.block(v));
+            for (v, nbrs, vector) in fetch.nodes() {
                 scratch.memo_insert(v, sq_l2(query, vector));
                 stats.dist_comps += scratch.expand(nbrs, &est, &filter);
             }
@@ -685,45 +696,24 @@ impl<C: VectorCompressor> DiskIndex<C> {
         }
 
         // Final rerank: top candidates by ADC get exact distances; those
-        // not fetched during routing cost extra (batched, coalesced,
-        // separately counted) reads. Filtered traversal reranks the
-        // accepted set instead — matches that routed past without
+        // not fetched during routing go through the same fetch step, and
+        // their reads are also counted apart. Filtered traversal reranks
+        // the accepted set instead — matches that routed past without
         // expansion get fetched here.
         let candidates: Vec<(f32, u32)> = scratch
             .best(!filter.is_all())
             .take(self.cfg.rerank.max(k))
             .collect();
-        miss_ids.clear();
-        for &(_, v) in &candidates {
-            if scratch.memo_get(v).is_some() {
-                continue;
-            }
-            match self.cache.as_ref().and_then(|c| c.get(v)) {
-                Some((_, vec)) => {
-                    stats.cache_hits += 1;
-                    scratch.memo_insert(v, sq_l2(query, vec));
-                }
-                None => {
-                    stats.cache_misses += 1;
-                    miss_ids.push(v);
-                }
-            }
-        }
-        if !miss_ids.is_empty() {
-            miss_ids.sort_unstable();
-            self.store
-                .read_batch(&miss_ids, &mut batch)
-                .expect("rerank read failed");
-            stats.io_reads += batch.raw_sectors;
-            stats.rerank_reads += batch.raw_sectors;
-            stats.coalesced_ios += batch.runs;
-            let io_us = ssd.batch_us(batch.raw_sectors);
-            stats.io_seconds += io_us * 1e-6;
-            // Nothing overlaps the tail rerank: charge it in full.
-            stats.io_stall_seconds += io_us * 1e-6;
-            for (i, &v) in batch.ids.iter().enumerate() {
-                scratch.memo_insert(v, sq_l2(query, batch.node(i).1));
-            }
+        let unread = candidates
+            .iter()
+            .map(|&(_, v)| v)
+            .filter(|&v| scratch.memo_get(v).is_none());
+        let io_us = self.fetch(unread, &mut fetch, &mut stats);
+        stats.rerank_reads += fetch.batch.raw_sectors;
+        // Nothing overlaps the tail rerank: charge it in full.
+        stats.io_stall_seconds += io_us * 1e-6;
+        for (v, _, vector) in fetch.nodes() {
+            scratch.memo_insert(v, sq_l2(query, vector));
         }
         let mut reranked: Vec<Neighbor> = candidates
             .into_iter()
@@ -842,7 +832,7 @@ mod tests {
             ef: usize,
             ctx: &str,
         ) -> DiskSearchStats {
-            let (got, stats) = index.search(q, ef, 10);
+            let (got, stats) = index.search_with_scratch(q, ef, 10, &mut SearchScratch::new());
             let (want, want_stats) = self.reference(index, q, ef, 10);
             assert_bit_identical(&got, &want, ctx);
             assert_eq!(stats.hops, want_stats.hops, "{ctx}: hop counts diverge");
@@ -909,7 +899,7 @@ mod tests {
         let gt = brute_force_knn(&base, &queries, 10);
         let mut results = Vec::new();
         for q in queries.iter() {
-            let (res, stats) = index.search(q, 60, 10);
+            let (res, stats) = index.search_with_scratch(q, 60, 10, &mut SearchScratch::new());
             assert!(stats.io_reads > 0, "hybrid search must hit the disk");
             assert!(stats.io_seconds > 0.0);
             results.push(res.iter().map(|n| n.id).collect::<Vec<_>>());
@@ -923,7 +913,7 @@ mod tests {
     fn exact_distances_are_reported() {
         let (_store, index, base, queries) = build_index(300, 2, "exactd");
         let q = queries.get(0);
-        let (res, _) = index.search(q, 40, 5);
+        let (res, _) = index.search_with_scratch(q, 40, 5, &mut SearchScratch::new());
         for n in &res {
             let expect = sq_l2(q, base.get(n.id as usize));
             assert!((n.dist - expect).abs() < 1e-4, "{} vs {expect}", n.dist);
@@ -934,8 +924,8 @@ mod tests {
     fn io_grows_with_beam_width() {
         let (_store, index, _, queries) = build_index(600, 3, "iobeam");
         let q = queries.get(0);
-        let (_, s_small) = index.search(q, 8, 4);
-        let (_, s_large) = index.search(q, 80, 4);
+        let (_, s_small) = index.search_with_scratch(q, 8, 4, &mut SearchScratch::new());
+        let (_, s_large) = index.search_with_scratch(q, 80, 4, &mut SearchScratch::new());
         assert!(
             s_large.io_reads > s_small.io_reads,
             "wider beam must read more: {} vs {}",
@@ -965,8 +955,8 @@ mod tests {
             ..cfg(&stores[1])
         });
         let q = parts.queries.get(0);
-        let (r_plain, s_plain) = plain.search(q, 40, 10);
-        let (r_cached, s_cached) = cached.search(q, 40, 10);
+        let (r_plain, s_plain) = plain.search_with_scratch(q, 40, 10, &mut SearchScratch::new());
+        let (r_cached, s_cached) = cached.search_with_scratch(q, 40, 10, &mut SearchScratch::new());
         assert_eq!(
             ids(&r_plain),
             ids(&r_cached),
@@ -1177,7 +1167,7 @@ mod tests {
         let (_store, index, _, queries) = build_index(600, 11, "rerankreads");
         for q in queries.iter() {
             for ef in [10usize, 60] {
-                let (_, stats) = index.search(q, ef, 10);
+                let (_, stats) = index.search_with_scratch(q, ef, 10, &mut SearchScratch::new());
                 assert_eq!(
                     stats.rerank_reads, 0,
                     "routing already fetched every reranked candidate"
@@ -1193,7 +1183,10 @@ mod tests {
         let stores = [TestStore::new("pipeline"), TestStore::new("pipeline-wide")];
 
         // Serial semantics: every modeled microsecond stalls the query.
-        let (_, s1) = parts.index(cfg(&stores[0])).search(q, 60, 10);
+        let (_, s1) =
+            parts
+                .index(cfg(&stores[0]))
+                .search_with_scratch(q, 60, 10, &mut SearchScratch::new());
         assert!(
             (s1.io_stall_seconds - s1.io_seconds).abs() < 1e-9,
             "width 1 cannot overlap: stall {} vs io {}",
@@ -1207,7 +1200,7 @@ mod tests {
             io_width: 8,
             ..cfg(&stores[1])
         });
-        let (_, s8) = wide.search(q, 60, 10);
+        let (_, s8) = wide.search_with_scratch(q, 60, 10, &mut SearchScratch::new());
         assert!(
             s8.io_stall_seconds <= s8.io_seconds + 1e-9,
             "stall must never exceed modeled io"
@@ -1225,7 +1218,8 @@ mod tests {
                 .queries
                 .iter()
                 .map(|q| {
-                    let (res, stats) = index.search(q, 60, 10);
+                    let (res, stats) =
+                        index.search_with_scratch(q, 60, 10, &mut SearchScratch::new());
                     reads += stats.io_reads;
                     ids(&res)
                 })

@@ -15,10 +15,12 @@
 //!   predicate-agnostic, but pays for every non-matching candidate it
 //!   routes — the nodes-expanded gap `tests/filtered.rs` pins.
 
-use rpq_data::{LabelPredicate, Labels};
-use rpq_graph::Neighbor;
+use rpq_data::Labels;
+use rpq_graph::{Neighbor, VertexFilter};
 
-/// How a [`LabelPredicate`] is pushed into beam search.
+use crate::serve::{FilteredQuery, ReplicaFault};
+
+/// How a [`LabelPredicate`](rpq_data::LabelPredicate) is pushed into beam search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FilterStrategy {
     /// Evaluate the predicate inside the traversal (the accepted pool of
@@ -45,23 +47,6 @@ impl FilterStrategy {
         }
     }
 
-    /// The post-filter arm every index shares: `search` is the index's
-    /// unfiltered search, asked for its top `ef' = inflated_ef(ef)` at beam
-    /// width `ef'`; results `pred` rejects are dropped, the rest cut to `k`.
-    pub(crate) fn post_filter<S>(
-        &self,
-        labels: &Labels,
-        pred: LabelPredicate,
-        ef: usize,
-        k: usize,
-        search: impl FnOnce(usize) -> (Vec<Neighbor>, S),
-    ) -> (Vec<Neighbor>, S) {
-        let (mut res, stats) = search(self.inflated_ef(ef));
-        res.retain(|n| labels.matches(n.id as usize, pred));
-        res.truncate(k);
-        (res, stats)
-    }
-
     /// Short name for reports and JSON rows.
     pub fn name(&self) -> &'static str {
         match self {
@@ -69,6 +54,43 @@ impl FilterStrategy {
             FilterStrategy::PostFilter { .. } => "post-filter",
         }
     }
+}
+
+/// Every index's read (DESIGN.md §12.1). `search(filter, ef, k)` is the
+/// index's beam search, `base` the filter of its unfiltered search. A
+/// predicate without `labels` is [`ReplicaFault::NoLabels`];
+/// `DuringTraversal` narrows `base` by it, `PostFilter` searches `base` at
+/// [`FilterStrategy::inflated_ef`] and keeps the first `k` matches.
+pub(crate) fn read<S>(
+    labels: Option<&Labels>,
+    base: VertexFilter<'_>,
+    filter: Option<FilteredQuery>,
+    ef: usize,
+    k: usize,
+    search: impl FnOnce(VertexFilter<'_>, usize, usize) -> (Vec<Neighbor>, S),
+) -> Result<(Vec<Neighbor>, S), ReplicaFault> {
+    let Some(FilteredQuery { pred, strategy }) = filter else {
+        return Ok(search(base, ef, k));
+    };
+    let labels = labels.ok_or(ReplicaFault::NoLabels)?;
+    Ok(match strategy {
+        FilterStrategy::DuringTraversal => {
+            let accept = labels.accept_fn(pred);
+            search(base.and_predicate(&accept), ef, k)
+        }
+        FilterStrategy::PostFilter { .. } => {
+            let ef = strategy.inflated_ef(ef);
+            let (mut res, stats) = search(base, ef, ef);
+            res.retain(|n| labels.matches(n.id as usize, pred));
+            res.truncate(k);
+            (res, stats)
+        }
+    })
+}
+
+/// A frozen search method's answer: the read's, or a panic with its fault.
+pub(crate) fn answer<T>(read: Result<T, ReplicaFault>) -> T {
+    read.unwrap_or_else(|fault| panic!("{fault}"))
 }
 
 #[cfg(test)]

@@ -4,12 +4,12 @@
 
 use rpq_data::{Dataset, LabelPredicate, Labels};
 use rpq_graph::{
-    beam_search, beam_search_filtered, Neighbor, ProximityGraph, SearchScratch, SearchStats,
-    VertexFilter,
+    beam_search_filtered, Neighbor, ProximityGraph, SearchScratch, SearchStats, VertexFilter,
 };
 use rpq_quant::{CompactCodes, VectorCompressor};
 
-use crate::filter::FilterStrategy;
+use crate::filter::{self, FilterStrategy};
+use crate::serve::{FilteredQuery, ReplicaFault};
 
 /// An in-memory PQ-integrated index over a proximity graph.
 ///
@@ -89,18 +89,12 @@ impl<C: VectorCompressor> InMemoryIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let est = self.compressor.estimator(&self.codes, query);
-        beam_search(&self.graph, &est, ef, k, scratch)
+        filter::answer(self.read(query, None, ef, k, scratch))
     }
 
-    /// Beam search restricted to vectors satisfying `pred` (DESIGN.md §12).
-    ///
-    /// `strategy` selects how the predicate is pushed into the search:
-    /// [`FilterStrategy::DuringTraversal`] routes through non-matching
-    /// vertices but only admits matches to the accepted pool;
-    /// [`FilterStrategy::PostFilter`] searches unfiltered at an inflated
-    /// `ef` and filters the returned candidates. Panics unless labels were
-    /// attached with [`InMemoryIndex::with_labels`].
+    /// Beam search restricted to vectors satisfying `pred` (DESIGN.md §12),
+    /// pushed into the search by `strategy` ([`FilterStrategy`]). Panics
+    /// unless labels were attached with [`InMemoryIndex::with_labels`].
     pub fn search_filtered(
         &self,
         query: &[f32],
@@ -110,21 +104,24 @@ impl<C: VectorCompressor> InMemoryIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let labels = self
-            .labels
-            .as_ref()
-            .expect("search_filtered requires labels (InMemoryIndex::with_labels)");
-        match strategy {
-            FilterStrategy::DuringTraversal => {
-                let accept = labels.accept_fn(pred);
-                let filter = VertexFilter::predicate(&accept);
-                let est = self.compressor.estimator(&self.codes, query);
-                beam_search_filtered(&self.graph, &est, ef, k, scratch, filter)
-            }
-            FilterStrategy::PostFilter { .. } => strategy.post_filter(labels, pred, ef, k, |ef| {
-                self.search(query, ef, ef, scratch)
-            }),
-        }
+        let filter = Some(FilteredQuery { pred, strategy });
+        filter::answer(self.read(query, filter, ef, k, scratch))
+    }
+
+    /// The index's one read path ([`filter::read`]).
+    pub(crate) fn read(
+        &self,
+        query: &[f32],
+        filter: Option<FilteredQuery>,
+        ef: usize,
+        k: usize,
+        scratch: &mut SearchScratch,
+    ) -> Result<(Vec<Neighbor>, SearchStats), ReplicaFault> {
+        let base = VertexFilter::all();
+        filter::read(self.labels.as_ref(), base, filter, ef, k, |vf, ef, k| {
+            let est = self.compressor.estimator(&self.codes, query);
+            beam_search_filtered(&self.graph, &est, ef, k, scratch, vf)
+        })
     }
 
     /// The underlying graph.

@@ -172,8 +172,6 @@ impl<T: ShardBackend + ?Sized> ShardBackend for Arc<T> {
 }
 
 impl<C: VectorCompressor> ShardBackend for StreamingIndex<C> {
-    /// Never faults: a streaming index always carries a label store
-    /// (all-zero masks unless built or fed labeled points).
     fn search_local(
         &self,
         query: &[f32],
@@ -182,11 +180,8 @@ impl<C: VectorCompressor> ShardBackend for StreamingIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
-        let (res, stats) = match filter {
-            None => self.search(query, ef, k, scratch),
-            Some(f) => self.search_filtered(query, f.pred, f.strategy, ef, k, scratch),
-        };
-        Ok((res, stats.into()))
+        let read = self.read(query, filter, ef, k, scratch);
+        read.map(|(res, stats)| (res, stats.into()))
     }
 
     fn shard_len(&self) -> usize {
@@ -241,12 +236,8 @@ impl<C: VectorCompressor> ShardBackend for InMemoryIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
-        let (res, stats) = match filter {
-            None => self.search(query, ef, k, scratch),
-            Some(_) if self.labels().is_none() => return Err(ReplicaFault::NoLabels),
-            Some(f) => self.search_filtered(query, f.pred, f.strategy, ef, k, scratch),
-        };
-        Ok((res, stats.into()))
+        let read = self.read(query, filter, ef, k, scratch);
+        read.map(|(res, stats)| (res, stats.into()))
     }
 
     fn shard_len(&self) -> usize {
@@ -267,11 +258,7 @@ impl<C: VectorCompressor> ShardBackend for DiskIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<(Vec<Neighbor>, ShardQueryStats), ReplicaFault> {
-        Ok(match filter {
-            None => self.search_with_scratch(query, ef, k, scratch),
-            Some(_) if self.labels().is_none() => return Err(ReplicaFault::NoLabels),
-            Some(f) => self.search_filtered(query, f.pred, f.strategy, ef, k, scratch),
-        })
+        self.read(query, filter, ef, k, scratch)
     }
 
     fn shard_len(&self) -> usize {

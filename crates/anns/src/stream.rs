@@ -24,7 +24,8 @@ use rpq_graph::{
 };
 use rpq_quant::{CompactCodes, VectorCompressor};
 
-use crate::filter::FilterStrategy;
+use crate::filter::{self, FilterStrategy};
+use crate::serve::{FilteredQuery, ReplicaFault};
 
 /// Parameters of the streaming lifecycle.
 #[derive(Clone, Copy, Debug)]
@@ -232,13 +233,7 @@ impl<C: VectorCompressor> StreamingIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, SearchStats) {
-        self.search_with_filter(
-            query,
-            ef,
-            k,
-            scratch,
-            VertexFilter::tombstones(&self.tombstones),
-        )
+        filter::answer(self.read(query, None, ef, k, scratch))
     }
 
     /// Beam search restricted to live points satisfying `pred`
@@ -253,30 +248,26 @@ impl<C: VectorCompressor> StreamingIndex<C> {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, SearchStats) {
-        match strategy {
-            FilterStrategy::DuringTraversal => {
-                let accept = self.labels.accept_fn(pred);
-                let filter = VertexFilter::tombstones(&self.tombstones).and_predicate(&accept);
-                self.search_with_filter(query, ef, k, scratch, filter)
-            }
-            FilterStrategy::PostFilter { .. } => {
-                strategy.post_filter(&self.labels, pred, ef, k, |ef| {
-                    self.search(query, ef, ef, scratch)
-                })
-            }
-        }
+        let filter = Some(FilteredQuery { pred, strategy });
+        filter::answer(self.read(query, filter, ef, k, scratch))
     }
 
-    fn search_with_filter(
+    /// The index's one read path ([`filter::read`]), under the tombstone
+    /// filter. Never faults: a streaming index always carries a label store
+    /// (all-zero masks unless built or fed labeled points).
+    pub(crate) fn read(
         &self,
         query: &[f32],
+        filter: Option<FilteredQuery>,
         ef: usize,
         k: usize,
         scratch: &mut SearchScratch,
-        filter: VertexFilter<'_>,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let est = self.compressor.estimator(&self.codes, query);
-        beam_search_filtered(&self.graph, &est, ef, k, scratch, filter)
+    ) -> Result<(Vec<Neighbor>, SearchStats), ReplicaFault> {
+        let base = VertexFilter::tombstones(&self.tombstones);
+        filter::read(Some(&self.labels), base, filter, ef, k, |vf, ef, k| {
+            let est = self.compressor.estimator(&self.codes, query);
+            beam_search_filtered(&self.graph, &est, ef, k, scratch, vf)
+        })
     }
 
     /// Reclaims tombstones if their fraction has reached

@@ -4,9 +4,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use rpq_core::{
-    train_rpq, DiffQuantizerConfig, RoutingSamplerConfig, RpqTrainerConfig, TrainingMode,
-};
+use rpq_core::{train_rpq, DiffQuantizerConfig, RpqTrainerConfig, TrainingMode};
 use rpq_data::synth::DatasetKind;
 use rpq_data::{brute_force_knn, Dataset, GroundTruth};
 use rpq_graph::{build_nsg, HnswConfig, ProximityGraph, VamanaConfig};
@@ -167,23 +165,16 @@ pub fn rpq_config(mode: TrainingMode, scale: &Scale, m: usize, kk: usize) -> Rpq
         mode,
         epochs: scale.rpq_epochs,
         steps_per_epoch: scale.rpq_steps,
-        triplet_batch: 32,
-        decision_batch: 8,
-        routing_sampler: RoutingSamplerConfig {
-            n_queries: 16,
-            h: 8,
-            ..Default::default()
-        },
         seed: scale.seed,
         ..Default::default()
     }
 }
 
-/// A unique store path for a hybrid index (per experiment and method).
+/// A store path for a hybrid index, unique per process and `tag` (per
+/// experiment and method): `$TMPDIR/rpq-bench-<pid>-<tag>.store`.
 pub fn store_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("rpq-bench-stores");
-    std::fs::create_dir_all(&dir).expect("cannot create store dir");
-    dir.join(format!("{tag}.store"))
+    let name = format!("rpq-bench-{}-{tag}.store", std::process::id());
+    std::env::temp_dir().join(name)
 }
 
 #[cfg(test)]

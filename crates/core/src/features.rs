@@ -134,8 +134,8 @@ pub struct RoutingSamplerConfig {
 impl Default for RoutingSamplerConfig {
     fn default() -> Self {
         Self {
-            n_queries: 32,
-            h: 16,
+            n_queries: 16,
+            h: 8,
             seed: 0,
         }
     }

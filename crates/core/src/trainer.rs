@@ -110,8 +110,8 @@ impl Default for RpqTrainerConfig {
             mode: TrainingMode::Full,
             epochs: 4,
             steps_per_epoch: 25,
-            triplet_batch: 48,
-            decision_batch: 12,
+            triplet_batch: 32,
+            decision_batch: 8,
             triplet_sampler: TripletSamplerConfig::default(),
             routing_sampler: RoutingSamplerConfig::default(),
             lr: 1e-3,

@@ -5,25 +5,20 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use rpq_data::ground_truth::top_k_ids_filtered;
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
-/// Exact k-NN graph by parallel brute force (excluding self edges).
+/// Exact k-NN graph by parallel brute force (excluding self edges): each
+/// row is rpq-data's bounded-heap top-`k` of its node, ascending by
+/// `(distance, id)`, with `k ≥ 1` clamped to `n − 1`.
 pub fn brute_force_knn_graph(data: &Dataset, k: usize) -> Vec<Vec<u32>> {
     let n = data.len();
     assert!(n > 0, "empty dataset");
-    let k = k.min(n.saturating_sub(1));
+    let k = k.min(n - 1);
     (0..n)
         .into_par_iter()
-        .map(|i| {
-            let mut scored: Vec<(f32, u32)> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| (sq_l2(data.get(i), data.get(j)), j as u32))
-                .collect();
-            scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            scored.truncate(k);
-            scored.into_iter().map(|(_, j)| j).collect()
-        })
+        .map(|i| top_k_ids_filtered(data, data.get(i), k, |j| j as usize != i))
         .collect()
 }
 
@@ -232,6 +227,43 @@ mod tests {
                 }
             }
             assert_eq!(nbrs[0], best.1, "node {i}");
+        }
+    }
+
+    /// The graph's former body, kept as the oracle: every other node
+    /// scored, all `n − 1` sorted by `(distance, id)`, cut to `k`.
+    fn sorted_rows(data: &Dataset, k: usize) -> Vec<Vec<u32>> {
+        let n = data.len();
+        let k = k.min(n - 1);
+        (0..n)
+            .map(|i| {
+                let mut scored: Vec<(f32, u32)> = (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| (sq_l2(data.get(i), data.get(j)), j as u32))
+                    .collect();
+                scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                scored.truncate(k);
+                scored.into_iter().map(|(_, j)| j).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn brute_force_graph_equals_the_full_sort_on_a_tie_dense_grid() {
+        // Points of a 9 × 9 × 3 integer grid, shuffled by a fixed stride:
+        // every node has many neighbors at each distance, so the rows hold
+        // long runs of ties that only the id order breaks.
+        let mut data = Dataset::new(3);
+        let cells = 9 * 9 * 3;
+        for c in (0..cells).map(|c| (c * 97) % cells) {
+            data.push(&[(c % 9) as f32, ((c / 9) % 9) as f32, (c / 81) as f32]);
+        }
+        for k in [1, 6, 32, cells] {
+            assert_eq!(
+                brute_force_knn_graph(&data, k),
+                sorted_rows(&data, k),
+                "k {k}"
+            );
         }
     }
 

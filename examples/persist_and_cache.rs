@@ -15,7 +15,7 @@ use rpq_anns::{DiskIndex, DiskIndexConfig};
 use rpq_bench::setup::{rpq_config, store_path};
 use rpq_core::{train_rpq, TrainingMode};
 use rpq_data::synth::DatasetKind;
-use rpq_graph::VamanaConfig;
+use rpq_graph::{SearchScratch, VamanaConfig};
 use rpq_quant::{read_rotated_pq, write_rotated_pq, VectorCompressor};
 
 fn main() {
@@ -73,9 +73,16 @@ fn main() {
     .expect("build cached index");
 
     let (mut io_plain, mut io_cached) = (0usize, 0usize);
+    let mut scratch = SearchScratch::new();
     for q in queries.iter() {
-        io_plain += plain.search(q, 60, 10).1.io_reads;
-        io_cached += cached.search(q, 60, 10).1.io_reads;
+        io_plain += plain
+            .search_with_scratch(q, 60, 10, &mut scratch)
+            .1
+            .io_reads;
+        io_cached += cached
+            .search_with_scratch(q, 60, 10, &mut scratch)
+            .1
+            .io_reads;
     }
     let n = queries.len();
     println!(

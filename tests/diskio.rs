@@ -93,7 +93,7 @@ fn assert_width1_matches_reference<C: VectorCompressor>(
     let mut scratch = SearchScratch::new();
     for (qi, q) in bench.queries.iter().enumerate() {
         let (want, w_stats) = reference(index, graph, bench, cfg.rerank, q, ef, 10);
-        let (piped, p_stats) = index.search(q, ef, 10);
+        let (piped, p_stats) = index.search_with_scratch(q, ef, 10, &mut scratch);
         let (all, a_stats) = index.search_filtered(
             q,
             LabelPredicate::single(0),
@@ -209,11 +209,12 @@ fn wide_io_widths_stay_inside_the_recall_envelope() {
     // Recall and summed modeled device seconds of one pass over the queries.
     let pass = |index: &DiskIndex<_>, ef: usize| {
         let mut io_seconds = 0.0f64;
+        let mut scratch = SearchScratch::new();
         let ids: Vec<Vec<u32>> = bench
             .queries
             .iter()
             .map(|q| {
-                let (res, stats) = index.search(q, ef, 10);
+                let (res, stats) = index.search_with_scratch(q, ef, 10, &mut scratch);
                 io_seconds += f64::from(stats.io_seconds);
                 res.iter().map(|n| n.id).collect()
             })
@@ -307,8 +308,9 @@ fn trace_admission_beats_bfs_warmup_on_a_zipf_workload() {
 
     let hit_rate = |index: &DiskIndex<_>| {
         let (mut hits, mut misses) = (0usize, 0usize);
+        let mut scratch = SearchScratch::new();
         for q in eval.iter() {
-            let (_, stats) = index.search(q, 30, 10);
+            let (_, stats) = index.search_with_scratch(q, 30, 10, &mut scratch);
             hits += stats.cache_hits;
             misses += stats.cache_misses;
         }

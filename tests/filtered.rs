@@ -2,20 +2,25 @@
 //! filtered exact ground truth on the selectivity ladder, strategy
 //! agreement at exhaustive beam width, the §7.3 exact-merge contract per
 //! predicate, predicate soundness under streaming churn, and the cache
-//! economics of Zipf-skewed traffic on the disk backend.
+//! economics of Zipf-skewed traffic on the disk backend; and that the
+//! serving door and each index's own search methods are one read.
 //!
 //! The corpora use `generate_labeled`, which derives each point's label
 //! from its generating cluster — matching points are geometrically
 //! clumped, the hard case for a filtered traversal.
 
+use std::panic::AssertUnwindSafe;
+
 use proptest::prelude::*;
 
-use rpq_anns::serve::{ArrivalSchedule, ShardedIndex};
+use rpq_anns::serve::{ArrivalSchedule, FilteredQuery, ReplicaFault, ShardedIndex};
 use rpq_anns::stream::{StreamingConfig, StreamingIndex};
-use rpq_anns::{DiskIndex, DiskIndexConfig, FilterStrategy, InMemoryIndex};
+use rpq_anns::{
+    DiskIndex, DiskIndexConfig, FilterStrategy, InMemoryIndex, ShardBackend, ShardQueryStats,
+};
 use rpq_data::synth::{SynthConfig, ValueTransform};
 use rpq_data::{brute_force_knn_filtered, Dataset, LabelPredicate, Labels};
-use rpq_graph::{HnswConfig, ProximityGraph, SearchScratch};
+use rpq_graph::{HnswConfig, Neighbor, ProximityGraph, SearchScratch};
 use rpq_quant::{PqConfig, ProductQuantizer};
 
 #[path = "../crates/anns/tests/support/test_store.rs"]
@@ -426,6 +431,126 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// One read's answer, compared as ids with distance bits plus every stats
+/// field.
+fn assert_same_read(
+    got: (Vec<Neighbor>, ShardQueryStats),
+    want: (Vec<Neighbor>, ShardQueryStats),
+    ctx: &str,
+) {
+    let bits = |res: &[Neighbor]| -> Vec<(u32, u32)> {
+        res.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    };
+    assert_eq!(bits(&got.0), bits(&want.0), "{ctx}: answers differ");
+    assert_eq!(got.1, want.1, "{ctx}: stats differ");
+}
+
+/// The serving door (`ShardBackend::search_local`) and each index's own
+/// search methods are one read: with no filter, filtering during traversal
+/// and post-filtering, at a narrow, a middling and an exhaustive beam, all
+/// three indexes answer the same ids, distance bits and stats either way.
+#[test]
+fn shard_reads_equal_each_index_own_methods() {
+    let (all, all_labels) = labeled_data(640, 11);
+    let (base, queries) = all.split_at(600);
+    let labels = all_labels.subset(&(0..600).collect::<Vec<_>>());
+    let graph = hnsw(&base);
+    let memory = InMemoryIndex::build(pq(&base), &base, graph.clone()).with_labels(labels.clone());
+    let store = TestStore::new("shard-read");
+    let mut disk = DiskIndex::build(pq(&base), &base, &graph, DiskIndexConfig::new(store.path()))
+        .expect("disk index build failed");
+    disk.set_labels(labels.clone());
+    let stream =
+        StreamingIndex::build_labeled(pq(&base), &base, labels, StreamingConfig::default());
+    let pred = LabelPredicate::single(2);
+    let strategies = [
+        None,
+        Some(FilterStrategy::DuringTraversal),
+        Some(FilterStrategy::PostFilter { inflation: 4 }),
+    ];
+    let mut scratch = SearchScratch::new();
+    for ef in [10, 40, base.len()] {
+        for strategy in strategies {
+            let filter = strategy.map(|strategy| FilteredQuery { pred, strategy });
+            for (qi, q) in queries.iter().enumerate() {
+                let ctx = |index: &str| format!("{index}, ef {ef}, {strategy:?}, query {qi}");
+
+                let (res, stats) = match strategy {
+                    None => memory.search(q, ef, 10, &mut scratch),
+                    Some(s) => memory.search_filtered(q, pred, s, ef, 10, &mut scratch),
+                };
+                let got = memory.search_local(q, filter, ef, 10, &mut scratch);
+                assert_same_read(got.unwrap(), (res, stats.into()), &ctx("memory"));
+
+                let want = match strategy {
+                    None => disk.search_with_scratch(q, ef, 10, &mut scratch),
+                    Some(s) => disk.search_filtered(q, pred, s, ef, 10, &mut scratch),
+                };
+                let got = disk.search_local(q, filter, ef, 10, &mut scratch);
+                assert_same_read(got.unwrap(), want, &ctx("disk"));
+
+                let (res, stats) = match strategy {
+                    None => stream.search(q, ef, 10, &mut scratch),
+                    Some(s) => stream.search_filtered(q, pred, s, ef, 10, &mut scratch),
+                };
+                let got = stream.search_local(q, filter, ef, 10, &mut scratch);
+                assert_same_read(got.unwrap(), (res, stats.into()), &ctx("streaming"));
+            }
+        }
+    }
+}
+
+/// A predicate sent to an index without labels is a `NoLabels` fault at
+/// the serving door and a "requires labels" panic from `search_filtered`,
+/// under either strategy, on both frozen indexes.
+#[test]
+fn label_less_indexes_refuse_filtered_reads() {
+    let (base, _) = labeled_data(300, 12);
+    let graph = hnsw(&base);
+    let memory = InMemoryIndex::build(pq(&base), &base, graph.clone());
+    let store = TestStore::new("no-labels");
+    let disk = DiskIndex::build(pq(&base), &base, &graph, DiskIndexConfig::new(store.path()))
+        .expect("disk index build failed");
+    let backends: [(&str, &dyn ShardBackend); 2] = [("memory", &memory), ("disk", &disk)];
+    let (q, pred) = (base.get(0), LabelPredicate::single(0));
+    let mut scratch = SearchScratch::new();
+    for strategy in [
+        FilterStrategy::DuringTraversal,
+        FilterStrategy::PostFilter { inflation: 4 },
+    ] {
+        let filter = Some(FilteredQuery { pred, strategy });
+        for (name, backend) in backends {
+            assert!(
+                matches!(
+                    backend.search_local(q, filter, 40, 10, &mut scratch),
+                    Err(ReplicaFault::NoLabels)
+                ),
+                "{name}, {strategy:?}: a label-less read must fault"
+            );
+        }
+        let panics = [
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                memory.search_filtered(q, pred, strategy, 40, 10, &mut SearchScratch::new());
+            })),
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                disk.search_filtered(q, pred, strategy, 40, 10, &mut SearchScratch::new());
+            })),
+        ];
+        for ((name, _), caught) in backends.iter().zip(panics) {
+            let payload = caught.expect_err("search_filtered without labels must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("requires labels"),
+                "{name}, {strategy:?}: panic message {message:?}"
+            );
         }
     }
 }
