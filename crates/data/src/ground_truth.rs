@@ -1,7 +1,7 @@
 //! Exact k-nearest-neighbor ground truth and recall@k (paper Eq. 1).
 
 use rayon::prelude::*;
-use rpq_linalg::distance::sq_l2;
+use rpq_linalg::distance::{sq_l2, sq_l2_8};
 
 use crate::dataset::Dataset;
 use crate::labels::{LabelPredicate, Labels};
@@ -43,10 +43,7 @@ pub fn brute_force_knn(base: &Dataset, queries: &Dataset, k: usize) -> GroundTru
     assert!(!base.is_empty(), "ground truth needs a non-empty base set");
     assert_eq!(base.dim(), queries.dim(), "dimension mismatch");
     let k = k.min(base.len());
-    let neighbors: Vec<Vec<u32>> = (0..queries.len())
-        .into_par_iter()
-        .map(|qi| top_k_ids(base, queries.get(qi), k))
-        .collect();
+    let neighbors = grouped_top_k(base, queries, k, |_| true);
     GroundTruth { k, neighbors }
 }
 
@@ -69,58 +66,106 @@ pub fn brute_force_knn_filtered(
     let matching = labels.count_matching(pred);
     assert!(matching > 0, "predicate matches no base vectors");
     let k = k.min(matching);
-    let neighbors: Vec<Vec<u32>> = (0..queries.len())
-        .into_par_iter()
-        .map(|qi| {
-            top_k_ids_filtered(base, queries.get(qi), k, |v| {
-                labels.matches(v as usize, pred)
-            })
-        })
-        .collect();
+    let neighbors = grouped_top_k(base, queries, k, |v| labels.matches(v as usize, pred));
     GroundTruth { k, neighbors }
 }
 
+/// Queries per pass over the base: the width of [`sq_l2_8`].
+const GROUP: usize = 8;
+
+/// [`top_k_scan`] of every query, [`GROUP`] queries per pass over the base
+/// and the groups in parallel.
+fn grouped_top_k(
+    base: &Dataset,
+    queries: &Dataset,
+    k: usize,
+    accept: impl Fn(u32) -> bool + Sync,
+) -> Vec<Vec<u32>> {
+    let mut neighbors = vec![Vec::new(); queries.len()];
+    neighbors
+        .par_chunks_mut(GROUP)
+        .enumerate()
+        .for_each(|(g, out)| {
+            let group: Vec<&[f32]> = (0..out.len()).map(|j| queries.get(g * GROUP + j)).collect();
+            for (o, ids) in out.iter_mut().zip(top_k_scan(base, &group, k, &accept)) {
+                *o = ids;
+            }
+        });
+    neighbors
+}
+
+/// A scan candidate, ordered by `(distance, id)`.
+#[derive(PartialEq)]
+struct Entry(f32, u32);
+impl Eq for Entry {}
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+/// Exact top-`k` ids of each of the (at most [`GROUP`]) queries in
+/// `group` among base vectors accepted by `accept`, ascending by
+/// `(distance, id)`: one pass over the base, a bounded max-heap per query.
+/// A group of several runs [`sq_l2_8`], padded with its last query, whose
+/// distances are [`sq_l2`]'s bit for bit; a single query runs [`sq_l2`].
+fn top_k_scan(
+    base: &Dataset,
+    group: &[&[f32]],
+    k: usize,
+    accept: impl Fn(u32) -> bool,
+) -> Vec<Vec<u32>> {
+    use std::collections::BinaryHeap;
+
+    assert!(
+        (1..=GROUP).contains(&group.len()),
+        "group size out of range"
+    );
+    let k = k.max(1);
+    let padded: [&[f32]; GROUP] = std::array::from_fn(|j| group[j.min(group.len() - 1)]);
+    let mut heaps: Vec<BinaryHeap<Entry>> = group
+        .iter()
+        .map(|_| BinaryHeap::with_capacity(k + 1))
+        .collect();
+    for (i, v) in base.iter().enumerate() {
+        if !accept(i as u32) {
+            continue;
+        }
+        let dists = if group.len() == 1 {
+            [sq_l2(group[0], v); GROUP]
+        } else {
+            sq_l2_8(&padded, v)
+        };
+        for (heap, &d) in heaps.iter_mut().zip(&dists) {
+            if heap.len() < k {
+                heap.push(Entry(d, i as u32));
+            } else if d < heap.peek().unwrap().0 {
+                heap.pop();
+                heap.push(Entry(d, i as u32));
+            }
+        }
+    }
+    heaps
+        .into_iter()
+        .map(|heap| heap.into_sorted_vec().into_iter().map(|e| e.1).collect())
+        .collect()
+}
+
 /// Exact top-`k` ids among base vectors accepted by `accept`, ascending by
-/// `(distance, id)`, via a bounded max-heap scan.
+/// `(distance, id)` — the one-query case of the ground-truth scan.
 pub fn top_k_ids_filtered(
     base: &Dataset,
     query: &[f32],
     k: usize,
     accept: impl Fn(u32) -> bool,
 ) -> Vec<u32> {
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Entry(f32, u32);
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-
-    let k = k.max(1);
-    let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(k + 1);
-    for (i, v) in base.iter().enumerate() {
-        if !accept(i as u32) {
-            continue;
-        }
-        let d = sq_l2(query, v);
-        if heap.len() < k {
-            heap.push(Entry(d, i as u32));
-        } else if d < heap.peek().unwrap().0 {
-            heap.pop();
-            heap.push(Entry(d, i as u32));
-        }
-    }
-    let mut sorted: Vec<Entry> = heap.into_vec();
-    sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    sorted.into_iter().map(|e| e.1).collect()
+    let mut one = top_k_scan(base, &[query], k, accept);
+    one.pop().expect("one query, one result")
 }
 
 /// Exact top-`k` ids for one query vector, ascending by `(distance, id)`.
@@ -146,6 +191,78 @@ mod tests {
             d.push(&[i as f32]);
         }
         d
+    }
+
+    /// The per-query heap scan the grouped one replaced: one [`sq_l2`] per
+    /// accepted row, one pass over the base per query. The oracle the
+    /// grouped scan must equal id for id.
+    fn oracle_top_k(
+        base: &Dataset,
+        query: &[f32],
+        k: usize,
+        accept: impl Fn(u32) -> bool,
+    ) -> Vec<u32> {
+        use std::collections::BinaryHeap;
+        let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(k + 1);
+        for (i, v) in base.iter().enumerate() {
+            if !accept(i as u32) {
+                continue;
+            }
+            let d = sq_l2(query, v);
+            if heap.len() < k {
+                heap.push(Entry(d, i as u32));
+            } else if d < heap.peek().unwrap().0 {
+                heap.pop();
+                heap.push(Entry(d, i as u32));
+            }
+        }
+        let mut sorted: Vec<Entry> = heap.into_vec();
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        sorted.into_iter().map(|e| e.1).collect()
+    }
+
+    #[test]
+    fn grouped_ground_truth_equals_the_per_query_scan() {
+        const N: usize = 40;
+        // Rows `r` and `r + 13` are equal, and coordinates repeat across
+        // rows, so distances tie between ids.
+        let row = |r: usize, d: usize| ((r % 13 * 7 + d * 3) % 5) as f32 - 2.0;
+        // Every third id carries label 1: 14 of 40 match it.
+        let labels = Labels::from_masks(2, (0..N).map(|i| 1 + u32::from(i % 3 == 0)).collect());
+        let pred = LabelPredicate::single(1);
+        let matching = |v: u32| labels.matches(v as usize, pred);
+        for dim in 1..=17usize {
+            let mut base = Dataset::new(dim);
+            for r in 0..N {
+                base.push(&(0..dim).map(|d| row(r, d)).collect::<Vec<_>>());
+            }
+            // Every group remainder: 1..=17 queries, some equal to a row.
+            for nq in 1..=17usize {
+                let mut queries = Dataset::new(dim);
+                for q in 0..nq {
+                    let v: Vec<f32> = if q % 4 == 3 {
+                        (0..dim).map(|d| row(q, d)).collect()
+                    } else {
+                        (0..dim)
+                            .map(|d| ((q * 5 + d) % 7) as f32 * 0.5 - 1.5)
+                            .collect()
+                    };
+                    queries.push(&v);
+                }
+                // k = 20 exceeds the 14 matching ids; k = 50 the base.
+                for k in [1usize, 3, 10, 20, 50] {
+                    let gt = brute_force_knn(&base, &queries, k);
+                    let fgt = brute_force_knn_filtered(&base, &queries, k, &labels, pred);
+                    for (q, v) in queries.iter().enumerate() {
+                        let want = oracle_top_k(&base, v, k.min(N), |_| true);
+                        assert_eq!(gt.neighbors[q], want, "dim {dim}, {nq} queries, k {k}");
+                        let want = oracle_top_k(&base, v, k.min(14), matching);
+                        assert_eq!(fgt.neighbors[q], want, "filtered, dim {dim}, k {k}");
+                        assert_eq!(top_k_ids_filtered(&base, v, k.min(14), matching), want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

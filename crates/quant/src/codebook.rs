@@ -7,7 +7,7 @@
 //! sum of `M` table reads — the hot loop of PQ-integrated search.
 
 use rpq_data::Dataset;
-use rpq_linalg::distance::{nearest_column, sq_l2_columns};
+use rpq_linalg::distance::{nearest_column, sq_l2_columns, to_columns};
 
 /// Product codebook: `m` sub-codebooks × `k` codewords × `dsub` dims.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,13 +33,11 @@ impl Codebook {
         );
         assert_eq!(rows.len(), m * k * dsub, "codeword buffer size mismatch");
         let mut codewords = vec![0.0f32; rows.len()];
-        for (j, sub) in rows.chunks_exact(k * dsub).enumerate() {
-            let cols = &mut codewords[j * k * dsub..(j + 1) * k * dsub];
-            for (ki, row) in sub.chunks_exact(dsub).enumerate() {
-                for (d, &v) in row.iter().enumerate() {
-                    cols[d * k + ki] = v;
-                }
-            }
+        for (sub, cols) in rows
+            .chunks_exact(k * dsub)
+            .zip(codewords.chunks_exact_mut(k * dsub))
+        {
+            to_columns(sub, dsub, cols);
         }
         Self {
             m,

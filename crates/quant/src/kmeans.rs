@@ -7,7 +7,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rpq_linalg::distance::{nearest_column, sq_l2};
+use rpq_linalg::distance::{nearest_column, sq_l2_columns, to_columns};
 
 /// k-means parameters.
 #[derive(Clone, Copy, Debug)]
@@ -58,11 +58,18 @@ pub fn kmeans(data: &[f32], dim: usize, cfg: KMeansConfig) -> KMeansResult {
 
     let point = |i: usize| &data[i * dim..(i + 1) * dim];
 
-    // k-means++ seeding.
+    // k-means++ seeding. Every point's distance to a new centre is one
+    // column-kernel pass over the points transposed to `dim × n`; each
+    // distance is `sq_l2` of the point and the centre bit for bit (the
+    // kernel subtracts the other way round, and the square drops the sign).
+    let mut point_cols = vec![0.0f32; dim * n];
+    to_columns(data, dim, &mut point_cols);
     let mut centroids: Vec<f32> = Vec::with_capacity(k * dim);
     let first = rng.gen_range(0..n);
     centroids.extend_from_slice(point(first));
-    let mut min_d2: Vec<f32> = (0..n).map(|i| sq_l2(point(i), point(first))).collect();
+    let mut min_d2 = vec![0.0f32; n];
+    sq_l2_columns(point(first), &point_cols, &mut min_d2);
+    let mut new_d2 = vec![0.0f32; n];
     while centroids.len() / dim < k {
         let total: f64 = min_d2.iter().map(|&d| d as f64).sum();
         let pick = if total <= 0.0 {
@@ -80,8 +87,8 @@ pub fn kmeans(data: &[f32], dim: usize, cfg: KMeansConfig) -> KMeansResult {
             chosen
         };
         centroids.extend_from_slice(point(pick));
-        for (i, d) in min_d2.iter_mut().enumerate() {
-            let nd = sq_l2(point(i), point(pick));
+        sq_l2_columns(point(pick), &point_cols, &mut new_d2);
+        for (d, &nd) in min_d2.iter_mut().zip(&new_d2) {
             if nd < *d {
                 *d = nd;
             }
@@ -100,11 +107,7 @@ pub fn kmeans(data: &[f32], dim: usize, cfg: KMeansConfig) -> KMeansResult {
 
     for _ in 0..cfg.max_iters.max(1) {
         // Assignment step.
-        for (c, row) in centroids.chunks_exact(dim).enumerate() {
-            for (d, &v) in row.iter().enumerate() {
-                cols[d * k + c] = v;
-            }
-        }
+        to_columns(&centroids, dim, &mut cols);
         for (i, (a, dist)) in assignments.iter_mut().zip(&mut dists).enumerate() {
             let (c, d) = nearest_column(point(i), &cols, k);
             *a = c as u32;
@@ -171,6 +174,7 @@ mod tests {
     /// it bit for bit.
     mod oracle {
         use super::*;
+        use rpq_linalg::distance::sq_l2;
 
         pub(super) fn kmeans(data: &[f32], dim: usize, cfg: KMeansConfig) -> KMeansResult {
             let n = data.len() / dim;
