@@ -5,27 +5,85 @@
 //! region. This implementation caches whole node blocks (adjacency + full
 //! vector) for a configurable number of nodes, selected by BFS distance
 //! from the entry vertex — the standard warm-up heuristic — and counts hits
-//! and misses so experiments can report the I/O reduction.
+//! and misses so experiments can report the I/O reduction. It holds them in
+//! `Nodes`, the disk engine's one decoded layout (batch reads use it too).
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rpq_data::Dataset;
 use rpq_graph::ProximityGraph;
 
+/// Decoded nodes, ids ascending, in CSR form — the layout of `rpq-graph`'s
+/// HNSW levels: node `i` is `ids[i]`, its neighbors
+/// `neighbors[offsets[i]..offsets[i + 1]]`, its vector
+/// `vectors[i·dim..(i + 1)·dim]`. A lookup is a binary search.
+#[derive(Default)]
+pub(crate) struct Nodes {
+    ids: Vec<u32>,
+    offsets: Vec<u32>,
+    neighbors: Vec<u32>,
+    vectors: Vec<f32>,
+    dim: usize,
+}
+
+impl Nodes {
+    /// Room for `nodes` nodes of `dim` floats with `edges` neighbor ids in
+    /// all, so filling it allocates nothing.
+    pub(crate) fn with_capacity(nodes: usize, edges: usize, dim: usize) -> Self {
+        let mut out = Self {
+            ids: Vec::with_capacity(nodes),
+            offsets: Vec::with_capacity(nodes + 1),
+            neighbors: Vec::with_capacity(edges),
+            vectors: Vec::with_capacity(nodes * dim),
+            dim,
+        };
+        out.clear(dim);
+        out
+    }
+
+    /// Drops every node, keeping the buffers, for nodes of `dim` floats.
+    pub(crate) fn clear(&mut self, dim: usize) {
+        self.ids.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.neighbors.clear();
+        self.vectors.clear();
+        self.dim = dim;
+    }
+
+    /// Appends node `id`, which must exceed every id already held.
+    pub(crate) fn push(
+        &mut self,
+        id: u32,
+        nbrs: impl Iterator<Item = u32>,
+        vector: impl Iterator<Item = f32>,
+    ) {
+        debug_assert!(self.ids.last().is_none_or(|&last| last < id));
+        self.ids.push(id);
+        self.neighbors.extend(nbrs);
+        let end = u32::try_from(self.neighbors.len()).expect("edges overflow the u32 offsets");
+        self.offsets.push(end);
+        self.vectors.extend(vector);
+    }
+
+    /// The adjacency and vector of node `id`, if held.
+    pub(crate) fn get(&self, id: u32) -> Option<(&[u32], &[f32])> {
+        let i = self.ids.binary_search(&id).ok()?;
+        let row = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+        let vector = &self.vectors[i * self.dim..][..self.dim];
+        Some((&self.neighbors[row], vector))
+    }
+}
+
 /// A read-only cache of node blocks (neighbors + vector), pre-populated at
 /// build time with the nodes nearest (in hops) to the entry.
 pub struct NodeCache {
-    entries: HashMap<u32, CachedNode>,
+    nodes: Nodes,
     /// Nodes marked during the warm-up BFS (cached nodes + the frontier
     /// enqueued while filling) — the measure of warm-up work.
     warm_work: usize,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-struct CachedNode {
-    neighbors: Vec<u32>,
-    vector: Vec<f32>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 /// Cache effectiveness counters.
@@ -38,12 +96,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Fraction of lookups served from RAM.
     pub fn hit_rate(&self) -> f32 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f32 / total as f32
-        }
+        self.hits as f32 / (self.hits + self.misses).max(1) as f32
     }
 }
 
@@ -57,7 +110,7 @@ impl NodeCache {
     /// large the graph is.
     pub fn warm(graph: &ProximityGraph, data: &Dataset, capacity: usize) -> Self {
         assert_eq!(graph.len(), data.len(), "graph/dataset size mismatch");
-        let mut entries = HashMap::with_capacity(capacity.min(graph.len()));
+        let mut cached = Vec::with_capacity(capacity.min(graph.len()));
         let mut warm_work = 0usize;
         let mut seen = vec![false; graph.len()];
         let mut queue = std::collections::VecDeque::new();
@@ -67,14 +120,8 @@ impl NodeCache {
             warm_work += 1;
         }
         while let Some(v) = queue.pop_front() {
-            entries.insert(
-                v,
-                CachedNode {
-                    neighbors: graph.neighbors(v).to_vec(),
-                    vector: data.get(v as usize).to_vec(),
-                },
-            );
-            if entries.len() >= capacity {
+            cached.push((v, graph.neighbors(v), data.get(v as usize)));
+            if cached.len() >= capacity {
                 break; // full: stop expanding, leave the frontier alone
             }
             for &u in graph.neighbors(v) {
@@ -86,28 +133,29 @@ impl NodeCache {
             }
         }
         Self {
-            entries,
             warm_work,
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
+            ..Self::pin(cached)
         }
     }
 
-    /// Pins an explicit set of node blocks — the constructor behind
-    /// **trace-driven admission** (`DiskIndex::warm_cache_by_trace`): the
-    /// caller ranks nodes by observed access frequency and hands over the
-    /// winners' adjacency + vectors. Duplicate ids keep the last entry.
-    pub fn pin(entries: impl IntoIterator<Item = (u32, Vec<u32>, Vec<f32>)>) -> Self {
-        let entries: HashMap<u32, CachedNode> = entries
-            .into_iter()
-            .map(|(v, neighbors, vector)| (v, CachedNode { neighbors, vector }))
-            .collect();
-        let warm_work = entries.len();
+    /// Pins an explicit set of node blocks (unique ids, any order), copied
+    /// into exactly sized buffers — what the BFS warm-up and
+    /// **trace-driven admission** (`DiskIndex::warm_cache_by_trace`, which
+    /// ranks nodes by observed access frequency) both fill a cache with.
+    pub fn pin<'a>(nodes: impl IntoIterator<Item = (u32, &'a [u32], &'a [f32])>) -> Self {
+        let mut lent: Vec<_> = nodes.into_iter().collect();
+        lent.sort_unstable_by_key(|&(v, _, _)| v);
+        let edges = lent.iter().map(|(_, nbrs, _)| nbrs.len()).sum();
+        let dim = lent.first().map_or(0, |(_, _, vector)| vector.len());
+        let mut nodes = Nodes::with_capacity(lent.len(), edges, dim);
+        for (v, nbrs, vector) in lent {
+            nodes.push(v, nbrs.iter().copied(), vector.iter().copied());
+        }
         Self {
-            entries,
-            warm_work,
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
+            warm_work: nodes.ids.len(),
+            nodes,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -121,40 +169,38 @@ impl NodeCache {
 
     /// Number of cached nodes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.nodes.ids.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// Approximate resident bytes (counted against the RAM budget).
+    /// Resident bytes (counted against the RAM budget): the capacities of
+    /// the four buffers, the heap the cache holds byte for byte.
     pub fn memory_bytes(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| e.neighbors.len() * 4 + e.vector.len() * 4 + 16)
-            .sum()
+        let n = &self.nodes;
+        4 * (n.ids.capacity()
+            + n.offsets.capacity()
+            + n.neighbors.capacity()
+            + n.vectors.capacity())
     }
 
     /// Looks up a node; `Some` is a RAM hit (no disk I/O).
     pub fn get(&self, v: u32) -> Option<(&[u32], &[f32])> {
-        use std::sync::atomic::Ordering;
-        match self.entries.get(&v) {
-            Some(e) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((&e.neighbors, &e.vector))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = self.nodes.get(v);
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        use std::sync::atomic::Ordering;
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -261,13 +307,10 @@ mod tests {
     fn pinned_cache_serves_exactly_the_given_entries() {
         let (data, graph) = setup(100);
         let ids = [3u32, 57, 90];
-        let cache = NodeCache::pin(ids.iter().map(|&v| {
-            (
-                v,
-                graph.neighbors(v).to_vec(),
-                data.get(v as usize).to_vec(),
-            )
-        }));
+        let cache = NodeCache::pin(
+            ids.iter()
+                .map(|&v| (v, graph.neighbors(v), data.get(v as usize))),
+        );
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.warm_work(), 3);
         for &v in &ids {

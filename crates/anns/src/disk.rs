@@ -23,8 +23,9 @@
 //! A read moves only what the engine uses (DESIGN.md §10.1): each coalesced
 //! run is copied up to the end of its last node, so a block's trailing
 //! sector padding stays in the page cache, and the nodes decode in bulk
-//! into flat per-batch buffers sized once per query. The counters and the
-//! device model still charge whole sectors, exactly as before.
+//! into the node cache's layout, with buffers sized once per query. The
+//! counters and the device model still charge whole sectors, exactly as
+//! before.
 //!
 //! Substitution (DESIGN.md §4.2, §10): instead of a datacenter SSD we use a
 //! real file plus a per-sector read latency ([`SsdModel`]); reported "disk
@@ -43,7 +44,7 @@ use rpq_graph::{Neighbor, ProximityGraph, SearchScratch, SearchStats, VertexFilt
 use rpq_linalg::distance::sq_l2;
 use rpq_quant::{CompactCodes, VectorCompressor};
 
-use crate::cache::{CacheStats, NodeCache};
+use crate::cache::{CacheStats, NodeCache, Nodes};
 use crate::filter::{self, FilterStrategy};
 use crate::serve::{FilteredQuery, ReplicaFault};
 
@@ -191,65 +192,34 @@ impl Fetch<'_> {
         Self {
             plan: Vec::with_capacity(width),
             misses: Vec::with_capacity(width),
-            batch: BatchRead::with_capacity(store, width),
+            batch: BatchRead {
+                nodes: Nodes::with_capacity(width, width * store.max_degree, store.dim),
+                bytes: Vec::with_capacity(store.run_bytes(width)),
+                ..BatchRead::default()
+            },
         }
     }
 
     /// The last fetch's nodes in request order: `(id, neighbors, vector)`.
     fn nodes(&self) -> impl Iterator<Item = (u32, &[u32], &[f32])> {
         self.plan.iter().map(|&(v, cached)| {
-            let (nbrs, vector) = cached.unwrap_or_else(|| self.batch.block(v));
+            let node = cached.or_else(|| self.batch.nodes.get(v));
+            let (nbrs, vector) = node.expect("id not in batch read");
             (v, nbrs, vector)
         })
     }
 }
 
-/// Reusable result of a [`SectorStore::read_batch`]: the (ascending)
-/// requested ids, their nodes decoded into flat buffers, plus the I/O
-/// counts. Node `i` of the batch is `degrees[i]` ids at
-/// `neighbors[i·R..]` and the vector at `vectors[i·D..(i+1)·D]`.
+/// Reusable result of a [`SectorStore::read_batch`]: the requested nodes,
+/// decoded, plus the I/O counts.
 #[derive(Default)]
 struct BatchRead {
-    ids: Vec<u32>,
-    degrees: Vec<u32>,
-    /// Neighbor-id slots, `R` (the store's degree bound) per node; slots
-    /// past a node's degree hold the block's zero padding.
-    neighbors: Vec<u32>,
-    /// Full vectors, `D` floats per node.
-    vectors: Vec<f32>,
-    max_degree: usize,
-    dim: usize,
+    nodes: Nodes,
     /// Coalesced commands: runs of adjacent requested blocks.
     runs: usize,
     /// Total raw sectors read.
     raw_sectors: usize,
     bytes: Vec<u8>,
-}
-
-impl BatchRead {
-    /// Buffers sized for batches of up to `width` nodes from `store`, so
-    /// reading such a batch allocates nothing.
-    fn with_capacity(store: &SectorStore, width: usize) -> Self {
-        Self {
-            ids: Vec::with_capacity(width),
-            degrees: Vec::with_capacity(width),
-            neighbors: Vec::with_capacity(width * store.max_degree),
-            vectors: Vec::with_capacity(width * store.dim),
-            bytes: Vec::with_capacity(store.run_bytes(width)),
-            ..Self::default()
-        }
-    }
-
-    /// The adjacency and vector of node `id`; panics if it was not in the
-    /// batch.
-    fn block(&self, id: u32) -> (&[u32], &[f32]) {
-        let i = self.ids.binary_search(&id).expect("id not in batch read");
-        let (r, d) = (self.max_degree, self.dim);
-        (
-            &self.neighbors[i * r..i * r + self.degrees[i] as usize],
-            &self.vectors[i * d..(i + 1) * d],
-        )
-    }
 }
 
 /// Little-endian 4-byte words, decoded in bulk.
@@ -337,22 +307,15 @@ impl SectorStore {
     /// copies only up to the end of the run's last node
     /// ([`SectorStore::run_bytes`]): the trailing padding is never read,
     /// while the counters and the device model still charge whole sectors.
+    /// A stored degree above `R` is read as `R`.
     fn read_batch(&self, ids: &[u32], out: &mut BatchRead) -> io::Result<()> {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
         let r = self.max_degree;
-        out.ids.clear();
-        out.ids.extend_from_slice(ids);
-        out.degrees.clear();
-        out.neighbors.clear();
-        out.vectors.clear();
-        out.max_degree = r;
-        out.dim = self.dim;
+        out.nodes.clear(self.dim);
         out.runs = 0;
         out.raw_sectors = 0;
-        if ids.is_empty() {
-            return Ok(());
-        }
-        assert!((ids[ids.len() - 1] as usize) < self.n, "node out of range");
+        let in_range = ids.last().is_none_or(|&v| (v as usize) < self.n);
+        assert!(in_range, "node out of range");
         let mut run_start = 0usize;
         while run_start < ids.len() {
             let mut run_end = run_start + 1;
@@ -363,14 +326,16 @@ impl SectorStore {
             out.bytes.resize(self.run_bytes(run_len), 0);
             let off = (ids[run_start] as u64) * (self.block_bytes as u64);
             self.read_exact_at_off(&mut out.bytes, off)?;
-            for j in 0..run_len {
+            for (j, &id) in ids[run_start..run_end].iter().enumerate() {
                 let node = &out.bytes[j * self.block_bytes..][..self.node_bytes()];
-                let (degree, rest) = node.split_at(4);
-                let (nbrs, vector) = rest.split_at(4 * r);
-                out.degrees
-                    .extend(le_words(degree).map(|w| u32::from_le_bytes(w).min(r as u32)));
-                out.neighbors.extend(le_words(nbrs).map(u32::from_le_bytes));
-                out.vectors.extend(le_words(vector).map(f32::from_le_bytes));
+                let degree = u32::from_le_bytes(node[..4].try_into().unwrap()) as usize;
+                let (nbrs, vector) = node[4..].split_at(4 * r);
+                let nbrs = &nbrs[..4 * degree.min(r)];
+                out.nodes.push(
+                    id,
+                    le_words(nbrs).map(u32::from_le_bytes),
+                    le_words(vector).map(f32::from_le_bytes),
+                );
             }
             out.runs += 1;
             out.raw_sectors += run_len * self.sectors_per_block;
@@ -494,11 +459,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
     pub fn resident_bytes(&self) -> usize {
         self.codes.memory_bytes()
             + self.compressor.model_bytes()
-            + self
-                .cache
-                .as_ref()
-                .map(NodeCache::memory_bytes)
-                .unwrap_or(0)
+            + self.cache.as_ref().map_or(0, NodeCache::memory_bytes)
             + self.labels.as_ref().map_or(0, Labels::memory_bytes)
     }
 
@@ -551,10 +512,7 @@ impl<C: VectorCompressor> DiskIndex<C> {
         let mut fetch = Fetch::with_capacity(&self.store, ranked.len());
         let ids = ranked.iter().map(|&(_, v)| v);
         self.fetch(ids, &mut fetch, &mut DiskSearchStats::default());
-        let entries = fetch
-            .nodes()
-            .map(|(v, nbrs, vec)| (v, nbrs.to_vec(), vec.to_vec()));
-        let cache = NodeCache::pin(entries);
+        let cache = NodeCache::pin(fetch.nodes());
         let pinned = cache.len();
         self.cache = Some(cache);
         pinned
@@ -986,7 +944,10 @@ mod tests {
         let mut batch = BatchRead::default();
         store.read_batch(&[0, 50, 99], &mut batch).unwrap();
         for i in [0u32, 50, 99] {
-            assert_eq!(batch.block(i), (graph.neighbors(i), base.get(i as usize)));
+            assert_eq!(
+                batch.nodes.get(i),
+                Some((graph.neighbors(i), base.get(i as usize)))
+            );
         }
     }
 
@@ -1021,8 +982,8 @@ mod tests {
         // A coalesced read still parses every block as its own node.
         for id in [3u32, 4, 90] {
             assert_eq!(
-                batch.block(id),
-                (graph.neighbors(id), base.get(id as usize))
+                batch.nodes.get(id),
+                Some((graph.neighbors(id), base.get(id as usize)))
             );
         }
     }
@@ -1060,7 +1021,7 @@ mod tests {
                 store.read_batch(ids, &mut batch).unwrap();
                 for &i in ids {
                     let want = (parts.graph.neighbors(i), parts.base.get(i as usize));
-                    assert_eq!(batch.block(i), want, "node {i} of batch {ids:?}");
+                    assert_eq!(batch.nodes.get(i), Some(want), "node {i} of batch {ids:?}");
                 }
             }
 
@@ -1103,7 +1064,10 @@ mod tests {
         f.set_len(node_end as u64 + 10).unwrap();
         store.read_batch(&[last - 1, last], &mut batch).unwrap();
         for i in [last - 1, last] {
-            assert_eq!(batch.block(i), (graph.neighbors(i), base.get(i as usize)));
+            assert_eq!(
+                batch.nodes.get(i),
+                Some((graph.neighbors(i), base.get(i as usize)))
+            );
         }
 
         // Cut inside the last node's vector: an `UnexpectedEof`, alone or
@@ -1115,9 +1079,41 @@ mod tests {
         }
         store.read_batch(&[0, last - 1], &mut batch).unwrap();
         assert_eq!(
-            batch.block(last - 1),
-            (graph.neighbors(last - 1), base.get(last as usize - 1))
+            batch.nodes.get(last - 1),
+            Some((graph.neighbors(last - 1), base.get(last as usize - 1)))
         );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_stored_degree_above_r_is_read_as_r() {
+        let (base, _) = setup(50, 20);
+        let graph = VamanaConfig {
+            r: 6,
+            l: 16,
+            ..Default::default()
+        }
+        .build(&base);
+        let file = TestStore::new("degree");
+        let store = SectorStore::build(file.path(), &base, &graph, 4096).unwrap();
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(file.path())
+            .unwrap();
+        let v = 7u32;
+        let off = v as usize * store.block_bytes;
+        f.write_all_at(&u32::MAX.to_le_bytes(), off as u64).unwrap();
+        let mut batch = BatchRead::default();
+        store.read_batch(&[v - 1, v, v + 1], &mut batch).unwrap();
+        // All R slots: the stored row, then the block's zero padding.
+        let mut row = graph.neighbors(v).to_vec();
+        row.resize(store.max_degree, 0);
+        let want = (&row[..], base.get(v as usize));
+        assert_eq!(batch.nodes.get(v), Some(want));
+        for u in [v - 1, v + 1] {
+            let want = (graph.neighbors(u), base.get(u as usize));
+            assert_eq!(batch.nodes.get(u), Some(want), "node {u}");
+        }
     }
 
     #[test]

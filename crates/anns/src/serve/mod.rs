@@ -129,9 +129,6 @@ pub trait MutableShardBackend: ShardBackend {
     /// Resident minus tombstoned points.
     fn live_len(&self) -> usize;
 
-    /// Fraction of resident points that are tombstoned.
-    fn tombstone_fraction(&self) -> f32;
-
     /// A deep copy of this backend for replication (DESIGN.md §11.1): the
     /// fork must be bit-identical — same graph, codes, and tombstones — so
     /// that replicas created from it answer queries identically and stay
@@ -208,10 +205,6 @@ impl<C: VectorCompressor + Clone + 'static> MutableShardBackend for StreamingInd
 
     fn live_len(&self) -> usize {
         StreamingIndex::live_len(self)
-    }
-
-    fn tombstone_fraction(&self) -> f32 {
-        StreamingIndex::tombstone_fraction(self)
     }
 
     fn fork_local(&self) -> Box<dyn MutableShardBackend> {

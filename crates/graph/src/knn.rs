@@ -5,21 +5,24 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use rpq_data::ground_truth::top_k_ids_filtered;
+use rpq_data::ground_truth::brute_force_knn;
 use rpq_data::Dataset;
 use rpq_linalg::distance::sq_l2;
 
-/// Exact k-NN graph by parallel brute force (excluding self edges): each
-/// row is rpq-data's bounded-heap top-`k` of its node, ascending by
-/// `(distance, id)`, with `k ≥ 1` clamped to `n − 1`.
+/// Exact k-NN graph (excluding self edges): rpq-data's grouped ground-truth
+/// scan of the data against itself at `k + 1`, each row without its own id
+/// and cut to `k`, ascending by `(distance, id)`; `k ≥ 1` is clamped to
+/// `n − 1`. Top-`(k + 1)` minus the node is top-`k` of the others.
 pub fn brute_force_knn_graph(data: &Dataset, k: usize) -> Vec<Vec<u32>> {
     let n = data.len();
     assert!(n > 0, "empty dataset");
     let k = k.min(n - 1);
-    (0..n)
-        .into_par_iter()
-        .map(|i| top_k_ids_filtered(data, data.get(i), k, |j| j as usize != i))
-        .collect()
+    let mut rows = brute_force_knn(data, data, k + 1).neighbors;
+    for (i, row) in rows.iter_mut().enumerate() {
+        row.retain(|&j| j as usize != i);
+        row.truncate(k);
+    }
+    rows
 }
 
 /// Neighbors per node of the k-NN graph NSG is initialised from, exact or

@@ -294,19 +294,6 @@ impl Matrix {
             .sqrt() as f32
     }
 
-    /// Maximum absolute column sum (induced 1-norm).
-    pub fn norm_1(&self) -> f32 {
-        let mut best = 0.0f32;
-        for j in 0..self.cols {
-            let mut s = 0.0f32;
-            for i in 0..self.rows {
-                s += self.data[i * self.cols + j].abs();
-            }
-            best = best.max(s);
-        }
-        best
-    }
-
     /// Extracts the sub-matrix of columns `[c0, c1)`.
     pub fn slice_cols(&self, c0: usize, c1: usize) -> Matrix {
         assert!(c0 <= c1 && c1 <= self.cols, "column slice out of range");
@@ -476,12 +463,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0]]);
         let g = a.gather_rows(&[2, 0, 2]);
         assert_eq!(g.data, vec![2.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn norm_1_column_sums() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0], &[-3.0, 0.5]]);
-        assert!((a.norm_1() - 4.0).abs() < 1e-6);
     }
 
     #[test]

@@ -54,46 +54,8 @@ pub fn kmeans(data: &[f32], dim: usize, cfg: KMeansConfig) -> KMeansResult {
     let n = data.len() / dim;
     assert!(n > 0, "k-means needs at least one point");
     let k = cfg.k.min(n).max(1);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-
+    let mut centroids = plus_plus_seeds(data, dim, k, cfg.seed);
     let point = |i: usize| &data[i * dim..(i + 1) * dim];
-
-    // k-means++ seeding. Every point's distance to a new centre is one
-    // column-kernel pass over the points transposed to `dim × n`; each
-    // distance is `sq_l2` of the point and the centre bit for bit (the
-    // kernel subtracts the other way round, and the square drops the sign).
-    let mut point_cols = vec![0.0f32; dim * n];
-    to_columns(data, dim, &mut point_cols);
-    let mut centroids: Vec<f32> = Vec::with_capacity(k * dim);
-    let first = rng.gen_range(0..n);
-    centroids.extend_from_slice(point(first));
-    let mut min_d2 = vec![0.0f32; n];
-    sq_l2_columns(point(first), &point_cols, &mut min_d2);
-    let mut new_d2 = vec![0.0f32; n];
-    while centroids.len() / dim < k {
-        let total: f64 = min_d2.iter().map(|&d| d as f64).sum();
-        let pick = if total <= 0.0 {
-            rng.gen_range(0..n)
-        } else {
-            let mut target = rng.gen_range(0.0..total);
-            let mut chosen = n - 1;
-            for (i, &d) in min_d2.iter().enumerate() {
-                target -= d as f64;
-                if target <= 0.0 {
-                    chosen = i;
-                    break;
-                }
-            }
-            chosen
-        };
-        centroids.extend_from_slice(point(pick));
-        sq_l2_columns(point(pick), &point_cols, &mut new_d2);
-        for (d, &nd) in min_d2.iter_mut().zip(&new_d2) {
-            if nd < *d {
-                *d = nd;
-            }
-        }
-    }
 
     let mut assignments = vec![0u32; n];
     let mut dists = vec![0.0f32; n];
@@ -161,6 +123,52 @@ pub fn kmeans(data: &[f32], dim: usize, cfg: KMeansConfig) -> KMeansResult {
         inertia,
         k,
     }
+}
+
+/// k-means++ seeding from `seed`: `k` of the `n` points, each drawn with probability
+/// proportional to its squared distance to the nearest centre drawn so far.
+/// Every point's distance to a new centre is one column-kernel pass over
+/// the points transposed to `dim × n`; each distance is `sq_l2` of the
+/// point and the centre bit for bit (the kernel subtracts the other way
+/// round, and the square drops the sign). The transposed copy is freed on
+/// return, before Lloyd's loop starts.
+fn plus_plus_seeds(data: &[f32], dim: usize, k: usize, seed: u64) -> Vec<f32> {
+    let n = data.len() / dim;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let point = |i: usize| &data[i * dim..(i + 1) * dim];
+    let mut point_cols = vec![0.0f32; dim * n];
+    to_columns(data, dim, &mut point_cols);
+    let mut centroids: Vec<f32> = Vec::with_capacity(k * dim);
+    let first = rng.gen_range(0..n);
+    centroids.extend_from_slice(point(first));
+    let mut min_d2 = vec![0.0f32; n];
+    sq_l2_columns(point(first), &point_cols, &mut min_d2);
+    let mut new_d2 = vec![0.0f32; n];
+    while centroids.len() / dim < k {
+        let total: f64 = min_d2.iter().map(|&d| d as f64).sum();
+        let pick = if total <= 0.0 {
+            rng.gen_range(0..n)
+        } else {
+            let mut target = rng.gen_range(0.0..total);
+            let mut chosen = n - 1;
+            for (i, &d) in min_d2.iter().enumerate() {
+                target -= d as f64;
+                if target <= 0.0 {
+                    chosen = i;
+                    break;
+                }
+            }
+            chosen
+        };
+        centroids.extend_from_slice(point(pick));
+        sq_l2_columns(point(pick), &point_cols, &mut new_d2);
+        for (d, &nd) in min_d2.iter_mut().zip(&new_d2) {
+            if nd < *d {
+                *d = nd;
+            }
+        }
+    }
+    centroids
 }
 
 #[cfg(test)]

@@ -6,13 +6,17 @@
 //! buffers once per query (DESIGN.md §10.1), so its count is a constant
 //! that does not grow with the blocks a query reads.
 //!
-//! The binary installs a counting `#[global_allocator]`; the count is kept
-//! per thread so the test harness's own threads cannot disturb it.
+//! The same allocator counts live bytes, which checks reported memory
+//! against the heap (ROADMAP item 22): the bytes that dropping a node cache
+//! or a disk index frees must be the bytes it reports.
+//!
+//! The binary installs a counting `#[global_allocator]`; the counts are kept
+//! per thread so the test harness's own threads cannot disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rpq_anns::{DiskIndex, DiskIndexConfig, FilterStrategy, InMemoryIndex};
+use rpq_anns::{DiskIndex, DiskIndexConfig, FilterStrategy, InMemoryIndex, NodeCache};
 use rpq_data::synth::DatasetKind;
 use rpq_data::{Dataset, LabelPredicate, Labels};
 use rpq_graph::{beam_search, ExactEstimator, HnswConfig, ProximityGraph, SearchScratch};
@@ -24,23 +28,33 @@ use test_store::TestStore;
 
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread; negative when the
+    /// thread frees what another allocated.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn live_add(bytes: isize) {
+    LIVE.with(|c| c.set(c.get() + bytes));
 }
 
 struct Counting;
 
-// SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a thread-local counter bump, which does not allocate (const-initialised
-// `Cell<usize>`, no destructor).
+// SAFETY: every call is forwarded unchanged to `System`; the only additions
+// are thread-local counter updates, which do not allocate (const-initialised
+// `Cell`s, no destructor).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        live_add(layout.size() as isize);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_add(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        live_add(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -60,6 +74,17 @@ fn fixture() -> (Dataset, Dataset, ProximityGraph) {
     }
     .build(&base);
     (base, queries, graph)
+}
+
+fn pq(base: &Dataset) -> ProductQuantizer {
+    ProductQuantizer::train(
+        &PqConfig {
+            m: 4,
+            k: 16,
+            ..Default::default()
+        },
+        base,
+    )
 }
 
 #[test]
@@ -87,16 +112,8 @@ fn warmed_beam_search_allocates_only_its_result() {
 #[test]
 fn warmed_pq_index_search_allocation_count_is_pinned() {
     let (base, queries, graph) = fixture();
-    let pq = ProductQuantizer::train(
-        &PqConfig {
-            m: 4,
-            k: 16,
-            ..Default::default()
-        },
-        &base,
-    );
     let labels = Labels::from_masks(2, (0..base.len()).map(|i| 1 << (i % 2)).collect());
-    let index = InMemoryIndex::build(pq, &base, graph).with_labels(labels);
+    let index = InMemoryIndex::build(pq(&base), &base, graph).with_labels(labels);
     let pred = LabelPredicate::single(1);
     let during = FilterStrategy::DuringTraversal;
     let mut scratch = SearchScratch::new();
@@ -129,14 +146,6 @@ fn warmed_pq_index_search_allocation_count_is_pinned() {
 #[test]
 fn warmed_disk_search_allocation_count_does_not_grow_with_reads() {
     let (base, queries, graph) = fixture();
-    let pq = ProductQuantizer::train(
-        &PqConfig {
-            m: 4,
-            k: 16,
-            ..Default::default()
-        },
-        &base,
-    );
     let store = TestStore::new("alloc");
     let cfg = DiskIndexConfig {
         io_width: 8,
@@ -144,7 +153,7 @@ fn warmed_disk_search_allocation_count_does_not_grow_with_reads() {
         rerank: 80,
         ..DiskIndexConfig::new(store.path())
     };
-    let index = DiskIndex::build(pq, &base, &graph, cfg).expect("disk index build failed");
+    let index = DiskIndex::build(pq(&base), &base, &graph, cfg).expect("disk index build failed");
     let mut scratch = SearchScratch::new();
     for ef in [20, 80] {
         for q in queries.iter() {
@@ -173,4 +182,67 @@ fn warmed_disk_search_allocation_count_does_not_grow_with_reads() {
         blocks_read[1] > 3 * blocks_read[0],
         "blocks read at ef 20 / 80: {blocks_read:?}"
     );
+}
+
+/// The heap that dropping `value` frees on this thread.
+fn freed_on_drop<T>(value: T) -> usize {
+    let before = LIVE.with(Cell::get);
+    drop(value);
+    (before - LIVE.with(Cell::get)) as usize
+}
+
+/// Demands `freed` within 1 % of `reported`.
+fn assert_reports_its_heap(reported: usize, freed: usize, what: &str) {
+    let ratio = freed as f64 / reported as f64;
+    assert!(
+        (ratio - 1.0).abs() <= 0.01,
+        "{what}: reports {reported} bytes, frees {freed} on drop (ratio {ratio:.3})"
+    );
+}
+
+#[test]
+fn a_warmed_node_cache_reports_the_heap_it_holds() {
+    let (base, _, graph) = fixture();
+    let ids: Vec<u32> = (0..base.len() as u32).step_by(4).collect();
+    let caches = [
+        ("BFS-warmed", NodeCache::warm(&graph, &base, 500)),
+        (
+            "pinned",
+            NodeCache::pin(
+                ids.iter()
+                    .map(|&v| (v, graph.neighbors(v), base.get(v as usize))),
+            ),
+        ),
+    ];
+    for (what, cache) in caches {
+        assert_eq!(cache.len(), 500, "{what}");
+        let reported = cache.memory_bytes();
+        assert_reports_its_heap(reported, freed_on_drop(cache), what);
+    }
+}
+
+#[test]
+fn a_disk_index_reports_the_heap_it_holds() {
+    let (base, queries, graph) = fixture();
+    let labels = Labels::from_masks(2, (0..base.len()).map(|i| 1 << (i % 2)).collect());
+    let store = TestStore::new("heap");
+    let cfg = DiskIndexConfig {
+        cache_nodes: 500,
+        ..DiskIndexConfig::new(store.path())
+    };
+    let build = || {
+        let mut index = DiskIndex::build(pq(&base), &base, &graph, cfg.clone())
+            .expect("disk index build failed");
+        index.set_labels(labels.clone());
+        index
+    };
+
+    let cold = build();
+    let reported = cold.resident_bytes();
+    assert_reports_its_heap(reported, freed_on_drop(cold), "cold, BFS-warmed cache");
+
+    let mut traced = build();
+    assert_eq!(traced.warm_cache_by_trace(&queries, 80), 500);
+    let reported = traced.resident_bytes();
+    assert_reports_its_heap(reported, freed_on_drop(traced), "trace-pinned cache");
 }

@@ -23,7 +23,9 @@
 # of that fails, timed metrics cannot be compared and only the exact ones
 # are printed (they repeat bit for bit for a seed on any box); the exit
 # status is 1 if one of them regressed. Otherwise `rpq-perf compare` runs
-# as it is.
+# as it is, after a line naming both sets' commits: timed medians drift
+# between sessions on one box by more than the bounds, so a timed verdict
+# across sessions holds only beside a same-session A/B of the two commits.
 #
 # `check` runs every workload once at the newest BENCH file's seed and
 # `--seconds` and fails when an exact metric differs from that file's.
@@ -135,6 +137,8 @@ elif ! echo "$range_a $range_b" | awk '{ exit !($1 <= $4 && $3 <= $2) }'; then
 fi
 
 if [ -z "$why" ]; then
+    echo "sets of $(jq -r '.facts.git_sha' "$a") and $(jq -r '.facts.git_sha' "$b"):" \
+        "a timed diff across sessions needs a same-session A/B to confirm it"
     perf compare "$a" "$b"
     exit 0
 fi
