@@ -125,13 +125,13 @@ pub fn kmeans(data: &[f32], dim: usize, cfg: KMeansConfig) -> KMeansResult {
     }
 }
 
-/// k-means++ seeding from `seed`: `k` of the `n` points, each drawn with probability
-/// proportional to its squared distance to the nearest centre drawn so far.
-/// Every point's distance to a new centre is one column-kernel pass over
-/// the points transposed to `dim × n`; each distance is `sq_l2` of the
-/// point and the centre bit for bit (the kernel subtracts the other way
-/// round, and the square drops the sign). The transposed copy is freed on
-/// return, before Lloyd's loop starts.
+/// k-means++ seeding from `seed`: `k` of the `n` points, each drawn with
+/// probability proportional to its squared distance to the nearest centre
+/// drawn so far. Every point's distance to a new centre is one
+/// column-kernel pass over the points transposed to `dim × n`; each
+/// distance is `sq_l2` of the point and the centre bit for bit (the kernel
+/// subtracts the other way round, and the square drops the sign). The
+/// transposed copy is freed on return, before Lloyd's loop starts.
 fn plus_plus_seeds(data: &[f32], dim: usize, k: usize, seed: u64) -> Vec<f32> {
     let n = data.len() / dim;
     let mut rng = SmallRng::seed_from_u64(seed);
